@@ -1,22 +1,11 @@
-"""Soft-logic operators and the rule-expression language.
+"""Soft-logic operators.
 
-Shows the graded connectives, their exact Boolean restriction, and how a
-textual rule is parsed, pretty-printed, and evaluated against predicate
-bindings.
+Shows the graded connectives and their exact Boolean restriction.
 """
 
 import itertools
 
-from ruledistill import (
-    avg_conj,
-    disj,
-    format_rule_expr,
-    implies,
-    neg,
-    parse_rule_expr,
-    strong_conj,
-)
-from ruledistill.softlogic import evaluate as evaluate_expr
+from ruledistill import avg_conj, disj, implies, neg, strong_conj
 
 
 def main():
@@ -31,24 +20,6 @@ def main():
         print(f"  a={a} b={b}: a&&b={strong_conj(a, b):.2f} "
               f"a|b={disj(a, b):.2f} a=>b={implies(a, b):.2f} "
               f"avg={avg_conj([a, b]):.2f}")
-
-    text = "has_but(x) && pos(clause_b) => pos(sentence)"
-    expr = parse_rule_expr(text)
-    print(f"\nParsed rule: {format_rule_expr(expr)}")
-
-    # Bindings receive (instance, candidate, *args) and return a truth.
-    sentence = {"has_but": 1.0, "clause_b_pos": 0.85, "sentence_pos": 0.40}
-    bindings = {
-        "has_but": lambda inst, cand, arg: inst["has_but"],
-        "pos": lambda inst, cand, arg: (
-            inst["clause_b_pos"] if arg == "clause_b" else cand
-        ),
-    }
-    print("Truth of the rule as the sentence-level candidate varies:")
-    for cand in (0.1, 0.4, 0.85, 1.0):
-        t = evaluate_expr(expr, bindings, sentence, cand)
-        print(f"  candidate positive-prob {cand:.2f}: truth {float(t):.2f}")
-    print("The rule is fully satisfied once the candidate matches clause B.")
 
 
 if __name__ == "__main__":

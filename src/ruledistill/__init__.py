@@ -7,7 +7,7 @@ rule knowledge survives even when the rules are switched off at test time.
 
 Layers, bottom up:
 
-- ``softlogic``: Lukasiewicz truth operators and a rule-expression parser.
+- ``softlogic``: Lukasiewicz truth values and operators.
 - ``rulelib``: concrete rules (contrastive "but", BIOES transitions, list
   counterparts) plus tag-scheme helpers.
 - ``projection``: the closed-form teacher projection with an optimality
@@ -16,7 +16,8 @@ Layers, bottom up:
   group-coupled teachers.
 - ``predictors``: numpy conv classifier and window tagger with manual
   gradients and checkpointing.
-- ``trainer``: the distillation loop (base / distill / semi / pipeline),
+- ``trainer``: one training loop over a per-task driver (base / distill /
+  semi / pipeline), one teacher per task for both training targets and
   evaluation, and post-hoc projection.
 - ``corpus``: file formats, synthetic task generators, list detection.
 - ``cli``: the ``ruledistill`` command.
@@ -29,8 +30,6 @@ from .softlogic import (
     disj,
     avg_conj,
     implies,
-    parse_rule_expr,
-    format_rule_expr,
 )
 from .rulelib import (
     Rule,
@@ -107,8 +106,6 @@ __all__ = [
     "disj",
     "avg_conj",
     "implies",
-    "parse_rule_expr",
-    "format_rule_expr",
     "Rule",
     "Grounding",
     "TagScheme",

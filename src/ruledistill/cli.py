@@ -198,10 +198,12 @@ def _rule_lambda(args: dict[str, str], name: str) -> float:
     return lam
 
 
-def parse_rule_specs(text: str, scheme: TagScheme | None = None) -> tuple[Rule, ...]:
+def parse_rule_specs(text: str, scheme: TagScheme | None = None,
+                     positive_class: int = 1) -> tuple[Rule, ...]:
     """Parse a rule list such as ``but(lambda=1), transitions()``.
 
-    Known rules: ``but(lambda=, variant=avg|strong)`` for classification;
+    Known rules: ``but(lambda=, variant=avg|strong)`` for classification,
+    with ``positive_class`` the class that clause B's polarity votes for;
     ``transitions()`` and ``list-counterpart(lambda=)`` for tagging (both
     need the tag scheme of the task at hand).
     """
@@ -215,7 +217,11 @@ def parse_rule_specs(text: str, scheme: TagScheme | None = None) -> tuple[Rule, 
                 raise CliError(f"but: unknown variant {variant!r}")
             if args:
                 raise CliError(f"but: unknown arguments {sorted(args)}")
-            rules.append(but_rule(confidence=lam, variant=variant))
+            try:
+                rules.append(but_rule(confidence=lam, variant=variant,
+                                      positive_class=positive_class))
+            except ValueError as exc:
+                raise CliError(f"but: {exc}") from exc
         elif name == "transitions":
             if args:
                 raise CliError(f"transitions: unknown arguments {sorted(args)}")
@@ -338,7 +344,6 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
             conv_windows=tuple(cfg["conv-windows"]),
             hidden=cfg["hidden"],
             radius=cfg["radius"],
-            positive_class=cfg["positive-class"],
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -370,7 +375,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
 
     scheme = _ner_scheme(train_data) if cfg["task"] == "ner" else None
-    rules = parse_rule_specs(cfg["rules"], scheme) if cfg["rules"] else ()
+    rules = (
+        parse_rule_specs(cfg["rules"], scheme, cfg["positive-class"])
+        if cfg["rules"] else ()
+    )
     if cfg["mode"] != "base" and cfg["mode"] != "project-after" and not rules:
         raise CliError(f"mode {cfg['mode']!r} needs at least one rule (--rules)")
     if cfg["mode"] == "project-after" and not rules:

@@ -247,17 +247,22 @@ def but_rule(
     """The A-but-B sentiment rule.
 
     The grounder expects one entry per batch instance: the predictor's
-    positive-class probability on clause B, or None for instances without
-    an A-but-B structure (those contribute no grounding).
+    class distribution on clause B, or None for instances without an
+    A-but-B structure (those contribute no grounding).  The rule reads the
+    probability of ``positive_class`` from it, so the positive class is
+    decided here and nowhere else.
     """
     if n_classes != 2:
         raise ValueError("the but-rule is defined for two-way classification")
+    if positive_class not in range(n_classes):
+        raise ValueError(f"positive class must be 0 or 1, got {positive_class!r}")
 
-    def grounder(sigma_b: Sequence[Optional[float]]) -> list[Grounding]:
+    def grounder(sigma_b: Sequence[Optional[np.ndarray]]) -> list[Grounding]:
         out = []
-        for m, s in enumerate(sigma_b):
-            if s is None:
+        for m, dist in enumerate(sigma_b):
+            if dist is None:
                 continue
+            s = float(dist[positive_class])
             table = np.array(
                 [
                     but_rule_truth(s, positive=(k == positive_class), variant=variant)
@@ -299,11 +304,6 @@ def transition_masks(scheme: TagScheme) -> TransitionMasks:
     end = np.array([scheme.prefix(t) not in ("B", "I") for t in tags])
     pair = np.array([[_pair_valid(scheme, a, b) for b in tags] for a in tags])
     return TransitionMasks(start, pair, end)
-
-
-def transition_pair_truth(scheme: TagScheme, prev_tag: str, cur_tag: str) -> TruthValue:
-    """Truth of the adjacent-pair grounding: 1 for a valid bigram, else 0."""
-    return TruthValue(float(_pair_valid(scheme, prev_tag, cur_tag)))
 
 
 def transition_rules(scheme: TagScheme) -> list[Rule]:

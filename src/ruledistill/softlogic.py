@@ -1,4 +1,4 @@
-"""Soft truth values and a small expression language for logic rules.
+"""Soft truth values for logic rules.
 
 Boolean logic is relaxed to continuous truth values in [0, 1] using the
 Lukasiewicz-style operator set
@@ -12,28 +12,11 @@ Lukasiewicz-style operator set
 ``strong_conj`` acts as a selection operator (``a & b == b`` when ``a == 1``
 and ``0`` when ``a == 0``), while ``avg_conj`` averages its conjuncts.
 ``implies`` is the residual implication consistent with ``disj(neg(a), b)``.
-
-Rule expressions are built from named predicates with these connectives,
-either programmatically or by parsing the concrete syntax::
-
-    expr := expr "=>" expr          (implication, right-associative)
-          | expr "|" expr           (disjunction)
-          | expr "&&" expr          (strong conjunction)
-          | "avg(" expr ("," expr)* ")"
-          | "!" expr
-          | "(" expr ")"
-          | IDENT "(" args ")"      (predicate with argument refs)
-
-Precedence, tightest first: ``!``, ``&&``, ``|``, ``=>``.  ``avg`` is a
-reserved word and cannot name a predicate.  Argument refs are opaque
-tokens (e.g. ``I-ORG``) handed to the predicate's binding at evaluation
-time.
+The shipped rules in ``rulelib`` are hand-built truth tables over these
+values.
 """
 
 from __future__ import annotations
-
-import re
-from dataclasses import dataclass
 
 
 class TruthValue(float):
@@ -75,252 +58,3 @@ def implies(a, b) -> TruthValue:
     """Implication: min(1 - a + b, 1), i.e. disj(neg(a), b)."""
     a, b = TruthValue(a), TruthValue(b)
     return TruthValue(min(1.0 - a + b, 1.0))
-
-
-# --- expression AST ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Predicate:
-    name: str
-    args: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class StrongConj:
-    lhs: "RuleExpr"
-    rhs: "RuleExpr"
-
-
-@dataclass(frozen=True)
-class Disj:
-    lhs: "RuleExpr"
-    rhs: "RuleExpr"
-
-
-@dataclass(frozen=True)
-class AvgConj:
-    children: tuple["RuleExpr", ...]
-
-    def __post_init__(self):
-        if len(self.children) < 1:
-            raise ValueError("avg_conj requires at least one child")
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "RuleExpr"
-
-
-@dataclass(frozen=True)
-class Implies:
-    lhs: "RuleExpr"
-    rhs: "RuleExpr"
-
-
-RuleExpr = Predicate | StrongConj | Disj | AvgConj | Neg | Implies
-
-
-class RuleSyntaxError(ValueError):
-    """Parse failure, carrying the byte offset and the expected token set."""
-
-    def __init__(self, text: str, offset: int, expected: tuple[str, ...]):
-        self.offset = offset
-        self.expected = tuple(expected)
-        found = text[offset : offset + 10] or "<end of input>"
-        super().__init__(
-            f"syntax error at offset {offset}: expected one of "
-            f"{', '.join(expected)}; found {found!r}"
-        )
-
-
-class UnboundPredicateError(LookupError):
-    """An expression referenced a predicate with no binding."""
-
-    def __init__(self, name: str):
-        self.name = name
-        super().__init__(f"no binding for predicate {name!r}")
-
-
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_ARG_RE = re.compile(r"[^\s(),|&!=]+")
-
-
-class _Scanner:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def at_end(self) -> bool:
-        self._skip_ws()
-        return self.pos >= len(self.text)
-
-    def try_lit(self, lit: str) -> bool:
-        self._skip_ws()
-        if self.text.startswith(lit, self.pos):
-            self.pos += len(lit)
-            return True
-        return False
-
-    def expect_lit(self, lit: str):
-        if not self.try_lit(lit):
-            self.fail((f"'{lit}'",))
-
-    def try_regex(self, pattern: re.Pattern) -> str | None:
-        self._skip_ws()
-        m = pattern.match(self.text, self.pos)
-        if m is None:
-            return None
-        self.pos = m.end()
-        return m.group(0)
-
-    def fail(self, expected: tuple[str, ...]):
-        self._skip_ws()
-        raise RuleSyntaxError(self.text, self.pos, expected)
-
-
-def parse_rule_expr(text: str) -> RuleExpr:
-    """Parse concrete rule syntax into an AST.
-
-    Raises :class:`RuleSyntaxError` (with byte offset and expected tokens)
-    on malformed input.
-    """
-    sc = _Scanner(text)
-    expr = _parse_implies(sc)
-    if not sc.at_end():
-        sc.fail(("'=>'", "'|'", "'&&'", "<end of input>"))
-    return expr
-
-
-def _parse_implies(sc: _Scanner) -> RuleExpr:
-    lhs = _parse_disj(sc)
-    if sc.try_lit("=>"):
-        return Implies(lhs, _parse_implies(sc))  # right-associative
-    return lhs
-
-
-def _parse_disj(sc: _Scanner) -> RuleExpr:
-    expr = _parse_strong(sc)
-    while sc.try_lit("|"):
-        expr = Disj(expr, _parse_strong(sc))
-    return expr
-
-
-def _parse_strong(sc: _Scanner) -> RuleExpr:
-    expr = _parse_unary(sc)
-    while sc.try_lit("&&"):
-        expr = StrongConj(expr, _parse_unary(sc))
-    return expr
-
-
-_ATOM_EXPECTED = ("'!'", "'('", "'avg('", "predicate")
-
-
-def _parse_unary(sc: _Scanner) -> RuleExpr:
-    if sc.try_lit("!"):
-        return Neg(_parse_unary(sc))
-    return _parse_atom(sc)
-
-
-def _parse_atom(sc: _Scanner) -> RuleExpr:
-    if sc.try_lit("("):
-        expr = _parse_implies(sc)
-        sc.expect_lit(")")
-        return expr
-    ident = sc.try_regex(_IDENT_RE)
-    if ident is None:
-        sc.fail(_ATOM_EXPECTED)
-    sc.expect_lit("(")
-    if ident == "avg":
-        children = [_parse_implies(sc)]
-        while sc.try_lit(","):
-            children.append(_parse_implies(sc))
-        sc.expect_lit(")")
-        return AvgConj(tuple(children))
-    args: list[str] = []
-    if not sc.try_lit(")"):
-        while True:
-            arg = sc.try_regex(_ARG_RE)
-            if arg is None:
-                sc.fail(("argument", "')'"))
-            args.append(arg)
-            if sc.try_lit(")"):
-                break
-            sc.expect_lit(",")
-    return Predicate(ident, tuple(args))
-
-
-# Precedence for the canonical printer; higher binds tighter.
-_PREC = {Implies: 0, Disj: 1, StrongConj: 2, Neg: 3, AvgConj: 4, Predicate: 4}
-
-
-def format_rule_expr(expr: RuleExpr) -> str:
-    """Canonical pretty-printer; ``parse(format(e)) == e`` for any AST."""
-    return _format(expr)
-
-
-def _format(expr: RuleExpr) -> str:
-    if isinstance(expr, Predicate):
-        return f"{expr.name}({', '.join(expr.args)})"
-    if isinstance(expr, AvgConj):
-        return f"avg({', '.join(_format(c) for c in expr.children)})"
-    if isinstance(expr, Neg):
-        return f"!{_wrap(expr.child, _PREC[Neg], strict=False)}"
-    if isinstance(expr, Implies):
-        # Right-associative: the left operand needs parens even at equal
-        # precedence, the right one does not.
-        return (
-            f"{_wrap(expr.lhs, _PREC[Implies], strict=True)} => "
-            f"{_wrap(expr.rhs, _PREC[Implies], strict=False)}"
-        )
-    op = "|" if isinstance(expr, Disj) else "&&"
-    prec = _PREC[type(expr)]
-    return f"{_wrap(expr.lhs, prec, strict=False)} {op} {_wrap(expr.rhs, prec, strict=True)}"
-
-
-def _wrap(expr: RuleExpr, parent_prec: int, strict: bool) -> str:
-    prec = _PREC[type(expr)]
-    needs = prec <= parent_prec if strict else prec < parent_prec
-    text = _format(expr)
-    return f"({text})" if needs else text
-
-
-def evaluate(expr: RuleExpr, bindings, instance, candidate) -> TruthValue:
-    """Evaluate a rule expression against bound predicates.
-
-    ``bindings`` maps predicate names to callables invoked as
-    ``fn(instance, candidate, *args)`` and returning a value in [0, 1].
-    Raises :class:`UnboundPredicateError` for a predicate with no binding.
-    """
-    if isinstance(expr, Predicate):
-        try:
-            fn = bindings[expr.name]
-        except KeyError:
-            raise UnboundPredicateError(expr.name) from None
-        return TruthValue(fn(instance, candidate, *expr.args))
-    if isinstance(expr, Neg):
-        return neg(evaluate(expr.child, bindings, instance, candidate))
-    if isinstance(expr, StrongConj):
-        return strong_conj(
-            evaluate(expr.lhs, bindings, instance, candidate),
-            evaluate(expr.rhs, bindings, instance, candidate),
-        )
-    if isinstance(expr, Disj):
-        return disj(
-            evaluate(expr.lhs, bindings, instance, candidate),
-            evaluate(expr.rhs, bindings, instance, candidate),
-        )
-    if isinstance(expr, Implies):
-        return implies(
-            evaluate(expr.lhs, bindings, instance, candidate),
-            evaluate(expr.rhs, bindings, instance, candidate),
-        )
-    if isinstance(expr, AvgConj):
-        return avg_conj(
-            evaluate(c, bindings, instance, candidate) for c in expr.children
-        )
-    raise TypeError(f"not a rule expression: {expr!r}")

@@ -20,6 +20,11 @@ evaluation-time-only projection, and a two-stage pipeline that trains a
 fresh student against a frozen projected teacher.  A distillation run
 with C = 0 or an empty rule set takes the base code path outright, so its
 parameter trajectory is bit-identical to a base run with the same seed.
+
+Every mode runs through one epoch loop over a per-task driver, which
+supplies an epoch's batches and each batch's mixed targets.  Each task has
+one teacher class, which builds the training targets and is deployed for
+evaluation.
 """
 
 from __future__ import annotations
@@ -66,7 +71,6 @@ __all__ = [
     "ImitationSchedule",
     "CLASSIFICATION_SCHEDULE",
     "TAGGING_SCHEDULE",
-    "imitation_rate",
     "TrainConfig",
     "EvalReport",
     "aggregate_reports",
@@ -107,10 +111,6 @@ CLASSIFICATION_SCHEDULE = ImitationSchedule(pi0=1.0, alpha=0.95)
 TAGGING_SCHEDULE = ImitationSchedule(pi0=0.9, alpha=0.9)
 
 
-def imitation_rate(schedule: ImitationSchedule, t: int) -> float:
-    return schedule.rate(t)
-
-
 # --- configuration -----------------------------------------------------------
 
 _MODES = ("base", "distill", "semi", "project-after", "pipeline")
@@ -134,17 +134,22 @@ class TrainConfig:
     conv_windows: tuple[int, ...] = (2, 3)
     hidden: int = 32
     radius: int = 2
-    positive_class: int = 1
 
     def __post_init__(self):
         if self.task not in ("sentiment", "ner"):
             raise ValueError(f"unknown task {self.task!r}")
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.c < 0:
-            raise ValueError("c must be nonnegative")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be positive")
+        if not (math.isfinite(self.c) and self.c >= 0):
+            raise ValueError(f"c must be finite and nonnegative, got {self.c}")
+        for name in ("epochs", "batch_size", "g_max", "train_sweeps", "eval_sweeps",
+                     "patience", "emb_dim", "n_filters", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.radius < 0:
+            raise ValueError(f"radius must be nonnegative, got {self.radius}")
+        if not self.conv_windows or min(self.conv_windows) < 1:
+            raise ValueError(f"conv_windows must be nonempty widths >= 1, got {self.conv_windows}")
 
     def resolved_schedule(self) -> ImitationSchedule:
         if self.schedule is not None:
@@ -227,45 +232,41 @@ def _split_rules(rules: Sequence[Rule]):
 
 
 class SentimentTeacher:
-    """Evaluation-time teacher for classification: projects the student's
-    output through the per-instance rules.  Instances without an A-but-B
-    structure are left at the student distribution."""
+    """The classification teacher: projects the student's output through
+    the per-instance rules.  Instances without an A-but-B structure are
+    left at the student distribution.  Training reads ``soft_predict`` on
+    encoded ids; evaluation reads ``predict_proba`` on tokens."""
 
-    def __init__(self, model, vocab: Vocabulary, rules: Sequence[Rule], c: float,
-                 positive_class: int = 1):
+    def __init__(self, model, vocab: Vocabulary, rules: Sequence[Rule], c: float):
         self.model = model
         self.vocab = vocab
         self.rules, _, _ = _split_rules(rules)
         self.c = float(c)
-        self.positive_class = positive_class
-        self._diagnostics = {"infeasible_instances": 0}
+        # Projections left at p because the hard rules exclude every label.
+        self.infeasible = 0
 
-    def _clause_b_sigma(self, tokens) -> Optional[float]:
-        st = detect_but(tokens)
-        if st is None:
-            return None
-        sigma_b = self.model.forward(self.vocab.encode(st.clause_b))
-        return float(sigma_b[self.positive_class])
+    def soft_predict(self, ids, clause_b_ids) -> np.ndarray:
+        """Teacher distribution for one encoded sentence; ``clause_b_ids``
+        is None when the sentence has no A-but-B structure."""
+        sigma = self.model.forward(ids)
+        if clause_b_ids is None or not self.rules:
+            return sigma
+        payload = [self.model.forward(clause_b_ids)]
+        groundings = tuple(
+            (rule.confidence, g.table)
+            for rule in self.rules
+            for g in rule.groundings(payload)
+        )
+        try:
+            return project(ProjectionProblem(np.log(sigma), groundings, self.c)).probs()
+        except InfeasibleConstraintError:
+            self.infeasible += 1
+            return sigma
 
     def predict_proba(self, tokens) -> np.ndarray:
-        sigma = self.model.forward(self.vocab.encode(tokens))
-        if not self.rules:
-            return sigma
-        payload = [self._clause_b_sigma(tokens)]
-        groundings = []
-        for rule in self.rules:
-            for g in rule.groundings(payload):
-                groundings.append((rule.confidence, g.table))
-        if not groundings:
-            return sigma
-        try:
-            post = project(
-                ProjectionProblem(np.log(sigma), tuple(groundings), self.c)
-            )
-        except InfeasibleConstraintError:
-            self._diagnostics["infeasible_instances"] += 1
-            return sigma
-        return post.probs()
+        st = detect_but(tokens)
+        clause = None if st is None else self.vocab.encode(st.clause_b)
+        return self.soft_predict(self.vocab.encode(tokens), clause)
 
     def predict_label(self, tokens) -> int:
         return int(np.argmax(self.predict_proba(tokens)))
@@ -299,19 +300,25 @@ def _doc_links(doc_tokens: Sequence[Sequence[str]]):
     return links
 
 
-class _NerTeacherPass:
-    """Shared teacher construction for the NER task.
+class NerTeacher:
+    """The tagging teacher: the chain+group teacher built from the
+    student's probabilities.
 
     Stage 1: Gibbs over the cross-linked sites (unaries from the student)
     yields site marginals.  Stage 2: per-sentence chains with transition
     potentials plus, at linked sites, unary penalties measuring the list
-    rule against the counterparts' stage-1 marginals.
+    rule against the counterparts' stage-1 marginals.  At evaluation the
+    counterpart links come from the evaluated document itself.
     """
 
-    def __init__(self, scheme: TagScheme, rules: Sequence[Rule], c: float,
-                 sweeps: int, g_max: int):
-        _, self.bigram, self.cross = _split_rules(rules)
+    def __init__(self, model, vocab: Vocabulary, scheme: TagScheme,
+                 rules: Sequence[Rule], c: float, sweeps: int = 2000,
+                 g_max: int = 8, seed: int = 0):
+        self.model = model
+        self.vocab = vocab
         self.scheme = scheme
+        self.seed = seed
+        _, self.bigram, self.cross = _split_rules(rules)
         self.collapse = CategoryCollapse(scheme)
         self.c = float(c)
         self.sweeps = sweeps
@@ -374,8 +381,9 @@ class _NerTeacherPass:
                 pens[site] += self.c * lam * (1.0 - truths)
         return pens
 
-    def run(self, log_sigmas: Sequence[np.ndarray], site_links, seed: int):
-        """Per-sentence (marginals, decoded path) under the full teacher."""
+    def infer(self, doc_ids, site_links, seed: int):
+        """Per-sentence (marginals, decoded path) for one encoded document."""
+        log_sigmas = [np.log(self.model.forward(ids)) for ids in doc_ids]
         marginals = self._site_marginals(log_sigmas, site_links, seed)
         pens = self._list_penalties(site_links, marginals)
         results = []
@@ -394,31 +402,10 @@ class _NerTeacherPass:
             results.append((chain_marginals(query), chain_map_decode(query)[0]))
         return results
 
-
-class NerTeacher:
-    """Evaluation-time teacher for tagging: decodes each document through
-    the chain+group teacher built from the student's probabilities.
-    Counterpart links come from the evaluated document itself."""
-
-    def __init__(self, model, vocab: Vocabulary, scheme: TagScheme,
-                 rules: Sequence[Rule], c: float, sweeps: int = 2000,
-                 g_max: int = 8, seed: int = 0):
-        self.model = model
-        self.vocab = vocab
-        self.scheme = scheme
-        self.seed = seed
-        self._pass = _NerTeacherPass(scheme, rules, c, sweeps, g_max)
-
     def decode_doc(self, doc_tokens: Sequence[Sequence[str]], doc_seed: int = 0):
-        log_sigmas = [
-            np.log(self.model.forward(self.vocab.encode(toks)))
-            for toks in doc_tokens
-        ]
-        links = _doc_links(doc_tokens)
-        results = self._pass.run(log_sigmas, links, seed=doc_seed)
-        return [
-            [self.scheme.tags[k] for k in path] for _, path in results
-        ]
+        doc_ids = [self.vocab.encode(toks) for toks in doc_tokens]
+        results = self.infer(doc_ids, _doc_links(doc_tokens), doc_seed)
+        return [[self.scheme.tags[k] for k in path] for _, path in results]
 
     def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
         out = []
@@ -517,28 +504,93 @@ def _one_hot(k: int, n: int) -> np.ndarray:
     return v
 
 
-class _SentimentDriver:
-    """Task plumbing for classification: encoding, teacher targets, batching."""
+@dataclass(frozen=True, eq=False)
+class _Unit:
+    """What one shuffle moves: a sentence for classification, a whole
+    document for tagging (so every teacher group is built in full).
+    ``ids`` and ``hard`` hold one entry per sentence; ``rule_input`` is
+    what the teacher reads besides the ids (clause-B ids, list links)."""
 
-    def __init__(self, config: TrainConfig, train, unlabeled=()):
+    ids: list
+    hard: list
+    rule_input: object = None
+
+
+class _Driver:
+    """Task plumbing for the training loop: the batches of an epoch and the
+    (ids, MixedTarget) list of one batch.  Subclasses supply the units and
+    ``soft_targets(teacher, unit)``, one teacher target per sentence."""
+
+    scheme: Optional[TagScheme] = None
+
+    def __init__(self, config: TrainConfig, units, u_units=()):
         self.config = config
-        self.train = list(train)
-        self.unlabeled = list(unlabeled)
-        self.n_classes = max(2, max(s.label for s in self.train) + 1)
-        self.vocab = Vocabulary.build(
-            [s.tokens for s in self.train] + [s.tokens for s in self.unlabeled]
+        self.units = units
+        self.u_units = list(u_units)
+        # Seeds the tagging teacher's Gibbs runs, one draw per document.
+        self.teacher_rng = np.random.default_rng((config.seed, 2))
+
+    def _split(self, order, units):
+        """Shuffled unit indices in batches of about batch_size sentences."""
+        batches, cur, count = [], [], 0
+        for u in order:
+            n = len(units[int(u)].ids)
+            if cur and count + n > self.config.batch_size:
+                batches.append(cur)
+                cur, count = [], 0
+            cur.append(int(u))
+            count += n
+        if cur:
+            batches.append(cur)
+        return batches
+
+    def batches(self, rng, pi: float):
+        """One epoch's batches; unlabeled ones join only while pi > 0."""
+        plan = [("L", b) for b in self._split(rng.permutation(len(self.units)), self.units)]
+        if pi > 0.0 and self.u_units:
+            plan += [
+                ("U", b)
+                for b in self._split(rng.permutation(len(self.u_units)), self.u_units)
+            ]
+            rng.shuffle(plan)
+        return plan
+
+    def targets(self, teacher, batch, pi: float):
+        """The batch's (ids, MixedTarget) list and its loss scale.
+        Unlabeled batches carry only the imitation term, weighted by pi."""
+        kind, idxs = batch
+        items = []
+        for u in idxs:
+            unit = (self.units if kind == "L" else self.u_units)[u]
+            soft = self.soft_targets(teacher, unit) if pi > 0.0 else None
+            for k, ids in enumerate(unit.ids):
+                if kind == "U":
+                    target = MixedTarget(hard=soft[k])
+                elif soft is None:
+                    target = MixedTarget(hard=unit.hard[k])
+                else:
+                    target = MixedTarget(hard=unit.hard[k], soft=soft[k], pi=pi)
+                items.append((ids, target))
+        return items, (pi if kind == "U" else 1.0)
+
+
+class _SentimentDriver(_Driver):
+    def __init__(self, config: TrainConfig, train, unlabeled=()):
+        train, unlabeled = list(train), list(unlabeled)
+        self.n_classes = max(2, max(s.label for s in train) + 1)
+        self.vocab = Vocabulary.build([s.tokens for s in train + unlabeled])
+        super().__init__(
+            config,
+            [self._unit(s, _one_hot(s.label, self.n_classes)) for s in train],
+            [self._unit(s, None) for s in unlabeled],
         )
-        self.ids = [self.vocab.encode(s.tokens) for s in self.train]
-        self.u_ids = [self.vocab.encode(s.tokens) for s in self.unlabeled]
-        self.clause_b = [self._clause(s.tokens) for s in self.train]
-        self.u_clause_b = [self._clause(s.tokens) for s in self.unlabeled]
-        self.hard = [_one_hot(s.label, self.n_classes) for s in self.train]
 
-    def _clause(self, tokens):
-        st = detect_but(tokens)
-        return None if st is None else self.vocab.encode(st.clause_b)
+    def _unit(self, sentence, hard):
+        st = detect_but(sentence.tokens)
+        clause = None if st is None else self.vocab.encode(st.clause_b)
+        return _Unit([self.vocab.encode(sentence.tokens)], [hard], clause)
 
-    def init_model(self):
+    def init_model(self, seed: int):
         cfg = self.config
         return TextClassifier(
             len(self.vocab),
@@ -546,78 +598,33 @@ class _SentimentDriver:
             emb_dim=cfg.emb_dim,
             window_sizes=cfg.conv_windows,
             n_filters=cfg.n_filters,
-            seed=cfg.seed,
+            seed=seed,
         )
 
-    def soft_targets(self, model, rules, idxs, unlabeled=False, diagnostics=None):
-        """Teacher distributions for the indexed instances."""
-        per_instance, _, _ = _split_rules(rules)
-        ids = self.u_ids if unlabeled else self.ids
-        clauses = self.u_clause_b if unlabeled else self.clause_b
-        out = []
-        for i in idxs:
-            sigma = model.forward(ids[i])
-            clause = clauses[i]
-            groundings = []
-            if clause is not None:
-                payload = [float(model.forward(clause)[self.config.positive_class])]
-                for rule in per_instance:
-                    for g in rule.groundings(payload):
-                        groundings.append((rule.confidence, g.table))
-            if groundings:
-                try:
-                    sigma = project(
-                        ProjectionProblem(
-                            np.log(sigma), tuple(groundings), self.config.c
-                        )
-                    ).probs()
-                except InfeasibleConstraintError:
-                    if diagnostics is not None:
-                        diagnostics["infeasible_instances"] += 1
-            out.append(sigma)
-        return out
-
-    def batch(self, idxs):
-        return [(self.ids[i], i) for i in idxs]
-
-    def make_teacher(self, model, rules):
-        return SentimentTeacher(
-            model, self.vocab, rules, self.config.c, self.config.positive_class
-        )
+    def soft_targets(self, teacher, unit):
+        return [teacher.soft_predict(unit.ids[0], unit.rule_input)]
 
 
-class _NerDriver:
-    """Task plumbing for tagging: documents, link detection, teacher pass."""
-
+class _NerDriver(_Driver):
     def __init__(self, config: TrainConfig, train, unlabeled=()):
-        self.config = config
-        self.docs = group_documents(list(train))
-        self.u_docs = group_documents(list(unlabeled)) if unlabeled else []
+        docs = group_documents(list(train))
+        u_docs = group_documents(list(unlabeled))
         cats = sorted(
-            {
-                t.split("-", 1)[1]
-                for doc in self.docs + self.u_docs
-                for s in doc
-                for t in s.tags
-                if t != "O"
-            }
+            {t.split("-", 1)[1] for doc in docs + u_docs for s in doc for t in s.tags if t != "O"}
         )
         self.scheme = TagScheme(tuple(cats))
-        all_sents = [s for doc in self.docs + self.u_docs for s in doc]
-        self.vocab = Vocabulary.build([s.tokens for s in all_sents])
-        self.doc_data = [self._prep_doc(doc) for doc in self.docs]
-        self.u_doc_data = [self._prep_doc(doc) for doc in self.u_docs]
+        self.vocab = Vocabulary.build([s.tokens for doc in docs + u_docs for s in doc])
+        super().__init__(config, [self._unit(d) for d in docs], [self._unit(d) for d in u_docs])
 
-    def _prep_doc(self, doc):
-        ids = [self.vocab.encode(s.tokens) for s in doc]
-        hard = [
-            np.stack([_one_hot(self.scheme.index(t), self.scheme.n_tags) for t in s.tags])
-            for s in doc
-        ]
-        links = _doc_links([s.tokens for s in doc])
-        return {"ids": ids, "hard": hard, "links": links}
+    def _unit(self, doc):
+        k = self.scheme.n_tags
+        return _Unit(
+            [self.vocab.encode(s.tokens) for s in doc],
+            [np.stack([_one_hot(self.scheme.index(t), k) for t in s.tags]) for s in doc],
+            _doc_links([s.tokens for s in doc]),
+        )
 
-    def init_model(self):
+    def init_model(self, seed: int):
         cfg = self.config
         return SequenceTagger(
             len(self.vocab),
@@ -625,225 +632,51 @@ class _NerDriver:
             emb_dim=cfg.emb_dim,
             hidden=cfg.hidden,
             radius=cfg.radius,
-            seed=cfg.seed,
+            seed=seed,
         )
 
-    def teacher_pass(self, rules, sweeps):
-        return _NerTeacherPass(
-            self.scheme, rules, self.config.c, sweeps, self.config.g_max
-        )
-
-    def soft_targets(self, model, tpass, doc_idx, seed, unlabeled=False):
-        data = (self.u_doc_data if unlabeled else self.doc_data)[doc_idx]
-        log_sigmas = [np.log(model.forward(ids)) for ids in data["ids"]]
-        results = tpass.run(log_sigmas, data["links"], seed=seed)
-        return [marg for marg, _ in results]
-
-    def make_teacher(self, model, rules):
-        cfg = self.config
-        return NerTeacher(
-            model,
-            self.vocab,
-            self.scheme,
-            rules,
-            cfg.c,
-            sweeps=cfg.eval_sweeps,
-            g_max=cfg.g_max,
-            seed=cfg.seed,
-        )
+    def soft_targets(self, teacher, unit):
+        seed = int(self.teacher_rng.integers(2**31 - 1))
+        return [marg for marg, _ in teacher.infer(unit.ids, unit.rule_input, seed)]
 
 
-def _dev_metric(model, driver, dev):
-    if dev is None:
-        return None
-    if isinstance(driver, _SentimentDriver):
-        return evaluate(model, dev, task="sentiment", vocab=driver.vocab).metric()
-    return evaluate(
-        model, dev, task="ner", vocab=driver.vocab, scheme=driver.scheme
-    ).metric()
+class _FixedDriver(_Driver):
+    """Pipeline stage 2: one unit per labeled sentence, whose target is the
+    frozen teacher's prediction, imitated at pi = 1."""
+
+    def soft_targets(self, teacher, unit):
+        return unit.hard
 
 
-def _snapshot(model):
-    return {k: v.copy() for k, v in model.params.items()}
-
-
-def _restore(model, snap):
-    for k, v in snap.items():
-        model.params[k] = v.copy()
-
-
-class _EarlyStopper:
-    """Keep the best-dev parameters; stop after `patience` stale epochs."""
-
-    def __init__(self, patience: int):
-        self.patience = patience
-        self.best = -np.inf
-        self.best_params = None
-        self.stale = 0
-
-    def update(self, metric, model) -> bool:
-        if metric is None:
-            return False
-        if metric > self.best + 1e-12:
-            self.best = metric
-            self.best_params = _snapshot(model)
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience
-
-    def finalize(self, model):
-        if self.best_params is not None:
-            _restore(model, self.best_params)
-
-
-def _train_sentiment(config, driver: _SentimentDriver, rules, dev, semi: bool):
-    model = driver.init_model()
+def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 1):
+    """The training loop.  Each epoch takes one mixed-loss step per batch;
+    with a dev set it keeps the best-dev parameters and stops after
+    ``patience`` epochs without improvement."""
     opt = Adadelta()
-    schedule = config.resolved_schedule()
-    shuffle_rng = np.random.default_rng((config.seed, 1))
-    distill = bool(rules) and config.c > 0.0
-    diagnostics = {"infeasible_instances": 0, "clamped": 0}
-    stopper = _EarlyStopper(config.patience)
+    best, best_params, stale = -np.inf, None, 0
     history = []
-
-    n = len(driver.train)
-    n_u = len(driver.unlabeled) if semi else 0
-    for epoch in range(config.epochs):
-        pi = schedule.rate(epoch) if distill else 0.0
-        order = shuffle_rng.permutation(n)
-        plan = [("L", order[i : i + config.batch_size])
-                for i in range(0, n, config.batch_size)]
-        if semi and n_u and distill and pi > 0.0:
-            u_order = shuffle_rng.permutation(n_u)
-            plan += [("U", u_order[i : i + config.batch_size])
-                     for i in range(0, n_u, config.batch_size)]
-            shuffle_rng.shuffle(plan)
+    for epoch in range(driver.config.epochs):
+        pi = pi_at(epoch)
         losses = []
-        for kind, idxs in plan:
-            if kind == "L":
-                if distill and pi > 0.0:
-                    soft = driver.soft_targets(
-                        model, rules, idxs, diagnostics=diagnostics
-                    )
-                    batch = [
-                        (driver.ids[i],
-                         MixedTarget(hard=driver.hard[i], soft=s, pi=pi))
-                        for i, s in zip(idxs, soft)
-                    ]
-                else:
-                    batch = [
-                        (driver.ids[i], MixedTarget(hard=driver.hard[i]))
-                        for i in idxs
-                    ]
-                losses.append(backward_and_step(model, batch, opt))
-            else:
-                # Imitation-only term on unlabeled data, weighted by pi.
-                soft = driver.soft_targets(
-                    model, rules, idxs, unlabeled=True, diagnostics=diagnostics
-                )
-                batch = [
-                    (driver.u_ids[i], MixedTarget(hard=s))
-                    for i, s in zip(idxs, soft)
-                ]
-                losses.append(backward_and_step(model, batch, opt, loss_scale=pi))
-        metric = _dev_metric(model, driver, dev)
-        history.append(
-            {"epoch": epoch, "pi": pi, "train_loss": float(np.mean(losses)),
-             **({"dev_metric": metric} if metric is not None else {})}
-        )
-        if stopper.update(metric, model):
-            break
-    stopper.finalize(model)
-    return model, history, diagnostics
-
-
-def _doc_batches(order, doc_data, batch_size):
-    """Group shuffled doc indices into batches of about batch_size sentences.
-    Documents stay intact so every teacher group is built in full."""
-    batches, cur, count = [], [], 0
-    for d in order:
-        nd = len(doc_data[int(d)]["ids"])
-        if cur and count + nd > batch_size:
-            batches.append(cur)
-            cur, count = [], 0
-        cur.append(int(d))
-        count += nd
-    if cur:
-        batches.append(cur)
-    return batches
-
-
-def _train_ner(config, driver: _NerDriver, rules, dev, semi: bool):
-    model = driver.init_model()
-    opt = Adadelta()
-    schedule = config.resolved_schedule()
-    shuffle_rng = np.random.default_rng((config.seed, 1))
-    gibbs_rng = np.random.default_rng((config.seed, 2))
-    distill = bool(rules) and config.c > 0.0
-    tpass = driver.teacher_pass(rules, config.train_sweeps) if distill else None
-    diagnostics = {"infeasible_instances": 0, "clamped": 0}
-    stopper = _EarlyStopper(config.patience)
-    history = []
-
-    n = len(driver.docs)
-    n_u = len(driver.u_docs) if semi else 0
-    for epoch in range(config.epochs):
-        pi = schedule.rate(epoch) if distill else 0.0
-        plan = [
-            ("L", docs)
-            for docs in _doc_batches(
-                shuffle_rng.permutation(n), driver.doc_data, config.batch_size
-            )
-        ]
-        if semi and n_u and distill and pi > 0.0:
-            plan += [
-                ("U", docs)
-                for docs in _doc_batches(
-                    shuffle_rng.permutation(n_u), driver.u_doc_data, config.batch_size
-                )
-            ]
-            shuffle_rng.shuffle(plan)
-        losses = []
-        for kind, doc_idxs in plan:
-            all_data = driver.doc_data if kind == "L" else driver.u_doc_data
-            batch = []
-            for d in doc_idxs:
-                data = all_data[d]
-                if distill and pi > 0.0:
-                    seed = int(gibbs_rng.integers(2**31 - 1))
-                    soft = driver.soft_targets(
-                        model, tpass, d, seed=seed, unlabeled=(kind == "U")
-                    )
-                else:
-                    soft = None
-                if kind == "L":
-                    if soft is not None:
-                        batch += [
-                            (ids, MixedTarget(hard=h, soft=s, pi=pi))
-                            for ids, h, s in zip(data["ids"], data["hard"], soft)
-                        ]
-                    else:
-                        batch += [
-                            (ids, MixedTarget(hard=h))
-                            for ids, h in zip(data["ids"], data["hard"])
-                        ]
-                else:
-                    batch += [
-                        (ids, MixedTarget(hard=s))
-                        for ids, s in zip(data["ids"], soft)
-                    ]
-            scale = pi if kind == "U" else 1.0
-            losses.append(backward_and_step(model, batch, opt, loss_scale=scale))
-        metric = _dev_metric(model, driver, dev)
-        history.append(
-            {"epoch": epoch, "pi": pi, "train_loss": float(np.mean(losses)),
-             **({"dev_metric": metric} if metric is not None else {})}
-        )
-        if stopper.update(metric, model):
-            break
-    stopper.finalize(model)
-    return model, history, diagnostics
+        for batch in driver.batches(rng, pi):
+            items, scale = driver.targets(teacher, batch, pi)
+            losses.append(backward_and_step(model, items, opt, loss_scale=scale))
+        history.append({"epoch": epoch, "pi": pi, "train_loss": float(np.mean(losses))})
+        if dev is None:
+            continue
+        metric = evaluate(model, dev, task=driver.config.task, vocab=driver.vocab,
+                          scheme=driver.scheme).metric()
+        history[-1]["dev_metric"] = metric
+        if metric > best + 1e-12:
+            best, stale = metric, 0
+            best_params = {k: v.copy() for k, v in model.params.items()}
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    if best_params is not None:
+        model.params.update(best_params)
+    return history
 
 
 def _make_driver(config, train, unlabeled=()):
@@ -852,44 +685,53 @@ def _make_driver(config, train, unlabeled=()):
     return _NerDriver(config, train, unlabeled)
 
 
+def _teacher(config: TrainConfig, driver: _Driver, model, rules, sweeps: int):
+    return project_after(model, driver.vocab, rules, config.c, config.task,
+                         scheme=driver.scheme, eval_sweeps=sweeps,
+                         g_max=config.g_max, seed=config.seed)
+
+
+def _diagnostics(teacher) -> dict:
+    """The teacher's live counter: sentiment projections left at p because
+    hard rules excluded every label."""
+    if isinstance(teacher, SentimentTeacher):
+        return {"infeasible_instances": teacher.infeasible}
+    return {}
+
+
+def _train(config: TrainConfig, driver: _Driver, rules, dev) -> TrainResult:
+    rules = list(rules)
+    model = driver.init_model(config.seed)
+    if rules and config.c > 0.0:
+        teacher = _teacher(config, driver, model, rules, config.train_sweeps)
+        pi_at = config.resolved_schedule().rate
+    else:
+        # The plain supervised path: no teacher, pi = 0 throughout.
+        teacher, pi_at = None, lambda epoch: 0.0
+    history = _fit(model, driver, teacher, pi_at, np.random.default_rng((config.seed, 1)),
+                   dev, config.patience)
+    return TrainResult(
+        student=model,
+        teacher=_teacher(config, driver, model, rules, config.eval_sweeps) if rules else None,
+        vocab=driver.vocab,
+        scheme=driver.scheme,
+        history=tuple(history),
+        diagnostics=_diagnostics(teacher),
+    )
+
+
 def train_distill(config: TrainConfig, train, rules: Sequence[Rule] = (),
                   dev=None) -> TrainResult:
     """Supervised distillation (Algorithm-style loop).  With C = 0 or no
     rules this takes the plain supervised path, bit-identical to base mode."""
-    driver = _make_driver(config, train)
-    if config.task == "sentiment":
-        model, history, diag = _train_sentiment(config, driver, list(rules), dev, semi=False)
-    else:
-        model, history, diag = _train_ner(config, driver, list(rules), dev, semi=False)
-    teacher = driver.make_teacher(model, list(rules)) if rules else None
-    return TrainResult(
-        student=model,
-        teacher=teacher,
-        vocab=driver.vocab,
-        scheme=getattr(driver, "scheme", None),
-        history=tuple(history),
-        diagnostics=diag,
-    )
+    return _train(config, _make_driver(config, train), rules, dev)
 
 
 def train_semi(config: TrainConfig, train, unlabeled, rules: Sequence[Rule],
                dev=None) -> TrainResult:
     """Distillation with the imitation term additionally on unlabeled data.
     Unlabeled batches never contribute a hard-label term."""
-    driver = _make_driver(config, train, unlabeled)
-    if config.task == "sentiment":
-        model, history, diag = _train_sentiment(config, driver, list(rules), dev, semi=True)
-    else:
-        model, history, diag = _train_ner(config, driver, list(rules), dev, semi=True)
-    teacher = driver.make_teacher(model, list(rules)) if rules else None
-    return TrainResult(
-        student=model,
-        teacher=teacher,
-        vocab=driver.vocab,
-        scheme=getattr(driver, "scheme", None),
-        history=tuple(history),
-        diagnostics=diag,
-    )
+    return _train(config, _make_driver(config, train, unlabeled), rules, dev)
 
 
 def project_after(model, vocab: Vocabulary, rules: Sequence[Rule], c: float,
@@ -908,53 +750,18 @@ def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
                      dev=None) -> TrainResult:
     """Two-stage pipeline: train a base model, freeze and project it, then
     train a FRESH student purely on the projected soft targets (pi = 1)."""
-    stage1 = train_distill(replace(config, mode="base"), train, rules=(), dev=dev)
-    frozen = stage1.student
     driver = _make_driver(config, train)
-    rules = list(rules)
-
+    stage1 = _train(config, driver, (), dev)
+    teacher = _teacher(config, driver, stage1.student, list(rules), config.eval_sweeps)
     # Teacher targets from the frozen model are static: compute them once.
-    if config.task == "sentiment":
-        idxs = list(range(len(driver.train)))
-        soft = driver.soft_targets(frozen, rules, idxs)
-        static = [
-            (driver.ids[i], MixedTarget(hard=s, soft=s, pi=1.0))
-            for i, s in zip(idxs, soft)
-        ]
-    else:
-        tpass = driver.teacher_pass(rules, config.eval_sweeps)
-        static = []
-        gibbs_rng = np.random.default_rng((config.seed, 3))
-        for d, data in enumerate(driver.doc_data):
-            soft = driver.soft_targets(
-                frozen, tpass, d, seed=int(gibbs_rng.integers(2**31 - 1))
-            )
-            static += [
-                (ids, MixedTarget(hard=s, soft=s, pi=1.0))
-                for ids, s in zip(data["ids"], soft)
-            ]
-
-    student_cfg = replace(config, seed=config.seed + 1)
-    student_driver = _make_driver(student_cfg, train)
-    student = student_driver.init_model()
-    opt = Adadelta()
-    shuffle_rng = np.random.default_rng((config.seed, 4))
-    history = []
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(len(static))
-        losses = []
-        for i in range(0, len(order), config.batch_size):
-            batch = [static[j] for j in order[i : i + config.batch_size]]
-            losses.append(backward_and_step(student, batch, opt))
-        history.append(
-            {"epoch": epoch, "pi": 1.0, "train_loss": float(np.mean(losses))}
-        )
-    teacher = driver.make_teacher(frozen, rules)
-    return TrainResult(
-        student=student,
-        teacher=teacher,
-        vocab=driver.vocab,
-        scheme=getattr(driver, "scheme", None),
-        history=tuple(history),
-        diagnostics={"stage1_epochs": len(stage1.history)},
-    )
+    driver.teacher_rng = np.random.default_rng((config.seed, 3))
+    fixed = _FixedDriver(config, [
+        _Unit([ids], [soft])
+        for unit in driver.units
+        for ids, soft in zip(unit.ids, driver.soft_targets(teacher, unit))
+    ])
+    student = driver.init_model(config.seed + 1)
+    history = _fit(student, fixed, None, lambda epoch: 1.0,
+                   np.random.default_rng((config.seed, 4)))
+    return replace(stage1, student=student, teacher=teacher, history=tuple(history),
+                   diagnostics={"stage1_epochs": len(stage1.history), **_diagnostics(teacher)})

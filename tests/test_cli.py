@@ -146,6 +146,13 @@ class TestRuleSpecs:
         with pytest.raises(CliError):
             parse_rule_specs(text)
 
+    def test_positive_class_reaches_the_but_rule(self):
+        (rule,) = parse_rule_specs("but(lambda=1)", positive_class=0)
+        (g,) = rule.groundings([np.array([0.8, 0.2])])
+        np.testing.assert_allclose(g.table, [0.9, 0.6])
+        with pytest.raises(CliError):
+            parse_rule_specs("but(lambda=1)", positive_class=2)
+
 
 class TestTrainCommand:
     def test_distill_artifacts_and_keys(self, data_dir, tmp_path):
@@ -207,6 +214,14 @@ class TestTrainCommand:
         ])
         assert code == 2
         assert missing in capsys.readouterr().err
+
+    def test_nan_c_exit_2(self, data_dir, tmp_path):
+        assert run([
+            "train", "--task", "sentiment", "--mode", "distill",
+            "--train", str(data_dir / "train.tsv"),
+            "--rules", "but(lambda=1)", "--c", "nan",
+            "--out", str(tmp_path / "run"),
+        ]) == 2
 
     def test_distill_without_rules_exit_2(self, data_dir, tmp_path):
         assert run([

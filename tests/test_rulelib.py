@@ -20,7 +20,6 @@ from ruledistill.rulelib import (
     list_rule_truth,
     penalty,
     transition_masks,
-    transition_pair_truth,
     transition_rules,
 )
 
@@ -97,19 +96,22 @@ class TestButRule:
 
     def test_grounder_skips_non_but_instances(self):
         rule = but_rule(confidence=1.0)
-        gs = rule.groundings([0.8, None, 0.3])
+        gs = rule.groundings([np.array([0.2, 0.8]), None, np.array([0.7, 0.3])])
         assert [g.sites for g in gs] == [((0, 0),), ((2, 0),)]
         np.testing.assert_allclose(gs[0].table, [0.6, 0.9])
         np.testing.assert_allclose(gs[1].table, [0.85, 0.65])
 
     def test_positive_class_zero(self):
+        # The rule reads clause B's probability of its own positive class.
         rule = but_rule(positive_class=0)
-        (g,) = rule.groundings([0.8])
+        (g,) = rule.groundings([np.array([0.8, 0.2])])
         np.testing.assert_allclose(g.table, [0.9, 0.6])
 
     def test_binary_only(self):
         with pytest.raises(ValueError):
             but_rule(n_classes=3)
+        with pytest.raises(ValueError):
+            but_rule(positive_class=2)
 
     def test_rule_metadata(self):
         rule = but_rule(confidence=2.0, variant="strong")
@@ -145,19 +147,6 @@ class TestDetectBut:
 
 
 class TestTransitions:
-    def test_pair_truth_matches_validity(self):
-        for a, b in itertools.product(SCHEME.tags, repeat=2):
-            expect = SCHEME.valid_sequence(["B-LOC", "E-LOC"])  # warm call
-            truth = transition_pair_truth(SCHEME, a, b)
-            # A bigram is valid iff some valid sequence contains it; check
-            # directly against the segment walker on a minimal context.
-            assert truth in (0.0, 1.0)
-        assert transition_pair_truth(SCHEME, "B-LOC", "I-LOC") == 1.0
-        assert transition_pair_truth(SCHEME, "B-LOC", "O") == 0.0
-        assert transition_pair_truth(SCHEME, "O", "I-LOC") == 0.0
-        assert transition_pair_truth(SCHEME, "B-LOC", "E-ORG") == 0.0
-        assert transition_pair_truth(SCHEME, "S-LOC", "B-ORG") == 1.0
-
     def test_masks_agree_with_sequence_walker(self):
         # Cross-validate the bigram masks against valid_sequence on every
         # length-2 sequence; both routes must agree everywhere.

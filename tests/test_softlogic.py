@@ -1,4 +1,4 @@
-"""Operator semantics and the rule-expression parser."""
+"""Operator semantics of the soft truth values."""
 
 import itertools
 
@@ -6,22 +6,11 @@ import numpy as np
 import pytest
 
 from ruledistill.softlogic import (
-    AvgConj,
-    Disj,
-    Implies,
-    Neg,
-    Predicate,
-    RuleSyntaxError,
-    StrongConj,
     TruthValue,
-    UnboundPredicateError,
     avg_conj,
     disj,
-    evaluate,
-    format_rule_expr,
     implies,
     neg,
-    parse_rule_expr,
     strong_conj,
 )
 
@@ -86,91 +75,3 @@ class TestOperators:
             TruthValue(-0.1)
         with pytest.raises(ValueError):
             strong_conj(0.5, 2.0)
-
-
-class TestParser:
-    def test_atom(self):
-        assert parse_rule_expr("has(x)") == Predicate("has", ("x",))
-        assert parse_rule_expr("flag()") == Predicate("flag", ())
-        assert parse_rule_expr("rel(a, b)") == Predicate("rel", ("a", "b"))
-
-    def test_precedence(self):
-        # => binds loosest, then |, then &&, then !.
-        expr = parse_rule_expr("a() && b() | c() => !d()")
-        assert expr == Implies(
-            Disj(StrongConj(Predicate("a"), Predicate("b")), Predicate("c")),
-            Neg(Predicate("d")),
-        )
-
-    def test_implies_right_associative(self):
-        expr = parse_rule_expr("a() => b() => c()")
-        assert expr == Implies(
-            Predicate("a"), Implies(Predicate("b"), Predicate("c"))
-        )
-
-    def test_parens_and_avg(self):
-        expr = parse_rule_expr("avg(a(), (b() => c()))")
-        assert expr == AvgConj(
-            (Predicate("a"), Implies(Predicate("b"), Predicate("c")))
-        )
-
-    @pytest.mark.parametrize(
-        "text",
-        ["", "a() &&", "avg()", "(a()", "a() b()", "&& a()", "a(,)"],
-    )
-    def test_syntax_errors(self, text):
-        with pytest.raises(RuleSyntaxError):
-            parse_rule_expr(text)
-
-    def test_error_carries_offset(self):
-        with pytest.raises(RuleSyntaxError) as info:
-            parse_rule_expr("a() && ")
-        assert info.value.offset == 8 - 1 or info.value.offset >= 6
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "has(x)",
-            "!a()",
-            "a() && b() && c()",
-            "a() | b() && c()",
-            "(a() | b()) && c()",
-            "a() => b() => c()",
-            "(a() => b()) => c()",
-            "avg(a(), b(), !c())",
-            "!(a() && b())",
-        ],
-    )
-    def test_round_trip(self, text):
-        expr = parse_rule_expr(text)
-        printed = format_rule_expr(expr)
-        assert parse_rule_expr(printed) == expr
-
-    def test_format_is_canonical(self):
-        # Redundant parentheses disappear on the round trip.
-        a = format_rule_expr(parse_rule_expr("((a()) && (b()))"))
-        b = format_rule_expr(parse_rule_expr("a() && b()"))
-        assert a == b
-
-
-class TestEvaluate:
-    def test_bound_predicates(self):
-        expr = parse_rule_expr("pos(B) => label(positive)")
-        bindings = {
-            "pos": lambda inst, cand, arg: inst[arg],
-            "label": lambda inst, cand, arg: 1.0 if cand == arg else 0.0,
-        }
-        instance = {"B": 0.8}
-        got = evaluate(expr, bindings, instance, "positive")
-        assert got == pytest.approx(1.0)
-        got = evaluate(expr, bindings, instance, "negative")
-        assert got == pytest.approx(min(1.0, 1.0 - 0.8 + 0.0))
-
-    def test_unbound_predicate(self):
-        with pytest.raises(UnboundPredicateError):
-            evaluate(parse_rule_expr("mystery()"), {}, None, None)
-
-    def test_composite(self):
-        expr = parse_rule_expr("avg(a(), b())")
-        bindings = {"a": lambda i, c: 0.2, "b": lambda i, c: 0.6}
-        assert evaluate(expr, bindings, None, None) == pytest.approx(0.4)

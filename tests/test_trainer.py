@@ -4,11 +4,12 @@ Heavy direction-of-effect runs live in the acceptance suite; these tests
 exercise mechanics on tiny corpora.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from ruledistill.corpus import (
-    SentimentTaskSpec,
     TaggedSentence,
     gen_synthetic_ner,
     gen_synthetic_sentiment,
@@ -17,6 +18,7 @@ from ruledistill.rulelib import (
     CategoryCollapse,
     TagScheme,
     but_rule,
+    detect_but,
     list_counterpart_rule,
     transition_rules,
 )
@@ -25,6 +27,7 @@ from ruledistill.trainer import (
     TAGGING_SCHEDULE,
     EvalReport,
     ImitationSchedule,
+    SentimentTeacher,
     TrainConfig,
     aggregate_reports,
     evaluate,
@@ -55,6 +58,29 @@ class TestSchedule:
             TrainConfig(mode="finetune")
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("c", math.nan),
+            ("c", math.inf),
+            ("c", -1.0),
+            ("g_max", 0),
+            ("train_sweeps", 0),
+            ("eval_sweeps", 0),
+            ("patience", 0),
+            ("emb_dim", 0),
+            ("n_filters", 0),
+            ("hidden", 0),
+            ("radius", -1),
+            ("conv_windows", ()),
+            ("conv_windows", (2, 0)),
+        ],
+    )
+    def test_config_rejects_bad_value(self, field, value):
+        # A NaN c would otherwise fail `c > 0` and silently train base mode.
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestEvaluate:
@@ -183,6 +209,17 @@ class TestTrainDistill:
         r_teacher = evaluate(teacher, self.DATA, task="sentiment")
         assert r_student.accuracy == r_teacher.accuracy
 
+    def test_infeasible_projections_counted(self):
+        # A hard but-rule excludes both labels whenever clause B's
+        # probability lies strictly inside (0, 1), so every A-but-B sentence
+        # of the one epoch with pi > 0 is left at p and counted.
+        res = train_distill(
+            tiny_config(), self.DATA, rules=(but_rule(confidence=math.inf),)
+        )
+        n_but = sum(detect_but(s.tokens) is not None for s in self.DATA)
+        assert n_but > 0
+        assert res.diagnostics == {"infeasible_instances": n_but}
+
     def test_semi_consumes_unlabeled(self):
         labeled = self.DATA[:20]
         unlabeled = self.DATA[20:]
@@ -199,6 +236,26 @@ class TestTrainDistill:
         assert res.teacher is not None
         r = evaluate(res.student, self.DATA, task="sentiment", vocab=res.vocab)
         assert 0.0 <= r.accuracy <= 1.0
+
+
+class TestSentimentTeacher:
+    class ClauseModel:
+        """p = [0.5, 0.5] on a full sentence, [0.9, 0.1] on clause B."""
+
+        def forward(self, ids):
+            return np.array([0.9, 0.1]) if len(ids) == 1 else np.array([0.5, 0.5])
+
+    def test_positive_class_comes_from_the_but_rule(self):
+        from ruledistill.predictors import Vocabulary
+
+        tokens = ("dull", "but", "great")
+        vocab = Vocabulary.build([tokens])
+        for positive in (0, 1):
+            # Clause B leans to class 0 and the sentence must follow it,
+            # whichever class the rule calls positive.
+            rule = but_rule(confidence=1.0, positive_class=positive)
+            teacher = SentimentTeacher(self.ClauseModel(), vocab, (rule,), 6.0)
+            assert teacher.predict_proba(tokens)[0] > 0.9
 
 
 class TestTrainNer:
