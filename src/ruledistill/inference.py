@@ -1,9 +1,9 @@
 """Teacher-side inference over structured outputs.
 
-Two regimes compute the teacher's soft predictions, matched to how the
-rule penalties factor over the output (per-position penalties go through
-the closed-form projection instead):
+Three regimes compute the teacher's soft predictions, matched to how the
+rule penalties factor over the output:
 
+* factorized: penalties touch one position each; renormalize per position.
 * chain: bigram penalties; exact marginals by forward-backward and MAP
   decode by max-product, both in log space.
 * group: cross-instance penalties; single-site Gibbs sampling with exact
@@ -27,11 +27,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import logsumexp
+from .numerics import log_softmax, logsumexp
 from .projection import InfeasibleConstraintError
 
 __all__ = [
     "InfeasibleChainError",
+    "FactorizedTeacherQuery",
+    "soft_predict_factorized",
     "ChainTeacherQuery",
     "chain_log_z",
     "chain_marginals",
@@ -58,6 +60,46 @@ def _as_float_array(a, name: str) -> np.ndarray:
     if np.isnan(arr).any() or (arr == np.inf).any():
         raise ValueError(f"{name} must not contain NaN or +inf")
     return arr
+
+
+# --- factorized regime -------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class FactorizedTeacherQuery:
+    """Per-position base distributions plus per-position penalties.
+
+    Penalties are nonnegative, +inf for hard exclusions; they subtract from
+    the base log-probabilities independently at each position.
+    """
+
+    base_log_probs: np.ndarray  # (T, K), rows normalized
+    penalties: np.ndarray  # (T, K), >= 0, +inf allowed
+
+    def __post_init__(self):
+        logp = np.asarray(self.base_log_probs, dtype=float)
+        pen = np.asarray(self.penalties, dtype=float)
+        if logp.ndim != 2 or logp.shape != pen.shape:
+            raise ValueError("base_log_probs and penalties must share a (T, K) shape")
+        if np.isnan(logp).any() or (logp == np.inf).any():
+            raise ValueError("base_log_probs must not contain NaN or +inf")
+        if np.isnan(pen).any() or (pen < 0).any():
+            raise ValueError("penalties must be nonnegative")
+        norms = logsumexp(logp, axis=1)
+        if np.max(np.abs(norms)) > 1e-6:
+            raise ValueError("base_log_probs rows must normalize to 1")
+        object.__setattr__(self, "base_log_probs", logp)
+        object.__setattr__(self, "penalties", pen)
+
+
+def soft_predict_factorized(query: FactorizedTeacherQuery) -> np.ndarray:
+    """Independently renormalized per-position teacher distributions."""
+    logq = query.base_log_probs - query.penalties
+    if (logsumexp(logq, axis=1) == -np.inf).any():
+        raise InfeasibleConstraintError(
+            "penalties exclude every label at some position"
+        )
+    return np.exp(log_softmax(logq, axis=1))
 
 
 # --- chain regime ------------------------------------------------------------

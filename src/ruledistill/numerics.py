@@ -17,3 +17,8 @@ def logsumexp(a, axis=None):
         return float(s.reshape(()))
     return np.squeeze(s, axis=axis)
 
+
+def log_softmax(a, axis=-1):
+    """Normalize log-weights along an axis."""
+    a = np.asarray(a, dtype=float)
+    return a - np.expand_dims(logsumexp(a, axis=axis), axis)

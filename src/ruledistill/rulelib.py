@@ -306,6 +306,11 @@ def transition_masks(scheme: TagScheme) -> TransitionMasks:
     return TransitionMasks(start, pair, end)
 
 
+def transition_pair_truth(scheme: TagScheme, prev_tag: str, cur_tag: str) -> TruthValue:
+    """Truth of the adjacent-pair grounding: 1 for a valid bigram, else 0."""
+    return TruthValue(float(_pair_valid(scheme, prev_tag, cur_tag)))
+
+
 def transition_rules(scheme: TagScheme) -> list[Rule]:
     """Hard rules forbidding every invalid BIOES bigram.
 

@@ -7,6 +7,7 @@ import pytest
 
 from ruledistill.inference import (
     ChainTeacherQuery,
+    FactorizedTeacherQuery,
     GroupLink,
     GroupTeacherQuery,
     InfeasibleChainError,
@@ -19,6 +20,7 @@ from ruledistill.inference import (
     form_groups,
     gibbs_conditional,
     gibbs_soft_predict,
+    soft_predict_factorized,
 )
 from ruledistill.projection import InfeasibleConstraintError
 
@@ -26,6 +28,23 @@ from ruledistill.projection import InfeasibleConstraintError
 def norm_rows(rng, t, k):
     logits = rng.normal(size=(t, k))
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+
+
+class TestFactorized:
+    def test_penalties_tilt_rows(self):
+        logp = np.log(np.array([[0.5, 0.5], [0.9, 0.1]]))
+        pen = np.array([[0.0, 2.0], [0.0, 0.0]])
+        q = soft_predict_factorized(FactorizedTeacherQuery(logp, pen))
+        z = 0.5 + 0.5 * np.exp(-2.0)
+        np.testing.assert_allclose(q[0], [0.5 / z, 0.5 * np.exp(-2.0) / z])
+        np.testing.assert_allclose(q[1], [0.9, 0.1])
+
+    def test_all_masked_position_raises(self):
+        logp = np.log(np.array([[0.5, 0.5]]))
+        with pytest.raises(InfeasibleConstraintError):
+            soft_predict_factorized(
+                FactorizedTeacherQuery(logp, np.array([[np.inf, np.inf]]))
+            )
 
 
 class TestChain:
