@@ -12,8 +12,8 @@ Layers, bottom up:
   counterparts) plus tag-scheme helpers.
 - ``projection``: the closed-form teacher projection with an optimality
   verifier.
-- ``inference``: exact and Gibbs posterior computation for chain- and
-  group-coupled teachers.
+- ``inference``: exact posterior computation for chain- and group-coupled
+  teachers, with Gibbs sampling for groups too large to enumerate.
 - ``predictors``: numpy conv classifier and window tagger with manual
   gradients and checkpointing.
 - ``trainer``: one training loop over a per-task driver (base / distill /
@@ -56,6 +56,7 @@ from .inference import (
     chain_map_decode,
     enumerate_chain_posterior,
     GroupTeacherQuery,
+    exact_group_marginals,
     gibbs_soft_predict,
     form_groups,
     enumerate_group_posterior,
@@ -126,6 +127,7 @@ __all__ = [
     "chain_map_decode",
     "enumerate_chain_posterior",
     "GroupTeacherQuery",
+    "exact_group_marginals",
     "gibbs_soft_predict",
     "form_groups",
     "enumerate_group_posterior",

@@ -1,14 +1,15 @@
 """Teacher-side inference over structured outputs.
 
-Three regimes compute the teacher's soft predictions, matched to how the
+Two regimes compute the teacher's soft predictions, matched to how the
 rule penalties factor over the output:
 
-* factorized: penalties touch one position each; renormalize per position.
 * chain: bigram penalties; exact marginals by forward-backward and MAP
   decode by max-product, both in log space.
-* group: cross-instance penalties; single-site Gibbs sampling with exact
-  conditionals, with marginals estimated by averaging those conditionals
-  (Rao-Blackwellized counts).
+* group: cross-instance penalties.  A group whose joint label space has at
+  most ``EXACT_MAX_STATES`` states is enumerated exactly in one dense
+  score tensor; a larger one falls back to single-site Gibbs sampling with
+  exact conditionals, with marginals estimated by averaging those
+  conditionals (Rao-Blackwellized counts).
 
 Group members carry finite pair potentials only: a -inf bigram entry can
 freeze single-site sampling into one basin, so hard transition constraints
@@ -27,13 +28,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .numerics import log_softmax, logsumexp
+from .numerics import logsumexp
 from .projection import InfeasibleConstraintError
 
 __all__ = [
     "InfeasibleChainError",
-    "FactorizedTeacherQuery",
-    "soft_predict_factorized",
     "ChainTeacherQuery",
     "chain_log_z",
     "chain_marginals",
@@ -45,6 +44,8 @@ __all__ = [
     "GroupTeacherQuery",
     "gibbs_conditional",
     "gibbs_soft_predict",
+    "EXACT_MAX_STATES",
+    "exact_group_marginals",
     "GroupEnumeration",
     "enumerate_group_posterior",
     "form_groups",
@@ -60,46 +61,6 @@ def _as_float_array(a, name: str) -> np.ndarray:
     if np.isnan(arr).any() or (arr == np.inf).any():
         raise ValueError(f"{name} must not contain NaN or +inf")
     return arr
-
-
-# --- factorized regime -------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class FactorizedTeacherQuery:
-    """Per-position base distributions plus per-position penalties.
-
-    Penalties are nonnegative, +inf for hard exclusions; they subtract from
-    the base log-probabilities independently at each position.
-    """
-
-    base_log_probs: np.ndarray  # (T, K), rows normalized
-    penalties: np.ndarray  # (T, K), >= 0, +inf allowed
-
-    def __post_init__(self):
-        logp = np.asarray(self.base_log_probs, dtype=float)
-        pen = np.asarray(self.penalties, dtype=float)
-        if logp.ndim != 2 or logp.shape != pen.shape:
-            raise ValueError("base_log_probs and penalties must share a (T, K) shape")
-        if np.isnan(logp).any() or (logp == np.inf).any():
-            raise ValueError("base_log_probs must not contain NaN or +inf")
-        if np.isnan(pen).any() or (pen < 0).any():
-            raise ValueError("penalties must be nonnegative")
-        norms = logsumexp(logp, axis=1)
-        if np.max(np.abs(norms)) > 1e-6:
-            raise ValueError("base_log_probs rows must normalize to 1")
-        object.__setattr__(self, "base_log_probs", logp)
-        object.__setattr__(self, "penalties", pen)
-
-
-def soft_predict_factorized(query: FactorizedTeacherQuery) -> np.ndarray:
-    """Independently renormalized per-position teacher distributions."""
-    logq = query.base_log_probs - query.penalties
-    if (logsumexp(logq, axis=1) == -np.inf).any():
-        raise InfeasibleConstraintError(
-            "penalties exclude every label at some position"
-        )
-    return np.exp(log_softmax(logq, axis=1))
 
 
 # --- chain regime ------------------------------------------------------------
@@ -456,6 +417,67 @@ def gibbs_soft_predict(query: GroupTeacherQuery) -> list[np.ndarray]:
             if sweep >= burn:
                 acc[m][t] += probs
     return [a / kept for a in acc]
+
+
+# Largest joint label space exact_group_marginals enumerates: four labels
+# (three categories plus O) at eight sites, the default group size cap.
+EXACT_MAX_STATES = 4**8
+
+
+def _on_axes(table: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
+    """A (K, K) table over sites i and j, shaped to broadcast against the
+    n-site score tensor."""
+    if i == j:
+        shape = [1] * n
+        shape[i] = table.shape[0]
+        return np.diagonal(table).reshape(shape)
+    if i > j:
+        table, i, j = table.T, j, i
+    shape = [1] * n
+    shape[i], shape[j] = table.shape
+    return table.reshape(shape)
+
+
+def exact_group_marginals(query: GroupTeacherQuery) -> list[np.ndarray]:
+    """Exact per-member per-position marginals of the group posterior, in
+    the shape ``gibbs_soft_predict`` returns.
+
+    Every site gets one axis of a K**n_sites score tensor, built by
+    broadcasting the unaries, the members' pair terms and the link tables;
+    the tensor is normalized once and each site's marginal sums out the
+    other axes.  Raises ValueError above ``EXACT_MAX_STATES`` joint states.
+    """
+    k = query.n_labels
+    sites = [
+        (m, t)
+        for m in range(len(query.members))
+        for t in range(query.members[m].n_positions)
+    ]
+    n = len(sites)
+    if k**n > EXACT_MAX_STATES:
+        raise ValueError(
+            f"{k}**{n} joint states exceed EXACT_MAX_STATES = {EXACT_MAX_STATES}"
+        )
+    site_index = {s: i for i, s in enumerate(sites)}
+    score = np.zeros((k,) * n)
+    for i, (m, t) in enumerate(sites):
+        shape = [1] * n
+        shape[i] = k
+        score += query.members[m].log_unary[t].reshape(shape)
+    for m, mem in enumerate(query.members):
+        if mem.log_pair is not None:
+            for t in range(mem.n_positions - 1):
+                score += _on_axes(mem.pair_term(t), site_index[(m, t)],
+                                  site_index[(m, t + 1)], n)
+    for ln in query.links:
+        score += _on_axes(ln.log_table, site_index[(ln.member_a, ln.pos_a)],
+                          site_index[(ln.member_b, ln.pos_b)], n)
+    probs = np.exp(score - score.max())
+    probs /= probs.sum()
+    out = [np.empty_like(m.log_unary) for m in query.members]
+    for i, (m, t) in enumerate(sites):
+        out[m][t] = probs.sum(axis=tuple(a for a in range(n) if a != i))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

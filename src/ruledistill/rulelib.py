@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ class TagScheme:
         if not self.categories or len(set(self.categories)) != len(self.categories):
             raise ValueError("categories must be nonempty and distinct")
 
-    @property
+    @cached_property
     def tags(self) -> tuple[str, ...]:
         return ("O",) + tuple(
             f"{p}-{c}" for c in self.categories for p in BIOES_PREFIXES
@@ -306,11 +306,6 @@ def transition_masks(scheme: TagScheme) -> TransitionMasks:
     return TransitionMasks(start, pair, end)
 
 
-def transition_pair_truth(scheme: TagScheme, prev_tag: str, cur_tag: str) -> TruthValue:
-    """Truth of the adjacent-pair grounding: 1 for a valid bigram, else 0."""
-    return TruthValue(float(_pair_valid(scheme, prev_tag, cur_tag)))
-
-
 def transition_rules(scheme: TagScheme) -> list[Rule]:
     """Hard rules forbidding every invalid BIOES bigram.
 
@@ -381,13 +376,16 @@ class CategoryCollapse:
     def n_groups(self) -> int:
         return len(self.scheme.categories) + 1
 
-    @property
+    @cached_property
     def group_index(self) -> np.ndarray:
+        """Each tag's group: its category's index, or n_groups - 1 for O.
+        Read-only, since every caller shares the cached array."""
         cats = self.scheme.categories
         idx = np.empty(self.scheme.n_tags, dtype=int)
         for k, tag in enumerate(self.scheme.tags):
             c = self.scheme.category(tag)
             idx[k] = len(cats) if c is None else cats.index(c)
+        idx.flags.writeable = False
         return idx
 
     def collapse(self, dist: np.ndarray) -> np.ndarray:

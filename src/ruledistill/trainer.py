@@ -8,11 +8,13 @@ hard-label and the imitation term.
 
 Teacher construction is routed by rule scope: per-instance rules become
 single-position projections, bigram rules become chain potentials, and
-cross-instance rules become Gibbs groups over the linked sites whose
-marginals then enter the per-sentence chains as extra unary penalties.
-That last composition keeps hard transition constraints out of the
-sampler (see the inference module note on ergodicity) while still letting
-list information flow into every decoded sequence.
+cross-instance rules become groups over the linked sites whose marginals
+then enter the per-sentence chains as extra unary penalties.  The groups
+are solved at category level: enumerated exactly when their joint space
+has at most ``EXACT_MAX_STATES`` states, Gibbs-sampled above that.  That
+composition keeps hard transition constraints out of the group regime
+(see the inference module note on ergodicity) while still letting list
+information flow into every decoded sequence.
 
 Modes: plain supervised (base), distillation, semi-supervised
 distillation (imitation term additionally on unlabeled batches),
@@ -37,11 +39,13 @@ import numpy as np
 
 from .corpus import LabeledSentence, TaggedSentence, detect_lists, group_documents
 from .inference import (
+    EXACT_MAX_STATES,
     ChainTeacherQuery,
     GroupLink,
     MemberPotentials,
     chain_map_decode,
     chain_marginals,
+    exact_group_marginals,
     form_groups,
     gibbs_soft_predict,
 )
@@ -300,15 +304,34 @@ def _doc_links(doc_tokens: Sequence[Sequence[str]]):
     return links
 
 
+def _category_log_table(rule: Rule, group_index, reps, c: float):
+    """A cross rule's log link table over category groups: its truth table
+    restricted to the representative tags ``reps``, one per group.  Only a
+    table that is constant within categories lets the group teacher sum
+    out the BIOES variants exactly, so any other is rejected."""
+    (probe,) = rule.groundings([((0, 0), (1, 0))])
+    table = probe.table[np.ix_(reps, reps)]
+    if not np.array_equal(table[np.ix_(group_index, group_index)], probe.table):
+        raise ValueError(
+            f"rule {rule.name!r}: a cross-instance truth table must be "
+            "constant within tag categories"
+        )
+    return -c * rule.confidence * (1.0 - table)
+
+
 class NerTeacher:
     """The tagging teacher: the chain+group teacher built from the
     student's probabilities.
 
-    Stage 1: Gibbs over the cross-linked sites (unaries from the student)
-    yields site marginals.  Stage 2: per-sentence chains with transition
-    potentials plus, at linked sites, unary penalties measuring the list
-    rule against the counterparts' stage-1 marginals.  At evaluation the
-    counterpart links come from the evaluated document itself.
+    Stage 1: the cross-linked sites form groups over tag categories (each
+    site's unary is the student's mass per category), whose marginals are
+    enumerated exactly, or Gibbs-sampled for a group above
+    ``EXACT_MAX_STATES`` joint states, and spread back over each
+    category's tags in the student's proportions.  Stage 2: per-sentence
+    chains with transition potentials plus, at linked sites, unary
+    penalties measuring the list rule against the counterparts' stage-1
+    marginals.  At evaluation the counterpart links come from the
+    evaluated document itself.
     """
 
     def __init__(self, model, vocab: Vocabulary, scheme: TagScheme,
@@ -321,6 +344,13 @@ class NerTeacher:
         _, self.bigram, self.cross = _split_rules(rules)
         self.collapse = CategoryCollapse(scheme)
         self.c = float(c)
+        gi = self.collapse.group_index
+        # The first tag of each category (its list truth is every such
+        # tag's) and the one-hot (K, n_groups) category of each tag.
+        reps = np.unique(gi, return_index=True)[1]
+        self.rep_tags = [scheme.tags[k] for k in reps]
+        self.membership = np.eye(self.collapse.n_groups)[gi]
+        self.cross_tables = [_category_log_table(r, gi, reps, self.c) for r in self.cross]
         self.sweeps = sweeps
         self.g_max = g_max
         if self.bigram:
@@ -329,42 +359,42 @@ class NerTeacher:
         else:
             self.chain_terms = None
 
-    def _site_marginals(self, log_sigmas, site_links, seed: int):
-        """Gibbs marginals for every linked site; {} when no cross rule."""
+    def _site_marginals(self, sigmas, site_links, seed: int):
+        """Teacher tag marginals for every linked site; {} when no cross
+        rule.  Groups are solved over categories, then each category's
+        mass is shared among its tags as the student shares it."""
         if not self.cross or not site_links or self.c == 0.0:
             return {}
         sites = sorted({s for pair in site_links for s in pair})
         index = {s: i for i, s in enumerate(sites)}
-        members = [
-            MemberPotentials(log_unary=log_sigmas[s][t : t + 1]) for s, t in sites
+        sigma = np.stack([sigmas[s][t] for s, t in sites])
+        mass = sigma @ self.membership
+        members = [MemberPotentials(log_unary=row[None, :]) for row in np.log(mass)]
+        glinks = [
+            GroupLink(member_a=index[a], pos_a=0, member_b=index[b], pos_b=0,
+                      log_table=table)
+            for rule, table in zip(self.cross, self.cross_tables)
+            for a, b in (g.sites for g in rule.groundings(site_links))
         ]
-        glinks = []
-        for rule in self.cross:
-            for g in rule.groundings(site_links):
-                a, b = g.sites
-                glinks.append(
-                    GroupLink(
-                        member_a=index[a],
-                        pos_a=0,
-                        member_b=index[b],
-                        pos_b=0,
-                        log_table=-self.c * rule.confidence * (1.0 - g.table),
-                    )
-                )
-        out = {}
+        q = np.empty_like(mass)
         for query in form_groups(
             members, glinks, g_max=self.g_max, seed=seed, sweeps=self.sweeps
         ):
-            for marg, mid in zip(gibbs_soft_predict(query), query.member_ids):
-                out[sites[mid]] = marg[0]
-        return out
+            if query.n_labels ** len(query.members) <= EXACT_MAX_STATES:
+                margs = exact_group_marginals(query)
+            else:
+                margs = gibbs_soft_predict(query)
+            for marg, mid in zip(margs, query.member_ids):
+                q[mid] = marg[0]
+        gi = self.collapse.group_index
+        return dict(zip(sites, q[:, gi] * sigma / mass[:, gi]))
 
     def _list_penalties(self, site_links, marginals):
         """Per-site unary penalty vectors from counterpart marginals."""
         pens: dict[tuple[int, int], np.ndarray] = {}
         if not marginals:
             return pens
-        k = self.scheme.n_tags
+        gi = self.collapse.group_index
         lam = self.cross[0].confidence
         for a, b in site_links:
             for site, other in ((a, b), (b, a)):
@@ -372,23 +402,20 @@ class NerTeacher:
                 if mu is None:
                     continue
                 truths = np.array(
-                    [
-                        float(list_rule_truth(self.collapse, tag, mu))
-                        for tag in self.scheme.tags
-                    ]
+                    [float(list_rule_truth(self.collapse, tag, mu)) for tag in self.rep_tags]
                 )
-                pens.setdefault(site, np.zeros(k))
-                pens[site] += self.c * lam * (1.0 - truths)
+                pens.setdefault(site, np.zeros(len(gi)))
+                pens[site] += self.c * lam * (1.0 - truths[gi])
         return pens
 
-    def infer(self, doc_ids, site_links, seed: int):
-        """Per-sentence (marginals, decoded path) for one encoded document."""
-        log_sigmas = [np.log(self.model.forward(ids)) for ids in doc_ids]
-        marginals = self._site_marginals(log_sigmas, site_links, seed)
+    def _chains(self, doc_ids, site_links, seed: int):
+        """One chain query per sentence of an encoded document."""
+        sigmas = [self.model.forward(ids) for ids in doc_ids]
+        marginals = self._site_marginals(sigmas, site_links, seed)
         pens = self._list_penalties(site_links, marginals)
-        results = []
-        for s_idx, log_sigma in enumerate(log_sigmas):
-            log_unary = log_sigma.copy()
+        queries = []
+        for s_idx, sigma in enumerate(sigmas):
+            log_unary = np.log(sigma)
             for (site_s, site_t), pen in pens.items():
                 if site_s == s_idx:
                     log_unary[site_t] -= pen
@@ -399,13 +426,17 @@ class NerTeacher:
                 )
             else:
                 query = ChainTeacherQuery(log_unary=log_unary)
-            results.append((chain_marginals(query), chain_map_decode(query)[0]))
-        return results
+            queries.append(query)
+        return queries
+
+    def soft_predict(self, doc_ids, site_links, seed: int):
+        """Per-sentence teacher marginals for one encoded document."""
+        return [chain_marginals(q) for q in self._chains(doc_ids, site_links, seed)]
 
     def decode_doc(self, doc_tokens: Sequence[Sequence[str]], doc_seed: int = 0):
         doc_ids = [self.vocab.encode(toks) for toks in doc_tokens]
-        results = self.infer(doc_ids, _doc_links(doc_tokens), doc_seed)
-        return [[self.scheme.tags[k] for k in path] for _, path in results]
+        queries = self._chains(doc_ids, _doc_links(doc_tokens), doc_seed)
+        return [[self.scheme.tags[k] for k in chain_map_decode(q)[0]] for q in queries]
 
     def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
         out = []
@@ -509,7 +540,8 @@ class _Unit:
     """What one shuffle moves: a sentence for classification, a whole
     document for tagging (so every teacher group is built in full).
     ``ids`` and ``hard`` hold one entry per sentence; ``rule_input`` is
-    what the teacher reads besides the ids (clause-B ids, list links)."""
+    what the teacher reads besides the ids (clause-B ids, or the
+    document's tokens, from which list links are detected)."""
 
     ids: list
     hard: list
@@ -527,7 +559,8 @@ class _Driver:
         self.config = config
         self.units = units
         self.u_units = list(u_units)
-        # Seeds the tagging teacher's Gibbs runs, one draw per document.
+        # Seeds the tagging teacher's group formation and Gibbs runs, one
+        # draw per document.
         self.teacher_rng = np.random.default_rng((config.seed, 2))
 
     def _split(self, order, units):
@@ -614,6 +647,9 @@ class _NerDriver(_Driver):
         )
         self.scheme = TagScheme(tuple(cats))
         self.vocab = Vocabulary.build([s.tokens for doc in docs + u_docs for s in doc])
+        # Each document's list links, detected on its first teacher use;
+        # base mode never builds a teacher and so detects none.
+        self.links: dict[_Unit, list] = {}
         super().__init__(config, [self._unit(d) for d in docs], [self._unit(d) for d in u_docs])
 
     def _unit(self, doc):
@@ -621,7 +657,7 @@ class _NerDriver(_Driver):
         return _Unit(
             [self.vocab.encode(s.tokens) for s in doc],
             [np.stack([_one_hot(self.scheme.index(t), k) for t in s.tags]) for s in doc],
-            _doc_links([s.tokens for s in doc]),
+            [s.tokens for s in doc],
         )
 
     def init_model(self, seed: int):
@@ -636,8 +672,10 @@ class _NerDriver(_Driver):
         )
 
     def soft_targets(self, teacher, unit):
+        if unit not in self.links:
+            self.links[unit] = _doc_links(unit.rule_input)
         seed = int(self.teacher_rng.integers(2**31 - 1))
-        return [marg for marg, _ in teacher.infer(unit.ids, unit.rule_input, seed)]
+        return teacher.soft_predict(unit.ids, self.links[unit], seed)
 
 
 class _FixedDriver(_Driver):

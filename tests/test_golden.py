@@ -58,22 +58,22 @@ GOLDEN = {
         "train_log_seed1.txt": "aae6eec06297140a3f965c18d1094871fc28115cf5116f80a98094591b7b71e3",
     },
     ("ner", "distill"): {
-        "summary.txt": "bcef0d8bc62dfca0a89af5ae0d25086b82132b67d7be20be255d3a95af8ee0ba",
-        "train_log_seed0.txt": "ceabfc0c50822f63974c9a62ee224656021de2aa080530c5684512465af5fd83",
-        "train_log_seed1.txt": "08492798cfdf40f4c15ad4828b5b3c228d15782ac16cf60e9b9868848bcb3f30",
+        "summary.txt": "3e04539ba49ecb4c0eada2eea919d4c08b959106b83b9f5777fbc5bde1040cd7",
+        "train_log_seed0.txt": "7f2fa91f79d1d15ba1c262b567f765f0cc795dd4308c7539c2d46f8f58ed20be",
+        "train_log_seed1.txt": "978b31e997e94d3ef65dfe5f99d977fcc868612548922103567cf99bf3166724",
     },
     ("ner", "semi"): {
-        "summary.txt": "44e23e99f0b8af0534fda8922415aec6168efce654aeccd1d50c43c4a6aef763",
-        "train_log_seed0.txt": "b6463f5dfa0236952f67eddb29af5bb7d008a0ced6f218eda38378541796996b",
-        "train_log_seed1.txt": "a53e117cc9fcc58cad5158e80c659ebc5724a2e04a3a2b9bd444d5a0dce75b5d",
+        "summary.txt": "ddceee9eab360804f541f8b6fcf7e88e06382a20cf6ec44c3a250c2c2fb7181f",
+        "train_log_seed0.txt": "c3f249eecc487ca51be72a7f6c10f07f7b4a0138c8ed22299f379f01140eeb0b",
+        "train_log_seed1.txt": "2b1667706b9e2ba0065bbb1cf75a1bc6bc98f2cbc9f58927d0b44677af93845c",
     },
     ("ner", "pipeline"): {
-        "summary.txt": "9073a545d2aba65757879104080c12643a09d8be3667b8b518326f727e2fd053",
-        "train_log_seed0.txt": "59c1434b1aa68ecac2d1fd32cf7ca36059c107789cde424c048351b974361978",
-        "train_log_seed1.txt": "8c8739730b059e809cce3613948e3a742c35e7ac1bf23c7abbf77a564dc33b99",
+        "summary.txt": "40af2ae0d6e868a6e9970aebad0209311344d12150e646d26ab8189a48d35946",
+        "train_log_seed0.txt": "a5fde498bfdcf27a783298f11d5e4b914ad068e7913f036a104445566423a614",
+        "train_log_seed1.txt": "c986126f3fa489114d59413507123c2687c52cee87a60a15dd26862c70222d81",
     },
     ("ner", "project-after"): {
-        "summary.txt": "1884588e790e7b519c70efbe69e2a57b65e96dfa8df7c121f9dbb2ff2334b244",
+        "summary.txt": "be021141f76239195c75b20e28ffb1e9044082b3cd72932e7a59aaf7fc62ef65",
         "train_log_seed0.txt": "138b1367f0d2fff597f164c4c3c1d2658c97723406fd9afb41db64d0e4802765",
         "train_log_seed1.txt": "aae6eec06297140a3f965c18d1094871fc28115cf5116f80a98094591b7b71e3",
     },

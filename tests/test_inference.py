@@ -4,10 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ruledistill.inference import (
+    EXACT_MAX_STATES,
     ChainTeacherQuery,
-    FactorizedTeacherQuery,
     GroupLink,
     GroupTeacherQuery,
     InfeasibleChainError,
@@ -17,10 +20,10 @@ from ruledistill.inference import (
     chain_marginals,
     enumerate_chain_posterior,
     enumerate_group_posterior,
+    exact_group_marginals,
     form_groups,
     gibbs_conditional,
     gibbs_soft_predict,
-    soft_predict_factorized,
 )
 from ruledistill.projection import InfeasibleConstraintError
 
@@ -28,23 +31,6 @@ from ruledistill.projection import InfeasibleConstraintError
 def norm_rows(rng, t, k):
     logits = rng.normal(size=(t, k))
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-
-
-class TestFactorized:
-    def test_penalties_tilt_rows(self):
-        logp = np.log(np.array([[0.5, 0.5], [0.9, 0.1]]))
-        pen = np.array([[0.0, 2.0], [0.0, 0.0]])
-        q = soft_predict_factorized(FactorizedTeacherQuery(logp, pen))
-        z = 0.5 + 0.5 * np.exp(-2.0)
-        np.testing.assert_allclose(q[0], [0.5 / z, 0.5 * np.exp(-2.0) / z])
-        np.testing.assert_allclose(q[1], [0.9, 0.1])
-
-    def test_all_masked_position_raises(self):
-        logp = np.log(np.array([[0.5, 0.5]]))
-        with pytest.raises(InfeasibleConstraintError):
-            soft_predict_factorized(
-                FactorizedTeacherQuery(logp, np.array([[np.inf, np.inf]]))
-            )
 
 
 class TestChain:
@@ -180,6 +166,56 @@ class TestGroups:
         with pytest.raises(ValueError):
             GroupTeacherQuery(members=(MemberPotentials(np.zeros((1, 2))),),
                               links=(lk,))
+
+
+@st.composite
+def small_groups(draw):
+    """Groups of up to three members of one or two positions over two or
+    three labels, with optional shared or per-step pair terms and up to
+    three links between any sites (a site may link to itself)."""
+    k = draw(st.integers(2, 3))
+
+    def values(shape):
+        return draw(hnp.arrays(np.float64, shape, elements=st.floats(-3.0, 3.0)))
+
+    members = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = draw(st.integers(1, 2))
+        pair = None
+        if t > 1:
+            pair = draw(st.sampled_from([None, (k, k), (t - 1, k, k)]))
+            pair = None if pair is None else values(pair)
+        members.append(MemberPotentials(values((t, k)), pair))
+
+    def site():
+        m = draw(st.integers(0, len(members) - 1))
+        return m, draw(st.integers(0, members[m].n_positions - 1))
+
+    links = [GroupLink(*site(), *site(), values((k, k)))
+             for _ in range(draw(st.integers(0, 3)))]
+    return GroupTeacherQuery(members=tuple(members), links=tuple(links))
+
+
+class TestExactGroup:
+    @settings(max_examples=80, deadline=None)
+    @given(small_groups())
+    def test_matches_enumeration(self, query):
+        ref = enumerate_group_posterior(query)
+        exact = exact_group_marginals(query)
+        assert len(exact) == len(ref.marginals)
+        for e, r in zip(exact, ref.marginals):
+            assert e.shape == r.shape
+            np.testing.assert_allclose(e, r, rtol=0, atol=1e-12)
+
+    def test_state_bound(self):
+        k = 4
+        n = int(round(np.log(EXACT_MAX_STATES) / np.log(k)))
+        assert k**n == EXACT_MAX_STATES
+        members = tuple(MemberPotentials(np.zeros((1, k))) for _ in range(n))
+        marg = exact_group_marginals(GroupTeacherQuery(members=members))
+        np.testing.assert_allclose(np.concatenate(marg), 1.0 / k, atol=1e-15)
+        with pytest.raises(ValueError, match="EXACT_MAX_STATES"):
+            exact_group_marginals(GroupTeacherQuery(members=members * 2))
 
 
 class TestFormGroups:

@@ -20,7 +20,6 @@ from ruledistill.rulelib import (
     list_rule_truth,
     penalty,
     transition_masks,
-    transition_pair_truth,
     transition_rules,
 )
 
@@ -148,19 +147,6 @@ class TestDetectBut:
 
 
 class TestTransitions:
-    def test_pair_truth_matches_validity(self):
-        for a, b in itertools.product(SCHEME.tags, repeat=2):
-            expect = SCHEME.valid_sequence(["B-LOC", "E-LOC"])  # warm call
-            truth = transition_pair_truth(SCHEME, a, b)
-            # A bigram is valid iff some valid sequence contains it; check
-            # directly against the segment walker on a minimal context.
-            assert truth in (0.0, 1.0)
-        assert transition_pair_truth(SCHEME, "B-LOC", "I-LOC") == 1.0
-        assert transition_pair_truth(SCHEME, "B-LOC", "O") == 0.0
-        assert transition_pair_truth(SCHEME, "O", "I-LOC") == 0.0
-        assert transition_pair_truth(SCHEME, "B-LOC", "E-ORG") == 0.0
-        assert transition_pair_truth(SCHEME, "S-LOC", "B-ORG") == 1.0
-
     def test_masks_agree_with_sequence_walker(self):
         # Cross-validate the bigram masks against valid_sequence on every
         # length-2 sequence; both routes must agree everywhere.

@@ -14,9 +14,19 @@ from ruledistill.corpus import (
     gen_synthetic_ner,
     gen_synthetic_sentiment,
 )
+from ruledistill import trainer
+from ruledistill.inference import (
+    GroupLink,
+    GroupTeacherQuery,
+    MemberPotentials,
+    enumerate_group_posterior,
+)
 from ruledistill.rulelib import (
     CategoryCollapse,
+    Grounding,
+    Rule,
     TagScheme,
+    counterpart_truth_table,
     but_rule,
     detect_but,
     list_counterpart_rule,
@@ -27,6 +37,7 @@ from ruledistill.trainer import (
     TAGGING_SCHEDULE,
     EvalReport,
     ImitationSchedule,
+    NerTeacher,
     SentimentTeacher,
     TrainConfig,
     aggregate_reports,
@@ -294,3 +305,94 @@ class TestTrainNer:
         )
         assert 0.0 <= report.validity_rate <= 1.0
         assert report.metric() == report.f1
+
+    def test_lists_detected_on_teacher_use_and_no_training_decodes(self, monkeypatch):
+        calls = {"detect_lists": 0, "chain_map_decode": 0}
+        for name in calls:
+            original = getattr(trainer, name)
+
+            def counted(*args, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(*args, **kw)
+
+            monkeypatch.setattr(trainer, name, counted)
+        train_distill(self.config(mode="base"), self.DATA, rules=())
+        assert calls == {"detect_lists": 0, "chain_map_decode": 0}
+        # Two epochs with pi > 0 build the teacher for every document, but
+        # each document's lists are detected once, and no path is decoded.
+        train_distill(self.config(epochs=3), self.DATA, rules=self.RULES)
+        n_docs = len({s.doc_id for s in self.DATA})
+        assert calls == {"detect_lists": n_docs, "chain_map_decode": 0}
+
+
+class TestNerGroupTeacher:
+    SCHEME = TagScheme(("LOC", "ORG", "PER"))
+    COLLAPSE = CategoryCollapse(SCHEME)
+    LINKS = {
+        "pair": [((0, 0), (1, 2))],
+        "path": [((0, 0), (1, 2)), ((1, 2), (2, 1))],
+        "triangle": [((0, 0), (1, 2)), ((1, 2), (2, 1)), ((2, 1), (0, 0))],
+    }
+
+    def sigmas(self, seed):
+        rng = np.random.default_rng(seed)
+        return [rng.dirichlet(np.full(self.SCHEME.n_tags, 0.5), size=3) for _ in range(3)]
+
+    def teacher(self, c=6.0, sweeps=2000, normalize_sqrt2=False):
+        rule = list_counterpart_rule(self.COLLAPSE, confidence=1.5,
+                                     normalize_sqrt2=normalize_sqrt2)
+        return NerTeacher(None, None, self.SCHEME, [rule], c, sweeps=sweeps)
+
+    @pytest.mark.parametrize("normalize_sqrt2", (False, True))
+    @pytest.mark.parametrize("links", sorted(LINKS))
+    def test_site_marginals_match_tag_level_enumeration(self, links, normalize_sqrt2):
+        links = self.LINKS[links]
+        sigmas = self.sigmas(seed=len(links))
+        c, lam = 6.0, 1.5
+        got = self.teacher(c, normalize_sqrt2=normalize_sqrt2)._site_marginals(
+            sigmas, links, seed=0)
+        sites = sorted({s for pair in links for s in pair})
+        index = {s: i for i, s in enumerate(sites)}
+        table = counterpart_truth_table(self.COLLAPSE, normalize_sqrt2)
+        ref = enumerate_group_posterior(GroupTeacherQuery(
+            members=tuple(MemberPotentials(np.log(sigmas[s][t : t + 1])) for s, t in sites),
+            links=tuple(GroupLink(index[a], 0, index[b], 0, -c * lam * (1.0 - table))
+                        for a, b in links),
+        ))
+        assert sorted(got) == sites
+        for site, marg in zip(sites, ref.marginals):
+            np.testing.assert_allclose(got[site], marg[0], rtol=0, atol=1e-12)
+
+    def test_gibbs_fallback_above_the_state_bound(self, monkeypatch):
+        links = self.LINKS["triangle"]
+        sigmas = self.sigmas(seed=5)
+        # Criterion 4's couplings are at most 1 in size; at c * lambda = 9
+        # single-site moves stay in one mode and miss the exact answer.
+        exact = self.teacher(c=0.6, sweeps=4000)._site_marginals(sigmas, links, seed=0)
+        sampled = []
+        original = trainer.gibbs_soft_predict
+
+        def counted(query):
+            sampled.append(len(query.members))
+            return original(query)
+
+        monkeypatch.setattr(trainer, "gibbs_soft_predict", counted)
+        monkeypatch.setattr(trainer, "EXACT_MAX_STATES", 4**2)
+        gibbs = self.teacher(c=0.6, sweeps=4000)._site_marginals(sigmas, links, seed=0)
+        assert sampled == [3]
+        for site, q in exact.items():
+            assert 0.5 * np.abs(gibbs[site] - q).sum() <= 0.02
+
+    def test_rejects_cross_table_not_constant_within_categories(self):
+        table = counterpart_truth_table(self.COLLAPSE).copy()
+        b_loc, i_loc = self.SCHEME.index("B-LOC"), self.SCHEME.index("I-LOC")
+        table[b_loc, i_loc] = 0.5
+
+        def grounder(links):
+            return [Grounding((tuple(a), tuple(b)), table) for a, b in links]
+
+        rule = Rule("bioes-aware-list", 1.0, "cross-instance", grounder)
+        with pytest.raises(ValueError, match="constant within tag categories"):
+            NerTeacher(None, None, self.SCHEME, [rule], 6.0)
+        with pytest.raises(ValueError, match="constant within tag categories"):
+            project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
