@@ -343,6 +343,15 @@ class GroupTeacherQuery:
         return self.burn_in if self.burn_in is not None else int(0.2 * self.sweeps)
 
 
+def _sites(query: GroupTeacherQuery) -> list[tuple[int, int]]:
+    """Every (member, position) site of a group, member by member."""
+    return [
+        (m, t)
+        for m in range(len(query.members))
+        for t in range(query.members[m].n_positions)
+    ]
+
+
 def _init_states(query: GroupTeacherQuery) -> list[np.ndarray]:
     """Deterministic start: each member's independent MAP labeling."""
     states = []
@@ -399,11 +408,7 @@ def gibbs_soft_predict(query: GroupTeacherQuery) -> list[np.ndarray]:
     kept = query.sweeps - burn
     acc = [np.zeros_like(m.log_unary) for m in query.members]
     rng = np.random.default_rng(query.seed)
-    sites = [
-        (m, t)
-        for m in range(len(query.members))
-        for t in range(query.members[m].n_positions)
-    ]
+    sites = _sites(query)
     for sweep in range(query.sweeps):
         beta = (sweep + 1) / (burn + 1) if sweep < burn else 1.0
         for m, t in sites:
@@ -424,13 +429,18 @@ def gibbs_soft_predict(query: GroupTeacherQuery) -> list[np.ndarray]:
 EXACT_MAX_STATES = 4**8
 
 
-def _on_axes(table: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """A (K, K) table over sites i and j, shaped to broadcast against the
+def _on_axis(vec: np.ndarray, i: int, n: int) -> np.ndarray:
+    """A length-K vector over site i, shaped to broadcast against the
     n-site score tensor."""
+    shape = [1] * n
+    shape[i] = len(vec)
+    return vec.reshape(shape)
+
+
+def _on_axes(table: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
+    """A (K, K) table over sites i and j, shaped like ``_on_axis``."""
     if i == j:
-        shape = [1] * n
-        shape[i] = table.shape[0]
-        return np.diagonal(table).reshape(shape)
+        return _on_axis(np.diagonal(table), i, n)
     if i > j:
         table, i, j = table.T, j, i
     shape = [1] * n
@@ -448,11 +458,7 @@ def exact_group_marginals(query: GroupTeacherQuery) -> list[np.ndarray]:
     other axes.  Raises ValueError above ``EXACT_MAX_STATES`` joint states.
     """
     k = query.n_labels
-    sites = [
-        (m, t)
-        for m in range(len(query.members))
-        for t in range(query.members[m].n_positions)
-    ]
+    sites = _sites(query)
     n = len(sites)
     if k**n > EXACT_MAX_STATES:
         raise ValueError(
@@ -461,9 +467,7 @@ def exact_group_marginals(query: GroupTeacherQuery) -> list[np.ndarray]:
     site_index = {s: i for i, s in enumerate(sites)}
     score = np.zeros((k,) * n)
     for i, (m, t) in enumerate(sites):
-        shape = [1] * n
-        shape[i] = k
-        score += query.members[m].log_unary[t].reshape(shape)
+        score += _on_axis(query.members[m].log_unary[t], i, n)
     for m, mem in enumerate(query.members):
         if mem.log_pair is not None:
             for t in range(mem.n_positions - 1):
@@ -491,11 +495,7 @@ class GroupEnumeration:
 def enumerate_group_posterior(query: GroupTeacherQuery) -> GroupEnumeration:
     """Exact oracle: enumerate every joint labeling of all sites."""
     k = query.n_labels
-    sites = [
-        (m, t)
-        for m in range(len(query.members))
-        for t in range(query.members[m].n_positions)
-    ]
+    sites = _sites(query)
     site_index = {s: i for i, s in enumerate(sites)}
     log_marg = [np.full_like(m.log_unary, -np.inf) for m in query.members]
     all_scores = []
