@@ -74,8 +74,8 @@ def main():
     for doc in docs:
         tokens = [s.tokens for s in doc]
         decoded = rd.teacher.decode_doc(tokens, doc_seed=0)
-        for sent, q_tags in zip(doc, decoded):
-            sigma = rd.student.forward(rd.vocab.encode(sent.tokens))
+        sigmas = rd.student.forward([rd.vocab.encode(toks) for toks in tokens])
+        for sent, q_tags, sigma in zip(doc, decoded, sigmas):
             p_tags = [rd.scheme.tags[k] for k in sigma.argmax(axis=1)]
             if p_tags != list(sent.tags) and q_tags == list(sent.tags):
                 print("\n" + " ".join(sent.tokens))

@@ -13,9 +13,18 @@ logit gradient is softmax - ((1 - pi) * hard + pi * soft).  Log arguments
 are floored at 1e-12; the analytic gradient treats the floor as inactive,
 which only matters in saturated regions.
 
-Forward passes strip trailing padding ids, so a padded and an unpadded
-copy of the same sentence produce identical outputs.  Out-of-range window
-positions contribute zero vectors, not embedding rows.
+Both models are batch-native: ``forward`` takes a list of 1-d token-id
+arrays and returns one distribution per sentence, (K,) for the classifier
+and (T_i, K) for the tagger, and training takes one forward and one
+backward pass per minibatch.  The batch is padded to (B, T_max), windows
+are strided views of it, and each conv width (or the tagger's hidden
+layer) is one matmul.  Trailing padding ids are stripped first, so a
+padded and an unpadded copy of a sentence produce identical outputs, and
+whatever else shares its batch.  Masks work by position, not by id: an
+interior id 0 keeps its embedding row, while positions past a sentence's
+end are zero vectors.  The classifier pools only over windows that start
+within max(length, widest window) - w; the tagger's out-of-sentence
+positions get no gradient.
 """
 
 from __future__ import annotations
@@ -158,28 +167,19 @@ def _check_simplex(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} target rows must sum to 1")
 
 
-def _cross_entropy(target, pred, diagnostics=None):
-    pred = np.asarray(pred, dtype=float)
-    clipped = np.maximum(pred, LOG_FLOOR)
-    if diagnostics is not None:
-        n_clamped = int(np.sum((pred < LOG_FLOOR) & (target > 0)))
-        if n_clamped:
-            diagnostics["clamped"] = diagnostics.get("clamped", 0) + n_clamped
+def _cross_entropy(target, pred):
+    clipped = np.maximum(np.asarray(pred, dtype=float), LOG_FLOOR)
     return float(-np.sum(target * np.log(clipped)))
 
 
-def mixed_loss(pred, target: MixedTarget, diagnostics: Optional[dict] = None) -> float:
-    """(1 - pi) * CE(hard, pred) + pi * CE(soft, pred), summed over positions.
-
-    If the floor fires on an entry where the target is positive, the count
-    is recorded under ``diagnostics["clamped"]`` when a dict is supplied.
-    """
+def mixed_loss(pred, target: MixedTarget) -> float:
+    """(1 - pi) * CE(hard, pred) + pi * CE(soft, pred), summed over positions."""
     pred = np.asarray(pred, dtype=float)
     if pred.shape != target.hard.shape:
         raise ValueError("prediction and target shapes must match")
-    loss = (1.0 - target.pi) * _cross_entropy(target.hard, pred, diagnostics)
+    loss = (1.0 - target.pi) * _cross_entropy(target.hard, pred)
     if target.soft is not None and target.pi > 0.0:
-        loss += target.pi * _cross_entropy(target.soft, pred, diagnostics)
+        loss += target.pi * _cross_entropy(target.soft, pred)
     return loss
 
 
@@ -209,23 +209,70 @@ def _clean_ids(ids) -> np.ndarray:
     return ids[:end]
 
 
+def _pad_batch(ids_list, min_len: int = 1):
+    """Strip each sentence's trailing padding and pad the batch to (B, T),
+    T = max(longest sentence, min_len).  Returns the padded ids, the (B, T)
+    mask of in-sentence positions and the sentence lengths."""
+    ids_list = [_clean_ids(ids) for ids in ids_list]
+    if not ids_list:
+        raise ValueError("empty batch")
+    lengths = np.array([len(ids) for ids in ids_list])
+    mask = np.arange(max(int(lengths.max()), min_len)) < lengths[:, None]
+    padded = np.zeros(mask.shape, dtype=int)
+    padded[mask] = np.concatenate(ids_list)
+    return padded, mask, lengths
+
+
+def _windows(x: np.ndarray, w: int) -> np.ndarray:
+    """(B, T, E) -> (B, T - w + 1, w * E); row i of sentence b is
+    x[b, i : i + w] flattened."""
+    view = np.lib.stride_tricks.sliding_window_view(x, w, axis=1)
+    b, n, e, _ = view.shape
+    return view.transpose(0, 1, 3, 2).reshape(b, n, w * e)
+
+
+def _unwindow(dm: np.ndarray, w: int, length: int) -> np.ndarray:
+    """Adjoint of ``_windows``: (B, n, w * E) -> (B, length, E), summing
+    each position's share of the windows that cover it."""
+    b, n, we = dm.shape
+    dm = dm.reshape(b, n, w, we // w)
+    dx = np.zeros((b, length, we // w))
+    for j in range(w):
+        dx[:, j : j + n] += dm[:, :, j]
+    return dx
+
+
+# Every matmul on a (B, n, d) batch array is stacked, one small product
+# per sentence: a single (B * n, d) product is large enough for BLAS to
+# split it over threads, which costs more than it saves at these sizes and
+# stalls when the other cores are busy.
+
+
+def _weight_grad(m: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    """Sum over sentences and positions of outer(m, dz), for (B, n, d) m
+    and (B, n, k) dz."""
+    return (m.transpose(0, 2, 1) @ dz).sum(axis=0)
+
+
 class _Model:
+    """A batch-native model: ``forward`` takes a list of 1-d token-id
+    arrays and returns one output distribution per sentence."""
+
     kind: str = ""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
 
-    def forward(self, ids) -> np.ndarray:
-        return self._forward_cache(ids)[0]
+    def forward(self, ids_list) -> list[np.ndarray]:
+        return self._forward_cache(ids_list)[0]
 
-    def _forward_cache(self, ids):
+    def _forward_cache(self, ids_list):
+        """(per-sentence outputs, cache for ``backward``)."""
         raise NotImplementedError
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
+        """Parameter gradients given one logit gradient per sentence."""
         raise NotImplementedError
-
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def config_dict(self) -> dict:
         raise NotImplementedError
@@ -274,47 +321,41 @@ class TextClassifier(_Model):
             "n_filters": self.n_filters,
         }
 
-    def _forward_cache(self, ids):
-        ids = _clean_ids(ids)
-        t0 = len(ids)
-        t_pad = max(t0, max(self.window_sizes))
-        x = np.zeros((t_pad, self.emb_dim))
-        x[:t0] = self.params["emb"][ids]
-        segments = []
-        pooled = []
+    def _forward_cache(self, ids_list):
+        widest = max(self.window_sizes)
+        ids, mask, lengths = _pad_batch(ids_list, widest)
+        x = self.params["emb"][ids] * mask[..., None]
+        # Each sentence is zero-padded to max(length, widest window); a
+        # window starting beyond that is batch padding and never pools.
+        last_start = np.maximum(lengths, widest)[:, None]
+        segments, pooled = [], []
         for w in self.window_sizes:
-            n_win = t_pad - w + 1
-            m = np.stack([x[i : i + w].ravel() for i in range(n_win)])
+            m = _windows(x, w)
             a = np.tanh(m @ self.params[f"conv{w}_w"] + self.params[f"conv{w}_b"])
-            arg = np.argmax(a, axis=0)
+            valid = np.arange(m.shape[1]) <= last_start - w
+            arg = np.argmax(np.where(valid[..., None], a, -np.inf), axis=1)[:, None, :]
             segments.append((w, m, a, arg))
-            pooled.append(a[arg, np.arange(self.n_filters)])
-        feat = np.concatenate(pooled)
-        logits = feat @ self.params["out_w"] + self.params["out_b"]
-        probs = _softmax_rows(logits)
-        cache = (ids, t0, t_pad, segments, feat)
-        return probs, cache
+            pooled.append(np.take_along_axis(a, arg, axis=1)[:, 0])
+        feat = np.concatenate(pooled, axis=1)
+        probs = _softmax_rows(feat @ self.params["out_w"] + self.params["out_b"])
+        return list(probs), (ids, mask, segments, feat)
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
-        ids, t0, t_pad, segments, feat = cache
-        g = self.zero_grads()
+        ids, mask, segments, feat = cache
         dlogits = np.asarray(dlogits, dtype=float)
-        g["out_w"] += np.outer(feat, dlogits)
-        g["out_b"] += dlogits
-        dfeat = self.params["out_w"] @ dlogits
-        dx = np.zeros((t_pad, self.emb_dim))
-        for s, (w, m, a, arg) in enumerate(segments):
-            dpool = dfeat[s * self.n_filters : (s + 1) * self.n_filters]
+        g = {"out_w": feat.T @ dlogits, "out_b": dlogits.sum(axis=0)}
+        dfeat = (dlogits @ self.params["out_w"].T).reshape(len(ids), -1, self.n_filters)
+        dx = np.zeros(mask.shape + (self.emb_dim,))
+        for (w, m, a, arg), dpool in zip(segments, np.moveaxis(dfeat, 1, 0)):
             da = np.zeros_like(a)
-            da[arg, np.arange(self.n_filters)] = dpool
+            np.put_along_axis(da, arg, dpool[:, None, :], axis=1)
             dz = da * (1.0 - a * a)
-            g[f"conv{w}_w"] += m.T @ dz
-            g[f"conv{w}_b"] += dz.sum(axis=0)
-            dm = dz @ self.params[f"conv{w}_w"].T
-            for i in range(m.shape[0]):
-                dx[i : i + w] += dm[i].reshape(w, self.emb_dim)
-        np.add.at(g["emb"], ids, dx[:t0])
-        return g
+            g[f"conv{w}_w"] = _weight_grad(m, dz)
+            g[f"conv{w}_b"] = dz.sum(axis=(0, 1))
+            dx += _unwindow(dz @ self.params[f"conv{w}_w"].T, w, mask.shape[1])
+        g["emb"] = np.zeros_like(self.params["emb"])
+        np.add.at(g["emb"], ids[mask], dx[mask])
+        return {name: g[name] for name in self.params}
 
 
 class SequenceTagger(_Model):
@@ -359,38 +400,30 @@ class SequenceTagger(_Model):
             "radius": self.radius,
         }
 
-    def _forward_cache(self, ids):
-        ids = _clean_ids(ids)
-        t = len(ids)
+    def _forward_cache(self, ids_list):
+        ids, mask, lengths = _pad_batch(ids_list)
         r = self.radius
-        xpad = np.zeros((t + 2 * r, self.emb_dim))
-        xpad[r : r + t] = self.params["emb"][ids]
-        win = 2 * r + 1
-        m = np.stack([xpad[i : i + win].ravel() for i in range(t)])
+        xpad = np.zeros((len(ids), mask.shape[1] + 2 * r, self.emb_dim))
+        xpad[:, r : r + mask.shape[1]] = self.params["emb"][ids] * mask[..., None]
+        m = _windows(xpad, 2 * r + 1)
         h = np.tanh(m @ self.params["hidden_w"] + self.params["hidden_b"])
-        logits = h @ self.params["out_w"] + self.params["out_b"]
-        probs = _softmax_rows(logits)
-        cache = (ids, t, m, h)
-        return probs, cache
+        probs = _softmax_rows(h @ self.params["out_w"] + self.params["out_b"])
+        return [p[:n] for p, n in zip(probs, lengths)], (ids, mask, m, h)
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
-        ids, t, m, h = cache
-        g = self.zero_grads()
-        dlogits = np.asarray(dlogits, dtype=float)
-        g["out_w"] += h.T @ dlogits
-        g["out_b"] += dlogits.sum(axis=0)
-        dh = dlogits @ self.params["out_w"].T
-        dz = dh * (1.0 - h * h)
-        g["hidden_w"] += m.T @ dz
-        g["hidden_b"] += dz.sum(axis=0)
-        dm = dz @ self.params["hidden_w"].T
-        r = self.radius
-        win = 2 * r + 1
-        dxpad = np.zeros((t + 2 * r, self.emb_dim))
-        for i in range(t):
-            dxpad[i : i + win] += dm[i].reshape(win, self.emb_dim)
-        np.add.at(g["emb"], ids, dxpad[r : r + t])
-        return g
+        ids, mask, m, h = cache
+        # Positions past a sentence's end get no gradient.
+        d = np.zeros(mask.shape + (self.n_tags,))
+        d[mask] = np.concatenate(dlogits)
+        g = {"out_w": _weight_grad(h, d), "out_b": d.sum(axis=(0, 1))}
+        dz = (d @ self.params["out_w"].T) * (1.0 - h * h)
+        g["hidden_w"] = _weight_grad(m, dz)
+        g["hidden_b"] = dz.sum(axis=(0, 1))
+        r, t = self.radius, mask.shape[1]
+        dxpad = _unwindow(dz @ self.params["hidden_w"].T, 2 * r + 1, t + 2 * r)
+        g["emb"] = np.zeros_like(self.params["emb"])
+        np.add.at(g["emb"], ids[mask], dxpad[:, r : r + t][mask])
+        return {name: g[name] for name in self.params}
 
 
 # --- optimization ------------------------------------------------------------
@@ -428,16 +461,13 @@ class Adadelta:
 
 
 def _batch_gradients(model, batch):
-    """Mean mixed loss and mean gradients over a batch, fixed order."""
-    grads = model.zero_grads()
-    total = 0.0
+    """Mean mixed loss and mean gradients over a batch: one forward and
+    one backward pass over the padded batch."""
+    probs, cache = model._forward_cache([ids for ids, _ in batch])
     scale = 1.0 / len(batch)
-    for ids, target in batch:
-        probs, cache = model._forward_cache(ids)
-        total += mixed_loss(probs, target)
-        g = model.backward(cache, mixed_target_gradient(probs, target) * scale)
-        for name, arr in g.items():
-            grads[name] += arr
+    pairs = list(zip(probs, (target for _, target in batch)))
+    total = sum(mixed_loss(p, t) for p, t in pairs)
+    grads = model.backward(cache, [mixed_target_gradient(p, t) * scale for p, t in pairs])
     return total * scale, grads
 
 
@@ -470,9 +500,8 @@ def finite_difference_check(model, batch, epsilon: float = 1e-4) -> dict[str, fl
     so use a tiny model."""
 
     def batch_loss():
-        return sum(mixed_loss(model.forward(ids), tgt) for ids, tgt in batch) / len(
-            batch
-        )
+        probs = model.forward([ids for ids, _ in batch])
+        return sum(mixed_loss(p, tgt) for p, (_, tgt) in zip(probs, batch)) / len(batch)
 
     _, analytic = _batch_gradients(model, batch)
     report = {}

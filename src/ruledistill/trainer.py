@@ -22,6 +22,8 @@ evaluation-time-only projection, and a two-stage pipeline that trains a
 fresh student against a frozen projected teacher.  A distillation run
 with C = 0 or an empty rule set takes the base code path outright, so its
 parameter trajectory is bit-identical to a base run with the same seed.
+Students are trained and evaluated on whole batches: one padded forward
+and backward pass per minibatch, and one forward per evaluation chunk.
 
 Every mode runs through one epoch loop over a per-task driver, which
 supplies an epoch's batches and each batch's mixed targets.  Each task has
@@ -235,11 +237,18 @@ def _split_rules(rules: Sequence[Rule]):
 # --- sentiment teacher -------------------------------------------------------
 
 
+def _encode_sentence(vocab: Vocabulary, tokens):
+    """A sentence's ids and its clause-B ids (None without A-but-B)."""
+    st = detect_but(tokens)
+    return vocab.encode(tokens), None if st is None else vocab.encode(st.clause_b)
+
+
 class SentimentTeacher:
     """The classification teacher: projects the student's output through
     the per-instance rules.  Instances without an A-but-B structure are
-    left at the student distribution.  Training reads ``soft_predict`` on
-    encoded ids; evaluation reads ``predict_proba`` on tokens."""
+    left at the student distribution.  ``soft_predict`` works on a batch of
+    encoded sentences, for training and evaluation alike; ``predict_proba``
+    reads one sentence's tokens."""
 
     def __init__(self, model, vocab: Vocabulary, rules: Sequence[Rule], c: float):
         self.model = model
@@ -249,31 +258,31 @@ class SentimentTeacher:
         # Projections left at p because the hard rules exclude every label.
         self.infeasible = 0
 
-    def soft_predict(self, ids, clause_b_ids) -> np.ndarray:
-        """Teacher distribution for one encoded sentence; ``clause_b_ids``
-        is None when the sentence has no A-but-B structure."""
-        sigma = self.model.forward(ids)
-        if clause_b_ids is None or not self.rules:
-            return sigma
-        payload = [self.model.forward(clause_b_ids)]
-        groundings = tuple(
-            (rule.confidence, g.table)
-            for rule in self.rules
-            for g in rule.groundings(payload)
-        )
-        try:
-            return project(ProjectionProblem(np.log(sigma), groundings, self.c)).probs()
-        except InfeasibleConstraintError:
-            self.infeasible += 1
-            return sigma
+    def soft_predict(self, ids_list, clause_b_ids) -> list[np.ndarray]:
+        """Teacher distributions for a batch of encoded sentences, from one
+        student forward over the sentences and one over their B clauses;
+        ``clause_b_ids[i]`` is None when sentence i has no A-but-B
+        structure."""
+        out = self.model.forward(ids_list)
+        has_b = [i for i, clause in enumerate(clause_b_ids) if clause is not None]
+        if not has_b or not self.rules:
+            return out
+        clause_sigmas = self.model.forward([clause_b_ids[i] for i in has_b])
+        for i, clause_sigma in zip(has_b, clause_sigmas):
+            groundings = tuple(
+                (rule.confidence, g.table)
+                for rule in self.rules
+                for g in rule.groundings([clause_sigma])
+            )
+            try:
+                out[i] = project(ProjectionProblem(np.log(out[i]), groundings, self.c)).probs()
+            except InfeasibleConstraintError:
+                self.infeasible += 1
+        return out
 
     def predict_proba(self, tokens) -> np.ndarray:
-        st = detect_but(tokens)
-        clause = None if st is None else self.vocab.encode(st.clause_b)
-        return self.soft_predict(self.vocab.encode(tokens), clause)
-
-    def predict_label(self, tokens) -> int:
-        return int(np.argmax(self.predict_proba(tokens)))
+        ids, clause = _encode_sentence(self.vocab, tokens)
+        return self.soft_predict([ids], [clause])[0]
 
 
 # --- NER teacher -------------------------------------------------------------
@@ -410,7 +419,7 @@ class NerTeacher:
 
     def _chains(self, doc_ids, site_links, seed: int):
         """One chain query per sentence of an encoded document."""
-        sigmas = [self.model.forward(ids) for ids in doc_ids]
+        sigmas = self.model.forward(doc_ids)
         marginals = self._site_marginals(sigmas, site_links, seed)
         pens = self._list_penalties(site_links, marginals)
         queries = []
@@ -450,14 +459,19 @@ class NerTeacher:
 # --- generic evaluation ------------------------------------------------------
 
 
-def _predict_sentiment_labels(predictor, vocab, dataset):
-    labels = []
-    for s in dataset:
-        if isinstance(predictor, SentimentTeacher):
-            labels.append(predictor.predict_label(s.tokens))
-        else:
-            labels.append(int(np.argmax(predictor.forward(vocab.encode(s.tokens)))))
-    return labels
+# Sentences per student forward outside training; a fixed chunk keeps the
+# padded batch arrays, and so peak memory, independent of the dataset size.
+_EVAL_CHUNK = 64
+
+
+def _chunked(fn, *columns) -> list:
+    """``fn`` applied to consecutive ``_EVAL_CHUNK``-sized slices of the
+    equal-length ``columns``, its per-item outputs concatenated."""
+    return [
+        out
+        for i in range(0, len(columns[0]), _EVAL_CHUNK)
+        for out in fn(*(column[i : i + _EVAL_CHUNK] for column in columns))
+    ]
 
 
 def evaluate(predictor, dataset, task: Optional[str] = None,
@@ -476,43 +490,34 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
 
     if task == "sentiment":
         if isinstance(predictor, SentimentTeacher):
-            vocab = predictor.vocab
-        if vocab is None:
+            ids, clauses = zip(*(_encode_sentence(predictor.vocab, s.tokens) for s in dataset))
+            probs = _chunked(predictor.soft_predict, ids, clauses)
+        elif vocab is None:
             raise ValueError("student evaluation needs a vocabulary")
-        labels = _predict_sentiment_labels(predictor, vocab, dataset)
-        acc = float(np.mean([p == s.label for p, s in zip(labels, dataset)]))
+        else:
+            probs = _chunked(predictor.forward, [vocab.encode(s.tokens) for s in dataset])
+        acc = float(np.mean([np.argmax(p) == s.label for p, s in zip(probs, dataset)]))
         return EvalReport(task="sentiment", n=len(dataset), accuracy=acc)
 
     docs = group_documents(dataset)
+    sents = [s for doc in docs for s in doc]
     if isinstance(predictor, NerTeacher):
         scheme = predictor.scheme
-        pred_docs = predictor.predict_tags(docs)
+        pred_tags = [tags for doc_tags in predictor.predict_tags(docs) for tags in doc_tags]
     else:
         if vocab is None or scheme is None:
             raise ValueError("student tagging evaluation needs vocab and scheme")
-        pred_docs = []
-        for doc in docs:
-            pred_docs.append(
-                [
-                    [scheme.tags[k] for k in
-                     np.argmax(predictor.forward(vocab.encode(s.tokens)), axis=1)]
-                    for s in doc
-                ]
-            )
-    gold_spans, pred_spans, valid = [], [], []
-    for doc, preds in zip(docs, pred_docs):
-        for sent, ptags in zip(doc, preds):
-            gold_spans.append(scheme.spans(sent.tags))
-            pred_spans.append(scheme.spans(ptags))
-            valid.append(scheme.valid_sequence(ptags))
-    prec, rec, f1 = _micro_span_prf(gold_spans, pred_spans)
+        probs = _chunked(predictor.forward, [vocab.encode(s.tokens) for s in sents])
+        pred_tags = [[scheme.tags[k] for k in p.argmax(axis=1)] for p in probs]
+    prec, rec, f1 = _micro_span_prf([scheme.spans(s.tags) for s in sents],
+                                    [scheme.spans(tags) for tags in pred_tags])
     return EvalReport(
         task="ner",
         n=len(dataset),
         precision=prec,
         recall=rec,
         f1=f1,
-        validity_rate=float(np.mean(valid)),
+        validity_rate=float(np.mean([scheme.valid_sequence(tags) for tags in pred_tags])),
     )
 
 
@@ -551,7 +556,8 @@ class _Unit:
 class _Driver:
     """Task plumbing for the training loop: the batches of an epoch and the
     (ids, MixedTarget) list of one batch.  Subclasses supply the units and
-    ``soft_targets(teacher, unit)``, one teacher target per sentence."""
+    ``soft_targets(teacher, units)``, for each unit one teacher target per
+    sentence."""
 
     scheme: Optional[TagScheme] = None
 
@@ -592,10 +598,10 @@ class _Driver:
         """The batch's (ids, MixedTarget) list and its loss scale.
         Unlabeled batches carry only the imitation term, weighted by pi."""
         kind, idxs = batch
+        units = [(self.units if kind == "L" else self.u_units)[u] for u in idxs]
+        softs = self.soft_targets(teacher, units) if pi > 0.0 else [None] * len(units)
         items = []
-        for u in idxs:
-            unit = (self.units if kind == "L" else self.u_units)[u]
-            soft = self.soft_targets(teacher, unit) if pi > 0.0 else None
+        for unit, soft in zip(units, softs):
             for k, ids in enumerate(unit.ids):
                 if kind == "U":
                     target = MixedTarget(hard=soft[k])
@@ -619,9 +625,8 @@ class _SentimentDriver(_Driver):
         )
 
     def _unit(self, sentence, hard):
-        st = detect_but(sentence.tokens)
-        clause = None if st is None else self.vocab.encode(st.clause_b)
-        return _Unit([self.vocab.encode(sentence.tokens)], [hard], clause)
+        ids, clause = _encode_sentence(self.vocab, sentence.tokens)
+        return _Unit([ids], [hard], clause)
 
     def init_model(self, seed: int):
         cfg = self.config
@@ -634,8 +639,9 @@ class _SentimentDriver(_Driver):
             seed=seed,
         )
 
-    def soft_targets(self, teacher, unit):
-        return [teacher.soft_predict(unit.ids[0], unit.rule_input)]
+    def soft_targets(self, teacher, units):
+        q = teacher.soft_predict([u.ids[0] for u in units], [u.rule_input for u in units])
+        return [[row] for row in q]
 
 
 class _NerDriver(_Driver):
@@ -671,19 +677,22 @@ class _NerDriver(_Driver):
             seed=seed,
         )
 
-    def soft_targets(self, teacher, unit):
-        if unit not in self.links:
-            self.links[unit] = _doc_links(unit.rule_input)
-        seed = int(self.teacher_rng.integers(2**31 - 1))
-        return teacher.soft_predict(unit.ids, self.links[unit], seed)
+    def soft_targets(self, teacher, units):
+        out = []
+        for unit in units:
+            if unit not in self.links:
+                self.links[unit] = _doc_links(unit.rule_input)
+            seed = int(self.teacher_rng.integers(2**31 - 1))
+            out.append(teacher.soft_predict(unit.ids, self.links[unit], seed))
+        return out
 
 
 class _FixedDriver(_Driver):
     """Pipeline stage 2: one unit per labeled sentence, whose target is the
     frozen teacher's prediction, imitated at pi = 1."""
 
-    def soft_targets(self, teacher, unit):
-        return unit.hard
+    def soft_targets(self, teacher, units):
+        return [unit.hard for unit in units]
 
 
 def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 1):
@@ -758,11 +767,24 @@ def _train(config: TrainConfig, driver: _Driver, rules, dev) -> TrainResult:
     )
 
 
+# The entry point of each mode that train_distill does not run.
+_OTHER_ENTRY_POINTS = {
+    "semi": "train_semi",
+    "pipeline": "pipeline_distill",
+    "project-after": "train_distill in mode 'base', then project_after",
+}
+
+
 def train_distill(config: TrainConfig, train, rules: Sequence[Rule] = (),
                   dev=None) -> TrainResult:
-    """Supervised distillation (Algorithm-style loop).  With C = 0 or no
-    rules this takes the plain supervised path, bit-identical to base mode."""
-    return _train(config, _make_driver(config, train), rules, dev)
+    """Supervised distillation (Algorithm-style loop).  Mode "base", C = 0
+    or no rules take the plain supervised path, bit-identical to a base
+    run; base mode ignores the rules and returns no teacher."""
+    if config.mode in _OTHER_ENTRY_POINTS:
+        raise ValueError(f"mode {config.mode!r} is not trained by train_distill; "
+                         f"use {_OTHER_ENTRY_POINTS[config.mode]}")
+    return _train(config, _make_driver(config, train),
+                  () if config.mode == "base" else rules, dev)
 
 
 def train_semi(config: TrainConfig, train, unlabeled, rules: Sequence[Rule],
@@ -793,10 +815,11 @@ def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
     teacher = _teacher(config, driver, stage1.student, list(rules), config.eval_sweeps)
     # Teacher targets from the frozen model are static: compute them once.
     driver.teacher_rng = np.random.default_rng((config.seed, 3))
+    softs = _chunked(lambda units: driver.soft_targets(teacher, units), driver.units)
     fixed = _FixedDriver(config, [
         _Unit([ids], [soft])
-        for unit in driver.units
-        for ids, soft in zip(unit.ids, driver.soft_targets(teacher, unit))
+        for unit, unit_softs in zip(driver.units, softs)
+        for ids, soft in zip(unit.ids, unit_softs)
     ])
     student = driver.init_model(config.seed + 1)
     history = _fit(student, fixed, None, lambda epoch: 1.0,

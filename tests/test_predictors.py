@@ -84,7 +84,7 @@ class TestModels:
     def test_classifier_forward_shape_and_normalization(self):
         model = TextClassifier(vocab_size=11, n_classes=2, emb_dim=4,
                                n_filters=3, seed=0)
-        probs = model.forward(np.array([2, 5, 7, 3]))
+        (probs,) = model.forward([np.array([2, 5, 7, 3])])
         assert probs.shape == (2,)
         assert probs.sum() == pytest.approx(1.0)
         assert (probs > 0).all()
@@ -93,14 +93,14 @@ class TestModels:
         # Sentences shorter than the largest window still classify.
         model = TextClassifier(vocab_size=11, n_classes=2,
                                window_sizes=(2, 3), seed=0)
-        probs = model.forward(np.array([4]))
+        (probs,) = model.forward([np.array([4])])
         assert probs.shape == (2,)
         assert probs.sum() == pytest.approx(1.0)
 
     def test_tagger_forward_shape(self):
         model = SequenceTagger(vocab_size=11, n_tags=5, emb_dim=4, hidden=6,
                                radius=1, seed=0)
-        probs = model.forward(np.array([2, 3, 4]))
+        (probs,) = model.forward([np.array([2, 3, 4])])
         assert probs.shape == (3, 5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -158,7 +158,7 @@ class TestCheckpoint:
         (loaded, vocab2, extra), vocab = self.roundtrip(tmp_path, model)
         assert vocab2.tokens == vocab.tokens
         assert extra == {}
-        ids = np.array([2, 3, 4])
+        ids = [np.array([2, 3, 4])]
         np.testing.assert_allclose(loaded.forward(ids), model.forward(ids),
                                    atol=1e-15)
 

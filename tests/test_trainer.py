@@ -103,8 +103,8 @@ class TestEvaluate:
         def __init__(self, p):
             self.p = p
 
-        def forward(self, ids):
-            return np.array([1.0 - self.p, self.p])
+        def forward(self, ids_list):
+            return [np.array([1.0 - self.p, self.p]) for _ in ids_list]
 
     def test_classification_accuracy(self):
         from ruledistill.predictors import Vocabulary
@@ -130,14 +130,14 @@ class TestEvaluate:
             kind = "sequence_tagger"
             n_tags = scheme.n_tags
 
-            def forward(self, ids):
+            def forward(self, ids_list):
                 # Predict S-LOC, S-LOC, O: one true span, one false
                 # positive, one miss.
                 out = np.full((3, scheme.n_tags), 1e-6)
                 out[0, scheme.index("S-LOC")] = 1.0
                 out[1, scheme.index("S-LOC")] = 1.0
                 out[2, scheme.index("O")] = 1.0
-                return out / out.sum(axis=1, keepdims=True)
+                return [out / out.sum(axis=1, keepdims=True) for _ in ids_list]
 
         report = evaluate(FixedTagger(), gold, task="ner", vocab=vocab,
                           scheme=scheme)
@@ -202,6 +202,15 @@ class TestTrainDistill:
         res = train_distill(tiny_config(mode="base"), self.DATA, rules=())
         assert res.teacher is None
 
+    @pytest.mark.parametrize("mode, entry", [
+        ("semi", "train_semi"),
+        ("pipeline", "pipeline_distill"),
+        ("project-after", "project_after"),
+    ])
+    def test_other_modes_name_their_entry_point(self, mode, entry):
+        with pytest.raises(ValueError, match=entry):
+            train_distill(tiny_config(mode=mode), self.DATA, rules=self.RULES)
+
     def test_dev_history_and_early_stop(self):
         dev = gen_synthetic_sentiment(seed=12, n=30)
         res = train_distill(
@@ -253,8 +262,9 @@ class TestSentimentTeacher:
     class ClauseModel:
         """p = [0.5, 0.5] on a full sentence, [0.9, 0.1] on clause B."""
 
-        def forward(self, ids):
-            return np.array([0.9, 0.1]) if len(ids) == 1 else np.array([0.5, 0.5])
+        def forward(self, ids_list):
+            return [np.array([0.9, 0.1]) if len(ids) == 1 else np.array([0.5, 0.5])
+                    for ids in ids_list]
 
     def test_positive_class_comes_from_the_but_rule(self):
         from ruledistill.predictors import Vocabulary
@@ -305,6 +315,19 @@ class TestTrainNer:
         )
         assert 0.0 <= report.validity_rate <= 1.0
         assert report.metric() == report.f1
+
+    def test_base_mode_ignores_rules(self, monkeypatch):
+        # Base mode takes the plain path even when rules are given: no
+        # list detection, no teacher, the parameters of a rule-free run.
+        detected = []
+        original = trainer.detect_lists
+        monkeypatch.setattr(trainer, "detect_lists",
+                            lambda *a, **kw: detected.append(1) or original(*a, **kw))
+        res = train_distill(self.config(mode="base"), self.DATA, rules=self.RULES)
+        assert res.teacher is None and not detected
+        plain = train_distill(self.config(mode="base"), self.DATA, rules=())
+        for k in plain.student.params:
+            np.testing.assert_array_equal(res.student.params[k], plain.student.params[k])
 
     def test_lists_detected_on_teacher_use_and_no_training_decodes(self, monkeypatch):
         calls = {"detect_lists": 0, "chain_map_decode": 0}
