@@ -18,7 +18,7 @@ arrays and returns one distribution per sentence, (K,) for the classifier
 and (T_i, K) for the tagger, and training takes one forward and one
 backward pass per minibatch.  The batch is padded to (B, T_max), windows
 are strided views of it, and each conv width (or the tagger's hidden
-layer) is one matmul.  Trailing padding ids are stripped first, so a
+layer) is one stacked matmul.  Trailing padding ids are stripped first, so a
 padded and an unpadded copy of a sentence produce identical outputs, and
 whatever else shares its batch.  Masks work by position, not by id: an
 interior id 0 keeps its embedding row, while positions past a sentence's

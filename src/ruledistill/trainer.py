@@ -464,14 +464,17 @@ class NerTeacher:
 _EVAL_CHUNK = 64
 
 
-def _chunked(fn, *columns) -> list:
-    """``fn`` applied to consecutive ``_EVAL_CHUNK``-sized slices of the
-    equal-length ``columns``, its per-item outputs concatenated."""
-    return [
-        out
-        for i in range(0, len(columns[0]), _EVAL_CHUNK)
-        for out in fn(*(column[i : i + _EVAL_CHUNK] for column in columns))
-    ]
+def _chunked(fn, items):
+    """Yield ``fn``'s per-item outputs, calling it on consecutive
+    ``_EVAL_CHUNK``-sized slices of ``items``.  A consumer that keeps only
+    what it derives from each output holds one chunk's outputs at a time."""
+    for i in range(0, len(items), _EVAL_CHUNK):
+        yield from fn(items[i : i + _EVAL_CHUNK])
+
+
+def _student_forward(model, vocab: Vocabulary):
+    """A student's distributions for a chunk of sentence records."""
+    return lambda chunk: model.forward([vocab.encode(s.tokens) for s in chunk])
 
 
 def evaluate(predictor, dataset, task: Optional[str] = None,
@@ -490,13 +493,15 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
 
     if task == "sentiment":
         if isinstance(predictor, SentimentTeacher):
-            ids, clauses = zip(*(_encode_sentence(predictor.vocab, s.tokens) for s in dataset))
-            probs = _chunked(predictor.soft_predict, ids, clauses)
+            def predict(chunk):
+                ids, clauses = zip(*(_encode_sentence(predictor.vocab, s.tokens) for s in chunk))
+                return predictor.soft_predict(ids, clauses)
         elif vocab is None:
             raise ValueError("student evaluation needs a vocabulary")
         else:
-            probs = _chunked(predictor.forward, [vocab.encode(s.tokens) for s in dataset])
-        acc = float(np.mean([np.argmax(p) == s.label for p, s in zip(probs, dataset)]))
+            predict = _student_forward(predictor, vocab)
+        acc = float(np.mean([np.argmax(p) == s.label
+                             for p, s in zip(_chunked(predict, dataset), dataset)]))
         return EvalReport(task="sentiment", n=len(dataset), accuracy=acc)
 
     docs = group_documents(dataset)
@@ -507,8 +512,8 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
     else:
         if vocab is None or scheme is None:
             raise ValueError("student tagging evaluation needs vocab and scheme")
-        probs = _chunked(predictor.forward, [vocab.encode(s.tokens) for s in sents])
-        pred_tags = [[scheme.tags[k] for k in p.argmax(axis=1)] for p in probs]
+        pred_tags = [[scheme.tags[k] for k in p.argmax(axis=1)]
+                     for p in _chunked(_student_forward(predictor, vocab), sents)]
     prec, rec, f1 = _micro_span_prf([scheme.spans(s.tags) for s in sents],
                                     [scheme.spans(tags) for tags in pred_tags])
     return EvalReport(
