@@ -274,30 +274,32 @@ def _print_pairs(pairs: list[tuple[str, object]]) -> None:
 
 # --- train -------------------------------------------------------------------
 
+_DEFAULTS = TrainConfig()
+
 TRAIN_SCHEMA = {
-    "task": (str, "sentiment"),
-    "mode": (str, "distill"),
+    "task": (str, _DEFAULTS.task),
+    "mode": (str, _DEFAULTS.mode),
     "train": (str, None),
     "dev": (str, None),
     "test": (str, None),
     "unlabeled": (str, None),
     "rules": (str, ""),
     "out": (str, "runs"),
-    "seeds": ("int_list", (0,)),
-    "c": (float, 6.0),
+    "seeds": ("int_list", (_DEFAULTS.seed,)),
+    "c": (float, _DEFAULTS.c),
     "pi0": (float, None),
     "alpha": (float, None),
-    "epochs": (int, 20),
-    "batch-size": (int, 32),
-    "g-max": (int, 8),
-    "train-sweeps": (int, 200),
-    "eval-sweeps": (int, 2000),
-    "patience": (int, 5),
-    "emb-dim": (int, 32),
-    "n-filters": (int, 16),
-    "conv-windows": ("int_list", (2, 3)),
-    "hidden": (int, 32),
-    "radius": (int, 2),
+    "epochs": (int, _DEFAULTS.epochs),
+    "batch-size": (int, _DEFAULTS.batch_size),
+    "g-max": (int, _DEFAULTS.g_max),
+    "train-sweeps": (int, _DEFAULTS.train_sweeps),
+    "eval-sweeps": (int, _DEFAULTS.eval_sweeps),
+    "patience": (int, _DEFAULTS.patience),
+    "emb-dim": (int, _DEFAULTS.emb_dim),
+    "n-filters": (int, _DEFAULTS.n_filters),
+    "conv-windows": ("int_list", _DEFAULTS.conv_windows),
+    "hidden": (int, _DEFAULTS.hidden),
+    "radius": (int, _DEFAULTS.radius),
     "positive-class": (int, 1),
 }
 
@@ -319,14 +321,14 @@ def _load_task_data(task: str, path):
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
-    schedule = None
-    if cfg["pi0"] is not None or cfg["alpha"] is not None:
-        task_default = TrainConfig(task=cfg["task"]).resolved_schedule()
-        schedule = ImitationSchedule(
-            pi0=cfg["pi0"] if cfg["pi0"] is not None else task_default.pi0,
-            alpha=cfg["alpha"] if cfg["alpha"] is not None else task_default.alpha,
-        )
     try:
+        schedule = None
+        if cfg["pi0"] is not None or cfg["alpha"] is not None:
+            task_default = TrainConfig(task=cfg["task"]).resolved_schedule()
+            schedule = ImitationSchedule(
+                pi0=cfg["pi0"] if cfg["pi0"] is not None else task_default.pi0,
+                alpha=cfg["alpha"] if cfg["alpha"] is not None else task_default.alpha,
+            )
         return TrainConfig(
             task=cfg["task"],
             mode=cfg["mode"],
@@ -351,12 +353,9 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(TRAIN_SCHEMA, args)
-    if cfg["task"] not in ("sentiment", "ner"):
-        raise CliError(f"unknown task {cfg['task']!r}")
-    if cfg["mode"] not in ("base", "distill", "semi", "project-after", "pipeline"):
-        raise CliError(f"unknown mode {cfg['mode']!r}")
-    if not cfg["seeds"]:
-        raise CliError("seed list must be nonempty")
+    # Every seed's configuration is checked before any data is read or
+    # anything is written.
+    tcfgs = [_train_config(cfg, seed) for seed in cfg["seeds"]]
 
     train_path = _require_path(cfg["train"], "train")
     train_data = _load_task_data(cfg["task"], train_path)
@@ -379,18 +378,15 @@ def cmd_train(args: argparse.Namespace) -> int:
         parse_rule_specs(cfg["rules"], scheme, cfg["positive-class"])
         if cfg["rules"] else ()
     )
-    if cfg["mode"] != "base" and cfg["mode"] != "project-after" and not rules:
+    if cfg["mode"] != "base" and not rules:
         raise CliError(f"mode {cfg['mode']!r} needs at least one rule (--rules)")
-    if cfg["mode"] == "project-after" and not rules:
-        raise CliError("mode 'project-after' needs at least one rule (--rules)")
 
     os.makedirs(cfg["out"], exist_ok=True)
     append_run_log(cfg["out"], f"train start: {' '.join(sys.argv[1:])}")
     t_start = time.time()
 
     p_reports, q_reports = [], []
-    for seed in cfg["seeds"]:
-        tcfg = _train_config(cfg, seed)
+    for seed, tcfg in zip(cfg["seeds"], tcfgs):
         if cfg["mode"] == "base":
             result = train_distill(tcfg, train_data, rules=(), dev=dev_data)
             teacher = None
@@ -469,10 +465,10 @@ EVAL_SCHEMA = {
     "rules": (str, ""),
     "use-teacher": (bool, False),
     "out": (str, None),
-    "c": (float, 6.0),
-    "eval-sweeps": (int, 2000),
-    "g-max": (int, 8),
-    "seed": (int, 0),
+    "c": (float, _DEFAULTS.c),
+    "eval-sweeps": (int, _DEFAULTS.eval_sweeps),
+    "g-max": (int, _DEFAULTS.g_max),
+    "seed": (int, _DEFAULTS.seed),
 }
 
 
@@ -512,10 +508,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ("use_teacher", cfg["use-teacher"]),
     ]
     if cfg["use-teacher"]:
-        teacher = project_after(
-            model, vocab, rules, cfg["c"], task, scheme=scheme,
-            eval_sweeps=cfg["eval-sweeps"], g_max=cfg["g-max"], seed=cfg["seed"],
-        )
+        try:
+            teacher = project_after(
+                model, vocab, rules, cfg["c"], task, scheme=scheme,
+                eval_sweeps=cfg["eval-sweeps"], g_max=cfg["g-max"], seed=cfg["seed"],
+            )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         report = evaluate(teacher, data, task=task)
         prefix = "q"
     else:
@@ -650,8 +649,7 @@ def cmd_verify_projection(args: argparse.Namespace) -> int:
     if cfg["trials"] < 0:
         raise CliError("trials must be nonnegative")
     results = random_projection_sweep(
-        cfg["seed"], cfg["trials"], k_max=cfg["k-max"], c=cfg["c"],
-        with_problems=True,
+        cfg["seed"], cfg["trials"], k_max=cfg["k-max"], c=cfg["c"]
     )
     failures = [(p, r) for p, r in results if not r.agrees(cfg["tolerance"])]
     worst_kl = max((r.kl for _, r in results), default=0.0)

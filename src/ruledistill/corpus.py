@@ -57,12 +57,10 @@ class CorpusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledSentence:
-    """A classification instance; phrases holds optional labeled sub-spans
-    as (start, end, label) triples."""
+    """A classification instance: tokens and a class index."""
 
     tokens: tuple[str, ...]
     label: int
-    phrases: tuple[tuple[int, int, int], ...] = ()
 
     def __post_init__(self):
         if not self.tokens:
@@ -70,7 +68,6 @@ class LabeledSentence:
         if self.label < 0:
             raise ValueError("label must be a nonnegative index")
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "phrases", tuple(self.phrases))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ so tests can compare each fast path against an independent computation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,13 +73,17 @@ class ChainTeacherQuery:
     ``log_pair`` entries are additive in log space (0 for no penalty, -inf
     for a forbidden bigram) and may be one shared (K, K) matrix or one per
     adjacent pair, shape (T-1, K, K).  ``log_start``/``log_end`` hold
-    boundary terms.  Construction verifies that a feasible path exists.
+    boundary terms.  Construction runs the forward pass, which verifies
+    that a feasible path exists; its log-alphas and log normalizer are kept
+    for ``chain_marginals`` and ``chain_log_z``.
     """
 
     log_unary: np.ndarray  # (T, K)
     log_pair: Optional[np.ndarray] = None
     log_start: Optional[np.ndarray] = None
     log_end: Optional[np.ndarray] = None
+    alpha: np.ndarray = field(init=False, repr=False)
+    log_z: float = field(init=False, repr=False)
 
     def __post_init__(self):
         lu = _as_float_array(self.log_unary, "log_unary")
@@ -103,8 +107,11 @@ class ChainTeacherQuery:
                     raise ValueError(f"{name} must have shape ({k},)")
                 object.__setattr__(self, name, vec)
 
-        if _forward(self)[1] == -np.inf:
+        alpha, log_z = _forward(self)
+        if log_z == -np.inf:
             raise InfeasibleChainError("hard constraints exclude every label path")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "log_z", log_z)
 
     @property
     def n_positions(self) -> int:
@@ -146,20 +153,19 @@ def _forward(query: ChainTeacherQuery) -> tuple[np.ndarray, float]:
 
 def chain_log_z(query: ChainTeacherQuery) -> float:
     """Log normalizer of the chain posterior."""
-    return _forward(query)[1]
+    return query.log_z
 
 
 def chain_marginals(query: ChainTeacherQuery) -> np.ndarray:
     """Exact per-position marginals via forward-backward in log space."""
     f = _folded_unary(query)
     t_len, _ = f.shape
-    alpha, log_z = _forward(query)
     beta = np.zeros_like(f)
     for t in range(t_len - 2, -1, -1):
         beta[t] = logsumexp(
             query.pair_term(t) + (f[t + 1] + beta[t + 1])[None, :], axis=1
         )
-    return np.exp(alpha + beta - log_z)
+    return np.exp(query.alpha + beta - query.log_z)
 
 
 def chain_map_decode(query: ChainTeacherQuery) -> tuple[np.ndarray, float]:
@@ -293,14 +299,14 @@ class GroupLink:
 class GroupTeacherQuery:
     """A set of members coupled by links, plus Gibbs sampler settings.
 
-    ``burn_in`` defaults to 20% of ``sweeps``.  ``member_ids`` optionally
-    records each member's index in the original batch (set by form_groups).
+    The sampler spends the first 20% of ``sweeps`` on burn-in.
+    ``member_ids`` optionally records each member's index in the original
+    batch (set by form_groups).
     """
 
     members: tuple[MemberPotentials, ...]
     links: tuple[GroupLink, ...] = ()
     sweeps: int = 200
-    burn_in: Optional[int] = None
     seed: int = 0
     member_ids: Optional[tuple[int, ...]] = None
 
@@ -326,8 +332,6 @@ class GroupTeacherQuery:
 
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if self.burn_in is not None and not 0 <= self.burn_in < self.sweeps:
-            raise ValueError("burn_in must lie in [0, sweeps)")
         if self.member_ids is not None:
             ids = tuple(self.member_ids)
             if len(ids) != len(members):
@@ -337,10 +341,6 @@ class GroupTeacherQuery:
     @property
     def n_labels(self) -> int:
         return self.members[0].n_labels
-
-    @property
-    def effective_burn_in(self) -> int:
-        return self.burn_in if self.burn_in is not None else int(0.2 * self.sweeps)
 
 
 def _sites(query: GroupTeacherQuery) -> list[tuple[int, int]]:
@@ -404,7 +404,7 @@ def gibbs_soft_predict(query: GroupTeacherQuery) -> list[np.ndarray]:
     indicator counts with lower variance.
     """
     states = _init_states(query)
-    burn = query.effective_burn_in
+    burn = int(0.2 * query.sweeps)
     kept = query.sweeps - burn
     acc = [np.zeros_like(m.log_unary) for m in query.members]
     rng = np.random.default_rng(query.seed)
@@ -531,7 +531,6 @@ def form_groups(
     g_max: int = 8,
     seed: int = 0,
     sweeps: int = 200,
-    burn_in: Optional[int] = None,
 ) -> list[GroupTeacherQuery]:
     """Partition a batch into groups by link connectivity.
 
@@ -601,7 +600,6 @@ def form_groups(
                 members=tuple(members[i] for i in comp),
                 links=comp_links,
                 sweeps=sweeps,
-                burn_in=burn_in,
                 seed=int(rng.integers(2**31 - 1)),
                 member_ids=tuple(comp),
             )

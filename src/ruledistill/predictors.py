@@ -59,6 +59,9 @@ PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
 LOG_FLOOR = 1e-12
 CHECKPOINT_VERSION = 1
+# Adadelta's decay rate and conditioning constant.
+_RHO = 0.95
+_EPS = 1e-6
 
 
 # --- vocabulary --------------------------------------------------------------
@@ -82,34 +85,14 @@ class Vocabulary:
         )
 
     @classmethod
-    def build(
-        cls,
-        corpus: Iterable[Sequence[str]],
-        min_count: int = 1,
-        max_size: Optional[int] = None,
-    ) -> "Vocabulary":
+    def build(cls, corpus: Iterable[Sequence[str]]) -> "Vocabulary":
+        """Every corpus token, most frequent first, ties in lexical order."""
         counts = Counter(tok for sent in corpus for tok in sent)
-        kept = sorted(
-            (tok for tok, c in counts.items() if c >= min_count),
-            key=lambda tok: (-counts[tok], tok),
-        )
-        if max_size is not None:
-            kept = kept[: max(0, max_size - 2)]
+        kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
         return cls((PAD_TOKEN, UNK_TOKEN) + tuple(kept))
-
-    @property
-    def pad_index(self) -> int:
-        return 0
-
-    @property
-    def unk_index(self) -> int:
-        return 1
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         idx = self._index
@@ -440,11 +423,7 @@ class NonFiniteGradientError(RuntimeError):
 class Adadelta:
     """Adaptive per-parameter steps; no global learning rate."""
 
-    def __init__(self, rho: float = 0.95, eps: float = 1e-6):
-        if not 0.0 <= rho < 1.0:
-            raise ValueError("rho must lie in [0, 1)")
-        self.rho = rho
-        self.eps = eps
+    def __init__(self):
         self._state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
@@ -452,11 +431,11 @@ class Adadelta:
             if name not in self._state:
                 self._state[name] = (np.zeros_like(g), np.zeros_like(g))
             eg2, edx2 = self._state[name]
-            eg2 *= self.rho
-            eg2 += (1.0 - self.rho) * g * g
-            dx = -np.sqrt(edx2 + self.eps) / np.sqrt(eg2 + self.eps) * g
-            edx2 *= self.rho
-            edx2 += (1.0 - self.rho) * dx * dx
+            eg2 *= _RHO
+            eg2 += (1.0 - _RHO) * g * g
+            dx = -np.sqrt(edx2 + _EPS) / np.sqrt(eg2 + _EPS) * g
+            edx2 *= _RHO
+            edx2 += (1.0 - _RHO) * dx * dx
             params[name] += dx
 
 

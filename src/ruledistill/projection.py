@@ -54,7 +54,6 @@ class ProjectionProblem:
     base_log_probs: np.ndarray
     groundings: tuple[tuple[float, np.ndarray], ...]
     c: float
-    candidates: tuple | None = None
 
     def __post_init__(self):
         logp = np.asarray(self.base_log_probs, dtype=float)
@@ -82,12 +81,6 @@ class ProjectionProblem:
             raise ValueError(f"c must be a finite nonnegative real, got {self.c}")
         object.__setattr__(self, "c", c)
 
-        if self.candidates is not None:
-            cands = tuple(self.candidates)
-            if len(cands) != logp.size:
-                raise ValueError("candidates length does not match base_log_probs")
-            object.__setattr__(self, "candidates", cands)
-
     @property
     def n_candidates(self) -> int:
         return self.base_log_probs.size
@@ -109,13 +102,9 @@ class TeacherPosterior:
 
     log_probs: np.ndarray
     log_z: float
-    candidates: tuple | None = None
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs)
-
-    def support(self) -> np.ndarray:
-        return self.log_probs > -np.inf
 
 
 def project(problem: ProjectionProblem) -> TeacherPosterior:
@@ -131,9 +120,7 @@ def project(problem: ProjectionProblem) -> TeacherPosterior:
         raise InfeasibleConstraintError(
             "hard constraints exclude every candidate"
         )
-    return TeacherPosterior(
-        log_probs=logq - log_z, log_z=log_z, candidates=problem.candidates
-    )
+    return TeacherPosterior(log_probs=logq - log_z, log_z=log_z)
 
 
 @dataclass(frozen=True)
@@ -164,12 +151,7 @@ def _primal_objective(q, logp, lams, truth_rows, c):
 
 
 def verify_optimality(
-    problem: ProjectionProblem,
-    posterior: TeacherPosterior | None = None,
-    *,
-    step: float = 0.25,
-    max_iters: int = 50_000,
-    grad_tol: float = 1e-10,
+    problem: ProjectionProblem, posterior: TeacherPosterior | None = None
 ) -> OptimalityReport:
     """Minimize the hinge objective by exponentiated gradient descent and
     compare the result against the closed-form posterior.
@@ -196,12 +178,13 @@ def verify_optimality(
         else np.zeros((0, int(mask.sum())))
     )
     c = problem.c
+    tol = 1e-10  # on the spread of the gradient over the support
 
     n = int(mask.sum())
     q = np.full(n, 1.0 / n)
     spread = np.inf
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, 50_001):
         grad = np.log(q) - logp + 1.0
         if lams.size:
             slack = lams * (1.0 - truth_rows @ q)
@@ -209,13 +192,13 @@ def verify_optimality(
             if active.any():
                 grad -= c * (lams[active, None] * truth_rows[active]).sum(axis=0)
         spread = float(grad.max() - grad.min())
-        if spread < grad_tol:
+        if spread < tol:
             break
         # Multiplicative update keeps q on the open simplex.
-        logw = np.log(q) - step * grad
+        logw = np.log(q) - 0.25 * grad
         logw -= logsumexp(logw)
         q = np.exp(logw)
-    converged = spread < grad_tol
+    converged = spread < tol
 
     q_closed = posterior.probs()[mask]
     kl = float(np.sum(q * (np.log(q) - np.log(q_closed))))
@@ -233,21 +216,15 @@ def verify_optimality(
 
 
 def random_projection_sweep(
-    seed: int,
-    trials: int = 100,
-    *,
-    k_max: int = 4,
-    max_rules: int = 3,
-    confidences: tuple[float, ...] = (0.5, 1.0, 2.0),
-    c: float = 6.0,
-    with_problems: bool = False,
-):
+    seed: int, trials: int = 100, *, k_max: int = 4, c: float = 6.0
+) -> list[tuple[ProjectionProblem, OptimalityReport]]:
     """Generate random small projection problems and verify each one.
 
-    Truth vectors are uniform in [0, 1] with occasional exact-1 entries so
-    zero-penalty candidates occur.  Deterministic for a given seed.
-    Returns OptimalityReports, or (problem, report) pairs when
-    ``with_problems`` is set so failures can be dumped for reproduction.
+    Each problem has 2 to ``k_max`` candidates and 1 to 3 rules with
+    confidence 0.5, 1 or 2.  Truth vectors are uniform in [0, 1] with
+    occasional exact-1 entries so zero-penalty candidates occur.
+    Deterministic for a given seed.  Returns (problem, report) pairs, so
+    failures can be dumped for reproduction.
     """
     rng = np.random.default_rng(seed)
     out = []
@@ -255,10 +232,10 @@ def random_projection_sweep(
         k = int(rng.integers(2, k_max + 1))
         logp = np.log(rng.dirichlet(np.ones(k)))
         logp -= logsumexp(logp)
-        n_rules = int(rng.integers(1, max_rules + 1))
+        n_rules = int(rng.integers(1, 4))
         groundings = []
         for _ in range(n_rules):
-            lam = float(rng.choice(confidences))
+            lam = float(rng.choice((0.5, 1.0, 2.0)))
             r = rng.uniform(0.0, 1.0, size=k)
             ones = rng.random(k) < 0.2
             r[ones] = 1.0
@@ -266,6 +243,5 @@ def random_projection_sweep(
         problem = ProjectionProblem(
             base_log_probs=logp, groundings=tuple(groundings), c=c
         )
-        report = verify_optimality(problem)
-        out.append((problem, report) if with_problems else report)
+        out.append((problem, verify_optimality(problem)))
     return out

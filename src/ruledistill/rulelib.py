@@ -169,21 +169,6 @@ class Rule:
     def groundings(self, batch) -> list[Grounding]:
         return self.grounder(batch)
 
-    def grounding_fn(self, batch, assignment) -> list[TruthValue]:
-        """Truth value of every grounding under a joint candidate output."""
-        return [TruthValue(g.truth(assignment)) for g in self.groundings(batch)]
-
-
-def penalty(c: float, confidence: float, truth: float) -> float:
-    """Log-space penalty of one grounding: c * confidence * (1 - truth).
-
-    Hard rules (infinite confidence) mask exactly: zero penalty at truth 1,
-    infinite otherwise.
-    """
-    if math.isinf(confidence):
-        return 0.0 if truth >= 1.0 else math.inf
-    return c * confidence * (1.0 - truth)
-
 
 # --- the "but" rule ---------------------------------------------------------
 
@@ -239,12 +224,9 @@ def but_rule_truth(sigma_b_pos: float, positive: bool, variant: str = "avg") -> 
 
 
 def but_rule(
-    confidence: float = 1.0,
-    variant: str = "avg",
-    positive_class: int = 1,
-    n_classes: int = 2,
+    confidence: float = 1.0, variant: str = "avg", positive_class: int = 1
 ) -> Rule:
-    """The A-but-B sentiment rule.
+    """The A-but-B rule for two-way sentiment classification.
 
     The grounder expects one entry per batch instance: the predictor's
     class distribution on clause B, or None for instances without an
@@ -252,9 +234,7 @@ def but_rule(
     probability of ``positive_class`` from it, so the positive class is
     decided here and nowhere else.
     """
-    if n_classes != 2:
-        raise ValueError("the but-rule is defined for two-way classification")
-    if positive_class not in range(n_classes):
+    if positive_class not in (0, 1):
         raise ValueError(f"positive class must be 0 or 1, got {positive_class!r}")
 
     def grounder(sigma_b: Sequence[Optional[np.ndarray]]) -> list[Grounding]:
@@ -266,7 +246,7 @@ def but_rule(
             table = np.array(
                 [
                     but_rule_truth(s, positive=(k == positive_class), variant=variant)
-                    for k in range(n_classes)
+                    for k in (0, 1)
                 ]
             )
             out.append(Grounding(((m, 0),), table))
@@ -405,28 +385,20 @@ class CategoryCollapse:
 
 
 def list_rule_truth(
-    collapse: CategoryCollapse,
-    y_of_x: str,
-    sigma_a: np.ndarray,
-    normalize_sqrt2: bool = False,
+    collapse: CategoryCollapse, y_of_x: str, sigma_a: np.ndarray
 ) -> TruthValue:
     """Truth of the list-counterpart rule: agreement of X's label with the
     prediction on its counterpart A at category granularity.
 
     Computes 1 minus the Euclidean distance between the collapsed one-hot
-    label of X and the collapsed distribution on A, floored at 0 (the raw
-    distance can reach sqrt(2); ``normalize_sqrt2`` divides it out instead
-    of relying on the floor).
+    label of X and the collapsed distribution on A, floored at 0 (the
+    distance can reach sqrt(2)).
     """
     dist = np.linalg.norm(collapse.collapse_tag(y_of_x) - collapse.collapse(sigma_a))
-    if normalize_sqrt2:
-        dist /= math.sqrt(2.0)
     return TruthValue(max(0.0, 1.0 - dist))
 
 
-def counterpart_truth_table(
-    collapse: CategoryCollapse, normalize_sqrt2: bool = False
-) -> np.ndarray:
+def counterpart_truth_table(collapse: CategoryCollapse) -> np.ndarray:
     """Pairwise truth table over tag pairs for joint (teacher-side) use,
     where the counterpart's prediction is a candidate one-hot."""
     tags = collapse.scheme.tags
@@ -436,21 +408,17 @@ def counterpart_truth_table(
         onehot = np.zeros(K)
         onehot[j] = 1.0
         for i, tag_i in enumerate(tags):
-            table[i, j] = list_rule_truth(collapse, tag_i, onehot, normalize_sqrt2)
+            table[i, j] = list_rule_truth(collapse, tag_i, onehot)
     return table
 
 
-def list_counterpart_rule(
-    collapse: CategoryCollapse,
-    confidence: float = 1.0,
-    normalize_sqrt2: bool = False,
-) -> Rule:
+def list_counterpart_rule(collapse: CategoryCollapse, confidence: float = 1.0) -> Rule:
     """The list-counterpart rule over detected list alignments.
 
     The grounder expects a batch of links, each a pair of (member,
     position) sites; every link yields one symmetric grounding.
     """
-    table = counterpart_truth_table(collapse, normalize_sqrt2)
+    table = counterpart_truth_table(collapse)
 
     def grounder(links) -> list[Grounding]:
         return [Grounding((tuple(a), tuple(b)), table) for a, b in links]

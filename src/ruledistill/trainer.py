@@ -122,6 +122,16 @@ TAGGING_SCHEDULE = ImitationSchedule(pi0=0.9, alpha=0.9)
 _MODES = ("base", "distill", "semi", "project-after", "pipeline")
 
 
+def _check_settings(c: float, **counts: int) -> None:
+    """Reject a rule strength c that is not finite and nonnegative, and any
+    count below 1."""
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be finite and nonnegative, got {c}")
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     task: str = "sentiment"  # "sentiment" | "ner"
@@ -146,12 +156,11 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if not (math.isfinite(self.c) and self.c >= 0):
-            raise ValueError(f"c must be finite and nonnegative, got {self.c}")
-        for name in ("epochs", "batch_size", "g_max", "train_sweeps", "eval_sweeps",
-                     "patience", "emb_dim", "n_filters", "hidden"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        _check_settings(self.c, **{
+            name: getattr(self, name)
+            for name in ("epochs", "batch_size", "g_max", "train_sweeps", "eval_sweeps",
+                         "patience", "emb_dim", "n_filters", "hidden")
+        })
         if self.radius < 0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
         if not self.conv_windows or min(self.conv_windows) < 1:
@@ -399,12 +408,14 @@ class NerTeacher:
         return dict(zip(sites, q[:, gi] * sigma / mass[:, gi]))
 
     def _list_penalties(self, site_links, marginals):
-        """Per-site unary penalty vectors from counterpart marginals."""
+        """Per-site unary penalty vectors from counterpart marginals.  Every
+        cross rule is measured by the list-rule truth here, so the rules'
+        penalties add up to one at the sum of their confidences."""
         pens: dict[tuple[int, int], np.ndarray] = {}
         if not marginals:
             return pens
         gi = self.collapse.group_index
-        lam = self.cross[0].confidence
+        lam = sum(rule.confidence for rule in self.cross)
         for a, b in site_links:
             for site, other in ((a, b), (b, a)):
                 mu = marginals.get(other)
@@ -421,13 +432,11 @@ class NerTeacher:
         """One chain query per sentence of an encoded document."""
         sigmas = self.model.forward(doc_ids)
         marginals = self._site_marginals(sigmas, site_links, seed)
-        pens = self._list_penalties(site_links, marginals)
+        log_unaries = [np.log(sigma) for sigma in sigmas]
+        for (s_idx, t), pen in self._list_penalties(site_links, marginals).items():
+            log_unaries[s_idx][t] -= pen
         queries = []
-        for s_idx, sigma in enumerate(sigmas):
-            log_unary = np.log(sigma)
-            for (site_s, site_t), pen in pens.items():
-                if site_s == s_idx:
-                    log_unary[site_t] -= pen
+        for log_unary in log_unaries:
             if self.chain_terms is not None:
                 pair, start, end = self.chain_terms
                 query = ChainTeacherQuery(
@@ -802,7 +811,9 @@ def train_semi(config: TrainConfig, train, unlabeled, rules: Sequence[Rule],
 def project_after(model, vocab: Vocabulary, rules: Sequence[Rule], c: float,
                   task: str, scheme: Optional[TagScheme] = None,
                   eval_sweeps: int = 2000, g_max: int = 8, seed: int = 0):
-    """Evaluation-time-only projection of a trained model; no weight change."""
+    """Evaluation-time-only projection of a trained model; no weight change.
+    Rejects a c that is not finite and nonnegative, and counts below 1."""
+    _check_settings(c, eval_sweeps=eval_sweeps, g_max=g_max)
     if task == "sentiment":
         return SentimentTeacher(model, vocab, rules, c)
     if scheme is None:

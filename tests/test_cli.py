@@ -230,6 +230,16 @@ class TestTrainCommand:
             "--out", str(tmp_path / "run"),
         ]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--pi0", "2"), ("--alpha", "0")])
+    def test_bad_schedule_exit_2_before_writing(self, data_dir, tmp_path, flag, value):
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "sentiment", "--mode", "distill",
+            "--train", str(data_dir / "train.tsv"),
+            "--rules", "but(lambda=1)", flag, value, "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
     def test_config_file_drives_training(self, data_dir, tmp_path):
         out = tmp_path / "run"
         cfg = tmp_path / "train.cfg"
@@ -302,6 +312,16 @@ class TestEvalCommand:
         ]) == 0
         out = capsys.readouterr().out
         assert "q_validity_rate=1.000000" in out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--c", "nan"), ("--eval-sweeps", "0"), ("--g-max", "0"),
+    ])
+    def test_bad_teacher_setting_exit_2(self, data_dir, sent_ckpt, flag, value):
+        assert run([
+            "eval", "--checkpoint", str(sent_ckpt),
+            "--test", str(data_dir / "test.tsv"),
+            "--use-teacher", "--rules", "but()", flag, value,
+        ]) == 2
 
     def test_missing_checkpoint_exit_2(self, data_dir, tmp_path):
         assert run([

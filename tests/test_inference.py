@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from ruledistill import inference
 from ruledistill.inference import (
     EXACT_MAX_STATES,
     ChainTeacherQuery,
@@ -52,6 +53,18 @@ class TestChain:
         np.testing.assert_allclose(marg[0], joint.sum(axis=1), atol=1e-12)
         np.testing.assert_allclose(marg[1], joint.sum(axis=0), atol=1e-12)
         assert chain_log_z(query) == pytest.approx(np.log(w.sum()))
+
+    def test_marginals_reuse_the_construction_forward_pass(self, monkeypatch):
+        calls = []
+        original = inference._forward
+        monkeypatch.setattr(inference, "_forward",
+                            lambda query: calls.append(1) or original(query))
+        rng = np.random.default_rng(2)
+        query = ChainTeacherQuery(log_unary=norm_rows(rng, 5, 3),
+                                  log_pair=-rng.uniform(0, 2, size=(3, 3)))
+        chain_marginals(query)
+        chain_log_z(query)
+        assert len(calls) == 1
 
     def test_against_own_enumeration(self):
         rng = np.random.default_rng(1)

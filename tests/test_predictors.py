@@ -24,7 +24,6 @@ class TestVocabulary:
     def test_build_and_encode(self):
         vocab = Vocabulary.build([["a", "b", "a"], ["c", "a"]])
         assert len(vocab) == 5  # pad, unk, a, b, c
-        assert vocab.pad_index == 0 and vocab.unk_index == 1
         np.testing.assert_array_equal(
             vocab.encode(["a", "zzz", "c"]), [2, 1, vocab.encode(["c"])[0]]
         )
@@ -32,12 +31,6 @@ class TestVocabulary:
     def test_frequency_then_lexical_order(self):
         vocab = Vocabulary.build([["b", "b", "a", "c", "c"]])
         assert vocab.tokens[2:] == ("b", "c", "a")
-
-    def test_min_count_and_max_size(self):
-        vocab = Vocabulary.build([["a", "a", "b"]], min_count=2)
-        assert "b" not in vocab and "a" in vocab
-        vocab = Vocabulary.build([["a", "a", "b", "c"]], max_size=3)
-        assert len(vocab) == 3
 
     def test_structure_validation(self):
         with pytest.raises(ValueError):

@@ -15,12 +15,11 @@ from ruledistill.projection import (
 )
 
 
-def make(logp, groundings, c=6.0, candidates=None):
+def make(logp, groundings, c=6.0):
     return ProjectionProblem(
         base_log_probs=np.array(logp, dtype=float),
         groundings=tuple((lam, np.array(r, dtype=float)) for lam, r in groundings),
         c=c,
-        candidates=candidates,
     )
 
 
@@ -60,7 +59,6 @@ class TestProject:
         probs = q.probs()
         assert probs[1] == 0.0
         np.testing.assert_allclose(probs[[0, 2]], [6 / 7, 1 / 7], atol=1e-12)
-        assert list(q.support()) == [True, False, True]
 
     def test_hard_rule_requires_exact_one(self):
         q = project(
@@ -76,10 +74,6 @@ class TestProject:
         logp = np.log([0.25, 0.75])
         q = project(make(logp, [(1.0, [0.0, 1.0])], c=0.0))
         np.testing.assert_allclose(q.probs(), [0.25, 0.75], atol=1e-12)
-
-    def test_candidates_carried(self):
-        q = project(make(uniform_log(2), [], candidates=("neg", "pos")))
-        assert q.candidates == ("neg", "pos")
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -119,19 +113,19 @@ class TestVerifyOptimality:
     def test_sweep_deterministic(self):
         a = random_projection_sweep(seed=5, trials=10)
         b = random_projection_sweep(seed=5, trials=10)
-        assert [r.kl for r in a] == [r.kl for r in b]
+        assert [r.kl for _, r in a] == [r.kl for _, r in b]
         c = random_projection_sweep(seed=6, trials=10)
-        assert [r.kl for r in a] != [r.kl for r in c]
+        assert [r.kl for _, r in a] != [r.kl for _, r in c]
 
     def test_sweep_with_problems(self):
-        pairs = random_projection_sweep(seed=1, trials=4, with_problems=True)
+        pairs = random_projection_sweep(seed=1, trials=4)
         assert len(pairs) == 4
         for problem, report in pairs:
             assert isinstance(problem, ProjectionProblem)
             assert report.agrees(1e-6)
 
     def test_posterior_normalization(self):
-        pairs = random_projection_sweep(seed=2, trials=20, with_problems=True)
+        pairs = random_projection_sweep(seed=2, trials=20)
         for problem, _ in pairs:
             q = project(problem)
             assert q.probs().sum() == pytest.approx(1.0, abs=1e-9)

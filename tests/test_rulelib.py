@@ -18,7 +18,6 @@ from ruledistill.rulelib import (
     detect_but,
     list_counterpart_rule,
     list_rule_truth,
-    penalty,
     transition_masks,
     transition_rules,
 )
@@ -108,8 +107,6 @@ class TestButRule:
         np.testing.assert_allclose(g.table, [0.9, 0.6])
 
     def test_binary_only(self):
-        with pytest.raises(ValueError):
-            but_rule(n_classes=3)
         with pytest.raises(ValueError):
             but_rule(positive_class=2)
 
@@ -232,10 +229,6 @@ class TestListRule:
         # Collapsed sigma = (0.5, 0.5, 0); label LOC collapses to (1, 0, 0).
         expect = 1.0 - math.sqrt(0.25 + 0.25)
         assert list_rule_truth(self.COLLAPSE, "S-LOC", sigma) == pytest.approx(expect)
-        expect_n = 1.0 - math.sqrt(0.5) / math.sqrt(2.0)
-        assert list_rule_truth(
-            self.COLLAPSE, "S-LOC", sigma, normalize_sqrt2=True
-        ) == pytest.approx(expect_n)
 
     def test_pair_table_binary_for_onehot(self):
         table = counterpart_truth_table(self.COLLAPSE)
@@ -259,14 +252,6 @@ class TestListRule:
 
 
 class TestPenalty:
-    def test_soft(self):
-        assert penalty(6.0, 1.0, 0.75) == pytest.approx(1.5)
-        assert penalty(6.0, 0.5, 1.0) == 0.0
-
-    def test_hard(self):
-        assert penalty(6.0, math.inf, 1.0) == 0.0
-        assert penalty(6.0, math.inf, 0.999) == math.inf
-
     def test_rule_validation(self):
         with pytest.raises(ValueError):
             Rule("bad", -1.0, "per-instance", lambda b: [])

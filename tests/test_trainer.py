@@ -13,6 +13,7 @@ from ruledistill.corpus import (
     TaggedSentence,
     gen_synthetic_ner,
     gen_synthetic_sentiment,
+    group_documents,
 )
 from ruledistill import trainer
 from ruledistill.inference import (
@@ -92,6 +93,14 @@ class TestSchedule:
         # A NaN c would otherwise fail `c > 0` and silently train base mode.
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("setting, value", [
+        ("c", math.nan), ("c", -1.0), ("eval_sweeps", 0), ("g_max", 0),
+    ])
+    def test_project_after_rejects_bad_value(self, setting, value):
+        settings = {"c": 6.0, "eval_sweeps": 10, "g_max": 8, setting: value}
+        with pytest.raises(ValueError, match=f"{setting} must be"):
+            project_after(None, None, (), task="sentiment", **settings)
 
 
 class TestEvaluate:
@@ -329,6 +338,28 @@ class TestTrainNer:
         for k in plain.student.params:
             np.testing.assert_array_equal(res.student.params[k], plain.student.params[k])
 
+    def test_list_rules_add_their_confidences(self):
+        # Two list rules at lambda 0.4 and 0.6 give the teacher of one at 1.
+        base = train_distill(self.config(mode="base"), self.DATA)
+
+        def teacher(*lams):
+            rules = tuple(transition_rules(self.SCHEME)) + tuple(
+                list_counterpart_rule(CategoryCollapse(self.SCHEME), confidence=lam)
+                for lam in lams
+            )
+            return project_after(base.student, base.vocab, rules, 6.0, "ner",
+                                 scheme=base.scheme)
+
+        one, two = teacher(1.0), teacher(0.4, 0.6)
+        n_links = 0
+        for doc in group_documents(self.DATA):
+            ids = [base.vocab.encode(s.tokens) for s in doc]
+            links = trainer._doc_links([s.tokens for s in doc])
+            n_links += len(links)
+            for a, b in zip(one.soft_predict(ids, links, 0), two.soft_predict(ids, links, 0)):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
+        assert n_links > 0
+
     def test_lists_detected_on_teacher_use_and_no_training_decodes(self, monkeypatch):
         calls = {"detect_lists": 0, "chain_map_decode": 0}
         for name in calls:
@@ -361,22 +392,22 @@ class TestNerGroupTeacher:
         rng = np.random.default_rng(seed)
         return [rng.dirichlet(np.full(self.SCHEME.n_tags, 0.5), size=3) for _ in range(3)]
 
-    def teacher(self, c=6.0, sweeps=2000, normalize_sqrt2=False):
-        rule = list_counterpart_rule(self.COLLAPSE, confidence=1.5,
-                                     normalize_sqrt2=normalize_sqrt2)
-        return NerTeacher(None, None, self.SCHEME, [rule], c, sweeps=sweeps)
+    def teacher(self, c=6.0, sweeps=2000, lams=(1.5,)):
+        rules = [list_counterpart_rule(self.COLLAPSE, confidence=lam) for lam in lams]
+        return NerTeacher(None, None, self.SCHEME, rules, c, sweeps=sweeps)
 
-    @pytest.mark.parametrize("normalize_sqrt2", (False, True))
+    # split: lambda = 1.5 as two rules of 0.5 and 1.0 instead of one.
+    @pytest.mark.parametrize("split", (False, True))
     @pytest.mark.parametrize("links", sorted(LINKS))
-    def test_site_marginals_match_tag_level_enumeration(self, links, normalize_sqrt2):
+    def test_site_marginals_match_tag_level_enumeration(self, links, split):
         links = self.LINKS[links]
         sigmas = self.sigmas(seed=len(links))
         c, lam = 6.0, 1.5
-        got = self.teacher(c, normalize_sqrt2=normalize_sqrt2)._site_marginals(
+        got = self.teacher(c, lams=(0.5, 1.0) if split else (lam,))._site_marginals(
             sigmas, links, seed=0)
         sites = sorted({s for pair in links for s in pair})
         index = {s: i for i, s in enumerate(sites)}
-        table = counterpart_truth_table(self.COLLAPSE, normalize_sqrt2)
+        table = counterpart_truth_table(self.COLLAPSE)
         ref = enumerate_group_posterior(GroupTeacherQuery(
             members=tuple(MemberPotentials(np.log(sigmas[s][t : t + 1])) for s, t in sites),
             links=tuple(GroupLink(index[a], 0, index[b], 0, -c * lam * (1.0 - table))
