@@ -71,10 +71,8 @@ def main():
           f"{q_rep.validity_rate:.3f}")
 
     # Show one sentence where the teacher's decode beats the raw argmax.
-    for doc in docs:
-        tokens = [s.tokens for s in doc]
-        decoded = rd.teacher.decode_doc(tokens, doc_seed=0)
-        sigmas = rd.student.forward([rd.vocab.encode(toks) for toks in tokens])
+    for doc, decoded in zip(docs, rd.teacher.predict_tags(docs)):
+        sigmas = rd.student.forward([rd.vocab.encode(s.tokens) for s in doc])
         for sent, q_tags, sigma in zip(doc, decoded, sigmas):
             p_tags = [rd.scheme.tags[k] for k in sigma.argmax(axis=1)]
             if p_tags != list(sent.tags) and q_tags == list(sent.tags):

@@ -4,7 +4,9 @@ Two regimes compute the teacher's soft predictions, matched to how the
 rule penalties factor over the output:
 
 * chain: bigram penalties; exact marginals by forward-backward and MAP
-  decode by max-product, both in log space.
+  decode by max-product, both in log space.  A query is a batch of chains
+  of any lengths, padded to (N, T_max, K): each pass takes one vectorised
+  step per position across all chains.
 * group: cross-instance penalties.  A group whose joint label space has at
   most ``EXACT_MAX_STATES`` states is enumerated exactly in one dense
   score tensor; a larger one falls back to single-site Gibbs sampling with
@@ -68,35 +70,50 @@ def _as_float_array(a, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ChainTeacherQuery:
-    """Per-position log-potentials with bigram log-penalty terms.
+    """A batch of N label chains over one label space of K labels, with
+    bigram log-penalty terms.
 
-    ``log_pair`` entries are additive in log space (0 for no penalty, -inf
-    for a forbidden bigram) and may be one shared (K, K) matrix or one per
-    adjacent pair, shape (T-1, K, K).  ``log_start``/``log_end`` hold
-    boundary terms.  Construction runs the forward pass, which verifies
-    that a feasible path exists; its log-alphas and log normalizer are kept
-    for ``chain_marginals`` and ``chain_log_z``.
+    ``log_unary`` holds one (T_n, K) array per chain; lengths may differ.
+    The query keeps them zero-padded to (N, T_max, K), with each chain's
+    length in ``lengths``.  ``log_pair`` entries are additive in log space
+    (0 for no penalty, -inf for a forbidden bigram): either one (K, K)
+    matrix shared by every chain and step, or one per chain and step,
+    shape (N, T_max - 1, K, K), whose entries past a chain's end are never
+    read.  ``log_start``/``log_end`` hold the (K,) boundary terms of every
+    chain.  Construction runs the forward pass, which verifies that each
+    chain has a feasible path; its log-alphas and the (N,) log normalizers
+    are kept for ``chain_marginals`` and ``chain_log_z``.
     """
 
-    log_unary: np.ndarray  # (T, K)
+    log_unary: np.ndarray  # N arrays of (T_n, K); padded (N, T_max, K) after init
     log_pair: Optional[np.ndarray] = None
     log_start: Optional[np.ndarray] = None
     log_end: Optional[np.ndarray] = None
+    lengths: np.ndarray = field(init=False, repr=False)
     alpha: np.ndarray = field(init=False, repr=False)
-    log_z: float = field(init=False, repr=False)
+    log_z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        lu = _as_float_array(self.log_unary, "log_unary")
-        if lu.ndim != 2 or lu.size == 0:
-            raise ValueError("log_unary must be a non-empty (T, K) array")
-        t, k = lu.shape
-        object.__setattr__(self, "log_unary", lu)
+        rows = [np.asarray(u, dtype=float) for u in self.log_unary]
+        if not rows or any(u.ndim != 2 or u.size == 0 for u in rows):
+            raise ValueError("log_unary must be a non-empty sequence of non-empty "
+                             "(T, K) arrays, one per chain")
+        k = rows[0].shape[1]
+        if any(u.shape[1] != k for u in rows):
+            raise ValueError("all chains must share one label space")
+        lengths = np.array([len(u) for u in rows])
+        n, t_max = len(rows), int(lengths.max())
+        lu = np.zeros((n, t_max, k))
+        for i, u in enumerate(rows):
+            lu[i, : len(u)] = u
+        object.__setattr__(self, "log_unary", _as_float_array(lu, "log_unary"))
+        object.__setattr__(self, "lengths", lengths)
 
         if self.log_pair is not None:
             lp = _as_float_array(self.log_pair, "log_pair")
-            if lp.shape not in ((k, k), (t - 1, k, k)):
+            if lp.shape not in ((k, k), (n, t_max - 1, k, k)):
                 raise ValueError(
-                    f"log_pair must have shape ({k}, {k}) or ({t - 1}, {k}, {k})"
+                    f"log_pair must have shape ({k}, {k}) or ({n}, {t_max - 1}, {k}, {k})"
                 )
             object.__setattr__(self, "log_pair", lp)
         for name in ("log_start", "log_end"):
@@ -108,89 +125,113 @@ class ChainTeacherQuery:
                 object.__setattr__(self, name, vec)
 
         alpha, log_z = _forward(self)
-        if log_z == -np.inf:
-            raise InfeasibleChainError("hard constraints exclude every label path")
+        infeasible = np.flatnonzero(log_z == -np.inf)
+        if infeasible.size:
+            raise InfeasibleChainError(
+                f"hard constraints exclude every label path of chain {infeasible[0]}"
+            )
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "log_z", log_z)
 
     @property
     def n_positions(self) -> int:
-        return self.log_unary.shape[0]
+        """Positions over all chains."""
+        return int(self.lengths.sum())
 
     @property
     def n_labels(self) -> int:
-        return self.log_unary.shape[1]
+        return self.log_unary.shape[2]
 
     def pair_term(self, t: int) -> np.ndarray:
-        """Log-penalty matrix between positions t and t+1."""
+        """Log-penalty matrix between positions t and t+1: (K, K) when
+        shared, else (N, K, K)."""
         if self.log_pair is None:
             return np.zeros((self.n_labels, self.n_labels))
         if self.log_pair.ndim == 2:
             return self.log_pair
-        return self.log_pair[t]
+        return self.log_pair[:, t]
 
 
 def _folded_unary(query: ChainTeacherQuery) -> np.ndarray:
     f = query.log_unary.copy()
     if query.log_start is not None:
-        f[0] += query.log_start
+        f[:, 0] += query.log_start
     if query.log_end is not None:
-        f[-1] += query.log_end
+        f[np.arange(len(f)), query.lengths - 1] += query.log_end
     return f
 
 
-def _forward(query: ChainTeacherQuery) -> tuple[np.ndarray, float]:
+def _last(query: ChainTeacherQuery, a: np.ndarray) -> np.ndarray:
+    """Each chain's row of a padded (N, T_max, K) array at its last position."""
+    return a[np.arange(len(a)), query.lengths - 1]
+
+
+def _unpad(query: ChainTeacherQuery, a: np.ndarray) -> list[np.ndarray]:
+    """Each chain's unpadded rows of a padded (N, T_max, ...) array."""
+    return [row[:t] for row, t in zip(a, query.lengths)]
+
+
+def _forward(query: ChainTeacherQuery) -> tuple[np.ndarray, np.ndarray]:
+    """Log-alphas of every chain, one vectorised step per position, and the
+    (N,) log normalizers read at each chain's last position."""
     f = _folded_unary(query)
-    t_len = query.n_positions
     alpha = np.empty_like(f)
-    alpha[0] = f[0]
-    for t in range(1, t_len):
-        alpha[t] = f[t] + logsumexp(
-            alpha[t - 1][:, None] + query.pair_term(t - 1), axis=0
+    alpha[:, 0] = f[:, 0]
+    for t in range(1, f.shape[1]):
+        alpha[:, t] = f[:, t] + logsumexp(
+            alpha[:, t - 1, :, None] + query.pair_term(t - 1), axis=1
         )
-    return alpha, logsumexp(alpha[-1])
+    return alpha, logsumexp(_last(query, alpha), axis=1)
 
 
-def chain_log_z(query: ChainTeacherQuery) -> float:
-    """Log normalizer of the chain posterior."""
+def chain_log_z(query: ChainTeacherQuery) -> np.ndarray:
+    """Log normalizer of each chain's posterior, shape (N,)."""
     return query.log_z
 
 
-def chain_marginals(query: ChainTeacherQuery) -> np.ndarray:
-    """Exact per-position marginals via forward-backward in log space."""
+def chain_marginals(query: ChainTeacherQuery) -> list[np.ndarray]:
+    """Exact per-position marginals of every chain, one (T_n, K) array
+    each, via forward-backward in log space."""
     f = _folded_unary(query)
-    t_len, _ = f.shape
     beta = np.zeros_like(f)
-    for t in range(t_len - 2, -1, -1):
-        beta[t] = logsumexp(
-            query.pair_term(t) + (f[t + 1] + beta[t + 1])[None, :], axis=1
+    for t in range(f.shape[1] - 2, -1, -1):
+        step = logsumexp(
+            query.pair_term(t) + (f[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2
         )
-    return np.exp(query.alpha + beta - query.log_z)
+        # A chain that ends at t starts its backward pass there.
+        beta[:, t] = np.where((t < query.lengths - 1)[:, None], step, 0.0)
+    return _unpad(query, np.exp(query.alpha + beta - query.log_z[:, None, None]))
 
 
-def chain_map_decode(query: ChainTeacherQuery) -> tuple[np.ndarray, float]:
-    """Max-product decode: the highest-probability label path and its log
-    score (unnormalized).  Per-step ties break toward the lower label index.
+def chain_map_decode(query: ChainTeacherQuery) -> tuple[list[np.ndarray], np.ndarray]:
+    """Max-product decode of every chain: the highest-probability label
+    paths and their (N,) log scores (unnormalized).  Per-step ties break
+    toward the lower label index.
     """
     f = _folded_unary(query)
-    t_len, k = f.shape
+    n, t_max, k = f.shape
     delta = np.empty_like(f)
-    back = np.zeros((t_len, k), dtype=int)
-    delta[0] = f[0]
-    for t in range(1, t_len):
-        scores = delta[t - 1][:, None] + query.pair_term(t - 1)
-        back[t] = np.argmax(scores, axis=0)  # first maximum = lowest index
-        delta[t] = f[t] + np.max(scores, axis=0)
-    path = np.empty(t_len, dtype=int)
-    path[-1] = int(np.argmax(delta[-1]))
-    for t in range(t_len - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path, float(delta[-1, path[-1]])
+    back = np.zeros((n, t_max, k), dtype=int)
+    delta[:, 0] = f[:, 0]
+    for t in range(1, t_max):
+        scores = delta[:, t - 1, :, None] + query.pair_term(t - 1)
+        back[:, t] = np.argmax(scores, axis=1)  # first maximum = lowest index
+        delta[:, t] = f[:, t] + np.max(scores, axis=1)
+    last = _last(query, delta)
+    best = np.argmax(last, axis=1)  # lowest label among equal scores
+    paths = np.empty((n, t_max), dtype=int)
+    y = best
+    for t in range(t_max - 1, -1, -1):
+        y = np.where(query.lengths - 1 == t, best, y)
+        paths[:, t] = y
+        if t:
+            y = back[np.arange(n), t, y]
+    return _unpad(query, paths), np.max(last, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class ChainEnumeration:
-    """Brute-force reference answer over all K^T label paths."""
+    """Brute-force reference answer for one chain over all K^T label paths."""
 
     marginals: np.ndarray
     log_z: float
@@ -198,30 +239,30 @@ class ChainEnumeration:
     best_log_score: float
 
 
-def enumerate_chain_posterior(query: ChainTeacherQuery) -> ChainEnumeration:
-    """Exact oracle: enumerate every path of the chain posterior."""
+def enumerate_chain_posterior(query: ChainTeacherQuery) -> list[ChainEnumeration]:
+    """Exact oracle: score every path of each chain, one answer per chain."""
     f = _folded_unary(query)
-    t_len, k = f.shape
-    scores = []
-    best_path, best_score = None, -np.inf
-    for path in itertools.product(range(k), repeat=t_len):
-        s = float(sum(f[t, y] for t, y in enumerate(path)))
+    k = query.n_labels
+    out = []
+    for i, t_len in enumerate(query.lengths):
+        # Every path, in lexicographic order, one row each.
+        paths = np.indices((k,) * t_len).reshape(t_len, -1).T
+        scores = f[i, np.arange(t_len), paths].sum(axis=1)
         for t in range(t_len - 1):
-            s += float(query.pair_term(t)[path[t], path[t + 1]])
-        scores.append((path, s))
-        if s > best_score:
-            best_path, best_score = path, s
-    log_z = logsumexp(np.array([s for _, s in scores]))
-    marg = np.full((t_len, k), -np.inf)
-    for path, s in scores:
-        for t, y in enumerate(path):
-            marg[t, y] = np.logaddexp(marg[t, y], s)
-    return ChainEnumeration(
-        marginals=np.exp(marg - log_z),
-        log_z=log_z,
-        best_path=best_path,
-        best_log_score=best_score,
-    )
+            pair = query.pair_term(t)
+            pair = pair if pair.ndim == 2 else pair[i]
+            scores = scores + pair[paths[:, t], paths[:, t + 1]]
+        log_z = logsumexp(scores)
+        weights = np.exp(scores - log_z)
+        best = int(np.argmax(scores))
+        out.append(ChainEnumeration(
+            marginals=np.stack([np.bincount(paths[:, t], weights, minlength=k)
+                                for t in range(t_len)]),
+            log_z=log_z,
+            best_path=tuple(int(y) for y in paths[best]),
+            best_log_score=float(scores[best]),
+        ))
+    return out
 
 
 # --- group regime ------------------------------------------------------------
@@ -359,8 +400,9 @@ def _init_states(query: GroupTeacherQuery) -> list[np.ndarray]:
         if m.log_pair is None:
             states.append(np.argmax(m.log_unary, axis=1).astype(int))
         else:
-            path, _ = chain_map_decode(
-                ChainTeacherQuery(log_unary=m.log_unary, log_pair=m.log_pair)
+            pair = m.log_pair if m.log_pair.ndim == 2 else m.log_pair[None]
+            (path,), _ = chain_map_decode(
+                ChainTeacherQuery(log_unary=[m.log_unary], log_pair=pair)
             )
             states.append(path)
     return states

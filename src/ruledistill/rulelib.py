@@ -369,47 +369,37 @@ class CategoryCollapse:
         return idx
 
     def collapse(self, dist: np.ndarray) -> np.ndarray:
+        """Category masses of one tag distribution, or of each row of a
+        (..., K) stack of them."""
         dist = np.asarray(dist, dtype=float)
-        if dist.shape != (self.scheme.n_tags,):
+        if dist.shape[-1:] != (self.scheme.n_tags,):
             raise ValueError(
-                f"expected a length-{self.scheme.n_tags} vector, got shape {dist.shape}"
+                f"expected length-{self.scheme.n_tags} distributions, got shape {dist.shape}"
             )
-        out = np.zeros(self.n_groups)
-        np.add.at(out, self.group_index, dist)
-        return out
-
-    def collapse_tag(self, tag: str) -> np.ndarray:
-        onehot = np.zeros(self.scheme.n_tags)
-        onehot[self.scheme.index(tag)] = 1.0
-        return self.collapse(onehot)
+        return dist @ np.eye(self.n_groups)[self.group_index]
 
 
-def list_rule_truth(
-    collapse: CategoryCollapse, y_of_x: str, sigma_a: np.ndarray
-) -> TruthValue:
-    """Truth of the list-counterpart rule: agreement of X's label with the
-    prediction on its counterpart A at category granularity.
+def list_rule_truth(collapse: CategoryCollapse, sigma_a: np.ndarray) -> np.ndarray:
+    """Truth of the list-counterpart rule for each category X could take,
+    against the prediction on its counterpart A: shape (..., n_groups) for
+    a (..., K) stack of counterpart distributions.
 
-    Computes 1 minus the Euclidean distance between the collapsed one-hot
-    label of X and the collapsed distribution on A, floored at 0 (the
-    distance can reach sqrt(2)).
+    The truth is 1 minus the Euclidean distance between the collapsed
+    one-hot label of X and the collapsed distribution mu on A, floored at 0
+    (the distance can reach sqrt(2)).  For X in category c that distance
+    is sqrt(1 - 2 mu_c + ||mu||^2), so every category is scored at once.
     """
-    dist = np.linalg.norm(collapse.collapse_tag(y_of_x) - collapse.collapse(sigma_a))
-    return TruthValue(max(0.0, 1.0 - dist))
+    mu = collapse.collapse(sigma_a)
+    sq_dist = 1.0 - 2.0 * mu + np.sum(mu * mu, axis=-1, keepdims=True)
+    return np.maximum(0.0, 1.0 - np.sqrt(np.maximum(sq_dist, 0.0)))
 
 
 def counterpart_truth_table(collapse: CategoryCollapse) -> np.ndarray:
     """Pairwise truth table over tag pairs for joint (teacher-side) use,
-    where the counterpart's prediction is a candidate one-hot."""
-    tags = collapse.scheme.tags
-    K = len(tags)
-    table = np.empty((K, K))
-    for j, tag_j in enumerate(tags):
-        onehot = np.zeros(K)
-        onehot[j] = 1.0
-        for i, tag_i in enumerate(tags):
-            table[i, j] = list_rule_truth(collapse, tag_i, onehot)
-    return table
+    where the counterpart's prediction is a candidate one-hot:
+    ``table[i, j]`` is the truth for X tagged i against A tagged j."""
+    onehots = np.eye(collapse.scheme.n_tags)
+    return list_rule_truth(collapse, onehots)[:, collapse.group_index].T
 
 
 def list_counterpart_rule(collapse: CategoryCollapse, confidence: float = 1.0) -> Rule:

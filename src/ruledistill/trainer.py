@@ -14,7 +14,11 @@ are solved at category level: enumerated exactly when their joint space
 has at most ``EXACT_MAX_STATES`` states, Gibbs-sampled above that.  That
 composition keeps hard transition constraints out of the group regime
 (see the inference module note on ergodicity) while still letting list
-information flow into every decoded sequence.
+information flow into every decoded sequence.  The tagging teacher works
+on a whole minibatch of documents in training, and on chunks of about
+``_EVAL_CHUNK`` sentences' worth of documents in evaluation: one student
+forward, groups and seeds per document, one array expression for the
+list penalties, and one chain query over every sentence.
 
 Modes: plain supervised (base), distillation, semi-supervised
 distillation (imitation term additionally on unlabeled batches),
@@ -33,6 +37,7 @@ evaluation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -68,6 +73,7 @@ from .rulelib import (
     CategoryCollapse,
     Rule,
     TagScheme,
+    counterpart_truth_table,
     detect_but,
     list_rule_truth,
     transition_masks,
@@ -322,34 +328,54 @@ def _doc_links(doc_tokens: Sequence[Sequence[str]]):
     return links
 
 
-def _category_log_table(rule: Rule, group_index, reps, c: float):
+def _category_log_table(rule: Rule, collapse: CategoryCollapse, c: float):
     """A cross rule's log link table over category groups: its truth table
-    restricted to the representative tags ``reps``, one per group.  Only a
-    table that is constant within categories lets the group teacher sum
-    out the BIOES variants exactly, so any other is rejected."""
+    restricted to one representative tag per group.  Only a table that is
+    constant within categories lets the group teacher sum out the BIOES
+    variants exactly, and stage 2 scores every cross rule with the
+    list-rule truth, so any table but ``counterpart_truth_table``'s is
+    rejected."""
+    gi = collapse.group_index
+    reps = np.unique(gi, return_index=True)[1]
     (probe,) = rule.groundings([((0, 0), (1, 0))])
     table = probe.table[np.ix_(reps, reps)]
-    if not np.array_equal(table[np.ix_(group_index, group_index)], probe.table):
+    if not np.array_equal(table[np.ix_(gi, gi)], probe.table):
         raise ValueError(
             f"rule {rule.name!r}: a cross-instance truth table must be "
             "constant within tag categories"
         )
+    if not np.array_equal(probe.table, counterpart_truth_table(collapse)):
+        raise ValueError(
+            f"rule {rule.name!r}: the tagging teacher measures cross-instance "
+            "rules with the list-counterpart truth, so their truth table must "
+            "be counterpart_truth_table's"
+        )
     return -c * rule.confidence * (1.0 - table)
+
+
+def _regroup(items: list, sizes: Sequence[int]) -> list[list]:
+    """``items`` cut into consecutive runs of the given sizes."""
+    it = iter(items)
+    return [list(itertools.islice(it, n)) for n in sizes]
 
 
 class NerTeacher:
     """The tagging teacher: the chain+group teacher built from the
-    student's probabilities.
+    student's probabilities, for a batch of documents at a time.
 
-    Stage 1: the cross-linked sites form groups over tag categories (each
-    site's unary is the student's mass per category), whose marginals are
-    enumerated exactly, or Gibbs-sampled for a group above
+    Stage 1: one student forward over every sentence of the batch.  Within
+    each document, the cross-linked sites form groups over tag categories
+    (each site's unary is the student's mass per category), whose
+    marginals are enumerated exactly, or Gibbs-sampled for a group above
     ``EXACT_MAX_STATES`` joint states, and spread back over each
-    category's tags in the student's proportions.  Stage 2: per-sentence
-    chains with transition potentials plus, at linked sites, unary
-    penalties measuring the list rule against the counterparts' stage-1
-    marginals.  At evaluation the counterpart links come from the
-    evaluated document itself.
+    category's tags in the student's proportions.  Groups never span
+    documents, and each document has its own seed for link cutting and
+    sampling.  Stage 2: every linked site gets a unary penalty measuring
+    the list rule against its counterparts' stage-1 marginals, one array
+    expression for the batch; then one chain query holds every sentence of
+    the batch, with the transition potentials, and is solved with one
+    vectorised step per position.  At evaluation the counterpart links
+    come from the evaluated document itself.
     """
 
     def __init__(self, model, vocab: Vocabulary, scheme: TagScheme,
@@ -362,31 +388,26 @@ class NerTeacher:
         _, self.bigram, self.cross = _split_rules(rules)
         self.collapse = CategoryCollapse(scheme)
         self.c = float(c)
-        gi = self.collapse.group_index
-        # The first tag of each category (its list truth is every such
-        # tag's) and the one-hot (K, n_groups) category of each tag.
-        reps = np.unique(gi, return_index=True)[1]
-        self.rep_tags = [scheme.tags[k] for k in reps]
-        self.membership = np.eye(self.collapse.n_groups)[gi]
-        self.cross_tables = [_category_log_table(r, gi, reps, self.c) for r in self.cross]
+        self.cross_tables = [_category_log_table(r, self.collapse, self.c) for r in self.cross]
+        # Every cross rule is the list rule, so stage 2 adds their
+        # confidences into one penalty.
+        self.lam = sum(rule.confidence for rule in self.cross)
         self.sweeps = sweeps
         self.g_max = g_max
+        self.chain_terms = ()
         if self.bigram:
-            conf = self.bigram[0].confidence
-            self.chain_terms = _transition_log_terms(scheme, conf, self.c)
-        else:
-            self.chain_terms = None
+            self.chain_terms = _transition_log_terms(scheme, self.bigram[0].confidence, self.c)
 
     def _site_marginals(self, sigmas, site_links, seed: int):
-        """Teacher tag marginals for every linked site; {} when no cross
-        rule.  Groups are solved over categories, then each category's
-        mass is shared among its tags as the student shares it."""
+        """Teacher tag marginals for every linked site of one document; {}
+        when no cross rule.  Groups are solved over categories, then each
+        category's mass is shared among its tags as the student shares it."""
         if not self.cross or not site_links or self.c == 0.0:
             return {}
         sites = sorted({s for pair in site_links for s in pair})
         index = {s: i for i, s in enumerate(sites)}
         sigma = np.stack([sigmas[s][t] for s, t in sites])
-        mass = sigma @ self.membership
+        mass = self.collapse.collapse(sigma)
         members = [MemberPotentials(log_unary=row[None, :]) for row in np.log(mass)]
         glinks = [
             GroupLink(member_a=index[a], pos_a=0, member_b=index[b], pos_b=0,
@@ -407,62 +428,58 @@ class NerTeacher:
         gi = self.collapse.group_index
         return dict(zip(sites, q[:, gi] * sigma / mass[:, gi]))
 
-    def _list_penalties(self, site_links, marginals):
-        """Per-site unary penalty vectors from counterpart marginals.  Every
-        cross rule is measured by the list-rule truth here, so the rules'
-        penalties add up to one at the sum of their confidences."""
-        pens: dict[tuple[int, int], np.ndarray] = {}
-        if not marginals:
-            return pens
-        gi = self.collapse.group_index
-        lam = sum(rule.confidence for rule in self.cross)
-        for a, b in site_links:
-            for site, other in ((a, b), (b, a)):
-                mu = marginals.get(other)
-                if mu is None:
-                    continue
-                truths = np.array(
-                    [float(list_rule_truth(self.collapse, tag, mu)) for tag in self.rep_tags]
-                )
-                pens.setdefault(site, np.zeros(len(gi)))
-                pens[site] += self.c * lam * (1.0 - truths[gi])
-        return pens
+    def _chains(self, docs_ids, docs_links, seeds) -> ChainTeacherQuery:
+        """One chain query over every sentence of a batch of encoded
+        documents, in document order."""
+        sigmas = self.model.forward([ids for doc in docs_ids for ids in doc])
+        log_unary = np.log(np.concatenate(sigmas))
+        # Row of each sentence's first position, and index of each
+        # document's first sentence.
+        starts = np.cumsum([0] + [len(s) for s in sigmas])
+        firsts = np.cumsum([0] + [len(doc) for doc in docs_ids])
+        # Stage 2 penalises each end of every link with the list truth
+        # against the other end's stage-1 marginal.
+        rows, counterparts = [], []
+        for first, last, links, seed in zip(firsts, firsts[1:], docs_links, seeds):
+            marginals = self._site_marginals(sigmas[first:last], links, seed)
+            if not marginals:
+                continue
+            for a, b in links:
+                for (s, t), other in ((a, b), (b, a)):
+                    rows.append(starts[first + s] + t)
+                    counterparts.append(marginals[other])
+        if rows:
+            truth = list_rule_truth(self.collapse, np.stack(counterparts))
+            penalty = np.zeros_like(log_unary)
+            # Unbuffered, in link order: a site's penalties add up in turn.
+            np.add.at(penalty, rows, self.c * self.lam * (1.0 - truth[:, self.collapse.group_index]))
+            log_unary -= penalty
+        return ChainTeacherQuery(np.split(log_unary, starts[1:-1]), *self.chain_terms)
 
-    def _chains(self, doc_ids, site_links, seed: int):
-        """One chain query per sentence of an encoded document."""
-        sigmas = self.model.forward(doc_ids)
-        marginals = self._site_marginals(sigmas, site_links, seed)
-        log_unaries = [np.log(sigma) for sigma in sigmas]
-        for (s_idx, t), pen in self._list_penalties(site_links, marginals).items():
-            log_unaries[s_idx][t] -= pen
-        queries = []
-        for log_unary in log_unaries:
-            if self.chain_terms is not None:
-                pair, start, end = self.chain_terms
-                query = ChainTeacherQuery(
-                    log_unary=log_unary, log_pair=pair, log_start=start, log_end=end
-                )
-            else:
-                query = ChainTeacherQuery(log_unary=log_unary)
-            queries.append(query)
-        return queries
-
-    def soft_predict(self, doc_ids, site_links, seed: int):
-        """Per-sentence teacher marginals for one encoded document."""
-        return [chain_marginals(q) for q in self._chains(doc_ids, site_links, seed)]
-
-    def decode_doc(self, doc_tokens: Sequence[Sequence[str]], doc_seed: int = 0):
-        doc_ids = [self.vocab.encode(toks) for toks in doc_tokens]
-        queries = self._chains(doc_ids, _doc_links(doc_tokens), doc_seed)
-        return [[self.scheme.tags[k] for k in chain_map_decode(q)[0]] for q in queries]
+    def soft_predict(self, docs_ids, docs_links, seeds):
+        """Per-sentence teacher marginals for each document of a batch:
+        ``docs_ids`` holds each document's encoded sentences, ``docs_links``
+        its counterpart links and ``seeds`` its stage-1 seed."""
+        margs = chain_marginals(self._chains(docs_ids, docs_links, seeds))
+        return _regroup(margs, [len(doc) for doc in docs_ids])
 
     def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
-        out = []
-        for d_idx, doc in enumerate(docs):
-            tokens = [s.tokens for s in doc]
-            # Per-document seed keeps repeat evaluations identical.
-            out.append(self.decode_doc(tokens, doc_seed=self.seed + 7919 * d_idx))
-        return out
+        """Decoded tags of every sentence of every document.  Documents are
+        decoded in chunks of about ``_EVAL_CHUNK`` sentences; document d
+        gets the seed ``seed + 7919 * d`` whatever its chunk, so repeat
+        evaluations are identical."""
+
+        def decode(chunk):
+            tokens = [[s.tokens for s in doc] for _, doc in chunk]
+            paths, _ = chain_map_decode(self._chains(
+                [[self.vocab.encode(toks) for toks in doc] for doc in tokens],
+                [_doc_links(doc) for doc in tokens],
+                [self.seed + 7919 * d for d, _ in chunk],
+            ))
+            tags = [[self.scheme.tags[k] for k in path] for path in paths]
+            return _regroup(tags, [len(doc) for doc in tokens])
+
+        return list(_chunked(decode, list(enumerate(docs)), [len(doc) for doc in docs]))
 
 
 # --- generic evaluation ------------------------------------------------------
@@ -473,12 +490,28 @@ class NerTeacher:
 _EVAL_CHUNK = 64
 
 
-def _chunked(fn, items):
-    """Yield ``fn``'s per-item outputs, calling it on consecutive
-    ``_EVAL_CHUNK``-sized slices of ``items``.  A consumer that keeps only
+def _pack(sizes: Sequence[int], limit: int) -> list[list[int]]:
+    """Consecutive positions of ``sizes`` grouped so that each group's sizes
+    add up to at most ``limit``; an item above ``limit`` is a group alone."""
+    groups, cur, count = [], [], 0
+    for i, n in enumerate(sizes):
+        if cur and count + n > limit:
+            groups.append(cur)
+            cur, count = [], 0
+        cur.append(i)
+        count += n
+    if cur:
+        groups.append(cur)
+    return groups
+
+
+def _chunked(fn, items, sizes: Optional[Sequence[int]] = None):
+    """Yield ``fn``'s per-item outputs, calling it on consecutive chunks of
+    ``items`` of about ``_EVAL_CHUNK`` sentences, where ``sizes`` gives each
+    item's sentence count (1 when omitted).  A consumer that keeps only
     what it derives from each output holds one chunk's outputs at a time."""
-    for i in range(0, len(items), _EVAL_CHUNK):
-        yield from fn(items[i : i + _EVAL_CHUNK])
+    for group in _pack([1] * len(items) if sizes is None else sizes, _EVAL_CHUNK):
+        yield from fn([items[i] for i in group])
 
 
 def _student_forward(model, vocab: Vocabulary):
@@ -585,17 +618,8 @@ class _Driver:
 
     def _split(self, order, units):
         """Shuffled unit indices in batches of about batch_size sentences."""
-        batches, cur, count = [], [], 0
-        for u in order:
-            n = len(units[int(u)].ids)
-            if cur and count + n > self.config.batch_size:
-                batches.append(cur)
-                cur, count = [], 0
-            cur.append(int(u))
-            count += n
-        if cur:
-            batches.append(cur)
-        return batches
+        sizes = [len(units[int(u)].ids) for u in order]
+        return [[int(order[i]) for i in group] for group in _pack(sizes, self.config.batch_size)]
 
     def batches(self, rng, pi: float):
         """One epoch's batches; unlabeled ones join only while pi > 0."""
@@ -692,13 +716,11 @@ class _NerDriver(_Driver):
         )
 
     def soft_targets(self, teacher, units):
-        out = []
         for unit in units:
             if unit not in self.links:
                 self.links[unit] = _doc_links(unit.rule_input)
-            seed = int(self.teacher_rng.integers(2**31 - 1))
-            out.append(teacher.soft_predict(unit.ids, self.links[unit], seed))
-        return out
+        seeds = [int(self.teacher_rng.integers(2**31 - 1)) for _ in units]
+        return teacher.soft_predict([u.ids for u in units], [self.links[u] for u in units], seeds)
 
 
 class _FixedDriver(_Driver):
@@ -831,7 +853,8 @@ def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
     teacher = _teacher(config, driver, stage1.student, list(rules), config.eval_sweeps)
     # Teacher targets from the frozen model are static: compute them once.
     driver.teacher_rng = np.random.default_rng((config.seed, 3))
-    softs = _chunked(lambda units: driver.soft_targets(teacher, units), driver.units)
+    softs = _chunked(lambda units: driver.soft_targets(teacher, units), driver.units,
+                     [len(unit.ids) for unit in driver.units])
     fixed = _FixedDriver(config, [
         _Unit([ids], [soft])
         for unit, unit_softs in zip(driver.units, softs)

@@ -1,10 +1,12 @@
-"""Batched student forward and backward against a per-sentence reference.
+"""Batched student forward and backward against a per-sentence reference,
+and the batched tagging teacher against itself one document at a time.
 
 The reference below is the one-sentence-at-a-time implementation of both
 models: it strips trailing padding, zero-pads the sentence to the widest
 window (classifier) or by the radius on both sides (tagger), and loops
 over windows.  The batched models must match it within 1e-12 for every
-sentence of every batch, whatever else shares the batch.
+sentence of every batch, whatever else shares the batch.  The chain
+regime's per-chain reference lives in test_inference.py.
 """
 
 import numpy as np
@@ -12,16 +14,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ruledistill import trainer
+from ruledistill import predictors, trainer
 from ruledistill.corpus import (
     LabeledSentence,
     TaggedSentence,
     gen_synthetic_ner,
     gen_synthetic_sentiment,
+    group_documents,
 )
 from ruledistill.predictors import SequenceTagger, TextClassifier, Vocabulary
-from ruledistill.rulelib import TagScheme, but_rule
-from ruledistill.trainer import SentimentTeacher, evaluate
+from ruledistill.rulelib import (
+    CategoryCollapse,
+    TagScheme,
+    but_rule,
+    list_counterpart_rule,
+    transition_rules,
+)
+from ruledistill.trainer import NerTeacher, SentimentTeacher, TrainConfig, evaluate, train_distill
 
 TOL = 1e-12
 VOCAB = 9
@@ -289,3 +298,67 @@ class TestChunkedEvaluate:
         assert max(rec.sizes) == self.CHUNK and sum(rec.sizes) == len(data)
         # Every batched tag sequence equals its relabeled gold.
         assert batched.f1 == 1.0
+
+
+# --- the tagging teacher -----------------------------------------------------
+
+
+class TestNerTeacherBatching:
+    SCHEME = TagScheme(("LOC", "ORG", "PER"))
+    RULES = tuple(transition_rules(SCHEME)) + (
+        list_counterpart_rule(CategoryCollapse(SCHEME), confidence=1.0),
+    )
+    DATA = gen_synthetic_ner(seed=5, n_docs=12)
+
+    def teacher(self):
+        vocab = Vocabulary.build([s.tokens for s in self.DATA])
+        model = SequenceTagger(len(vocab), self.SCHEME.n_tags, emb_dim=4, hidden=5,
+                               radius=1, seed=2)
+        # g_max = 2 cuts links of the 3-4 item lists at random, so every
+        # answer depends on the document's seed.
+        return NerTeacher(model, vocab, self.SCHEME, self.RULES, 6.0, g_max=2, seed=3)
+
+    def test_document_targets_alone_and_in_any_batch(self):
+        teacher = self.teacher()
+        docs = group_documents(self.DATA)
+        ids = [[teacher.vocab.encode(s.tokens) for s in doc] for doc in docs]
+        links = [trainer._doc_links([s.tokens for s in doc]) for doc in docs]
+        seeds = [11 * d + 1 for d in range(len(docs))]
+        assert sum(map(bool, links)) >= 3
+        alone = [teacher.soft_predict([i], [ln], [s])[0] for i, ln, s in zip(ids, links, seeds)]
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            order = rng.permutation(len(docs))[: rng.integers(2, len(docs) + 1)]
+            batched = teacher.soft_predict([ids[d] for d in order], [links[d] for d in order],
+                                           [seeds[d] for d in order])
+            for d, doc_q in zip(order, batched):
+                assert len(doc_q) == len(alone[d])
+                for a, b in zip(alone[d], doc_q):
+                    np.testing.assert_allclose(b, a, rtol=0, atol=TOL)
+
+    def test_q_report_independent_of_evaluation_chunking(self, monkeypatch):
+        teacher = self.teacher()
+        reports, tags = [], []
+        for chunk in (1, 5, 64, 10_000):
+            monkeypatch.setattr(trainer, "_EVAL_CHUNK", chunk)
+            reports.append(evaluate(teacher, self.DATA, task="ner"))
+            tags.append(teacher.predict_tags(group_documents(self.DATA)))
+        assert all(r == reports[0] for r in reports)
+        assert all(t == tags[0] for t in tags)
+
+    def test_one_teacher_forward_per_distill_batch(self, monkeypatch):
+        # Epoch 0 trains at pi = 0 (steps only); epoch 1 at pi > 0 must
+        # forward each batch once for the teacher, then step on it.
+        events = []
+        forward, step = predictors._Model.forward, trainer.backward_and_step
+        monkeypatch.setattr(predictors._Model, "forward",
+                            lambda self, ids: events.append("F") or forward(self, ids))
+        monkeypatch.setattr(trainer, "backward_and_step",
+                            lambda *a, **kw: events.append("S") or step(*a, **kw))
+        config = TrainConfig(task="ner", mode="distill", epochs=2, batch_size=8, emb_dim=4,
+                             hidden=5, train_sweeps=20, eval_sweeps=50, seed=0)
+        train_distill(config, self.DATA, rules=self.RULES)
+        log = "".join(events)
+        plain = log.index("F")
+        assert plain > 0 and log[:plain] == "S" * plain
+        assert log[plain:] == "FS" * ((len(log) - plain) // 2)

@@ -216,11 +216,12 @@ class TestListRule:
     def test_truth_same_vs_different_category(self):
         onehot = np.zeros(SCHEME.n_tags)
         onehot[SCHEME.index("S-LOC")] = 1.0
+        loc, org, o = list_rule_truth(self.COLLAPSE, onehot)
         # Same category at category granularity: zero distance, full truth.
-        assert list_rule_truth(self.COLLAPSE, "B-LOC", onehot) == 1.0
+        assert loc == 1.0
         # Different category: distance sqrt(2), floored to 0.
-        assert list_rule_truth(self.COLLAPSE, "S-ORG", onehot) == 0.0
-        assert list_rule_truth(self.COLLAPSE, "O", onehot) == 0.0
+        assert org == 0.0
+        assert o == 0.0
 
     def test_truth_soft_counterpart(self):
         sigma = np.zeros(SCHEME.n_tags)
@@ -228,7 +229,22 @@ class TestListRule:
         sigma[SCHEME.index("S-ORG")] = 0.5
         # Collapsed sigma = (0.5, 0.5, 0); label LOC collapses to (1, 0, 0).
         expect = 1.0 - math.sqrt(0.25 + 0.25)
-        assert list_rule_truth(self.COLLAPSE, "S-LOC", sigma) == pytest.approx(expect)
+        assert list_rule_truth(self.COLLAPSE, sigma)[0] == pytest.approx(expect)
+
+    def test_truth_is_one_minus_the_collapsed_distance_for_a_stack(self):
+        # The closed form against the distance it stands for, on a (2, 5, K)
+        # stack of counterpart distributions.  Near a one-hot mu the closed
+        # form's squared distance cancels to a few ulps, which the square
+        # root magnifies, hence 1e-12 rather than 1e-15.
+        rng = np.random.default_rng(3)
+        sigma = rng.dirichlet(np.full(SCHEME.n_tags, 0.3), size=(2, 5))
+        got = list_rule_truth(self.COLLAPSE, sigma)
+        assert got.shape == (2, 5, self.COLLAPSE.n_groups)
+        mu = self.COLLAPSE.collapse(sigma)
+        for c in range(self.COLLAPSE.n_groups):
+            dist = np.linalg.norm(np.eye(self.COLLAPSE.n_groups)[c] - mu, axis=-1)
+            np.testing.assert_allclose(got[..., c], np.maximum(0.0, 1.0 - dist),
+                                       rtol=0, atol=1e-12)
 
     def test_pair_table_binary_for_onehot(self):
         table = counterpart_truth_table(self.COLLAPSE)

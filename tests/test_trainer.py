@@ -356,7 +356,8 @@ class TestTrainNer:
             ids = [base.vocab.encode(s.tokens) for s in doc]
             links = trainer._doc_links([s.tokens for s in doc])
             n_links += len(links)
-            for a, b in zip(one.soft_predict(ids, links, 0), two.soft_predict(ids, links, 0)):
+            (a_doc,), (b_doc,) = (t.soft_predict([ids], [links], [0]) for t in (one, two))
+            for a, b in zip(a_doc, b_doc):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
         assert n_links > 0
 
@@ -449,4 +450,18 @@ class TestNerGroupTeacher:
         with pytest.raises(ValueError, match="constant within tag categories"):
             NerTeacher(None, None, self.SCHEME, [rule], 6.0)
         with pytest.raises(ValueError, match="constant within tag categories"):
+            project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
+
+    def test_rejects_cross_rule_other_than_the_list_rule(self):
+        # "Categories differ": constant within categories, so it passes the
+        # first check, but stage 2 would score it as the list rule.
+        table = 1.0 - counterpart_truth_table(self.COLLAPSE)
+
+        def grounder(links):
+            return [Grounding((tuple(a), tuple(b)), table) for a, b in links]
+
+        rule = Rule("categories-differ", 1.0, "cross-instance", grounder)
+        with pytest.raises(ValueError, match="'categories-differ'.*counterpart_truth_table"):
+            NerTeacher(None, None, self.SCHEME, [rule], 6.0)
+        with pytest.raises(ValueError, match="'categories-differ'.*counterpart_truth_table"):
             project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
