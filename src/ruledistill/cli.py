@@ -211,6 +211,8 @@ def parse_rule_specs(text: str, scheme: TagScheme | None = None,
     for spec in _split_specs(text):
         name, args = _parse_one_spec(spec)
         if name == "but":
+            if scheme is not None:
+                raise CliError("but() requires a classification task")
             lam = _rule_lambda(args, name)
             variant = args.pop("variant", "avg")
             if variant not in ("avg", "strong"):
@@ -355,6 +357,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(TRAIN_SCHEMA, args)
     # Every seed's configuration is checked before any data is read or
     # anything is written.
+    if len(set(cfg["seeds"])) != len(cfg["seeds"]):
+        raise CliError(f"--seeds repeats a seed: {_fmt_value(cfg['seeds'])}")
     tcfgs = [_train_config(cfg, seed) for seed in cfg["seeds"]]
 
     train_path = _require_path(cfg["train"], "train")

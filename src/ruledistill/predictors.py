@@ -1,4 +1,4 @@
-"""Small numpy predictors trainable against mixed hard/soft targets.
+"""Small numpy predictors trainable against blended hard/soft targets.
 
 Two model families, both with hand-written backward passes so gradient
 correctness can be established by finite differences rather than trust:
@@ -8,10 +8,14 @@ correctness can be established by finite differences rather than trust:
 * SequenceTagger: embeddings, a tanh window MLP around each position,
   per-position softmax outputs (positions conditionally independent).
 
-The mixed loss is (1 - pi) * CE(hard, pred) + pi * CE(soft, pred); its
-logit gradient is softmax - ((1 - pi) * hard + pi * soft).  Log arguments
-are floored at 1e-12; the analytic gradient treats the floor as inactive,
-which only matters in saturated regions.
+Training fits each output row to a target row, the blend
+(1 - pi) * hard + pi * q of the hard labels and the teacher's q.  The
+loss is the batch-mean cross-entropy of the target rows against the
+output rows, one expression over the batch's concatenated rows (a row per
+sentence for the classifier, per position for the tagger); its logit
+gradient is output - target.  Log arguments are floored at 1e-12; the
+analytic gradient treats the floor as inactive, which only matters in
+saturated regions.
 
 Both models are batch-native: ``forward`` takes a list of 1-d token-id
 arrays and returns one distribution per sentence, (K,) for the classifier
@@ -40,14 +44,12 @@ __all__ = [
     "PAD_TOKEN",
     "UNK_TOKEN",
     "Vocabulary",
-    "MixedTarget",
-    "mixed_loss",
-    "mixed_target_gradient",
     "TextClassifier",
     "SequenceTagger",
     "Adadelta",
     "NonFiniteGradientError",
     "backward_and_step",
+    "check_targets",
     "finite_difference_check",
     "num_params",
     "save_checkpoint",
@@ -100,75 +102,6 @@ class Vocabulary:
 
     def to_list(self) -> list[str]:
         return list(self.tokens)
-
-
-# --- targets and loss --------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MixedTarget:
-    """Hard one-hot target plus an optional soft target with weight pi.
-
-    Shapes are (K,) for classification or (T, K) for tagging; hard and
-    soft must match.  pi > 0 requires a soft target.
-    """
-
-    hard: np.ndarray
-    soft: Optional[np.ndarray] = None
-    pi: float = 0.0
-
-    def __post_init__(self):
-        hard = np.asarray(self.hard, dtype=float)
-        if hard.ndim not in (1, 2):
-            raise ValueError("targets must be (K,) or (T, K)")
-        _check_simplex(hard, "hard")
-        object.__setattr__(self, "hard", hard)
-        if not 0.0 <= self.pi <= 1.0:
-            raise ValueError(f"pi must lie in [0, 1], got {self.pi}")
-        if self.soft is None:
-            if self.pi > 0.0:
-                raise ValueError("pi > 0 requires a soft target")
-        else:
-            soft = np.asarray(self.soft, dtype=float)
-            if soft.shape != hard.shape:
-                raise ValueError("hard and soft target shapes must match")
-            _check_simplex(soft, "soft")
-            object.__setattr__(self, "soft", soft)
-
-    def combined(self) -> np.ndarray:
-        """(1 - pi) * hard + pi * soft; the loss is CE against this blend."""
-        if self.soft is None:
-            return self.hard
-        return (1.0 - self.pi) * self.hard + self.pi * self.soft
-
-
-def _check_simplex(arr: np.ndarray, name: str) -> None:
-    if (arr < 0).any() or np.isnan(arr).any():
-        raise ValueError(f"{name} target entries must be nonnegative")
-    sums = arr.sum(axis=-1)
-    if np.max(np.abs(sums - 1.0)) > 1e-6:
-        raise ValueError(f"{name} target rows must sum to 1")
-
-
-def _cross_entropy(target, pred):
-    clipped = np.maximum(np.asarray(pred, dtype=float), LOG_FLOOR)
-    return float(-np.sum(target * np.log(clipped)))
-
-
-def mixed_loss(pred, target: MixedTarget) -> float:
-    """(1 - pi) * CE(hard, pred) + pi * CE(soft, pred), summed over positions."""
-    pred = np.asarray(pred, dtype=float)
-    if pred.shape != target.hard.shape:
-        raise ValueError("prediction and target shapes must match")
-    loss = (1.0 - target.pi) * _cross_entropy(target.hard, pred)
-    if target.soft is not None and target.pi > 0.0:
-        loss += target.pi * _cross_entropy(target.soft, pred)
-    return loss
-
-
-def mixed_target_gradient(pred, target: MixedTarget) -> np.ndarray:
-    """Gradient of the mixed loss with respect to the logits: pred - blend."""
-    return np.asarray(pred, dtype=float) - target.combined()
 
 
 # --- model base --------------------------------------------------------------
@@ -254,7 +187,8 @@ class _Model:
         raise NotImplementedError
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
-        """Parameter gradients given one logit gradient per sentence."""
+        """Parameter gradients given the (rows, K) logit gradient: a row
+        per sentence for the classifier, per position for the tagger."""
         raise NotImplementedError
 
     def config_dict(self) -> dict:
@@ -397,7 +331,7 @@ class SequenceTagger(_Model):
         ids, mask, m, h = cache
         # Positions past a sentence's end get no gradient.
         d = np.zeros(mask.shape + (self.n_tags,))
-        d[mask] = np.concatenate(dlogits)
+        d[mask] = dlogits
         g = {"out_w": _weight_grad(h, d), "out_b": d.sum(axis=(0, 1))}
         dz = (d @ self.params["out_w"].T) * (1.0 - h * h)
         g["hidden_w"] = _weight_grad(m, dz)
@@ -439,30 +373,46 @@ class Adadelta:
             params[name] += dx
 
 
-def _batch_gradients(model, batch):
-    """Mean mixed loss and mean gradients over a batch: one forward and
-    one backward pass over the padded batch."""
-    probs, cache = model._forward_cache([ids for ids, _ in batch])
-    scale = 1.0 / len(batch)
-    pairs = list(zip(probs, (target for _, target in batch)))
-    total = sum(mixed_loss(p, t) for p, t in pairs)
-    grads = model.backward(cache, [mixed_target_gradient(p, t) * scale for p, t in pairs])
-    return total * scale, grads
+def check_targets(targets, shape=None) -> np.ndarray:
+    """``targets`` as a float (rows, K) array, checked in one pass to hold a
+    distribution in every row and, when given, to have ``shape``."""
+    targets = np.asarray(targets, dtype=float)
+    if shape is not None and targets.shape != shape:
+        raise ValueError(f"target shape {targets.shape} does not match the outputs' {shape}")
+    # NaN fails the comparison too.
+    if not (targets >= 0).all():
+        raise ValueError("target entries must be nonnegative")
+    if np.max(np.abs(targets.sum(axis=1) - 1.0)) > 1e-6:
+        raise ValueError("target rows must sum to 1")
+    return targets
+
+
+def _loss_and_dlogits(probs: np.ndarray, targets: np.ndarray, n: int):
+    """Cross-entropy of the target rows against the output rows and its
+    logit gradient, both averaged over the batch's ``n`` sentences."""
+    scale = 1.0 / n
+    loss = -np.sum(targets * np.log(np.maximum(probs, LOG_FLOOR))) * scale
+    return float(loss), (probs - targets) * scale
 
 
 def backward_and_step(
-    model, batch, optimizer: Adadelta, loss_scale: float = 1.0
+    model, outputs, cache, targets, optimizer: Adadelta, loss_scale: float = 1.0
 ) -> float:
-    """One optimizer step on the batch-mean mixed loss; returns that loss.
+    """One optimizer step on the batch-mean loss; returns that loss.
 
-    ``loss_scale`` multiplies the whole batch objective, for terms that
-    enter the total loss with their own weight (imitation-only batches).
+    ``outputs, cache = model._forward_cache(ids_list)`` is the batch's
+    training forward, and ``targets`` the (rows, K) array of target rows,
+    one per row of ``np.vstack(outputs)``.  ``loss_scale`` multiplies the
+    whole batch objective, for terms that enter the total loss with their
+    own weight (imitation-only batches).
     """
-    if not batch:
+    if not outputs:
         raise ValueError("empty batch")
     if not 0.0 <= loss_scale or not np.isfinite(loss_scale):
         raise ValueError("loss_scale must be finite and nonnegative")
-    loss, grads = _batch_gradients(model, batch)
+    probs = np.vstack(outputs)
+    loss, dlogits = _loss_and_dlogits(probs, check_targets(targets, probs.shape), len(outputs))
+    grads = model.backward(cache, dlogits)
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFiniteGradientError(name)
@@ -473,16 +423,19 @@ def backward_and_step(
     return loss
 
 
-def finite_difference_check(model, batch, epsilon: float = 1e-4) -> dict[str, float]:
+def finite_difference_check(model, ids_list, targets, epsilon: float = 1e-4) -> dict[str, float]:
     """Per-block relative error between analytic and central-difference
-    gradients of the batch-mean mixed loss.  Exhaustive over coordinates,
-    so use a tiny model."""
+    gradients of the batch-mean loss against the (rows, K) ``targets``.
+    Exhaustive over coordinates, so use a tiny model."""
+    n = len(ids_list)
 
     def batch_loss():
-        probs = model.forward([ids for ids, _ in batch])
-        return sum(mixed_loss(p, tgt) for p, (_, tgt) in zip(probs, batch)) / len(batch)
+        return _loss_and_dlogits(np.vstack(model.forward(ids_list)), targets, n)[0]
 
-    _, analytic = _batch_gradients(model, batch)
+    outputs, cache = model._forward_cache(ids_list)
+    probs = np.vstack(outputs)
+    targets = check_targets(targets, probs.shape)
+    analytic = model.backward(cache, _loss_and_dlogits(probs, targets, n)[1])
     report = {}
     for name, arr in model.params.items():
         fd = np.zeros_like(arr)

@@ -2,9 +2,11 @@
 
 Each epoch t (the imitation index advances per epoch) every minibatch is
 processed as: forward the student p on the batch, build the teacher q by
-projecting p onto the rule set, extract q's per-instance soft predictions,
-and take one mixed-loss gradient step where the SAME instances feed the
-hard-label and the imitation term.
+projecting that p onto the rule set, and take one gradient step, through
+the same forward, on the cross-entropy against the blend
+(1 - pi) * hard + pi * q, so the SAME instances feed the hard-label and
+the imitation term.  The teachers are functions of p: they never forward
+the student on the batch themselves.
 
 Teacher construction is routed by rule scope: per-instance rules become
 single-position projections, bigram rules become chain potentials, and
@@ -16,9 +18,9 @@ composition keeps hard transition constraints out of the group regime
 (see the inference module note on ergodicity) while still letting list
 information flow into every decoded sequence.  The tagging teacher works
 on a whole minibatch of documents in training, and on chunks of about
-``_EVAL_CHUNK`` sentences' worth of documents in evaluation: one student
-forward, groups and seeds per document, one array expression for the
-list penalties, and one chain query over every sentence.
+``_EVAL_CHUNK`` sentences' worth of documents in evaluation: groups and
+seeds per document, one array expression for the list penalties, and one
+chain query over every sentence.
 
 Modes: plain supervised (base), distillation, semi-supervised
 distillation (imitation term additionally on unlabeled batches),
@@ -30,9 +32,10 @@ Students are trained and evaluated on whole batches: one padded forward
 and backward pass per minibatch, and one forward per evaluation chunk.
 
 Every mode runs through one epoch loop over a per-task driver, which
-supplies an epoch's batches and each batch's mixed targets.  Each task has
-one teacher class, which builds the training targets and is deployed for
-evaluation.
+supplies an epoch's batches, each unit's hard target rows as one array,
+and the teacher's q for a batch's student outputs.  Each task has one
+teacher class, which builds the training targets and is deployed for
+evaluation as a student forward followed by the same call.
 """
 
 from __future__ import annotations
@@ -58,11 +61,11 @@ from .inference import (
 )
 from .predictors import (
     Adadelta,
-    MixedTarget,
     SequenceTagger,
     TextClassifier,
     Vocabulary,
     backward_and_step,
+    check_targets,
 )
 from .projection import (
     InfeasibleConstraintError,
@@ -236,17 +239,25 @@ def _micro_span_prf(gold_spans, pred_spans) -> tuple[float, float, float]:
 # --- rule routing ------------------------------------------------------------
 
 
-def _split_rules(rules: Sequence[Rule]):
-    per_instance = [r for r in rules if r.scope == "per-instance"]
-    bigram = [r for r in rules if r.scope == "bigram"]
-    cross = [r for r in rules if r.scope == "cross-instance"]
-    for r in cross:
-        if r.hard:
+# The rule scopes each task's teacher reads.
+_SCOPES = {"sentiment": ("per-instance",), "ner": ("bigram", "cross-instance")}
+
+
+def _split_rules(rules: Sequence[Rule], task: str):
+    """The task teacher's rules, one list per scope it reads.  A rule of
+    any other scope is rejected by name rather than dropped."""
+    scopes = _SCOPES[task]
+    unread = [r.name for r in rules if r.scope not in scopes]
+    if unread:
+        raise ValueError(f"the {task} teacher reads only {' and '.join(scopes)} rules, "
+                         f"so it cannot use {', '.join(map(repr, unread))}")
+    for r in rules:
+        if r.scope == "cross-instance" and r.hard:
             raise ValueError(
                 f"rule {r.name!r}: cross-instance rules must have finite "
                 "confidence (the sampler needs soft couplings)"
             )
-    return per_instance, bigram, cross
+    return [[r for r in rules if r.scope == scope] for scope in scopes]
 
 
 # --- sentiment teacher -------------------------------------------------------
@@ -259,29 +270,29 @@ def _encode_sentence(vocab: Vocabulary, tokens):
 
 
 class SentimentTeacher:
-    """The classification teacher: projects the student's output through
+    """The classification teacher: projects the student's output p through
     the per-instance rules.  Instances without an A-but-B structure are
-    left at the student distribution.  ``soft_predict`` works on a batch of
-    encoded sentences, for training and evaluation alike; ``predict_proba``
-    reads one sentence's tokens."""
+    left at p.  ``soft_predict`` maps a batch's p to q, in training and
+    evaluation alike; deployment forwards the student first, as
+    ``predict_proba`` does for one sentence's tokens."""
 
     def __init__(self, model, vocab: Vocabulary, rules: Sequence[Rule], c: float):
         self.model = model
         self.vocab = vocab
-        self.rules, _, _ = _split_rules(rules)
+        (self.rules,) = _split_rules(rules, "sentiment")
         self.c = float(c)
         # Projections left at p because the hard rules exclude every label.
         self.infeasible = 0
 
-    def soft_predict(self, ids_list, clause_b_ids) -> list[np.ndarray]:
-        """Teacher distributions for a batch of encoded sentences, from one
-        student forward over the sentences and one over their B clauses;
-        ``clause_b_ids[i]`` is None when sentence i has no A-but-B
+    def soft_predict(self, p, clause_b_ids) -> list[np.ndarray]:
+        """Teacher distributions for a batch, given the student's outputs
+        ``p`` on its sentences, with one student forward over their B
+        clauses; ``clause_b_ids[i]`` is None when sentence i has no A-but-B
         structure."""
-        out = self.model.forward(ids_list)
+        q = list(p)
         has_b = [i for i, clause in enumerate(clause_b_ids) if clause is not None]
         if not has_b or not self.rules:
-            return out
+            return q
         clause_sigmas = self.model.forward([clause_b_ids[i] for i in has_b])
         for i, clause_sigma in zip(has_b, clause_sigmas):
             groundings = tuple(
@@ -290,14 +301,14 @@ class SentimentTeacher:
                 for g in rule.groundings([clause_sigma])
             )
             try:
-                out[i] = project(ProjectionProblem(np.log(out[i]), groundings, self.c)).probs()
+                q[i] = project(ProjectionProblem(np.log(p[i]), groundings, self.c)).probs()
             except InfeasibleConstraintError:
                 self.infeasible += 1
-        return out
+        return q
 
     def predict_proba(self, tokens) -> np.ndarray:
         ids, clause = _encode_sentence(self.vocab, tokens)
-        return self.soft_predict([ids], [clause])[0]
+        return self.soft_predict(self.model.forward([ids]), [clause])[0]
 
 
 # --- NER teacher -------------------------------------------------------------
@@ -363,12 +374,13 @@ class NerTeacher:
     """The tagging teacher: the chain+group teacher built from the
     student's probabilities, for a batch of documents at a time.
 
-    Stage 1: one student forward over every sentence of the batch.  Within
-    each document, the cross-linked sites form groups over tag categories
-    (each site's unary is the student's mass per category), whose
-    marginals are enumerated exactly, or Gibbs-sampled for a group above
-    ``EXACT_MAX_STATES`` joint states, and spread back over each
-    category's tags in the student's proportions.  Groups never span
+    Stage 1 reads the student's outputs on every sentence of the batch
+    (training hands over the step's forward; deployment forwards the
+    student first).  Within each document, the cross-linked sites form
+    groups over tag categories (each site's unary is the student's mass
+    per category), whose marginals are enumerated exactly, or
+    Gibbs-sampled for a group above ``EXACT_MAX_STATES`` joint states, and
+    spread back over each category's tags in the student's proportions.  Groups never span
     documents, and each document has its own seed for link cutting and
     sampling.  Stage 2: every linked site gets a unary penalty measuring
     the list rule against its counterparts' stage-1 marginals, one array
@@ -385,7 +397,7 @@ class NerTeacher:
         self.vocab = vocab
         self.scheme = scheme
         self.seed = seed
-        _, self.bigram, self.cross = _split_rules(rules)
+        self.bigram, self.cross = _split_rules(rules, "ner")
         self.collapse = CategoryCollapse(scheme)
         self.c = float(c)
         self.cross_tables = [_category_log_table(r, self.collapse, self.c) for r in self.cross]
@@ -428,15 +440,15 @@ class NerTeacher:
         gi = self.collapse.group_index
         return dict(zip(sites, q[:, gi] * sigma / mass[:, gi]))
 
-    def _chains(self, docs_ids, docs_links, seeds) -> ChainTeacherQuery:
-        """One chain query over every sentence of a batch of encoded
-        documents, in document order."""
-        sigmas = self.model.forward([ids for doc in docs_ids for ids in doc])
+    def _chains(self, docs_sigmas, docs_links, seeds) -> ChainTeacherQuery:
+        """One chain query over every sentence of a batch of documents, in
+        document order, given the student's outputs per document."""
+        sigmas = [sigma for doc in docs_sigmas for sigma in doc]
         log_unary = np.log(np.concatenate(sigmas))
         # Row of each sentence's first position, and index of each
         # document's first sentence.
         starts = np.cumsum([0] + [len(s) for s in sigmas])
-        firsts = np.cumsum([0] + [len(doc) for doc in docs_ids])
+        firsts = np.cumsum([0] + [len(doc) for doc in docs_sigmas])
         # Stage 2 penalises each end of every link with the list truth
         # against the other end's stage-1 marginal.
         rows, counterparts = [], []
@@ -456,12 +468,12 @@ class NerTeacher:
             log_unary -= penalty
         return ChainTeacherQuery(np.split(log_unary, starts[1:-1]), *self.chain_terms)
 
-    def soft_predict(self, docs_ids, docs_links, seeds):
-        """Per-sentence teacher marginals for each document of a batch:
-        ``docs_ids`` holds each document's encoded sentences, ``docs_links``
-        its counterpart links and ``seeds`` its stage-1 seed."""
-        margs = chain_marginals(self._chains(docs_ids, docs_links, seeds))
-        return _regroup(margs, [len(doc) for doc in docs_ids])
+    def soft_predict(self, docs_sigmas, docs_links, seeds) -> list[np.ndarray]:
+        """Teacher marginals of every sentence of a batch, in document
+        order: ``docs_sigmas`` holds the student's outputs on each
+        document's sentences, ``docs_links`` its counterpart links and
+        ``seeds`` its stage-1 seed."""
+        return chain_marginals(self._chains(docs_sigmas, docs_links, seeds))
 
     def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
         """Decoded tags of every sentence of every document.  Documents are
@@ -471,13 +483,15 @@ class NerTeacher:
 
         def decode(chunk):
             tokens = [[s.tokens for s in doc] for _, doc in chunk]
+            sizes = [len(doc) for doc in tokens]
+            sigmas = self.model.forward([self.vocab.encode(t) for doc in tokens for t in doc])
             paths, _ = chain_map_decode(self._chains(
-                [[self.vocab.encode(toks) for toks in doc] for doc in tokens],
+                _regroup(sigmas, sizes),
                 [_doc_links(doc) for doc in tokens],
                 [self.seed + 7919 * d for d, _ in chunk],
             ))
             tags = [[self.scheme.tags[k] for k in path] for path in paths]
-            return _regroup(tags, [len(doc) for doc in tokens])
+            return _regroup(tags, sizes)
 
         return list(_chunked(decode, list(enumerate(docs)), [len(doc) for doc in docs]))
 
@@ -506,7 +520,7 @@ def _pack(sizes: Sequence[int], limit: int) -> list[list[int]]:
 
 
 def _chunked(fn, items, sizes: Optional[Sequence[int]] = None):
-    """Yield ``fn``'s per-item outputs, calling it on consecutive chunks of
+    """Yield ``fn``'s outputs, calling it on consecutive chunks of
     ``items`` of about ``_EVAL_CHUNK`` sentences, where ``sizes`` gives each
     item's sentence count (1 when omitted).  A consumer that keeps only
     what it derives from each output holds one chunk's outputs at a time."""
@@ -537,7 +551,7 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
         if isinstance(predictor, SentimentTeacher):
             def predict(chunk):
                 ids, clauses = zip(*(_encode_sentence(predictor.vocab, s.tokens) for s in chunk))
-                return predictor.soft_predict(ids, clauses)
+                return predictor.soft_predict(predictor.model.forward(ids), clauses)
         elif vocab is None:
             raise ValueError("student evaluation needs a vocabulary")
         else:
@@ -581,30 +595,26 @@ class TrainResult:
     diagnostics: dict
 
 
-def _one_hot(k: int, n: int) -> np.ndarray:
-    v = np.zeros(n)
-    v[k] = 1.0
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class _Unit:
     """What one shuffle moves: a sentence for classification, a whole
     document for tagging (so every teacher group is built in full).
-    ``ids`` and ``hard`` hold one entry per sentence; ``rule_input`` is
-    what the teacher reads besides the ids (clause-B ids, or the
-    document's tokens, from which list links are detected)."""
+    ``ids`` holds one entry per sentence; ``hard`` is the (rows, K) array of
+    hard target rows (a row per sentence, or per position, in sentence
+    order), None for an unlabeled unit; ``rule_input`` is what the teacher
+    reads besides the student's outputs (clause-B ids, or the document's
+    tokens, from which list links are detected)."""
 
     ids: list
-    hard: list
+    hard: Optional[np.ndarray]
     rule_input: object = None
 
 
 class _Driver:
-    """Task plumbing for the training loop: the batches of an epoch and the
-    (ids, MixedTarget) list of one batch.  Subclasses supply the units and
-    ``soft_targets(teacher, units)``, for each unit one teacher target per
-    sentence."""
+    """Task plumbing for the training loop: the units and the batches of an
+    epoch.  The units' hard target rows are checked once, here.  Task
+    subclasses add ``soft_targets(teacher, outputs, units)``: the teacher's
+    q for each sentence of a batch, given the student's outputs on them."""
 
     scheme: Optional[TagScheme] = None
 
@@ -612,43 +622,29 @@ class _Driver:
         self.config = config
         self.units = units
         self.u_units = list(u_units)
+        if units:
+            check_targets(np.concatenate([unit.hard for unit in units]))
         # Seeds the tagging teacher's group formation and Gibbs runs, one
         # draw per document.
         self.teacher_rng = np.random.default_rng((config.seed, 2))
 
     def _split(self, order, units):
-        """Shuffled unit indices in batches of about batch_size sentences."""
+        """Shuffled units in batches of about batch_size sentences."""
         sizes = [len(units[int(u)].ids) for u in order]
-        return [[int(order[i]) for i in group] for group in _pack(sizes, self.config.batch_size)]
+        return [[units[int(order[i])] for i in group]
+                for group in _pack(sizes, self.config.batch_size)]
 
     def batches(self, rng, pi: float):
-        """One epoch's batches; unlabeled ones join only while pi > 0."""
-        plan = [("L", b) for b in self._split(rng.permutation(len(self.units)), self.units)]
+        """One epoch's (labeled, units) batches; unlabeled ones join only
+        while pi > 0."""
+        plan = [(True, b) for b in self._split(rng.permutation(len(self.units)), self.units)]
         if pi > 0.0 and self.u_units:
             plan += [
-                ("U", b)
+                (False, b)
                 for b in self._split(rng.permutation(len(self.u_units)), self.u_units)
             ]
             rng.shuffle(plan)
         return plan
-
-    def targets(self, teacher, batch, pi: float):
-        """The batch's (ids, MixedTarget) list and its loss scale.
-        Unlabeled batches carry only the imitation term, weighted by pi."""
-        kind, idxs = batch
-        units = [(self.units if kind == "L" else self.u_units)[u] for u in idxs]
-        softs = self.soft_targets(teacher, units) if pi > 0.0 else [None] * len(units)
-        items = []
-        for unit, soft in zip(units, softs):
-            for k, ids in enumerate(unit.ids):
-                if kind == "U":
-                    target = MixedTarget(hard=soft[k])
-                elif soft is None:
-                    target = MixedTarget(hard=unit.hard[k])
-                else:
-                    target = MixedTarget(hard=unit.hard[k], soft=soft[k], pi=pi)
-                items.append((ids, target))
-        return items, (pi if kind == "U" else 1.0)
 
 
 class _SentimentDriver(_Driver):
@@ -656,15 +652,16 @@ class _SentimentDriver(_Driver):
         train, unlabeled = list(train), list(unlabeled)
         self.n_classes = max(2, max(s.label for s in train) + 1)
         self.vocab = Vocabulary.build([s.tokens for s in train + unlabeled])
+        one_hot = np.eye(self.n_classes)
         super().__init__(
             config,
-            [self._unit(s, _one_hot(s.label, self.n_classes)) for s in train],
+            [self._unit(s, one_hot[[s.label]]) for s in train],
             [self._unit(s, None) for s in unlabeled],
         )
 
     def _unit(self, sentence, hard):
         ids, clause = _encode_sentence(self.vocab, sentence.tokens)
-        return _Unit([ids], [hard], clause)
+        return _Unit([ids], hard, clause)
 
     def init_model(self, seed: int):
         cfg = self.config
@@ -677,9 +674,8 @@ class _SentimentDriver(_Driver):
             seed=seed,
         )
 
-    def soft_targets(self, teacher, units):
-        q = teacher.soft_predict([u.ids[0] for u in units], [u.rule_input for u in units])
-        return [[row] for row in q]
+    def soft_targets(self, teacher, outputs, units):
+        return teacher.soft_predict(outputs, [u.rule_input for u in units])
 
 
 class _NerDriver(_Driver):
@@ -697,10 +693,10 @@ class _NerDriver(_Driver):
         super().__init__(config, [self._unit(d) for d in docs], [self._unit(d) for d in u_docs])
 
     def _unit(self, doc):
-        k = self.scheme.n_tags
+        one_hot = np.eye(self.scheme.n_tags)
         return _Unit(
             [self.vocab.encode(s.tokens) for s in doc],
-            [np.stack([_one_hot(self.scheme.index(t), k) for t in s.tags]) for s in doc],
+            one_hot[[self.scheme.index(t) for s in doc for t in s.tags]],
             [s.tokens for s in doc],
         )
 
@@ -715,35 +711,36 @@ class _NerDriver(_Driver):
             seed=seed,
         )
 
-    def soft_targets(self, teacher, units):
+    def soft_targets(self, teacher, outputs, units):
         for unit in units:
             if unit not in self.links:
                 self.links[unit] = _doc_links(unit.rule_input)
         seeds = [int(self.teacher_rng.integers(2**31 - 1)) for _ in units]
-        return teacher.soft_predict([u.ids for u in units], [self.links[u] for u in units], seeds)
-
-
-class _FixedDriver(_Driver):
-    """Pipeline stage 2: one unit per labeled sentence, whose target is the
-    frozen teacher's prediction, imitated at pi = 1."""
-
-    def soft_targets(self, teacher, units):
-        return [unit.hard for unit in units]
+        return teacher.soft_predict(_regroup(outputs, [len(u.ids) for u in units]),
+                                    [self.links[u] for u in units], seeds)
 
 
 def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 1):
-    """The training loop.  Each epoch takes one mixed-loss step per batch;
-    with a dev set it keeps the best-dev parameters and stops after
-    ``patience`` epochs without improvement."""
+    """The training loop.  Each batch takes one student forward p, hands p
+    to the teacher for q while pi > 0, and takes one step on the blend
+    (1 - pi) * hard + pi * q through the same forward; unlabeled batches
+    imitate q alone, weighted by pi.  Without a teacher the targets are
+    the units' hard rows.  With a dev set it keeps the best-dev parameters
+    and stops after ``patience`` epochs without improvement."""
     opt = Adadelta()
     best, best_params, stale = -np.inf, None, 0
     history = []
     for epoch in range(driver.config.epochs):
         pi = pi_at(epoch)
         losses = []
-        for batch in driver.batches(rng, pi):
-            items, scale = driver.targets(teacher, batch, pi)
-            losses.append(backward_and_step(model, items, opt, loss_scale=scale))
+        for labeled, units in driver.batches(rng, pi):
+            outputs, cache = model._forward_cache([ids for u in units for ids in u.ids])
+            targets = np.concatenate([u.hard for u in units]) if labeled else None
+            if teacher is not None and pi > 0.0:
+                q = np.vstack(driver.soft_targets(teacher, outputs, units))
+                targets = q if targets is None else (1.0 - pi) * targets + pi * q
+            losses.append(backward_and_step(model, outputs, cache, targets, opt,
+                                            loss_scale=1.0 if labeled else pi))
         history.append({"epoch": epoch, "pi": pi, "train_loss": float(np.mean(losses))})
         if dev is None:
             continue
@@ -782,10 +779,17 @@ def _diagnostics(teacher) -> dict:
     return {}
 
 
-def _train(config: TrainConfig, driver: _Driver, rules, dev) -> TrainResult:
+def _train(config: TrainConfig, driver: _Driver, rules, dev,
+           distill: bool = True) -> TrainResult:
+    """Train a student, distilling the rules into it unless ``distill`` is
+    False (pipeline stage 1, which deploys a teacher even without rules).
+    Every teacher is built before training, over the student it reads, so
+    a rule the task's teacher cannot use fails first."""
     rules = list(rules)
     model = driver.init_model(config.seed)
-    if rules and config.c > 0.0:
+    deployed = (_teacher(config, driver, model, rules, config.eval_sweeps)
+                if rules or not distill else None)
+    if distill and rules and config.c > 0.0:
         teacher = _teacher(config, driver, model, rules, config.train_sweeps)
         pi_at = config.resolved_schedule().rate
     else:
@@ -795,7 +799,7 @@ def _train(config: TrainConfig, driver: _Driver, rules, dev) -> TrainResult:
                    dev, config.patience)
     return TrainResult(
         student=model,
-        teacher=_teacher(config, driver, model, rules, config.eval_sweeps) if rules else None,
+        teacher=deployed,
         vocab=driver.vocab,
         scheme=driver.scheme,
         history=tuple(history),
@@ -849,17 +853,19 @@ def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
     """Two-stage pipeline: train a base model, freeze and project it, then
     train a FRESH student purely on the projected soft targets (pi = 1)."""
     driver = _make_driver(config, train)
-    stage1 = _train(config, driver, (), dev)
-    teacher = _teacher(config, driver, stage1.student, list(rules), config.eval_sweeps)
-    # Teacher targets from the frozen model are static: compute them once.
+    stage1 = _train(config, driver, rules, dev, distill=False)
+    teacher = stage1.teacher
+    # Teacher targets from the frozen model are static: compute them once,
+    # as stage 2's hard target rows, one unit per sentence.
     driver.teacher_rng = np.random.default_rng((config.seed, 3))
-    softs = _chunked(lambda units: driver.soft_targets(teacher, units), driver.units,
-                     [len(unit.ids) for unit in driver.units])
-    fixed = _FixedDriver(config, [
-        _Unit([ids], [soft])
-        for unit, unit_softs in zip(driver.units, softs)
-        for ids, soft in zip(unit.ids, unit_softs)
-    ])
+
+    def frozen_q(units):
+        p = teacher.model.forward([ids for unit in units for ids in unit.ids])
+        return driver.soft_targets(teacher, p, units)
+
+    sentences = [ids for unit in driver.units for ids in unit.ids]
+    softs = _chunked(frozen_q, driver.units, [len(unit.ids) for unit in driver.units])
+    fixed = _Driver(config, [_Unit([ids], np.atleast_2d(q)) for ids, q in zip(sentences, softs)])
     student = driver.init_model(config.seed + 1)
     history = _fit(student, fixed, None, lambda epoch: 1.0,
                    np.random.default_rng((config.seed, 4)))

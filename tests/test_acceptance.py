@@ -39,7 +39,6 @@ from ruledistill.inference import (
     gibbs_soft_predict,
 )
 from ruledistill.predictors import (
-    MixedTarget,
     SequenceTagger,
     TextClassifier,
     finite_difference_check,
@@ -312,24 +311,23 @@ def test_criterion_05_gradient_integrity():
     tag = SequenceTagger(vocab_size=12, n_tags=5, emb_dim=3, hidden=4,
                          radius=1, seed=0)
     for pi in (0.0, 0.5, 1.0):
-        cls_batch = [
-            (rng.integers(2, 12, size=int(rng.integers(2, 6))),
-             MixedTarget(hard=onehot(2), soft=soft(2), pi=pi))
-            for _ in range(3)
-        ]
-        for block, err in finite_difference_check(cls, cls_batch).items():
+        # Each sentence's (or position's) target row is the blend
+        # (1 - pi) * one-hot + pi * soft.
+        cls_ids, cls_rows = [], []
+        for _ in range(3):
+            cls_ids.append(rng.integers(2, 12, size=int(rng.integers(2, 6))))
+            cls_rows.append((1.0 - pi) * onehot(2) + pi * soft(2))
+        for block, err in finite_difference_check(cls, cls_ids, np.stack(cls_rows)).items():
             key = f"classifier/{block}@pi={pi}"
             worst[key] = err
-        tag_batch = []
+        tag_ids, tag_rows = [], []
         for _ in range(3):
             t_len = int(rng.integers(2, 5))
             hard = np.stack([onehot(5) for _ in range(t_len)])
             sft = np.stack([soft(5) for _ in range(t_len)])
-            tag_batch.append(
-                (rng.integers(2, 12, size=t_len),
-                 MixedTarget(hard=hard, soft=sft, pi=pi))
-            )
-        for block, err in finite_difference_check(tag, tag_batch).items():
+            tag_ids.append(rng.integers(2, 12, size=t_len))
+            tag_rows.append((1.0 - pi) * hard + pi * sft)
+        for block, err in finite_difference_check(tag, tag_ids, np.concatenate(tag_rows)).items():
             worst[f"tagger/{block}@pi={pi}"] = err
 
     max_err = max(worst.values())

@@ -1,13 +1,19 @@
-"""Batched student forward and backward against a per-sentence reference,
-and the batched tagging teacher against itself one document at a time.
+"""Batched student forward, backward and loss against a per-sentence
+reference, the batched tagging teacher against itself one document at a
+time, and the training loop's one student forward per step.
 
 The reference below is the one-sentence-at-a-time implementation of both
 models: it strips trailing padding, zero-pads the sentence to the widest
 window (classifier) or by the radius on both sides (tagger), and loops
 over windows.  The batched models must match it within 1e-12 for every
-sentence of every batch, whatever else shares the batch.  The chain
-regime's per-chain reference lives in test_inference.py.
+sentence of every batch, whatever else shares the batch.  The loss
+reference is a per-sentence mixed target, validated on construction, with
+its own cross-entropies and gradient.  The chain regime's per-chain
+reference lives in test_inference.py.
 """
+
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -22,7 +28,12 @@ from ruledistill.corpus import (
     gen_synthetic_sentiment,
     group_documents,
 )
-from ruledistill.predictors import SequenceTagger, TextClassifier, Vocabulary
+from ruledistill.predictors import (
+    SequenceTagger,
+    TextClassifier,
+    Vocabulary,
+    backward_and_step,
+)
 from ruledistill.rulelib import (
     CategoryCollapse,
     TagScheme,
@@ -116,6 +127,64 @@ def ref_backward(model, cache, dlogits):
     return g
 
 
+@dataclass(frozen=True, eq=False)
+class MixedTarget:
+    """One sentence's hard target plus an optional soft target with weight
+    pi; shapes (K,) or (T, K), hard and soft alike.  pi > 0 requires a
+    soft target."""
+
+    hard: np.ndarray
+    soft: Optional[np.ndarray] = None
+    pi: float = 0.0
+
+    def __post_init__(self):
+        hard = np.asarray(self.hard, dtype=float)
+        if hard.ndim not in (1, 2):
+            raise ValueError("targets must be (K,) or (T, K)")
+        _check_simplex(hard, "hard")
+        object.__setattr__(self, "hard", hard)
+        if not 0.0 <= self.pi <= 1.0:
+            raise ValueError(f"pi must lie in [0, 1], got {self.pi}")
+        if self.soft is None:
+            if self.pi > 0.0:
+                raise ValueError("pi > 0 requires a soft target")
+        else:
+            soft = np.asarray(self.soft, dtype=float)
+            if soft.shape != hard.shape:
+                raise ValueError("hard and soft target shapes must match")
+            _check_simplex(soft, "soft")
+            object.__setattr__(self, "soft", soft)
+
+    def combined(self) -> np.ndarray:
+        if self.soft is None:
+            return self.hard
+        return (1.0 - self.pi) * self.hard + self.pi * self.soft
+
+
+def _check_simplex(arr, name):
+    if (arr < 0).any() or np.isnan(arr).any():
+        raise ValueError(f"{name} target entries must be nonnegative")
+    if np.max(np.abs(arr.sum(axis=-1) - 1.0)) > 1e-6:
+        raise ValueError(f"{name} target rows must sum to 1")
+
+
+def _cross_entropy(target, pred):
+    return float(-np.sum(target * np.log(np.maximum(pred, 1e-12))))
+
+
+def mixed_loss(pred, target: MixedTarget) -> float:
+    """(1 - pi) * CE(hard, pred) + pi * CE(soft, pred) of one sentence."""
+    assert pred.shape == target.hard.shape
+    loss = (1.0 - target.pi) * _cross_entropy(target.hard, pred)
+    if target.soft is not None and target.pi > 0.0:
+        loss += target.pi * _cross_entropy(target.soft, pred)
+    return loss
+
+
+def mixed_target_gradient(pred, target: MixedTarget) -> np.ndarray:
+    return pred - target.combined()
+
+
 class OneByOne:
     """A model wrapper that forwards one sentence at a time through the
     reference."""
@@ -169,7 +238,7 @@ def check_batch(model, batch, seed):
         dlogits.append(d)
         for k, g in ref_backward(model, ref_cache, d).items():
             expected[k] += g
-    grads = model.backward(cache, dlogits)
+    grads = model.backward(cache, np.vstack(dlogits))
     assert list(grads) == list(model.params)
     for k, g in grads.items():
         np.testing.assert_allclose(g, expected[k], rtol=0, atol=TOL, err_msg=k)
@@ -216,6 +285,58 @@ class TestBatchedMatchesReference:
         assert not model.backward(cache, d)["emb"][0].any()
 
 
+class Capture:
+    """An optimizer that keeps the gradients it is handed."""
+
+    def step(self, params, grads):
+        self.grads = grads
+
+
+def _rows(rng, shape, one_hot):
+    """Random distributions of a sentence's output shape, one-hot or not."""
+    k = shape[-1]
+    flat = rng.dirichlet(np.ones(k), size=int(np.prod(shape[:-1])))
+    if one_hot:
+        flat = np.eye(k)[flat.argmax(axis=1)]
+    return flat.reshape(shape)
+
+
+class TestBatchLossMatchesReference:
+    # labeled: hard one-hot rows blended with q at pi; unlabeled: q alone,
+    # weighted by loss_scale = pi; stage2: frozen non-one-hot rows at pi = 1.
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(classifiers, taggers), batches, st.floats(0.0, 1.0),
+           st.sampled_from(["labeled", "unlabeled", "stage2"]), st.integers(0, 2**16))
+    def test_loss_and_gradients(self, model, batch, pi, kind, seed):
+        rng = np.random.default_rng(seed)
+        outputs, cache = model._forward_cache(batch)
+        n, scale = len(outputs), (pi if kind == "unlabeled" else 1.0)
+        refs, rows = [], []
+        for p in outputs:
+            hard = _rows(rng, p.shape, one_hot=kind == "labeled")
+            soft = _rows(rng, p.shape, one_hot=False)
+            if kind == "labeled":
+                refs.append(MixedTarget(hard=hard, soft=soft, pi=pi))
+                rows.append((1.0 - pi) * hard + pi * soft)
+            elif kind == "unlabeled":
+                refs.append(MixedTarget(hard=soft))
+                rows.append(soft)
+            else:
+                refs.append(MixedTarget(hard=hard, soft=hard, pi=1.0))
+                rows.append(hard)
+        ref_loss = scale * sum(mixed_loss(p, t) for p, t in zip(outputs, refs)) / n
+        ref_dlogits = np.vstack([mixed_target_gradient(p, t) / n for p, t in zip(outputs, refs)])
+        ref_grads = model.backward(cache, ref_dlogits)
+
+        _, dlogits = predictors._loss_and_dlogits(np.vstack(outputs), np.vstack(rows), n)
+        np.testing.assert_allclose(dlogits, ref_dlogits, rtol=0, atol=TOL)
+        opt = Capture()
+        loss = backward_and_step(model, outputs, cache, np.vstack(rows), opt, loss_scale=scale)
+        assert abs(loss - ref_loss) <= TOL * max(1.0, abs(ref_loss))
+        for k, g in opt.grads.items():
+            np.testing.assert_allclose(g, scale * ref_grads[k], rtol=0, atol=TOL, err_msg=k)
+
+
 class TestBatchValidation:
     @pytest.mark.parametrize("model", [
         TextClassifier(VOCAB, 2, emb_dim=3, n_filters=2),
@@ -230,6 +351,21 @@ class TestBatchValidation:
         batch[where] = np.array([], dtype=int)
         with pytest.raises(ValueError, match="no non-padding"):
             model.forward(batch)
+
+    @pytest.mark.parametrize("model", [
+        TextClassifier(VOCAB, 2, emb_dim=3, n_filters=2),
+        SequenceTagger(VOCAB, 2, emb_dim=3, hidden=4, radius=1),
+    ])
+    def test_step_rejects_bad_targets(self, model):
+        outputs, cache = model._forward_cache([np.array([2, 3]), np.array([4, 5, 6])])
+        good = np.tile([1.0, 0.0], (len(np.vstack(outputs)), 1))
+        backward_and_step(model, outputs, cache, good, Capture())
+        for bad, match in [(good[1:], "shape"), (good[:, :1], "shape"),
+                           (good * 0.5, "sum to 1"), (good - 0.5, "nonnegative")]:
+            with pytest.raises(ValueError, match=match):
+                backward_and_step(model, outputs, cache, bad, Capture())
+        with pytest.raises(ValueError, match="empty batch"):
+            backward_and_step(model, [], cache, good[:0], Capture())
 
     def test_empty_batch_and_bare_id_array_rejected(self):
         model = TextClassifier(VOCAB, 2, emb_dim=3, n_filters=2)
@@ -321,17 +457,18 @@ class TestNerTeacherBatching:
     def test_document_targets_alone_and_in_any_batch(self):
         teacher = self.teacher()
         docs = group_documents(self.DATA)
-        ids = [[teacher.vocab.encode(s.tokens) for s in doc] for doc in docs]
+        sigmas = [teacher.model.forward([teacher.vocab.encode(s.tokens) for s in doc])
+                  for doc in docs]
         links = [trainer._doc_links([s.tokens for s in doc]) for doc in docs]
         seeds = [11 * d + 1 for d in range(len(docs))]
         assert sum(map(bool, links)) >= 3
-        alone = [teacher.soft_predict([i], [ln], [s])[0] for i, ln, s in zip(ids, links, seeds)]
+        alone = [teacher.soft_predict([sg], [ln], [s]) for sg, ln, s in zip(sigmas, links, seeds)]
         rng = np.random.default_rng(0)
         for _ in range(3):
             order = rng.permutation(len(docs))[: rng.integers(2, len(docs) + 1)]
-            batched = teacher.soft_predict([ids[d] for d in order], [links[d] for d in order],
+            batched = teacher.soft_predict([sigmas[d] for d in order], [links[d] for d in order],
                                            [seeds[d] for d in order])
-            for d, doc_q in zip(order, batched):
+            for d, doc_q in zip(order, trainer._regroup(batched, [len(docs[d]) for d in order])):
                 assert len(doc_q) == len(alone[d])
                 for a, b in zip(alone[d], doc_q):
                     np.testing.assert_allclose(b, a, rtol=0, atol=TOL)
@@ -346,19 +483,52 @@ class TestNerTeacherBatching:
         assert all(r == reports[0] for r in reports)
         assert all(t == tags[0] for t in tags)
 
-    def test_one_teacher_forward_per_distill_batch(self, monkeypatch):
-        # Epoch 0 trains at pi = 0 (steps only); epoch 1 at pi > 0 must
-        # forward each batch once for the teacher, then step on it.
+    def test_one_student_forward_per_distill_batch(self, monkeypatch):
+        # Epoch 0 trains at pi = 0, epoch 1 at pi > 0; in both, each batch
+        # has the step's forward (F) and no other, and the teacher's chain
+        # query (Q) reads that forward's outputs before the step (S).
         events = []
-        forward, step = predictors._Model.forward, trainer.backward_and_step
-        monkeypatch.setattr(predictors._Model, "forward",
+        forward, step = SequenceTagger._forward_cache, trainer.backward_and_step
+        marginals = trainer.chain_marginals
+        monkeypatch.setattr(SequenceTagger, "_forward_cache",
                             lambda self, ids: events.append("F") or forward(self, ids))
         monkeypatch.setattr(trainer, "backward_and_step",
                             lambda *a, **kw: events.append("S") or step(*a, **kw))
+        monkeypatch.setattr(trainer, "chain_marginals",
+                            lambda query: events.append("Q") or marginals(query))
         config = TrainConfig(task="ner", mode="distill", epochs=2, batch_size=8, emb_dim=4,
                              hidden=5, train_sweeps=20, eval_sweeps=50, seed=0)
         train_distill(config, self.DATA, rules=self.RULES)
         log = "".join(events)
-        plain = log.index("F")
-        assert plain > 0 and log[:plain] == "S" * plain
-        assert log[plain:] == "FS" * ((len(log) - plain) // 2)
+        n = log.count("S") // 2
+        assert n > 1 and log == "FS" * n + "FQS" * n
+
+
+class TestSentimentTeacherBatching:
+    DATA = gen_synthetic_sentiment(seed=9, n=40)
+
+    def test_one_clause_forward_per_distill_batch(self, monkeypatch):
+        # Each batch has the step's forward over its sentences; at pi > 0
+        # the teacher adds one forward over the batch's B clauses alone.
+        events = []
+        forward, step = TextClassifier._forward_cache, trainer.backward_and_step
+        monkeypatch.setattr(TextClassifier, "_forward_cache",
+                            lambda self, ids: events.append(("F", len(ids))) or forward(self, ids))
+        monkeypatch.setattr(trainer, "backward_and_step",
+                            lambda m, out, *a, **kw: events.append(("S", len(out)))
+                            or step(m, out, *a, **kw))
+        config = TrainConfig(task="sentiment", mode="distill", epochs=2, batch_size=8,
+                             emb_dim=4, n_filters=3, seed=0)
+        train_distill(config, self.DATA, rules=(but_rule(confidence=1.0),))
+        steps = [i for i, (kind, _) in enumerate(events) if kind == "S"]
+        assert len(steps) == 10
+        clause_forwards, start = [], 0
+        for i in steps:
+            # The step's forward covers exactly the sentences it steps on.
+            (first, n_first), *extra, (_, n_step) = events[start : i + 1]
+            assert first == "F" and n_first == n_step
+            assert len(extra) <= (1 if i > steps[4] else 0)
+            clause_forwards += [n for _, n in extra]
+            start = i + 1
+        n_but = sum(trainer.detect_but(s.tokens) is not None for s in self.DATA)
+        assert n_but > 0 and sum(clause_forwards) == n_but

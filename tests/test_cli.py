@@ -146,6 +146,11 @@ class TestRuleSpecs:
         with pytest.raises(CliError):
             parse_rule_specs(text)
 
+    def test_but_needs_a_classification_task(self):
+        # The tagging teacher reads no per-instance rule.
+        with pytest.raises(CliError, match="classification"):
+            parse_rule_specs("transitions(), but(lambda=1)", TagScheme(("LOC",)))
+
     def test_positive_class_reaches_the_but_rule(self):
         (rule,) = parse_rule_specs("but(lambda=1)", positive_class=0)
         (g,) = rule.groundings([np.array([0.8, 0.2])])
@@ -239,6 +244,30 @@ class TestTrainCommand:
             "--rules", "but(lambda=1)", flag, value, "--out", str(out),
         ]) == 2
         assert not out.exists()
+
+    def test_but_rule_on_tagging_exit_2_before_writing(self, data_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "ner", "--mode", "distill",
+            "--train", str(data_dir / "ner_train.conll"),
+            "--rules", "but(lambda=1)", "--out", str(out),
+        ]) == 2
+        assert not out.exists()
+
+    def test_duplicate_seeds_exit_2_before_reading_or_writing(self, data_dir, tmp_path,
+                                                               monkeypatch, capsys):
+        from ruledistill import cli
+
+        read = []
+        monkeypatch.setattr(cli, "_load_task_data", lambda *a: read.append(a))
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "sentiment", "--mode", "base",
+            "--train", str(data_dir / "train.tsv"),
+            "--seeds", "0,1,0", "--out", str(out),
+        ]) == 2
+        assert "repeats a seed" in capsys.readouterr().err
+        assert not read and not out.exists()
 
     def test_config_file_drives_training(self, data_dir, tmp_path):
         out = tmp_path / "run"

@@ -1,11 +1,12 @@
-"""Vocabulary, the two numpy predictors, mixed loss, and checkpoints."""
+"""Vocabulary, the two numpy predictors, the batch loss against mixed
+target rows, and checkpoints."""
 
 import numpy as np
 import pytest
 
+from ruledistill import predictors
 from ruledistill.predictors import (
     Adadelta,
-    MixedTarget,
     NonFiniteGradientError,
     SequenceTagger,
     TextClassifier,
@@ -13,8 +14,6 @@ from ruledistill.predictors import (
     backward_and_step,
     finite_difference_check,
     load_checkpoint,
-    mixed_loss,
-    mixed_target_gradient,
     num_params,
     save_checkpoint,
 )
@@ -38,39 +37,53 @@ class TestVocabulary:
 
 
 class TestMixedTarget:
+    """The mixed target of a row is the blend (1 - pi) * hard + pi * soft;
+    the step fits the batch's output rows to a (rows, K) array of them."""
+
+    HARD = np.array([[1.0, 0.0], [0.0, 1.0]])
+    SOFT = np.array([[0.3, 0.7], [0.5, 0.5]])
+
     def test_combined_blend(self):
-        t = MixedTarget(
-            hard=np.array([1.0, 0.0]), soft=np.array([0.3, 0.7]), pi=0.5
-        )
-        np.testing.assert_allclose(t.combined(), [0.65, 0.35])
+        # The blend of hard and soft rows is a distribution row by row,
+        # which the step accepts.
+        blend = 0.5 * self.HARD + 0.5 * self.SOFT
+        np.testing.assert_allclose(blend, [[0.65, 0.35], [0.25, 0.75]])
+        assert predictors.check_targets(blend, (2, 2)) is not None
 
     def test_loss_is_blend_of_cross_entropies(self):
-        pred = np.array([0.8, 0.2])
-        hard = np.array([1.0, 0.0])
-        soft = np.array([0.3, 0.7])
-        t = MixedTarget(hard=hard, soft=soft, pi=0.25)
-        ce_h = -np.sum(hard * np.log(pred))
-        ce_s = -np.sum(soft * np.log(pred))
-        assert mixed_loss(pred, t) == pytest.approx(0.75 * ce_h + 0.25 * ce_s)
+        # The batch loss against the blend is the batch mean of the
+        # pi-weighted hard and soft cross-entropies.
+        model = TextClassifier(vocab_size=9, n_classes=2, emb_dim=3, n_filters=2, seed=1)
+        ids = [np.array([2, 3]), np.array([4, 5, 6])]
+        p = np.vstack(model.forward(ids))
+        ce_h = -np.sum(self.HARD * np.log(p), axis=1)
+        ce_s = -np.sum(self.SOFT * np.log(p), axis=1)
+        outputs, cache = model._forward_cache(ids)
+        loss = backward_and_step(model, outputs, cache, 0.75 * self.HARD + 0.25 * self.SOFT,
+                                 Adadelta())
+        assert loss == pytest.approx(np.mean(0.75 * ce_h + 0.25 * ce_s))
 
     def test_gradient_is_pred_minus_blend(self):
-        pred = np.array([0.6, 0.4])
-        t = MixedTarget(
-            hard=np.array([0.0, 1.0]), soft=np.array([0.5, 0.5]), pi=0.4
-        )
-        np.testing.assert_allclose(
-            mixed_target_gradient(pred, t), pred - t.combined()
-        )
+        pred = np.array([[0.6, 0.4], [0.1, 0.9]])
+        blend = 0.6 * self.HARD + 0.4 * self.SOFT
+        _, dlogits = predictors._loss_and_dlogits(pred, blend, n=2)
+        np.testing.assert_allclose(dlogits, (pred - blend) / 2)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MixedTarget(hard=np.array([1.0, 0.0]), pi=0.5)  # pi>0 without soft
-        with pytest.raises(ValueError):
-            MixedTarget(hard=np.array([0.9, 0.0]))  # not a distribution
-        with pytest.raises(ValueError):
-            MixedTarget(
-                hard=np.array([1.0, 0.0]), soft=np.array([0.5, 0.5]), pi=1.5
-            )
+        model = TextClassifier(vocab_size=9, n_classes=2, emb_dim=3, n_filters=2, seed=1)
+        outputs, cache = model._forward_cache([np.array([2, 3])])
+        for bad, match in [
+            (np.array([[0.9, 0.0]]), "sum to 1"),  # not a distribution
+            (np.array([[1.5, -0.5]]), "nonnegative"),
+            (np.array([[np.nan, 1.0]]), "nonnegative"),
+            (np.array([1.0, 0.0]), "shape"),  # one row, but not (rows, K)
+            (np.array([[1.0, 0.0], [0.0, 1.0]]), "shape"),  # a row too many
+        ]:
+            with pytest.raises(ValueError, match=match):
+                backward_and_step(model, outputs, cache, bad, Adadelta())
+        with pytest.raises(ValueError, match="loss_scale"):
+            backward_and_step(model, outputs, cache, np.array([[1.0, 0.0]]), Adadelta(),
+                              loss_scale=-1.0)
 
 
 class TestModels:
@@ -108,28 +121,25 @@ class TestModels:
     def test_training_step_reduces_loss(self):
         model = TextClassifier(vocab_size=9, n_classes=2, emb_dim=4,
                                n_filters=3, seed=0)
-        batch = [
-            (np.array([2, 3]), MixedTarget(hard=np.array([1.0, 0.0]))),
-            (np.array([4, 5]), MixedTarget(hard=np.array([0.0, 1.0]))),
-        ]
+        ids = [np.array([2, 3]), np.array([4, 5])]
+        targets = np.eye(2)
         opt = Adadelta()
-        first = backward_and_step(model, batch, opt)
+        first = backward_and_step(model, *model._forward_cache(ids), targets, opt)
         for _ in range(60):
-            last = backward_and_step(model, batch, opt)
+            last = backward_and_step(model, *model._forward_cache(ids), targets, opt)
         assert last < first
 
     def test_gradient_check_small_models(self):
         # Spot check; the exhaustive sweep runs in the acceptance suite.
         cls = TextClassifier(vocab_size=8, n_classes=2, emb_dim=3,
                              window_sizes=(2,), n_filters=2, seed=1)
-        batch = [(np.array([2, 3, 4]), MixedTarget(hard=np.array([1.0, 0.0])))]
-        report = finite_difference_check(cls, batch)
+        report = finite_difference_check(cls, [np.array([2, 3, 4])], np.array([[1.0, 0.0]]))
         assert max(report.values()) < 1e-4
 
     def test_backward_and_step_rejects_empty(self):
         model = TextClassifier(vocab_size=8, n_classes=2)
-        with pytest.raises(ValueError):
-            backward_and_step(model, [], Adadelta())
+        with pytest.raises(ValueError, match="empty batch"):
+            backward_and_step(model, [], None, np.zeros((0, 2)), Adadelta())
 
     def test_num_params(self):
         model = SequenceTagger(vocab_size=5, n_tags=3, emb_dim=2, hidden=4,

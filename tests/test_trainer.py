@@ -287,6 +287,22 @@ class TestSentimentTeacher:
             teacher = SentimentTeacher(self.ClauseModel(), vocab, (rule,), 6.0)
             assert teacher.predict_proba(tokens)[0] > 0.9
 
+    def test_rejects_rules_it_would_drop(self, monkeypatch):
+        # Bigram and cross-instance rules have no meaning for a sentence
+        # label; each is named, and training fails before its first step.
+        scheme = TagScheme(("LOC",))
+        rules = (but_rule(confidence=1.0),) + tuple(transition_rules(scheme)) + (
+            list_counterpart_rule(CategoryCollapse(scheme), confidence=1.0),)
+        with pytest.raises(ValueError, match="'bioes-entity-opens'.*'list-counterpart'"):
+            SentimentTeacher(None, None, rules, 6.0)
+        steps = []
+        monkeypatch.setattr(trainer, "backward_and_step", lambda *a, **kw: steps.append(1) or 0.0)
+        data = gen_synthetic_sentiment(seed=11, n=20)
+        for entry, mode in ((train_distill, "distill"), (pipeline_distill, "pipeline")):
+            with pytest.raises(ValueError, match="'list-counterpart'"):
+                entry(tiny_config(mode=mode), data, rules=rules)
+        assert not steps
+
 
 class TestTrainNer:
     DATA = gen_synthetic_ner(seed=11, n_docs=8)
@@ -356,7 +372,8 @@ class TestTrainNer:
             ids = [base.vocab.encode(s.tokens) for s in doc]
             links = trainer._doc_links([s.tokens for s in doc])
             n_links += len(links)
-            (a_doc,), (b_doc,) = (t.soft_predict([ids], [links], [0]) for t in (one, two))
+            sigmas = base.student.forward(ids)
+            a_doc, b_doc = (t.soft_predict([sigmas], [links], [0]) for t in (one, two))
             for a, b in zip(a_doc, b_doc):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
         assert n_links > 0
@@ -451,6 +468,19 @@ class TestNerGroupTeacher:
             NerTeacher(None, None, self.SCHEME, [rule], 6.0)
         with pytest.raises(ValueError, match="constant within tag categories"):
             project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
+
+    def test_rejects_per_instance_rule(self, monkeypatch):
+        # The tagging teacher reads only bigram and cross-instance rules: a
+        # but-rule is named, and training fails before its first step.
+        rules = (list_counterpart_rule(self.COLLAPSE, confidence=1.0), but_rule(confidence=1.0))
+        with pytest.raises(ValueError, match="'but-avg'"):
+            NerTeacher(None, None, self.SCHEME, rules, 6.0)
+        steps = []
+        monkeypatch.setattr(trainer, "backward_and_step", lambda *a, **kw: steps.append(1) or 0.0)
+        config = TrainConfig(task="ner", epochs=1, emb_dim=4, hidden=4)
+        with pytest.raises(ValueError, match="'but-avg'"):
+            train_distill(config, gen_synthetic_ner(seed=11, n_docs=4), rules=rules)
+        assert not steps
 
     def test_rejects_cross_rule_other_than_the_list_rule(self):
         # "Categories differ": constant within categories, so it passes the
