@@ -3,15 +3,25 @@
 Two regimes compute the teacher's soft predictions, matched to how the
 rule penalties factor over the output:
 
-* chain: bigram penalties; exact marginals by forward-backward and MAP
-  decode by max-product, both in log space.  A query is a batch of chains
-  of any lengths, padded to (N, T_max, K): each pass takes one vectorised
-  step per position across all chains.
-* group: cross-instance penalties.  A group whose joint label space has at
-  most ``EXACT_MAX_STATES`` states is enumerated exactly in one dense
-  score tensor; a larger one falls back to single-site Gibbs sampling with
-  exact conditionals, with marginals estimated by averaging those
-  conditionals (Rao-Blackwellized counts).
+* chain: bigram penalties.  A query is a batch of chains of any lengths,
+  padded to (N, T_max, K); each pass takes one vectorised step per
+  position across all chains.  The forward-backward marginals and the log
+  normalizers come from scaled passes in probability space: each step is
+  one product of the step-normalized alphas (or betas) with exp(pair), a
+  matmul for a shared (K, K) table or a batched one for per-step tables,
+  and log Z is the sum of the log scale factors.  Where that underflows
+  (a step whose mass falls to zero, or far enough below an earlier step's
+  that rounding in the subnormal range could show), the chain is
+  recomputed by the same passes in log space, which alone decide that a
+  chain has no feasible path.  MAP decoding is a log-space max-product.
+* group: cross-instance penalties over sites, each site taking one label.
+  ``form_groups`` splits linked sites into components, cutting seeded
+  random links until each fits a size cap.  ``exact_group_marginals``
+  enumerates a stack of groups of one size in one dense score tensor per
+  group, up to ``EXACT_MAX_STATES`` joint states each; a larger group
+  falls back to single-site Gibbs sampling with exact conditionals, with
+  marginals estimated by averaging those conditionals (Rao-Blackwellized
+  counts).
 
 Group members carry finite pair potentials only: a -inf bigram entry can
 freeze single-site sampling into one basin, so hard transition constraints
@@ -26,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +60,7 @@ __all__ = [
     "exact_group_marginals",
     "GroupEnumeration",
     "enumerate_group_posterior",
+    "SiteGroup",
     "form_groups",
 ]
 
@@ -81,8 +92,8 @@ class ChainTeacherQuery:
     shape (N, T_max - 1, K, K), whose entries past a chain's end are never
     read.  ``log_start``/``log_end`` hold the (K,) boundary terms of every
     chain.  Construction runs the forward pass, which verifies that each
-    chain has a feasible path; its log-alphas and the (N,) log normalizers
-    are kept for ``chain_marginals`` and ``chain_log_z``.
+    chain has a feasible path; the pass and the (N,) log normalizers are
+    kept for ``chain_marginals`` and ``chain_log_z``.
     """
 
     log_unary: np.ndarray  # N arrays of (T_n, K); padded (N, T_max, K) after init
@@ -90,7 +101,7 @@ class ChainTeacherQuery:
     log_start: Optional[np.ndarray] = None
     log_end: Optional[np.ndarray] = None
     lengths: np.ndarray = field(init=False, repr=False)
-    alpha: np.ndarray = field(init=False, repr=False)
+    forward: _ScaledPass = field(init=False, repr=False)
     log_z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -124,13 +135,13 @@ class ChainTeacherQuery:
                     raise ValueError(f"{name} must have shape ({k},)")
                 object.__setattr__(self, name, vec)
 
-        alpha, log_z = _forward(self)
+        forward, log_z = _forward(self)
         infeasible = np.flatnonzero(log_z == -np.inf)
         if infeasible.size:
             raise InfeasibleChainError(
                 f"hard constraints exclude every label path of chain {infeasible[0]}"
             )
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "forward", forward)
         object.__setattr__(self, "log_z", log_z)
 
     @property
@@ -171,17 +182,137 @@ def _unpad(query: ChainTeacherQuery, a: np.ndarray) -> list[np.ndarray]:
     return [row[:t] for row, t in zip(a, query.lengths)]
 
 
-def _forward(query: ChainTeacherQuery) -> tuple[np.ndarray, np.ndarray]:
-    """Log-alphas of every chain, one vectorised step per position, and the
-    (N,) log normalizers read at each chain's last position."""
+# The scaled passes keep every step's forward values summing to 1 and carry
+# what they divide out in log space.  A value below the smallest normal
+# float keeps only an absolute precision, about e^-744 of its step's mass;
+# its error can grow only as far as the chain's mass later falls.  So a
+# chain whose mass falls by more than e^_MAX_DROP below an earlier step's (a
+# step that underflows to zero is the extreme) is recomputed in log space.
+_MAX_DROP = 600.0
+
+
+@dataclass(frozen=True, eq=False)
+class _ScaledPass:
+    """A forward pass in probability space over a padded batch of chains.
+
+    ``factors`` is exp(unary - the row's max), (N, T_max, K); ``trans`` is
+    exp(pair - its max), (K, K) or (N, T_max - 1, K, K).  ``alpha[:, t]`` is
+    ``(alpha[:, t-1] @ trans) * factors[:, t]`` divided by its sum
+    ``scale[:, t]``.  ``rescued`` marks the chains whose answers come from
+    the log-space pass instead."""
+
+    factors: np.ndarray
+    trans: np.ndarray
+    alpha: np.ndarray
+    scale: np.ndarray
+    rescued: np.ndarray
+
+
+def _shifted_exp(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
+    """exp(a - m) and m, where m is the max of ``a`` over ``axis`` (kept),
+    taken as 0 where every entry is -inf."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    return np.exp(a - m), m
+
+
+def _forward_step(v: np.ndarray, trans: np.ndarray, t: int) -> np.ndarray:
+    """Each chain's row of ``v`` times its transition matrix from t to t+1."""
+    if trans.ndim == 2:
+        return v @ trans
+    return np.matmul(v[:, None, :], trans[:, t])[:, 0]
+
+
+def _backward_step(v: np.ndarray, trans: np.ndarray, t: int) -> np.ndarray:
+    """Each chain's transition matrix from t to t+1 times its row of ``v``."""
+    if trans.ndim == 2:
+        return v @ trans.T
+    return np.matmul(trans[:, t], v[:, :, None])[..., 0]
+
+
+def _forward(query: ChainTeacherQuery) -> tuple[_ScaledPass, np.ndarray]:
+    """The scaled forward pass, one product per position across all
+    chains, and the (N,) log normalizers: the sum of each chain's log scale
+    factors and shifts up to its length.  A rescued chain takes its log
+    normalizer from the log-space pass, which alone finds a chain with no
+    feasible path."""
     f = _folded_unary(query)
+    n, t_max, k = f.shape
+    factors, f_shift = _shifted_exp(f, 2)
+    log_pair = np.zeros((k, k)) if query.log_pair is None else query.log_pair
+    trans, p_shift = _shifted_exp(log_pair, (-2, -1))
+    alpha = np.empty_like(factors)
+    scale = np.empty((n, t_max))
+    a = factors[:, 0]
+    for t in range(t_max):
+        if t:
+            a = _forward_step(alpha[:, t - 1], trans, t - 1) * factors[:, t]
+        s = a.sum(axis=1)
+        scale[:, t] = s
+        alpha[:, t] = a / np.where(s > 0, s, 1.0)[:, None]
+    valid = np.arange(t_max) < query.lengths[:, None]
+    zero = valid & (scale == 0)
+    log_scale = np.log(np.where(valid & ~zero, scale, 1.0))
+    level = np.cumsum(log_scale, axis=1)
+    fall = np.max(np.maximum.accumulate(level, axis=1) - level, axis=1)
+    rescued = zero.any(axis=1) | (fall > _MAX_DROP)
+    shifts = f_shift[..., 0]
+    shifts[:, 1:] += p_shift[..., 0, 0]
+    log_z = np.sum(np.where(valid, log_scale + shifts, 0.0), axis=1)
+    if rescued.any():
+        rows = np.flatnonzero(rescued)
+        _, log_z[rows] = _log_forward(f[rows], _chain_rows(query.log_pair, rows),
+                                      query.lengths[rows])
+    return _ScaledPass(factors, trans, alpha, scale, rescued), log_z
+
+
+def _chain_rows(log_pair: Optional[np.ndarray], rows: np.ndarray) -> Optional[np.ndarray]:
+    """The pair terms of the chains ``rows`` of a batch."""
+    return log_pair if log_pair is None or log_pair.ndim == 2 else log_pair[rows]
+
+
+def _log_pair_at(log_pair: Optional[np.ndarray], t: int, k: int) -> np.ndarray:
+    """Log pair terms from t to t+1: (K, K) when shared, else (N, K, K)."""
+    if log_pair is None:
+        return np.zeros((k, k))
+    return log_pair if log_pair.ndim == 2 else log_pair[:, t]
+
+
+def _log_normalized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``a`` shifted to log-sum 0, and their log-sums; a row with
+    no finite entry stays as it is."""
+    norm = logsumexp(a, axis=-1)
+    return a - np.where(np.isfinite(norm), norm, 0.0)[..., None], norm
+
+
+def _log_forward(f: np.ndarray, log_pair, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Log-alphas of padded folded unaries ``f``, shifted to log-sum 0 at
+    every step, and the (N,) log normalizers: the sum of the shifts up to
+    each chain's length.  The shifts keep every step's values near 0, so
+    their rounding does not grow with the chain's score."""
+    n, t_max, k = f.shape
     alpha = np.empty_like(f)
-    alpha[:, 0] = f[:, 0]
-    for t in range(1, f.shape[1]):
-        alpha[:, t] = f[:, t] + logsumexp(
-            alpha[:, t - 1, :, None] + query.pair_term(t - 1), axis=1
-        )
-    return alpha, logsumexp(_last(query, alpha), axis=1)
+    norms = np.empty((n, t_max))
+    alpha[:, 0], norms[:, 0] = _log_normalized(f[:, 0])
+    for t in range(1, t_max):
+        alpha[:, t], norms[:, t] = _log_normalized(f[:, t] + logsumexp(
+            alpha[:, t - 1, :, None] + _log_pair_at(log_pair, t - 1, k), axis=1
+        ))
+    return alpha, np.sum(np.where(np.arange(t_max) < lengths[:, None], norms, 0.0), axis=1)
+
+
+def _log_marginals(f: np.ndarray, log_pair, lengths) -> np.ndarray:
+    """Padded (N, T_max, K) marginals by forward-backward in log space."""
+    alpha, _ = _log_forward(f, log_pair, lengths)
+    beta = np.zeros_like(f)
+    for t in range(f.shape[1] - 2, -1, -1):
+        step, _ = _log_normalized(logsumexp(
+            _log_pair_at(log_pair, t, f.shape[2]) + (f[:, t + 1] + beta[:, t + 1])[:, None, :],
+            axis=2,
+        ))
+        # A chain that ends at t starts its backward pass there.
+        beta[:, t] = np.where((t < lengths - 1)[:, None], step, 0.0)
+    return np.exp(_log_normalized(alpha + beta)[0])
 
 
 def chain_log_z(query: ChainTeacherQuery) -> np.ndarray:
@@ -191,16 +322,26 @@ def chain_log_z(query: ChainTeacherQuery) -> np.ndarray:
 
 def chain_marginals(query: ChainTeacherQuery) -> list[np.ndarray]:
     """Exact per-position marginals of every chain, one (T_n, K) array
-    each, via forward-backward in log space."""
-    f = _folded_unary(query)
-    beta = np.zeros_like(f)
-    for t in range(f.shape[1] - 2, -1, -1):
-        step = logsumexp(
-            query.pair_term(t) + (f[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2
-        )
-        # A chain that ends at t starts its backward pass there.
-        beta[:, t] = np.where((t < query.lengths - 1)[:, None], step, 0.0)
-    return _unpad(query, np.exp(query.alpha + beta - query.log_z[:, None, None]))
+    each.  The backward pass is scaled by the forward pass's factors, so
+    alpha * beta is the marginal: one product per position.  A chain the
+    forward pass rescued, or whose betas overflow, is recomputed in log
+    space."""
+    fw = query.forward
+    lengths = query.lengths
+    beta = np.ones_like(fw.alpha)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for t in range(beta.shape[1] - 2, -1, -1):
+            step = (_backward_step(fw.factors[:, t + 1] * beta[:, t + 1], fw.trans, t)
+                    / fw.scale[:, t + 1, None])
+            # A chain that ends at t starts its backward pass there.
+            beta[:, t] = np.where((t < lengths - 1)[:, None], step, 1.0)
+        marginals = fw.alpha * beta
+    redo = fw.rescued | ~np.isfinite(marginals).all(axis=(1, 2))
+    if redo.any():
+        rows = np.flatnonzero(redo)
+        marginals[rows] = _log_marginals(_folded_unary(query)[rows],
+                                         _chain_rows(query.log_pair, rows), lengths[rows])
+    return _unpad(query, marginals)
 
 
 def chain_map_decode(query: ChainTeacherQuery) -> tuple[list[np.ndarray], np.ndarray]:
@@ -341,15 +482,12 @@ class GroupTeacherQuery:
     """A set of members coupled by links, plus Gibbs sampler settings.
 
     The sampler spends the first 20% of ``sweeps`` on burn-in.
-    ``member_ids`` optionally records each member's index in the original
-    batch (set by form_groups).
     """
 
     members: tuple[MemberPotentials, ...]
     links: tuple[GroupLink, ...] = ()
     sweeps: int = 200
     seed: int = 0
-    member_ids: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         members = tuple(self.members)
@@ -373,11 +511,6 @@ class GroupTeacherQuery:
 
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
-        if self.member_ids is not None:
-            ids = tuple(self.member_ids)
-            if len(ids) != len(members):
-                raise ValueError("member_ids length must match members")
-            object.__setattr__(self, "member_ids", ids)
 
     @property
     def n_labels(self) -> int:
@@ -471,58 +604,49 @@ def gibbs_soft_predict(query: GroupTeacherQuery) -> list[np.ndarray]:
 EXACT_MAX_STATES = 4**8
 
 
-def _on_axis(vec: np.ndarray, i: int, n: int) -> np.ndarray:
-    """A length-K vector over site i, shaped to broadcast against the
-    n-site score tensor."""
-    shape = [1] * n
-    shape[i] = len(vec)
-    return vec.reshape(shape)
+def exact_group_marginals(log_unary, log_pair) -> np.ndarray:
+    """Exact per-site marginals of a stack of B groups of n sites each.
 
-
-def _on_axes(table: np.ndarray, i: int, j: int, n: int) -> np.ndarray:
-    """A (K, K) table over sites i and j, shaped like ``_on_axis``."""
-    if i == j:
-        return _on_axis(np.diagonal(table), i, n)
-    if i > j:
-        table, i, j = table.T, j, i
-    shape = [1] * n
-    shape[i], shape[j] = table.shape
-    return table.reshape(shape)
-
-
-def exact_group_marginals(query: GroupTeacherQuery) -> list[np.ndarray]:
-    """Exact per-member per-position marginals of the group posterior, in
-    the shape ``gibbs_soft_predict`` returns.
-
-    Every site gets one axis of a K**n_sites score tensor, built by
-    broadcasting the unaries, the members' pair terms and the link tables;
-    the tensor is normalized once and each site's marginal sums out the
-    other axes.  Raises ValueError above ``EXACT_MAX_STATES`` joint states.
+    ``log_unary`` is (B, n, K); ``log_pair`` is (B, n, n, K, K), and
+    ``log_pair[b, i, j][y_i, y_j]`` adds to group b's joint score (i == j
+    reads the table's diagonal).  The score tensor, one axis per site,
+    grows one site at a time, each new site's axis in front: site m's
+    unary and its tables with the sites before it are first summed into
+    one tensor over (y_m, y_m-1, ..., y_0), itself grown one axis at a
+    time.  Every addition then runs over contiguous trailing blocks, and
+    each site costs about two passes over the tensor it creates.  Each
+    group's tensor is normalized once; the marginals are read off while
+    summing out the sites from the front.  Returns (B, n, K).  Raises
+    ValueError above ``EXACT_MAX_STATES`` joint states per group; bounding
+    B is the caller's.
     """
-    k = query.n_labels
-    sites = _sites(query)
-    n = len(sites)
+    u = np.asarray(log_unary, dtype=float)
+    pair = np.asarray(log_pair, dtype=float)
+    b, n, k = u.shape
+    if pair.shape != (b, n, n, k, k):
+        raise ValueError(f"log_pair must have shape {(b, n, n, k, k)}, got {pair.shape}")
     if k**n > EXACT_MAX_STATES:
         raise ValueError(
             f"{k}**{n} joint states exceed EXACT_MAX_STATES = {EXACT_MAX_STATES}"
         )
-    site_index = {s: i for i, s in enumerate(sites)}
-    score = np.zeros((k,) * n)
-    for i, (m, t) in enumerate(sites):
-        score += _on_axis(query.members[m].log_unary[t], i, n)
-    for m, mem in enumerate(query.members):
-        if mem.log_pair is not None:
-            for t in range(mem.n_positions - 1):
-                score += _on_axes(mem.pair_term(t), site_index[(m, t)],
-                                  site_index[(m, t + 1)], n)
-    for ln in query.links:
-        score += _on_axes(ln.log_table, site_index[(ln.member_a, ln.pos_a)],
-                          site_index[(ln.member_b, ln.pos_b)], n)
-    probs = np.exp(score - score.max())
-    probs /= probs.sum()
-    out = [np.empty_like(m.log_unary) for m in query.members]
-    for i, (m, t) in enumerate(sites):
-        out[m][t] = probs.sum(axis=tuple(a for a in range(n) if a != i))
+    # A self-link scores its site's own label, so it joins the unary.
+    u = u + np.einsum("biikk->bik", pair)
+    score = u[:, 0]
+    for m in range(1, n):
+        terms = u[:, m]
+        for i in range(m):
+            # Both directions of the pair, as one table over (y_m, y_i).
+            table = pair[:, m, i] + pair[:, i, m].transpose(0, 2, 1)
+            terms = terms[:, :, None] + table.reshape((b, k, k) + (1,) * i)
+        score = score[:, None] + terms
+    mass = score.reshape(b, -1)
+    mass = np.exp(mass - mass.max(axis=1, keepdims=True))
+    mass /= mass.sum(axis=1, keepdims=True)
+    out = np.empty((b, n, k))
+    for m in range(n - 1, -1, -1):
+        block = mass.reshape(b, k, -1)
+        out[:, m] = block.sum(axis=2)
+        mass = block.sum(axis=1)
     return out
 
 
@@ -567,83 +691,113 @@ def enumerate_group_posterior(query: GroupTeacherQuery) -> GroupEnumeration:
 # --- group formation ---------------------------------------------------------
 
 
+class SiteGroup(NamedTuple):
+    """One component of ``form_groups``: its sites in increasing order, its
+    kept links as pairs of positions in ``sites``, and a seed for
+    sampling it."""
+
+    sites: tuple[int, ...]
+    links: tuple[tuple[int, int], ...]
+    seed: int
+
+
+def _components(n: int, links) -> list[list[int]]:
+    """Connected components of sites 0..n-1 under ``links``, each in
+    increasing order, in order of their smallest site."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in links:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[a] = b
+    comps: dict[int, list[int]] = {}
+    for i in range(n):
+        comps.setdefault(find(i), []).append(i)
+    return sorted(comps.values(), key=min)
+
+
+def _side(adjacent: dict[int, dict[int, int]], a: int, b: int) -> Optional[set[int]]:
+    """The sites reachable from a, or None as soon as b is among them."""
+    seen, frontier = {a}, [a]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in adjacent[x]:
+                if y == b:
+                    return None
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
 def form_groups(
-    members: Sequence[MemberPotentials],
-    links: Sequence[GroupLink],
+    n_sites: int,
+    links: Sequence[tuple[int, int]],
     g_max: int = 8,
     seed: int = 0,
-    sweeps: int = 200,
-) -> list[GroupTeacherQuery]:
-    """Partition a batch into groups by link connectivity.
+) -> list[SiteGroup]:
+    """Partition sites 0..n_sites-1 into groups by the connectivity of
+    ``links``, (a, b) pairs of site indices.
 
     Components larger than ``g_max`` are shrunk by deleting uniformly
-    random links (seeded) until every component fits.  Link indices refer
-    to the batch; the returned queries re-index members and record their
-    original batch positions in ``member_ids``.
+    random links (seeded) of the first one, in order of smallest site,
+    until every component fits.  The groups come in that order, each with
+    its sites in increasing order, its kept links as pairs of positions in
+    ``sites``, and a seed drawn from the same generator after the cuts.
     """
     if g_max < 1:
         raise ValueError("g_max must be >= 1")
-    n = len(members)
-    for ln in links:
-        if not (0 <= ln.member_a < n and 0 <= ln.member_b < n):
-            raise ValueError("links must reference batch members")
+    n = n_sites
+    for a, b in links:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError("links must reference sites below n_sites")
 
     rng = np.random.default_rng(seed)
-    kept = list(links)
-
-    def components(active_links):
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for ln in active_links:
-            a, b = find(ln.member_a), find(ln.member_b)
-            if a != b:
-                parent[a] = b
-        comps: dict[int, list[int]] = {}
-        for i in range(n):
-            comps.setdefault(find(i), []).append(i)
-        return sorted(comps.values(), key=min)
-
+    alive = [True] * len(links)
+    comps = _components(n, links)
     while True:
-        comps = components(kept)
         oversized = [c for c in comps if len(c) > g_max]
         if not oversized:
             break
-        target = set(oversized[0])
-        internal = [
-            i
-            for i, ln in enumerate(kept)
-            if ln.member_a in target and ln.member_b in target
-        ]
-        drop = internal[int(rng.integers(len(internal)))]
-        kept.pop(drop)
+        target = oversized[0]
+        inside = set(target)
+        internal = [i for i, (a, _) in enumerate(links) if alive[i] and a in inside]
+        # Link counts between the target's sites: a cut splits the target
+        # exactly when it leaves no path between the cut link's ends.
+        adjacent: dict[int, dict[int, int]] = {site: {} for site in target}
+        for a, b in (links[i] for i in internal):
+            if a != b:
+                adjacent[a][b] = adjacent[b][a] = adjacent[a].get(b, 0) + 1
+        side = None
+        while side is None:
+            i = internal.pop(int(rng.integers(len(internal))))
+            alive[i] = False
+            a, b = links[i]
+            if a == b:
+                continue
+            for x, y in ((a, b), (b, a)):
+                adjacent[x][y] -= 1
+                if not adjacent[x][y]:
+                    del adjacent[x][y]
+            side = _side(adjacent, a, b)
+        pieces = [sorted(side), [site for site in target if site not in side]]
+        comps = sorted([c for c in comps if c is not target] + pieces, key=min)
+    kept = [ln for ln, keep in zip(links, alive) if keep]
 
     groups = []
     for comp in comps:
-        local = {orig: i for i, orig in enumerate(comp)}
-        comp_links = tuple(
-            GroupLink(
-                member_a=local[ln.member_a],
-                pos_a=ln.pos_a,
-                member_b=local[ln.member_b],
-                pos_b=ln.pos_b,
-                log_table=ln.log_table,
-            )
-            for ln in kept
-            if ln.member_a in local and ln.member_b in local
-        )
-        groups.append(
-            GroupTeacherQuery(
-                members=tuple(members[i] for i in comp),
-                links=comp_links,
-                sweeps=sweeps,
-                seed=int(rng.integers(2**31 - 1)),
-                member_ids=tuple(comp),
-            )
-        )
+        local = {site: i for i, site in enumerate(comp)}
+        groups.append(SiteGroup(
+            sites=tuple(comp),
+            links=tuple((local[a], local[b]) for a, b in kept if a in local),
+            seed=int(rng.integers(2**31 - 1)),
+        ))
     return groups

@@ -9,18 +9,20 @@ the imitation term.  The teachers are functions of p: they never forward
 the student on the batch themselves.
 
 Teacher construction is routed by rule scope: per-instance rules become
-single-position projections, bigram rules become chain potentials, and
-cross-instance rules become groups over the linked sites whose marginals
-then enter the per-sentence chains as extra unary penalties.  The groups
-are solved at category level: enumerated exactly when their joint space
-has at most ``EXACT_MAX_STATES`` states, Gibbs-sampled above that.  That
-composition keeps hard transition constraints out of the group regime
-(see the inference module note on ergodicity) while still letting list
-information flow into every decoded sequence.  The tagging teacher works
-on a whole minibatch of documents in training, and on chunks of about
-``_EVAL_CHUNK`` sentences' worth of documents in evaluation: groups and
-seeds per document, one array expression for the list penalties, and one
-chain query over every sentence.
+single-position projections, bigram rules become chain potentials read
+from their groundings, and cross-instance rules become groups over the
+linked sites whose marginals then enter the per-sentence chains as extra
+unary penalties.  The groups are solved at category level: enumerated
+exactly, stacked by size, when their joint space has at most
+``EXACT_MAX_STATES`` states, Gibbs-sampled above that.  That composition
+keeps hard transition constraints out of the group regime (see the
+inference module note on ergodicity) while still letting list information
+flow into every decoded sequence.  The tagging teacher works on a whole
+minibatch of documents in training, and on chunks of about
+``_EVAL_CHUNK`` sentences' worth of documents in evaluation: one array of
+the linked sites, groups and seeds per document, stacked exact solves,
+one array expression for the list penalties, and one chain query over
+every sentence.
 
 Modes: plain supervised (base), distillation, semi-supervised
 distillation (imitation term additionally on unlabeled batches),
@@ -52,6 +54,7 @@ from .inference import (
     EXACT_MAX_STATES,
     ChainTeacherQuery,
     GroupLink,
+    GroupTeacherQuery,
     MemberPotentials,
     chain_map_decode,
     chain_marginals,
@@ -79,7 +82,6 @@ from .rulelib import (
     counterpart_truth_table,
     detect_but,
     list_rule_truth,
-    transition_masks,
 )
 
 __all__ = [
@@ -314,14 +316,40 @@ class SentimentTeacher:
 # --- NER teacher -------------------------------------------------------------
 
 
-def _transition_log_terms(scheme: TagScheme, confidence: float, c: float):
-    """Chain potentials for the BIOES transition rules: 0 where valid,
-    -c*confidence (or -inf when hard) where invalid."""
-    masks = transition_masks(scheme)
-    bad = -math.inf if math.isinf(confidence) else -c * confidence
-    pair = np.where(masks.valid_pair, 0.0, bad)
-    start = np.where(masks.valid_start, 0.0, bad)
-    end = np.where(masks.valid_end, 0.0, bad)
+def _chain_terms(rules: Sequence[Rule], n_tags: int, c: float):
+    """Chain potentials (pair, start, end) of the bigram rules, read from
+    each rule's groundings on one 3-position member: -c * confidence *
+    (1 - truth), summed over rules and groundings, or -inf where a hard
+    rule's truth is below 1.  A rule the chain cannot hold is rejected by
+    name: one that grounds other sites than the first, the last or two
+    consecutive ones, or whose pair table depends on the position."""
+    pair, start, end = np.zeros((n_tags, n_tags)), np.zeros(n_tags), np.zeros(n_tags)
+    for rule in rules:
+        steps = np.zeros((2, n_tags, n_tags))
+        for g in rule.groundings([range(3)]):
+            table = np.asarray(g.table, dtype=float)
+            term = (np.where(table < 1.0, -math.inf, 0.0) if rule.hard
+                    else -c * rule.confidence * (1.0 - table))
+            sites = tuple(map(tuple, g.sites))
+            if sites == ((0, 0),):
+                start = start + term
+            elif sites == ((0, 2),):
+                end = end + term
+            elif (len(sites) == 2 and sites[0][0] == sites[1][0] == 0
+                  and abs(sites[1][1] - sites[0][1]) == 1):
+                (_, a), (_, b) = sites
+                steps[min(a, b)] += term if a < b else term.T
+            else:
+                raise ValueError(
+                    f"rule {rule.name!r}: a chain holds groundings of the first site, the "
+                    f"last site or two consecutive sites, not of {sites}"
+                )
+        if not np.array_equal(steps[0], steps[1]):
+            raise ValueError(
+                f"rule {rule.name!r}: its pair table depends on the position, which a "
+                "chain cannot hold"
+            )
+        pair = pair + steps[0]
     return pair, start, end
 
 
@@ -339,13 +367,11 @@ def _doc_links(doc_tokens: Sequence[Sequence[str]]):
     return links
 
 
-def _category_log_table(rule: Rule, collapse: CategoryCollapse, c: float):
-    """A cross rule's log link table over category groups: its truth table
-    restricted to one representative tag per group.  Only a table that is
-    constant within categories lets the group teacher sum out the BIOES
-    variants exactly, and stage 2 scores every cross rule with the
-    list-rule truth, so any table but ``counterpart_truth_table``'s is
-    rejected."""
+def _check_cross_rule(rule: Rule, collapse: CategoryCollapse) -> None:
+    """Reject a cross rule whose truth table is not
+    ``counterpart_truth_table``'s.  The group teacher sums out the BIOES
+    variants exactly only for a table that is constant within categories,
+    and stage 2 scores every cross rule with the list-rule truth."""
     gi = collapse.group_index
     reps = np.unique(gi, return_index=True)[1]
     (probe,) = rule.groundings([((0, 0), (1, 0))])
@@ -361,7 +387,6 @@ def _category_log_table(rule: Rule, collapse: CategoryCollapse, c: float):
             "rules with the list-counterpart truth, so their truth table must "
             "be counterpart_truth_table's"
         )
-    return -c * rule.confidence * (1.0 - table)
 
 
 def _regroup(items: list, sizes: Sequence[int]) -> list[list]:
@@ -376,18 +401,21 @@ class NerTeacher:
 
     Stage 1 reads the student's outputs on every sentence of the batch
     (training hands over the step's forward; deployment forwards the
-    student first).  Within each document, the cross-linked sites form
-    groups over tag categories (each site's unary is the student's mass
-    per category), whose marginals are enumerated exactly, or
-    Gibbs-sampled for a group above ``EXACT_MAX_STATES`` joint states, and
-    spread back over each category's tags in the student's proportions.  Groups never span
-    documents, and each document has its own seed for link cutting and
-    sampling.  Stage 2: every linked site gets a unary penalty measuring
+    student first) and gathers every cross-linked site of the batch into
+    one array.  Within each document the linked sites form groups over tag
+    categories, each site's unary being the student's mass per category,
+    and every link carrying one table for the summed confidence of the
+    cross rules.  Groups never span documents, and each document has its
+    own seed for link cutting and sampling.  Groups of one size are
+    enumerated exactly in stacks of up to ``EXACT_MAX_STATES`` joint
+    states; a group above that bound is Gibbs-sampled.  Each category's
+    marginal mass is spread back over its tags in the student's
+    proportions.  Stage 2: every linked site gets a unary penalty measuring
     the list rule against its counterparts' stage-1 marginals, one array
     expression for the batch; then one chain query holds every sentence of
-    the batch, with the transition potentials, and is solved with one
-    vectorised step per position.  At evaluation the counterpart links
-    come from the evaluated document itself.
+    the batch, with the bigram rules' potentials, and is solved with one
+    product per position.  At evaluation the counterpart links come from
+    the evaluated document itself.
     """
 
     def __init__(self, model, vocab: Vocabulary, scheme: TagScheme,
@@ -400,73 +428,100 @@ class NerTeacher:
         self.bigram, self.cross = _split_rules(rules, "ner")
         self.collapse = CategoryCollapse(scheme)
         self.c = float(c)
-        self.cross_tables = [_category_log_table(r, self.collapse, self.c) for r in self.cross]
-        # Every cross rule is the list rule, so stage 2 adds their
-        # confidences into one penalty.
+        for rule in self.cross:
+            _check_cross_rule(rule, self.collapse)
+        # Every cross rule is the list rule, so their confidences add up,
+        # in stage 1's link table as in stage 2's penalty.
         self.lam = sum(rule.confidence for rule in self.cross)
+        reps = np.unique(self.collapse.group_index, return_index=True)[1]
+        truth = counterpart_truth_table(self.collapse)[np.ix_(reps, reps)]
+        self.link_table = -self.c * self.lam * (1.0 - truth)
         self.sweeps = sweeps
         self.g_max = g_max
         self.chain_terms = ()
         if self.bigram:
-            self.chain_terms = _transition_log_terms(scheme, self.bigram[0].confidence, self.c)
+            self.chain_terms = _chain_terms(self.bigram, scheme.n_tags, self.c)
 
-    def _site_marginals(self, sigmas, site_links, seed: int):
-        """Teacher tag marginals for every linked site of one document; {}
-        when no cross rule.  Groups are solved over categories, then each
-        category's mass is shared among its tags as the student shares it."""
-        if not self.cross or not site_links or self.c == 0.0:
-            return {}
-        sites = sorted({s for pair in site_links for s in pair})
-        index = {s: i for i, s in enumerate(sites)}
-        sigma = np.stack([sigmas[s][t] for s, t in sites])
+    def _stage1(self, docs_sigmas, docs_links, seeds):
+        """Stage 1 for a batch, laid out like ``soft_predict``'s arguments:
+        the row of every linked site in the batch's concatenated positions
+        (documents in order, each one's sites sorted), every link as an
+        (L, 2) array of indices into those sites, and the sites' (S, K)
+        teacher tag marginals.  None without a cross rule, link or c > 0."""
+        if not self.cross or self.c == 0.0:
+            return None
+        sigmas = [sigma for doc in docs_sigmas for sigma in doc]
+        starts = np.cumsum([0] + [len(s) for s in sigmas])
+        rows, ends, docs = [], [], []
+        first = 0
+        for doc, links, seed in zip(docs_sigmas, docs_links, seeds):
+            if links:
+                sites = sorted({s for pair in links for s in pair})
+                index = {s: i for i, s in enumerate(sites)}
+                local = [(index[a], index[b]) for a, b in links]
+                ends += [len(rows) + i for pair in local for i in pair]
+                rows += [starts[first + s] + t for s, t in sites]
+                docs.append((len(sites), local, seed))
+            first += len(doc)
+        if not rows:
+            return None
+        sigma = np.concatenate(sigmas)[rows]
         mass = self.collapse.collapse(sigma)
-        members = [MemberPotentials(log_unary=row[None, :]) for row in np.log(mass)]
-        glinks = [
-            GroupLink(member_a=index[a], pos_a=0, member_b=index[b], pos_b=0,
-                      log_table=table)
-            for rule, table in zip(self.cross, self.cross_tables)
-            for a, b in (g.sites for g in rule.groundings(site_links))
-        ]
+        log_mass = np.log(mass)
         q = np.empty_like(mass)
-        for query in form_groups(
-            members, glinks, g_max=self.g_max, seed=seed, sweeps=self.sweeps
-        ):
-            if query.n_labels ** len(query.members) <= EXACT_MAX_STATES:
-                margs = exact_group_marginals(query)
-            else:
-                margs = gibbs_soft_predict(query)
-            for marg, mid in zip(margs, query.member_ids):
-                q[mid] = marg[0]
+        by_size: dict[int, list] = {}
+        offset = 0
+        for n_sites, local, seed in docs:
+            for group in form_groups(n_sites, local, self.g_max, seed):
+                ids = [offset + i for i in group.sites]
+                by_size.setdefault(len(ids), []).append((ids, group))
+            offset += n_sites
+        k = mass.shape[1]
+        for n, groups in by_size.items():
+            if k**n > EXACT_MAX_STATES:
+                for ids, group in groups:
+                    q[ids] = self._sample(log_mass[ids], group)
+                continue
+            for chunk in _pack([k**n] * len(groups), EXACT_MAX_STATES):
+                ids = np.array([groups[g][0] for g in chunk])
+                counts = np.zeros((len(chunk), n, n))
+                for b, g in enumerate(chunk):
+                    for i, j in groups[g][1].links:
+                        counts[b, i, j] += 1.0
+                q[ids] = exact_group_marginals(log_mass[ids],
+                                               counts[..., None, None] * self.link_table)
         gi = self.collapse.group_index
-        return dict(zip(sites, q[:, gi] * sigma / mass[:, gi]))
+        return np.asarray(rows), np.reshape(ends, (-1, 2)), q[:, gi] * sigma / mass[:, gi]
+
+    def _sample(self, log_mass, group) -> np.ndarray:
+        """Gibbs-estimated category marginals of one group above the exact
+        bound: one single-position member per site."""
+        query = GroupTeacherQuery(
+            members=tuple(MemberPotentials(row[None, :]) for row in log_mass),
+            links=tuple(GroupLink(i, 0, j, 0, self.link_table) for i, j in group.links),
+            sweeps=self.sweeps,
+            seed=group.seed,
+        )
+        return np.concatenate(gibbs_soft_predict(query))
 
     def _chains(self, docs_sigmas, docs_links, seeds) -> ChainTeacherQuery:
         """One chain query over every sentence of a batch of documents, in
         document order, given the student's outputs per document."""
         sigmas = [sigma for doc in docs_sigmas for sigma in doc]
         log_unary = np.log(np.concatenate(sigmas))
-        # Row of each sentence's first position, and index of each
-        # document's first sentence.
-        starts = np.cumsum([0] + [len(s) for s in sigmas])
-        firsts = np.cumsum([0] + [len(doc) for doc in docs_sigmas])
-        # Stage 2 penalises each end of every link with the list truth
-        # against the other end's stage-1 marginal.
-        rows, counterparts = [], []
-        for first, last, links, seed in zip(firsts, firsts[1:], docs_links, seeds):
-            marginals = self._site_marginals(sigmas[first:last], links, seed)
-            if not marginals:
-                continue
-            for a, b in links:
-                for (s, t), other in ((a, b), (b, a)):
-                    rows.append(starts[first + s] + t)
-                    counterparts.append(marginals[other])
-        if rows:
-            truth = list_rule_truth(self.collapse, np.stack(counterparts))
+        stage1 = self._stage1(docs_sigmas, docs_links, seeds)
+        if stage1 is not None:
+            # Stage 2 penalises each end of every link with the list truth
+            # against the other end's stage-1 marginal.
+            rows, ends, q = stage1
+            truth = list_rule_truth(self.collapse, q[ends[:, ::-1].ravel()])
             penalty = np.zeros_like(log_unary)
             # Unbuffered, in link order: a site's penalties add up in turn.
-            np.add.at(penalty, rows, self.c * self.lam * (1.0 - truth[:, self.collapse.group_index]))
+            np.add.at(penalty, rows[ends.ravel()],
+                      self.c * self.lam * (1.0 - truth[:, self.collapse.group_index]))
             log_unary -= penalty
-        return ChainTeacherQuery(np.split(log_unary, starts[1:-1]), *self.chain_terms)
+        starts = np.cumsum([len(s) for s in sigmas])[:-1]
+        return ChainTeacherQuery(np.split(log_unary, starts), *self.chain_terms)
 
     def soft_predict(self, docs_sigmas, docs_links, seeds) -> list[np.ndarray]:
         """Teacher marginals of every sentence of a batch, in document

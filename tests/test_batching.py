@@ -1,6 +1,7 @@
 """Batched student forward, backward and loss against a per-sentence
 reference, the batched tagging teacher against itself one document at a
-time, and the training loop's one student forward per step.
+time and its stage 1 against a per-document object reference, and the
+training loop's one student forward per step.
 
 The reference below is the one-sentence-at-a-time implementation of both
 models: it strips trailing padding, zero-pads the sentence to the widest
@@ -8,12 +9,14 @@ window (classifier) or by the radius on both sides (tagger), and loops
 over windows.  The batched models must match it within 1e-12 for every
 sentence of every batch, whatever else shares the batch.  The loss
 reference is a per-sentence mixed target, validated on construction, with
-its own cross-entropies and gradient.  The chain regime's per-chain
-reference lives in test_inference.py.
+its own cross-entropies and gradient.  The stage-1 reference builds one
+document's groups as objects and enumerates each in its own dense tensor.
+The chain regime's per-chain reference lives in test_inference.py.
 """
 
 from dataclasses import dataclass
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,10 +37,18 @@ from ruledistill.predictors import (
     Vocabulary,
     backward_and_step,
 )
+from ruledistill.inference import (
+    EXACT_MAX_STATES,
+    GroupLink,
+    GroupTeacherQuery,
+    MemberPotentials,
+    gibbs_soft_predict,
+)
 from ruledistill.rulelib import (
     CategoryCollapse,
     TagScheme,
     but_rule,
+    counterpart_truth_table,
     list_counterpart_rule,
     transition_rules,
 )
@@ -532,3 +543,186 @@ class TestSentimentTeacherBatching:
             start = i + 1
         n_but = sum(trainer.detect_but(s.tokens) is not None for s in self.DATA)
         assert n_but > 0 and sum(clause_forwards) == n_but
+
+
+# --- per-document stage-1 reference -------------------------------------------
+#
+# Stage 1 of the tagging teacher one document at a time, as objects: a
+# MemberPotentials per linked site, a GroupLink per link, one
+# GroupTeacherQuery per group, and one dense score tensor per group.  Each
+# link carries the summed tables of the cross rules, as the batch path's do.
+
+
+def ref_form_groups(members, links, g_max, seed, sweeps=200):
+    """(query, member ids) per component of a document's members, cutting
+    uniformly random links (seeded) until every component fits g_max."""
+    n = len(members)
+    rng = np.random.default_rng(seed)
+    kept = list(links)
+
+    def components(active_links):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for ln in active_links:
+            a, b = find(ln.member_a), find(ln.member_b)
+            if a != b:
+                parent[a] = b
+        comps = {}
+        for i in range(n):
+            comps.setdefault(find(i), []).append(i)
+        return sorted(comps.values(), key=min)
+
+    while True:
+        comps = components(kept)
+        oversized = [c for c in comps if len(c) > g_max]
+        if not oversized:
+            break
+        target = set(oversized[0])
+        internal = [i for i, ln in enumerate(kept)
+                    if ln.member_a in target and ln.member_b in target]
+        kept.pop(internal[int(rng.integers(len(internal)))])
+
+    groups = []
+    for comp in comps:
+        local = {orig: i for i, orig in enumerate(comp)}
+        comp_links = tuple(
+            GroupLink(local[ln.member_a], ln.pos_a, local[ln.member_b], ln.pos_b, ln.log_table)
+            for ln in kept if ln.member_a in local and ln.member_b in local
+        )
+        groups.append((GroupTeacherQuery(members=tuple(members[i] for i in comp),
+                                         links=comp_links, sweeps=sweeps,
+                                         seed=int(rng.integers(2**31 - 1))), comp))
+    return groups
+
+
+def ref_exact_group_marginals(query):
+    """One (K,) marginal per single-position member, from a K**n score
+    tensor with one axis per member."""
+    n, k = len(query.members), query.n_labels
+    score = np.zeros((k,) * n)
+    for i, mem in enumerate(query.members):
+        score += mem.log_unary[0].reshape([k if a == i else 1 for a in range(n)])
+    for ln in query.links:
+        i, j, table = ln.member_a, ln.member_b, ln.log_table
+        if i == j:
+            score += np.diagonal(table).reshape([k if a == i else 1 for a in range(n)])
+            continue
+        if i > j:
+            i, j, table = j, i, table.T
+        score += table.reshape([k if a in (i, j) else 1 for a in range(n)])
+    probs = np.exp(score - score.max())
+    probs /= probs.sum()
+    return [probs.sum(axis=tuple(a for a in range(n) if a != i)) for i in range(n)]
+
+
+def ref_site_marginals(teacher, sigmas, site_links, seed):
+    """One document's stage 1: the teacher tag marginal of each linked
+    site, and each group's kept links as site pairs."""
+    sites = sorted({s for pair in site_links for s in pair})
+    index = {s: i for i, s in enumerate(sites)}
+    sigma = np.stack([sigmas[s][t] for s, t in sites])
+    mass = teacher.collapse.collapse(sigma)
+    members = [MemberPotentials(log_unary=row[None, :]) for row in np.log(mass)]
+    gi = teacher.collapse.group_index
+    reps = np.unique(gi, return_index=True)[1]
+    truth = counterpart_truth_table(teacher.collapse)[np.ix_(reps, reps)]
+    table = sum(-teacher.c * rule.confidence * (1.0 - truth) for rule in teacher.cross)
+    glinks = [GroupLink(index[a], 0, index[b], 0, table)
+              for a, b in (g.sites for g in teacher.cross[0].groundings(site_links))]
+    q = np.empty_like(mass)
+    kept = []
+    for query, ids in ref_form_groups(members, glinks, teacher.g_max, seed):
+        if query.n_labels ** len(query.members) <= EXACT_MAX_STATES:
+            margs = ref_exact_group_marginals(query)
+        else:
+            margs = [m[0] for m in gibbs_soft_predict(query)]
+        for marg, mid in zip(margs, ids):
+            q[mid] = marg
+        kept.append([(sites[ids[ln.member_a]], sites[ids[ln.member_b]]) for ln in query.links])
+    return dict(zip(sites, q[:, gi] * sigma / mass[:, gi])), kept
+
+
+@st.composite
+def linked_documents(draw):
+    """(sentence lengths, links) of a document with one or two lists of
+    2-12 items: each item is a sentence of one or two blocks, and the k-th
+    blocks of every two items are linked, as list detection links them;
+    an unlinked sentence may come first."""
+    lengths, links = [], []
+    if draw(st.booleans()):
+        lengths.append(draw(st.integers(1, 4)))
+    for _ in range(draw(st.integers(1, 2))):
+        items = []
+        for _ in range(draw(st.integers(2, 12))):
+            blocks = draw(st.integers(1, 2))
+            items.append([(len(lengths), 2 * b) for b in range(blocks)])
+            lengths.append(2 * blocks - 1 + draw(st.integers(0, 1)))
+        for k in range(2):
+            have = [it[k] for it in items if len(it) > k]
+            links += [(have[a], have[b]) for a in range(len(have))
+                      for b in range(a + 1, len(have))]
+    return lengths, links
+
+
+class TestFormGroupsMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=40))),
+           st.integers(1, 8), st.integers(0, 2**31 - 1))
+    def test_random_graphs(self, graph, g_max, seed):
+        # Any graph, with repeated links and self-links: the same groups,
+        # kept links and seeds as the object reference.
+        n, links = graph
+        members = [MemberPotentials(np.zeros((1, 2))) for _ in range(n)]
+        ref = ref_form_groups(members, [GroupLink(a, 0, b, 0, np.zeros((2, 2))) for a, b in links],
+                              g_max, seed)
+        assert trainer.form_groups(n, links, g_max, seed) == [
+            (tuple(ids), tuple((ln.member_a, ln.member_b) for ln in query.links), query.seed)
+            for query, ids in ref
+        ]
+
+
+class TestNerStage1MatchesReference:
+    SCHEME = TagScheme(("LOC", "ORG", "PER"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(linked_documents(), min_size=1, max_size=3), st.integers(2, 8),
+           st.sampled_from([(1.0,), (1.5,), (0.5, 1.0)]), st.sampled_from([0.6, 6.0]),
+           st.integers(0, 2**16))
+    def test_batch_stage1(self, docs, g_max, lams, c, seed):
+        collapse = CategoryCollapse(self.SCHEME)
+        teacher = NerTeacher(None, None, self.SCHEME,
+                             [list_counterpart_rule(collapse, confidence=lam) for lam in lams],
+                             c, g_max=g_max)
+        rng = np.random.default_rng(seed)
+        docs_sigmas = [[rng.dirichlet(np.full(self.SCHEME.n_tags, 0.5), size=n) for n in lengths]
+                       for lengths, _ in docs]
+        docs_links = [links for _, links in docs]
+        seeds = [int(s) for s in rng.integers(2**31 - 1, size=len(docs))]
+        formed, form_groups = [], trainer.form_groups
+
+        def recording(*args, **kw):
+            formed.append(form_groups(*args, **kw))
+            return formed[-1]
+
+        with mock.patch.object(trainer, "form_groups", recording):
+            _, _, q = teacher._stage1(docs_sigmas, docs_links, seeds)
+        assert len(formed) == len(docs)
+        start = 0
+        for sigmas, links, seed, groups in zip(docs_sigmas, docs_links, seeds, formed):
+            ref, ref_kept = ref_site_marginals(teacher, sigmas, links, seed)
+            sites = sorted(ref)
+            for site, row in zip(sites, q[start:]):
+                np.testing.assert_allclose(row, ref[site], rtol=0, atol=TOL)
+            start += len(sites)
+            # The same cuts: with one rule, the cuts the object path made.
+            assert [[(sites[g.sites[a]], sites[g.sites[b]]) for a, b in g.links]
+                    for g in groups] == ref_kept
+        assert start == len(q)

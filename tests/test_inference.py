@@ -26,7 +26,6 @@ from ruledistill.inference import (
     gibbs_conditional,
     gibbs_soft_predict,
 )
-from ruledistill.numerics import logsumexp
 from ruledistill.projection import InfeasibleConstraintError
 
 
@@ -165,21 +164,31 @@ def ref_pair(pair, t):
     return pair if pair.ndim == 2 else pair[t]
 
 
-def ref_chain(lu, pair, start, end):
-    """(marginals, log_z) of one chain; raises InfeasibleChainError."""
-    f = ref_folded(lu, start, end)
+def ref_logsumexp(a, axis):
+    """logsumexp over ``axis`` in the dtype of ``a``."""
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(divide="ignore"):
+        return np.squeeze(np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m, axis=axis)
+
+
+def ref_chain(lu, pair, start, end, dtype=np.float64):
+    """(marginals, log_z) of one chain, computed in ``dtype`` and returned
+    as floats; raises InfeasibleChainError."""
+    f = ref_folded(lu.astype(dtype), start, end)
+    pair = pair.astype(dtype)
     t_len = len(f)
     alpha = np.empty_like(f)
     alpha[0] = f[0]
     for t in range(1, t_len):
-        alpha[t] = f[t] + logsumexp(alpha[t - 1][:, None] + ref_pair(pair, t - 1), axis=0)
-    log_z = logsumexp(alpha[-1])
+        alpha[t] = f[t] + ref_logsumexp(alpha[t - 1][:, None] + ref_pair(pair, t - 1), axis=0)
+    log_z = ref_logsumexp(alpha[-1], axis=0)
     if log_z == -np.inf:
         raise InfeasibleChainError("no feasible path")
     beta = np.zeros_like(f)
     for t in range(t_len - 2, -1, -1):
-        beta[t] = logsumexp(ref_pair(pair, t) + (f[t + 1] + beta[t + 1])[None, :], axis=1)
-    return np.exp(alpha + beta - log_z), log_z
+        beta[t] = ref_logsumexp(ref_pair(pair, t) + (f[t + 1] + beta[t + 1])[None, :], axis=1)
+    return np.exp(alpha + beta - log_z).astype(float), float(log_z)
 
 
 def ref_map(lu, pair, start, end):
@@ -207,16 +216,20 @@ log_values = st.one_of(grid_values, st.floats(-3.0, 3.0))
 
 
 @st.composite
-def chain_batches(draw, pair_values=log_values):
+def chain_batches(draw, pair_values=log_values, unary_values=None):
     """(unaries, pair, start, end): 1-6 chains of 1-7 positions over K <= 5
-    labels, with a shared (K, K) pair table or one per chain and step."""
+    labels, with a shared (K, K) pair table or one per chain and step.
+    ``unary_values``, when given, also draws the boundary terms."""
     k = draw(st.integers(1, 5))
     lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
 
-    def values(shape, elements=log_values):
+    wide = unary_values is not None
+
+    def values(shape, elements=unary_values if wide else log_values):
         return draw(hnp.arrays(np.float64, shape, elements=elements))
 
-    unaries = [values((t, k), st.floats(-3.0, 3.0) | grid_values) for t in lengths]
+    unaries = [values((t, k), unary_values if wide else st.floats(-3.0, 3.0) | grid_values)
+               for t in lengths]
     if draw(st.booleans()):
         pair = values((k, k), pair_values)
     else:
@@ -224,14 +237,14 @@ def chain_batches(draw, pair_values=log_values):
     return unaries, pair, values((k,)), values((k,))
 
 
-def reference_answers(unaries, pair, start, end):
+def reference_answers(unaries, pair, start, end, dtype=np.float64):
     """Per chain (marginals, log_z, path, score), or None if some chain
-    has no feasible path."""
+    has no feasible path; marginals and log_z are computed in ``dtype``."""
     out = []
     for i, lu in enumerate(unaries):
         p = pair if pair.ndim == 2 else pair[i, : len(lu) - 1]
         try:
-            marg, log_z = ref_chain(lu, p, start, end)
+            marg, log_z = ref_chain(lu, p, start, end, dtype)
         except InfeasibleChainError:
             return None
         out.append((marg, log_z, *ref_map(lu, p, start, end)))
@@ -308,6 +321,58 @@ class TestBatchedChain:
             ChainTeacherQuery(unaries, pair, start, end)
 
 
+# Entries spanning the whole exponent range of a float: the scaled passes
+# underflow on some chains, which are then recomputed in log space.  Scores
+# in the thousands cost a float64 log-space pass about 1e-12 of rounding in
+# the marginals, so the reference runs in extended precision.
+wide_values = st.just(-np.inf) | st.floats(-1000.0, 0.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference needs an extended-precision long double")
+class TestWideRangeChain:
+    def check(self, batch):
+        ref = reference_answers(*batch, dtype=np.longdouble)
+        if ref is None:
+            with pytest.raises(InfeasibleChainError):
+                ChainTeacherQuery(*batch)
+            return None
+        query = ChainTeacherQuery(*batch)
+        for marg, log_z, (r_marg, r_log_z, _, _) in zip(chain_marginals(query),
+                                                        chain_log_z(query), ref):
+            np.testing.assert_allclose(marg, r_marg, rtol=0, atol=1e-12)
+            assert abs(log_z - r_log_z) <= 1e-12 * max(1.0, abs(r_log_z))
+        return query
+
+    def test_underflowing_chain_recomputed_in_log_space(self):
+        # exp(-800) underflows, so the scaled pass loses the only path's
+        # first step; log space keeps it.
+        u = np.array([[0.0, -800.0], [-np.inf, 0.0]])
+        pair = np.array([[0.0, -np.inf], [-700.0, 0.0]])
+        query = self.check(([u], pair, np.zeros(2), np.zeros(2)))
+        assert chain_log_z(query)[0] == -800.0
+        np.testing.assert_array_equal(chain_marginals(query)[0], [[0.0, 1.0], [0.0, 1.0]])
+        # Next to a chain the scaled pass holds, in either order.
+        for unaries in ([u, np.zeros((3, 2))], [np.zeros((3, 2)), u]):
+            query = self.check((unaries, pair, np.zeros(2), np.zeros(2)))
+            assert query.forward.rescued.tolist() == [np.array_equal(x, u) for x in unaries]
+
+    def test_subnormal_start_that_takes_over_recomputed_in_log_space(self):
+        # exp(-740) is subnormal, about 1% off; no step underflows to zero,
+        # but label 0 then loses e^-300 a step, until the subnormal path
+        # 1111 carries the chain's mass (0000 scores -900).
+        u = np.array([[0.0, -740.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        pair = np.array([[-300.0, -np.inf], [-np.inf, 0.0]])
+        query = self.check(([u], pair, np.zeros(2), np.zeros(2)))
+        assert query.forward.rescued.tolist() == [True]
+        assert chain_log_z(query)[0] == np.logaddexp(-900.0, -740.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(chain_batches(pair_values=wide_values, unary_values=wide_values))
+    def test_matches_log_space_reference(self, batch):
+        self.check(batch)
+
+
 class TestGroups:
     def two_member_query(self, sweeps=400, seed=0):
         lu_a = np.log(np.array([[0.7, 0.3], [0.4, 0.6]]))
@@ -367,18 +432,20 @@ class TestGroups:
 
 
 @st.composite
-def small_groups(draw):
+def small_groups(draw, k=None, lengths=None):
     """Groups of up to three members of one or two positions over two or
     three labels, with optional shared or per-step pair terms and up to
-    three links between any sites (a site may link to itself)."""
-    k = draw(st.integers(2, 3))
+    three links between any sites (a site may link to itself).  ``k`` and
+    ``lengths`` fix the label count and the members' lengths."""
+    k = draw(st.integers(2, 3)) if k is None else k
+    if lengths is None:
+        lengths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
 
     def values(shape):
         return draw(hnp.arrays(np.float64, shape, elements=st.floats(-3.0, 3.0)))
 
     members = []
-    for _ in range(draw(st.integers(1, 3))):
-        t = draw(st.integers(1, 2))
+    for t in lengths:
         pair = None
         if t > 1:
             pair = draw(st.sampled_from([None, (k, k), (t - 1, k, k)]))
@@ -394,61 +461,80 @@ def small_groups(draw):
     return GroupTeacherQuery(members=tuple(members), links=tuple(links))
 
 
+def group_arrays(query):
+    """A group query as exact_group_marginals' arrays: the (n, K) unaries
+    of its sites, member by member, and the (n, n, K, K) tables of its
+    members' pair terms and its links, duplicates and self-links added up."""
+    sites = [(m, t) for m, mem in enumerate(query.members) for t in range(mem.n_positions)]
+    index = {s: i for i, s in enumerate(sites)}
+    k = query.n_labels
+    unary = np.stack([query.members[m].log_unary[t] for m, t in sites])
+    pair = np.zeros((len(sites), len(sites), k, k))
+    for m, mem in enumerate(query.members):
+        if mem.log_pair is not None:
+            for t in range(mem.n_positions - 1):
+                pair[index[m, t], index[m, t + 1]] += mem.pair_term(t)
+    for ln in query.links:
+        pair[index[ln.member_a, ln.pos_a], index[ln.member_b, ln.pos_b]] += ln.log_table
+    return unary, pair
+
+
+@st.composite
+def group_stacks(draw):
+    """1-4 groups of one shape: ``small_groups`` with the member lengths
+    and label count fixed across the stack, each with its own values,
+    pair terms and links."""
+    k = draw(st.integers(2, 3))
+    lengths = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    return [draw(small_groups(k=k, lengths=lengths)) for _ in range(draw(st.integers(1, 4)))]
+
+
 class TestExactGroup:
     @settings(max_examples=80, deadline=None)
-    @given(small_groups())
-    def test_matches_enumeration(self, query):
-        ref = enumerate_group_posterior(query)
-        exact = exact_group_marginals(query)
-        assert len(exact) == len(ref.marginals)
-        for e, r in zip(exact, ref.marginals):
-            assert e.shape == r.shape
-            np.testing.assert_allclose(e, r, rtol=0, atol=1e-12)
+    @given(group_stacks())
+    def test_matches_enumeration(self, queries):
+        unary, pair = map(np.stack, zip(*map(group_arrays, queries)))
+        exact = exact_group_marginals(unary, pair)
+        assert exact.shape == unary.shape
+        for query, marg in zip(queries, exact):
+            ref = np.concatenate(enumerate_group_posterior(query).marginals)
+            np.testing.assert_allclose(marg, ref, rtol=0, atol=1e-12)
 
     def test_state_bound(self):
         k = 4
         n = int(round(np.log(EXACT_MAX_STATES) / np.log(k)))
         assert k**n == EXACT_MAX_STATES
-        members = tuple(MemberPotentials(np.zeros((1, k))) for _ in range(n))
-        marg = exact_group_marginals(GroupTeacherQuery(members=members))
-        np.testing.assert_allclose(np.concatenate(marg), 1.0 / k, atol=1e-15)
+        marg = exact_group_marginals(np.zeros((1, n, k)), np.zeros((1, n, n, k, k)))
+        np.testing.assert_allclose(marg, 1.0 / k, atol=1e-15)
         with pytest.raises(ValueError, match="EXACT_MAX_STATES"):
-            exact_group_marginals(GroupTeacherQuery(members=members * 2))
+            exact_group_marginals(np.zeros((1, n + 1, k)), np.zeros((1, n + 1, n + 1, k, k)))
+        with pytest.raises(ValueError, match="log_pair must have shape"):
+            exact_group_marginals(np.zeros((2, 2, k)), np.zeros((1, 2, 2, k, k)))
 
 
 class TestFormGroups:
-    def members(self, n, k=2):
-        return [MemberPotentials(np.zeros((2, k))) for _ in range(n)]
-
-    def link(self, a, b, k=2):
-        return GroupLink(a, 0, b, 0, np.zeros((k, k)))
-
     def test_connected_components(self):
-        groups = form_groups(
-            self.members(5), [self.link(0, 1), self.link(3, 4)], g_max=8
-        )
-        ids = sorted(tuple(g.member_ids) for g in groups)
-        assert ids == [(0, 1), (2,), (3, 4)]
+        groups = form_groups(5, [(0, 1), (3, 4)], g_max=8)
+        assert [g.sites for g in groups] == [(0, 1), (2,), (3, 4)]
 
     def test_links_reindexed(self):
-        groups = form_groups(self.members(3), [self.link(1, 2)], g_max=8)
+        groups = form_groups(3, [(1, 2)], g_max=8)
         linked = [g for g in groups if g.links]
         assert len(linked) == 1
         (g,) = linked
-        assert g.member_ids == (1, 2)
-        (ln,) = g.links
-        assert (ln.member_a, ln.member_b) == (0, 1)
+        assert g.sites == (1, 2)
+        assert g.links == ((0, 1),)
 
     def test_oversized_components_shrunk(self):
         # A 4-chain with g_max=2 must lose links until pieces fit.
-        links = [self.link(0, 1), self.link(1, 2), self.link(2, 3)]
-        groups = form_groups(self.members(4), links, g_max=2, seed=0)
-        assert all(len(g.members) <= 2 for g in groups)
-        covered = sorted(i for g in groups for i in g.member_ids)
+        groups = form_groups(4, [(0, 1), (1, 2), (2, 3)], g_max=2, seed=0)
+        assert all(len(g.sites) <= 2 for g in groups)
+        covered = sorted(i for g in groups for i in g.sites)
         assert covered == [0, 1, 2, 3]
+        assert sum(len(g.links) for g in groups) < 3
 
     def test_deterministic_given_seed(self):
-        links = [self.link(i, i + 1) for i in range(7)]
-        a = form_groups(self.members(8), links, g_max=3, seed=1)
-        b = form_groups(self.members(8), links, g_max=3, seed=1)
-        assert [g.member_ids for g in a] == [g.member_ids for g in b]
+        links = [(i, i + 1) for i in range(7)]
+        a = form_groups(8, links, g_max=3, seed=1)
+        b = form_groups(8, links, g_max=3, seed=1)
+        assert a == b

@@ -31,6 +31,7 @@ from ruledistill.rulelib import (
     but_rule,
     detect_but,
     list_counterpart_rule,
+    transition_masks,
     transition_rules,
 )
 from ruledistill.trainer import (
@@ -414,6 +415,15 @@ class TestNerGroupTeacher:
         rules = [list_counterpart_rule(self.COLLAPSE, confidence=lam) for lam in lams]
         return NerTeacher(None, None, self.SCHEME, rules, c, sweeps=sweeps)
 
+    def site_marginals(self, teacher, sigmas, links, seed=0):
+        """Stage 1's tag marginals of one document's linked sites, by site."""
+        rows, ends, q = teacher._stage1([sigmas], [links], [seed])
+        sites = sorted({s for pair in links for s in pair})
+        starts = np.cumsum([0] + [len(s) for s in sigmas])
+        assert rows.tolist() == [starts[s] + t for s, t in sites]
+        assert [(sites[a], sites[b]) for a, b in ends] == list(links)
+        return dict(zip(sites, q))
+
     # split: lambda = 1.5 as two rules of 0.5 and 1.0 instead of one.
     @pytest.mark.parametrize("split", (False, True))
     @pytest.mark.parametrize("links", sorted(LINKS))
@@ -421,8 +431,8 @@ class TestNerGroupTeacher:
         links = self.LINKS[links]
         sigmas = self.sigmas(seed=len(links))
         c, lam = 6.0, 1.5
-        got = self.teacher(c, lams=(0.5, 1.0) if split else (lam,))._site_marginals(
-            sigmas, links, seed=0)
+        got = self.site_marginals(self.teacher(c, lams=(0.5, 1.0) if split else (lam,)),
+                                  sigmas, links)
         sites = sorted({s for pair in links for s in pair})
         index = {s: i for i, s in enumerate(sites)}
         table = counterpart_truth_table(self.COLLAPSE)
@@ -440,7 +450,7 @@ class TestNerGroupTeacher:
         sigmas = self.sigmas(seed=5)
         # Criterion 4's couplings are at most 1 in size; at c * lambda = 9
         # single-site moves stay in one mode and miss the exact answer.
-        exact = self.teacher(c=0.6, sweeps=4000)._site_marginals(sigmas, links, seed=0)
+        exact = self.site_marginals(self.teacher(c=0.6, sweeps=4000), sigmas, links)
         sampled = []
         original = trainer.gibbs_soft_predict
 
@@ -450,7 +460,7 @@ class TestNerGroupTeacher:
 
         monkeypatch.setattr(trainer, "gibbs_soft_predict", counted)
         monkeypatch.setattr(trainer, "EXACT_MAX_STATES", 4**2)
-        gibbs = self.teacher(c=0.6, sweeps=4000)._site_marginals(sigmas, links, seed=0)
+        gibbs = self.site_marginals(self.teacher(c=0.6, sweeps=4000), sigmas, links)
         assert sampled == [3]
         for site, q in exact.items():
             assert 0.5 * np.abs(gibbs[site] - q).sum() <= 0.02
@@ -494,4 +504,52 @@ class TestNerGroupTeacher:
         with pytest.raises(ValueError, match="'categories-differ'.*counterpart_truth_table"):
             NerTeacher(None, None, self.SCHEME, [rule], 6.0)
         with pytest.raises(ValueError, match="'categories-differ'.*counterpart_truth_table"):
+            project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
+
+
+class TestNerChainTerms:
+    SCHEME = TagScheme(("LOC", "ORG", "PER"))
+
+    def terms(self, rules, c=6.0):
+        return NerTeacher(None, None, self.SCHEME, rules, c).chain_terms
+
+    def test_transition_rules_give_the_masks_bit_for_bit(self):
+        masks = transition_masks(self.SCHEME)
+        for got, valid in zip(self.terms(transition_rules(self.SCHEME)),
+                              (masks.valid_pair, masks.valid_start, masks.valid_end)):
+            expected = np.where(valid, 0.0, -math.inf)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_each_rule_read_from_its_own_groundings(self):
+        # A bigram rule that grounds nothing puts no term on the chain.
+        nothing = Rule("anything-bigram", 0.5, "bigram", lambda batch: [])
+        for term in self.terms([nothing]):
+            assert not term.any()
+        # Soft copies of the two transition templates at their own
+        # confidences: each one's penalty at its own strength, summed.
+        opens, closes = transition_rules(self.SCHEME)
+        soft = [Rule("soft-opens", 0.5, "bigram", opens.grounder),
+                Rule("soft-closes", 0.25, "bigram", closes.grounder)]
+        (o_pair,), (c_pair,) = ({g.table.shape: g.table for g in r.groundings([range(3)])
+                                 if len(g.sites) == 2}.values() for r in (opens, closes))
+        pair, start, end = self.terms(soft)
+        np.testing.assert_array_equal(
+            pair, -6.0 * 0.5 * (1.0 - o_pair) - 6.0 * 0.25 * (1.0 - c_pair))
+        masks = transition_masks(self.SCHEME)
+        np.testing.assert_array_equal(start, np.where(masks.valid_start, 0.0, -3.0))
+        np.testing.assert_array_equal(end, np.where(masks.valid_end, 0.0, -1.5))
+
+    @pytest.mark.parametrize("sites, match", [
+        ([((0, 1),)], "not of"),
+        ([((0, 0), (0, 2))], "not of"),
+        ([((0, 0), (0, 1))], "depends on the position"),
+    ])
+    def test_rejects_rules_the_chain_cannot_hold(self, sites, match):
+        k = self.SCHEME.n_tags
+        rule = Rule("odd-bigram", 1.0, "bigram", lambda batch: [
+            Grounding(s, np.zeros((k,) * len(s))) for s in sites])
+        with pytest.raises(ValueError, match=f"'odd-bigram'.*{match}"):
+            NerTeacher(None, None, self.SCHEME, [rule], 6.0)
+        with pytest.raises(ValueError, match="'odd-bigram'"):
             project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
