@@ -156,11 +156,7 @@ class ChainTeacherQuery:
     def pair_term(self, t: int) -> np.ndarray:
         """Log-penalty matrix between positions t and t+1: (K, K) when
         shared, else (N, K, K)."""
-        if self.log_pair is None:
-            return np.zeros((self.n_labels, self.n_labels))
-        if self.log_pair.ndim == 2:
-            return self.log_pair
-        return self.log_pair[:, t]
+        return _log_pair_at(self.log_pair, t, self.n_labels)
 
 
 def _folded_unary(query: ChainTeacherQuery) -> np.ndarray:
