@@ -193,17 +193,15 @@ def _rule_lambda(args: dict[str, str], name: str) -> float:
         lam = float(text)
     except ValueError as exc:
         raise CliError(f"{name}: bad lambda {text!r}") from exc
-    if lam <= 0:
+    if not lam > 0:
         raise CliError(f"{name}: lambda must be positive (inf for a hard rule)")
     return lam
 
 
-def parse_rule_specs(text: str, scheme: TagScheme | None = None,
-                     positive_class: int = 1) -> tuple[Rule, ...]:
+def parse_rule_specs(text: str, scheme: TagScheme | None = None) -> tuple[Rule, ...]:
     """Parse a rule list such as ``but(lambda=1), transitions()``.
 
-    Known rules: ``but(lambda=, variant=avg|strong)`` for classification,
-    with ``positive_class`` the class that clause B's polarity votes for;
+    Known rules: ``but(lambda=, variant=avg|strong)`` for classification;
     ``transitions()`` and ``list-counterpart(lambda=)`` for tagging (both
     need the tag scheme of the task at hand).
     """
@@ -219,11 +217,7 @@ def parse_rule_specs(text: str, scheme: TagScheme | None = None,
                 raise CliError(f"but: unknown variant {variant!r}")
             if args:
                 raise CliError(f"but: unknown arguments {sorted(args)}")
-            try:
-                rules.append(but_rule(confidence=lam, variant=variant,
-                                      positive_class=positive_class))
-            except ValueError as exc:
-                raise CliError(f"but: {exc}") from exc
+            rules.append(but_rule(confidence=lam, variant=variant))
         elif name == "transitions":
             if args:
                 raise CliError(f"transitions: unknown arguments {sorted(args)}")
@@ -302,7 +296,6 @@ TRAIN_SCHEMA = {
     "conv-windows": ("int_list", _DEFAULTS.conv_windows),
     "hidden": (int, _DEFAULTS.hidden),
     "radius": (int, _DEFAULTS.radius),
-    "positive-class": (int, 1),
 }
 
 
@@ -379,7 +372,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     scheme = _ner_scheme(train_data) if cfg["task"] == "ner" else None
     rules = (
-        parse_rule_specs(cfg["rules"], scheme, cfg["positive-class"])
+        parse_rule_specs(cfg["rules"], scheme)
         if cfg["rules"] else ()
     )
     if cfg["mode"] != "base" and not rules:

@@ -16,6 +16,7 @@ needs at least 3 surviving items.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -301,6 +302,14 @@ def _numbered_runs(values: list[int]) -> list[tuple[int, int]]:
     return runs
 
 
+def _group(doc_id, kind: str, candidates) -> list[ListGroup]:
+    """The list of ``kind`` made of the candidate items, each given as
+    ``_validate_item``'s arguments, that pass validation: one group, or
+    none when fewer than 3 survive."""
+    items = [item for args in candidates if (item := _validate_item(*args)) is not None]
+    return [ListGroup(doc_id, kind, tuple(items))] if len(items) >= 3 else []
+
+
 def _intra_sentence_groups(doc_id, sent_index, tokens) -> list[ListGroup]:
     groups = []
     markers = [
@@ -308,81 +317,42 @@ def _intra_sentence_groups(doc_id, sent_index, tokens) -> list[ListGroup]:
         for i, tok in enumerate(tokens)
         if (m := _NUM_MARKER_RE.match(tok))
     ]
-    positions = [p for p, _ in markers]
+    # Each item runs from after its marker to the next marker or the end.
+    positions = [p for p, _ in markers] + [len(tokens)]
     for start, length in _numbered_runs([v for _, v in markers]):
-        if length < 3:
-            continue
-        items = []
-        for j in range(start, start + length):
-            lo = positions[j] + 1
-            hi = positions[j + 1] if j + 1 < len(positions) else len(tokens)
-            item = _validate_item(tokens, sent_index, lo, hi)
-            if item is not None:
-                items.append(item)
-        if len(items) >= 3:
-            groups.append(ListGroup(doc_id, "numbered", tuple(items)))
+        if length >= 3:
+            groups += _group(doc_id, "numbered", [
+                (tokens, sent_index, positions[j] + 1, positions[j + 1])
+                for j in range(start, start + length)
+            ])
 
-    dashes = [i for i, tok in enumerate(tokens) if tok == "-"]
-    if len(dashes) >= 3:
-        items = []
-        for j, pos in enumerate(dashes):
-            hi = dashes[j + 1] if j + 1 < len(dashes) else len(tokens)
-            item = _validate_item(tokens, sent_index, pos + 1, hi)
-            if item is not None:
-                items.append(item)
-        if len(items) >= 3:
-            groups.append(ListGroup(doc_id, "dash", tuple(items)))
+    dashes = [i for i, tok in enumerate(tokens) if tok == "-"] + [len(tokens)]
+    if len(dashes) > 3:
+        groups += _group(doc_id, "dash", [
+            (tokens, sent_index, lo + 1, hi) for lo, hi in zip(dashes, dashes[1:])
+        ])
     return groups
 
 
 def _inter_sentence_groups(doc_id, sentences) -> list[ListGroup]:
+    def leading_number(tokens) -> int:
+        m = _NUM_MARKER_RE.match(tokens[0]) if tokens else None
+        return int(m.group(1)) if m else -1
+
+    def whole(first: int, count: int) -> list:
+        # Each item is its sentence after the marker.
+        return [(sentences[s], s, 1, len(sentences[s])) for s in range(first, first + count)]
+
     groups = []
-    n = len(sentences)
-
-    def leading_number(tokens):
-        if tokens:
-            m = _NUM_MARKER_RE.match(tokens[0])
-            if m:
-                return int(m.group(1))
-        return None
-
-    i = 0
-    while i < n:
-        if leading_number(sentences[i]) == 1:
-            j = i + 1
-            expect = 2
-            while j < n and leading_number(sentences[j]) == expect:
-                j += 1
-                expect += 1
-            if j - i >= 3:
-                items = []
-                for s in range(i, j):
-                    item = _validate_item(sentences[s], s, 1, len(sentences[s]))
-                    if item is not None:
-                        items.append(item)
-                if len(items) >= 3:
-                    groups.append(ListGroup(doc_id, "numbered", tuple(items)))
-            i = j
-        else:
-            i += 1
-
-    i = 0
-    while i < n:
-        if sentences[i] and sentences[i][0] == "-":
-            j = i
-            while j < n and sentences[j] and sentences[j][0] == "-":
-                j += 1
-            if j - i >= 3:
-                items = []
-                for s in range(i, j):
-                    item = _validate_item(sentences[s], s, 1, len(sentences[s]))
-                    if item is not None:
-                        items.append(item)
-                if len(items) >= 3:
-                    groups.append(ListGroup(doc_id, "dash", tuple(items)))
-            i = j
-        else:
-            i += 1
+    for start, length in _numbered_runs([leading_number(s) for s in sentences]):
+        if length >= 3:
+            groups += _group(doc_id, "numbered", whole(start, length))
+    start = 0
+    for dash, run in itertools.groupby(bool(s) and s[0] == "-" for s in sentences):
+        length = len(list(run))
+        if dash and length >= 3:
+            groups += _group(doc_id, "dash", whole(start, length))
+        start += length
     return groups
 
 

@@ -4,16 +4,16 @@ Two regimes compute the teacher's soft predictions, matched to how the
 rule penalties factor over the output:
 
 * chain: bigram penalties.  A query is a batch of chains of any lengths,
-  padded to (N, T_max, K); each pass takes one vectorised step per
-  position across all chains.  The forward-backward marginals and the log
-  normalizers come from scaled passes in probability space: each step is
-  one product of the step-normalized alphas (or betas) with exp(pair), a
-  matmul for a shared (K, K) table or a batched one for per-step tables,
-  and log Z is the sum of the log scale factors.  Where that underflows
-  (a step whose mass falls to zero, or far enough below an earlier step's
-  that rounding in the subnormal range could show), the chain is
-  recomputed by the same passes in log space, which alone decide that a
-  chain has no feasible path.  MAP decoding is a log-space max-product.
+  padded to (N, T_max, K), with one (K, K) pair table shared by every
+  chain and step (zeros when not given); each pass takes one vectorised
+  step per position across all chains.  The forward-backward marginals
+  and the log normalizers come from scaled passes in probability space:
+  each step is one matmul of the step-normalized alphas (or betas) with
+  exp(pair), and log Z is the sum of the log scale factors.  Where that
+  underflows (a step whose mass falls to zero, or far enough below an
+  earlier step's that rounding in the subnormal range could show), the
+  chain is recomputed by the same passes in log space, which alone decide
+  that a chain has no feasible path.  MAP decoding is a log-space max-product.
 * group: cross-instance penalties over sites, each site taking one label.
   ``form_groups`` splits linked sites into components, cutting seeded
   random links until each fits a size cap.  ``exact_group_marginals``
@@ -46,7 +46,6 @@ from .projection import InfeasibleConstraintError
 __all__ = [
     "InfeasibleChainError",
     "ChainTeacherQuery",
-    "chain_log_z",
     "chain_marginals",
     "chain_map_decode",
     "ChainEnumeration",
@@ -54,7 +53,6 @@ __all__ = [
     "MemberPotentials",
     "GroupLink",
     "GroupTeacherQuery",
-    "gibbs_conditional",
     "gibbs_soft_predict",
     "EXACT_MAX_STATES",
     "exact_group_marginals",
@@ -86,20 +84,19 @@ class ChainTeacherQuery:
 
     ``log_unary`` holds one (T_n, K) array per chain; lengths may differ.
     The query keeps them zero-padded to (N, T_max, K), with each chain's
-    length in ``lengths``.  ``log_pair`` entries are additive in log space
-    (0 for no penalty, -inf for a forbidden bigram): either one (K, K)
-    matrix shared by every chain and step, or one per chain and step,
-    shape (N, T_max - 1, K, K), whose entries past a chain's end are never
-    read.  ``log_start``/``log_end`` hold the (K,) boundary terms of every
-    chain.  Construction runs the forward pass, which verifies that each
-    chain has a feasible path; the pass and the (N,) log normalizers are
-    kept for ``chain_marginals`` and ``chain_log_z``.
+    length in ``lengths``.  ``log_pair`` is one (K, K) table shared by every
+    chain and step, its entries additive in log space (0 for no penalty,
+    -inf for a forbidden bigram); ``log_start``/``log_end`` hold the (K,)
+    boundary terms of every chain.  Each of the three is zeros when not
+    given.  Construction runs the forward pass, which verifies that each
+    chain has a feasible path; the pass and the (N,) log normalizers
+    ``log_z`` are kept for ``chain_marginals``.
     """
 
     log_unary: np.ndarray  # N arrays of (T_n, K); padded (N, T_max, K) after init
-    log_pair: Optional[np.ndarray] = None
-    log_start: Optional[np.ndarray] = None
-    log_end: Optional[np.ndarray] = None
+    log_pair: Optional[np.ndarray] = None  # (K, K) after init
+    log_start: Optional[np.ndarray] = None  # (K,) after init
+    log_end: Optional[np.ndarray] = None  # (K,) after init
     lengths: np.ndarray = field(init=False, repr=False)
     forward: _ScaledPass = field(init=False, repr=False)
     log_z: np.ndarray = field(init=False, repr=False)
@@ -113,27 +110,17 @@ class ChainTeacherQuery:
         if any(u.shape[1] != k for u in rows):
             raise ValueError("all chains must share one label space")
         lengths = np.array([len(u) for u in rows])
-        n, t_max = len(rows), int(lengths.max())
-        lu = np.zeros((n, t_max, k))
-        for i, u in enumerate(rows):
-            lu[i, : len(u)] = u
+        valid = np.arange(lengths.max()) < lengths[:, None]
+        lu = np.zeros(valid.shape + (k,))
+        lu[valid] = np.concatenate(rows)
         object.__setattr__(self, "log_unary", _as_float_array(lu, "log_unary"))
         object.__setattr__(self, "lengths", lengths)
-
-        if self.log_pair is not None:
-            lp = _as_float_array(self.log_pair, "log_pair")
-            if lp.shape not in ((k, k), (n, t_max - 1, k, k)):
-                raise ValueError(
-                    f"log_pair must have shape ({k}, {k}) or ({n}, {t_max - 1}, {k}, {k})"
-                )
-            object.__setattr__(self, "log_pair", lp)
-        for name in ("log_start", "log_end"):
-            vec = getattr(self, name)
-            if vec is not None:
-                vec = _as_float_array(vec, name)
-                if vec.shape != (k,):
-                    raise ValueError(f"{name} must have shape ({k},)")
-                object.__setattr__(self, name, vec)
+        for name, shape in (("log_pair", (k, k)), ("log_start", (k,)), ("log_end", (k,))):
+            term = getattr(self, name)
+            term = np.zeros(shape) if term is None else _as_float_array(term, name)
+            if term.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+            object.__setattr__(self, name, term)
 
         forward, log_z = _forward(self)
         infeasible = np.flatnonzero(log_z == -np.inf)
@@ -153,18 +140,11 @@ class ChainTeacherQuery:
     def n_labels(self) -> int:
         return self.log_unary.shape[2]
 
-    def pair_term(self, t: int) -> np.ndarray:
-        """Log-penalty matrix between positions t and t+1: (K, K) when
-        shared, else (N, K, K)."""
-        return _log_pair_at(self.log_pair, t, self.n_labels)
-
 
 def _folded_unary(query: ChainTeacherQuery) -> np.ndarray:
     f = query.log_unary.copy()
-    if query.log_start is not None:
-        f[:, 0] += query.log_start
-    if query.log_end is not None:
-        f[np.arange(len(f)), query.lengths - 1] += query.log_end
+    f[:, 0] += query.log_start
+    f[np.arange(len(f)), query.lengths - 1] += query.log_end
     return f
 
 
@@ -192,7 +172,7 @@ class _ScaledPass:
     """A forward pass in probability space over a padded batch of chains.
 
     ``factors`` is exp(unary - the row's max), (N, T_max, K); ``trans`` is
-    exp(pair - its max), (K, K) or (N, T_max - 1, K, K).  ``alpha[:, t]`` is
+    exp(pair - its max), (K, K).  ``alpha[:, t]`` is
     ``(alpha[:, t-1] @ trans) * factors[:, t]`` divided by its sum
     ``scale[:, t]``.  ``rescued`` marks the chains whose answers come from
     the log-space pass instead."""
@@ -212,20 +192,6 @@ def _shifted_exp(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(a - m), m
 
 
-def _forward_step(v: np.ndarray, trans: np.ndarray, t: int) -> np.ndarray:
-    """Each chain's row of ``v`` times its transition matrix from t to t+1."""
-    if trans.ndim == 2:
-        return v @ trans
-    return np.matmul(v[:, None, :], trans[:, t])[:, 0]
-
-
-def _backward_step(v: np.ndarray, trans: np.ndarray, t: int) -> np.ndarray:
-    """Each chain's transition matrix from t to t+1 times its row of ``v``."""
-    if trans.ndim == 2:
-        return v @ trans.T
-    return np.matmul(trans[:, t], v[:, :, None])[..., 0]
-
-
 def _forward(query: ChainTeacherQuery) -> tuple[_ScaledPass, np.ndarray]:
     """The scaled forward pass, one product per position across all
     chains, and the (N,) log normalizers: the sum of each chain's log scale
@@ -233,16 +199,15 @@ def _forward(query: ChainTeacherQuery) -> tuple[_ScaledPass, np.ndarray]:
     normalizer from the log-space pass, which alone finds a chain with no
     feasible path."""
     f = _folded_unary(query)
-    n, t_max, k = f.shape
+    n, t_max, _ = f.shape
     factors, f_shift = _shifted_exp(f, 2)
-    log_pair = np.zeros((k, k)) if query.log_pair is None else query.log_pair
-    trans, p_shift = _shifted_exp(log_pair, (-2, -1))
+    trans, p_shift = _shifted_exp(query.log_pair, None)
     alpha = np.empty_like(factors)
     scale = np.empty((n, t_max))
     a = factors[:, 0]
     for t in range(t_max):
         if t:
-            a = _forward_step(alpha[:, t - 1], trans, t - 1) * factors[:, t]
+            a = (alpha[:, t - 1] @ trans) * factors[:, t]
         s = a.sum(axis=1)
         scale[:, t] = s
         alpha[:, t] = a / np.where(s > 0, s, 1.0)[:, None]
@@ -253,25 +218,12 @@ def _forward(query: ChainTeacherQuery) -> tuple[_ScaledPass, np.ndarray]:
     fall = np.max(np.maximum.accumulate(level, axis=1) - level, axis=1)
     rescued = zero.any(axis=1) | (fall > _MAX_DROP)
     shifts = f_shift[..., 0]
-    shifts[:, 1:] += p_shift[..., 0, 0]
+    shifts[:, 1:] += p_shift[0, 0]
     log_z = np.sum(np.where(valid, log_scale + shifts, 0.0), axis=1)
     if rescued.any():
         rows = np.flatnonzero(rescued)
-        _, log_z[rows] = _log_forward(f[rows], _chain_rows(query.log_pair, rows),
-                                      query.lengths[rows])
+        _, log_z[rows] = _log_forward(f[rows], query.log_pair, query.lengths[rows])
     return _ScaledPass(factors, trans, alpha, scale, rescued), log_z
-
-
-def _chain_rows(log_pair: Optional[np.ndarray], rows: np.ndarray) -> Optional[np.ndarray]:
-    """The pair terms of the chains ``rows`` of a batch."""
-    return log_pair if log_pair is None or log_pair.ndim == 2 else log_pair[rows]
-
-
-def _log_pair_at(log_pair: Optional[np.ndarray], t: int, k: int) -> np.ndarray:
-    """Log pair terms from t to t+1: (K, K) when shared, else (N, K, K)."""
-    if log_pair is None:
-        return np.zeros((k, k))
-    return log_pair if log_pair.ndim == 2 else log_pair[:, t]
 
 
 def _log_normalized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,39 +233,34 @@ def _log_normalized(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a - np.where(np.isfinite(norm), norm, 0.0)[..., None], norm
 
 
-def _log_forward(f: np.ndarray, log_pair, lengths) -> tuple[np.ndarray, np.ndarray]:
+def _log_forward(f: np.ndarray, log_pair: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
     """Log-alphas of padded folded unaries ``f``, shifted to log-sum 0 at
     every step, and the (N,) log normalizers: the sum of the shifts up to
     each chain's length.  The shifts keep every step's values near 0, so
     their rounding does not grow with the chain's score."""
-    n, t_max, k = f.shape
+    n, t_max, _ = f.shape
     alpha = np.empty_like(f)
     norms = np.empty((n, t_max))
     alpha[:, 0], norms[:, 0] = _log_normalized(f[:, 0])
     for t in range(1, t_max):
         alpha[:, t], norms[:, t] = _log_normalized(f[:, t] + logsumexp(
-            alpha[:, t - 1, :, None] + _log_pair_at(log_pair, t - 1, k), axis=1
+            alpha[:, t - 1, :, None] + log_pair, axis=1
         ))
     return alpha, np.sum(np.where(np.arange(t_max) < lengths[:, None], norms, 0.0), axis=1)
 
 
-def _log_marginals(f: np.ndarray, log_pair, lengths) -> np.ndarray:
+def _log_marginals(f: np.ndarray, log_pair: np.ndarray, lengths) -> np.ndarray:
     """Padded (N, T_max, K) marginals by forward-backward in log space."""
     alpha, _ = _log_forward(f, log_pair, lengths)
     beta = np.zeros_like(f)
     for t in range(f.shape[1] - 2, -1, -1):
         step, _ = _log_normalized(logsumexp(
-            _log_pair_at(log_pair, t, f.shape[2]) + (f[:, t + 1] + beta[:, t + 1])[:, None, :],
+            log_pair + (f[:, t + 1] + beta[:, t + 1])[:, None, :],
             axis=2,
         ))
         # A chain that ends at t starts its backward pass there.
         beta[:, t] = np.where((t < lengths - 1)[:, None], step, 0.0)
     return np.exp(_log_normalized(alpha + beta)[0])
-
-
-def chain_log_z(query: ChainTeacherQuery) -> np.ndarray:
-    """Log normalizer of each chain's posterior, shape (N,)."""
-    return query.log_z
 
 
 def chain_marginals(query: ChainTeacherQuery) -> list[np.ndarray]:
@@ -327,7 +274,7 @@ def chain_marginals(query: ChainTeacherQuery) -> list[np.ndarray]:
     beta = np.ones_like(fw.alpha)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(beta.shape[1] - 2, -1, -1):
-            step = (_backward_step(fw.factors[:, t + 1] * beta[:, t + 1], fw.trans, t)
+            step = ((fw.factors[:, t + 1] * beta[:, t + 1]) @ fw.trans.T
                     / fw.scale[:, t + 1, None])
             # A chain that ends at t starts its backward pass there.
             beta[:, t] = np.where((t < lengths - 1)[:, None], step, 1.0)
@@ -335,8 +282,8 @@ def chain_marginals(query: ChainTeacherQuery) -> list[np.ndarray]:
     redo = fw.rescued | ~np.isfinite(marginals).all(axis=(1, 2))
     if redo.any():
         rows = np.flatnonzero(redo)
-        marginals[rows] = _log_marginals(_folded_unary(query)[rows],
-                                         _chain_rows(query.log_pair, rows), lengths[rows])
+        marginals[rows] = _log_marginals(_folded_unary(query)[rows], query.log_pair,
+                                         lengths[rows])
     return _unpad(query, marginals)
 
 
@@ -351,7 +298,7 @@ def chain_map_decode(query: ChainTeacherQuery) -> tuple[list[np.ndarray], np.nda
     back = np.zeros((n, t_max, k), dtype=int)
     delta[:, 0] = f[:, 0]
     for t in range(1, t_max):
-        scores = delta[:, t - 1, :, None] + query.pair_term(t - 1)
+        scores = delta[:, t - 1, :, None] + query.log_pair
         back[:, t] = np.argmax(scores, axis=1)  # first maximum = lowest index
         delta[:, t] = f[:, t] + np.max(scores, axis=1)
     last = _last(query, delta)
@@ -386,9 +333,7 @@ def enumerate_chain_posterior(query: ChainTeacherQuery) -> list[ChainEnumeration
         paths = np.indices((k,) * t_len).reshape(t_len, -1).T
         scores = f[i, np.arange(t_len), paths].sum(axis=1)
         for t in range(t_len - 1):
-            pair = query.pair_term(t)
-            pair = pair if pair.ndim == 2 else pair[i]
-            scores = scores + pair[paths[:, t], paths[:, t + 1]]
+            scores = scores + query.log_pair[paths[:, t], paths[:, t + 1]]
         log_z = logsumexp(scores)
         weights = np.exp(scores - log_z)
         best = int(np.argmax(scores))
@@ -411,7 +356,7 @@ class MemberPotentials:
     module note on ergodicity); every unary row needs a finite entry."""
 
     log_unary: np.ndarray  # (T, K)
-    log_pair: Optional[np.ndarray] = None  # (K, K) or (T-1, K, K), finite
+    log_pair: Optional[np.ndarray] = None  # (K, K), finite
 
     def __post_init__(self):
         lu = _as_float_array(self.log_unary, "log_unary")
@@ -424,11 +369,9 @@ class MemberPotentials:
         object.__setattr__(self, "log_unary", lu)
         if self.log_pair is not None:
             lp = np.asarray(self.log_pair, dtype=float)
-            t, k = lu.shape
-            if lp.shape not in ((k, k), (t - 1, k, k)):
-                raise ValueError(
-                    f"log_pair must have shape ({k}, {k}) or ({t - 1}, {k}, {k})"
-                )
+            k = lu.shape[1]
+            if lp.shape != (k, k):
+                raise ValueError(f"log_pair must have shape ({k}, {k})")
             if not np.isfinite(lp).all():
                 raise ValueError(
                     "group members take finite pair potentials; route hard "
@@ -443,13 +386,6 @@ class MemberPotentials:
     @property
     def n_labels(self) -> int:
         return self.log_unary.shape[1]
-
-    def pair_term(self, t: int) -> np.ndarray:
-        if self.log_pair is None:
-            return np.zeros((self.n_labels, self.n_labels))
-        if self.log_pair.ndim == 2:
-            return self.log_pair
-        return self.log_pair[t]
 
 
 @dataclass(frozen=True, eq=False)
@@ -529,9 +465,8 @@ def _init_states(query: GroupTeacherQuery) -> list[np.ndarray]:
         if m.log_pair is None:
             states.append(np.argmax(m.log_unary, axis=1).astype(int))
         else:
-            pair = m.log_pair if m.log_pair.ndim == 2 else m.log_pair[None]
             (path,), _ = chain_map_decode(
-                ChainTeacherQuery(log_unary=[m.log_unary], log_pair=pair)
+                ChainTeacherQuery(log_unary=[m.log_unary], log_pair=m.log_pair)
             )
             states.append(path)
     return states
@@ -542,23 +477,15 @@ def _site_logits(query, states, member: int, pos: int, beta: float = 1.0) -> np.
     logits = mem.log_unary[pos].copy()
     if mem.log_pair is not None:
         if pos > 0:
-            logits += beta * mem.pair_term(pos - 1)[states[member][pos - 1], :]
+            logits += beta * mem.log_pair[states[member][pos - 1], :]
         if pos < mem.n_positions - 1:
-            logits += beta * mem.pair_term(pos)[:, states[member][pos + 1]]
+            logits += beta * mem.log_pair[:, states[member][pos + 1]]
     for ln in query.links:
         if ln.member_a == member and ln.pos_a == pos:
             logits += beta * ln.log_table[:, states[ln.member_b][ln.pos_b]]
         if ln.member_b == member and ln.pos_b == pos:
             logits += beta * ln.log_table[states[ln.member_a][ln.pos_a], :]
     return logits
-
-
-def gibbs_conditional(
-    query: GroupTeacherQuery, states: Sequence[np.ndarray], member: int, pos: int
-) -> np.ndarray:
-    """Exact single-site conditional q(y_site | all other labels)."""
-    logits = _site_logits(query, states, member, pos)
-    return np.exp(logits - logsumexp(logits))
 
 
 def gibbs_soft_predict(query: GroupTeacherQuery) -> list[np.ndarray]:
@@ -670,7 +597,7 @@ def enumerate_group_posterior(query: GroupTeacherQuery) -> GroupEnumeration:
                 for t in range(mem.n_positions - 1):
                     a = joint[site_index[(m, t)]]
                     b = joint[site_index[(m, t + 1)]]
-                    s += float(mem.pair_term(t)[a, b])
+                    s += float(mem.log_pair[a, b])
         for ln in query.links:
             a = joint[site_index[(ln.member_a, ln.pos_a)]]
             b = joint[site_index[(ln.member_b, ln.pos_b)]]

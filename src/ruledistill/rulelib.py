@@ -223,31 +223,25 @@ def but_rule_truth(sigma_b_pos: float, positive: bool, variant: str = "avg") -> 
     return TruthValue(value)
 
 
-def but_rule(
-    confidence: float = 1.0, variant: str = "avg", positive_class: int = 1
-) -> Rule:
+def but_rule(confidence: float = 1.0, variant: str = "avg") -> Rule:
     """The A-but-B rule for two-way sentiment classification.
 
     The grounder expects one entry per batch instance: the predictor's
     class distribution on clause B, or None for instances without an
     A-but-B structure (those contribute no grounding).  The rule reads the
-    probability of ``positive_class`` from it, so the positive class is
-    decided here and nowhere else.
+    probability of class 1 from it.  Which class it calls positive does
+    not matter: the two probabilities sum to 1, so calling class 0
+    positive gives the same table.
     """
-    if positive_class not in (0, 1):
-        raise ValueError(f"positive class must be 0 or 1, got {positive_class!r}")
 
     def grounder(sigma_b: Sequence[Optional[np.ndarray]]) -> list[Grounding]:
         out = []
         for m, dist in enumerate(sigma_b):
             if dist is None:
                 continue
-            s = float(dist[positive_class])
+            s = float(dist[1])
             table = np.array(
-                [
-                    but_rule_truth(s, positive=(k == positive_class), variant=variant)
-                    for k in (0, 1)
-                ]
+                [but_rule_truth(s, positive=(k == 1), variant=variant) for k in (0, 1)]
             )
             out.append(Grounding(((m, 0),), table))
         return out

@@ -320,9 +320,10 @@ def _chain_terms(rules: Sequence[Rule], n_tags: int, c: float):
     """Chain potentials (pair, start, end) of the bigram rules, read from
     each rule's groundings on one 3-position member: -c * confidence *
     (1 - truth), summed over rules and groundings, or -inf where a hard
-    rule's truth is below 1.  A rule the chain cannot hold is rejected by
-    name: one that grounds other sites than the first, the last or two
-    consecutive ones, or whose pair table depends on the position."""
+    rule's truth is below 1; zeros without a bigram rule.  A rule the
+    chain cannot hold is rejected by name: one that grounds other sites
+    than the first, the last or two consecutive ones, or whose pair table
+    depends on the position."""
     pair, start, end = np.zeros((n_tags, n_tags)), np.zeros(n_tags), np.zeros(n_tags)
     for rule in rules:
         steps = np.zeros((2, n_tags, n_tags))
@@ -354,8 +355,10 @@ def _chain_terms(rules: Sequence[Rule], n_tags: int, c: float):
 
 
 def _doc_links(doc_tokens: Sequence[Sequence[str]]):
-    """Counterpart site pairs ((sent, pos), (sent, pos)) from detected
-    lists, linking the first tokens of positionally aligned blocks."""
+    """A document's counterpart links from its detected lists, each
+    linking the first tokens of positionally aligned blocks: its linked
+    (sent, pos) sites in increasing order, as an (S, 2) array, and its
+    links as (a, b) pairs of indices into them."""
     links = []
     for group in detect_lists(doc_tokens):
         items = group.items
@@ -364,7 +367,10 @@ def _doc_links(doc_tokens: Sequence[Sequence[str]]):
             b = (items[ib].sent_index, items[ib].blocks[k][0])
             if a != b:
                 links.append((a, b))
-    return links
+    sites = sorted({s for pair in links for s in pair})
+    index = {s: i for i, s in enumerate(sites)}
+    return (np.array(sites, dtype=int).reshape(-1, 2),
+            [(index[a], index[b]) for a, b in links])
 
 
 def _check_cross_rule(rule: Rule, collapse: CategoryCollapse) -> None:
@@ -438,9 +444,7 @@ class NerTeacher:
         self.link_table = -self.c * self.lam * (1.0 - truth)
         self.sweeps = sweeps
         self.g_max = g_max
-        self.chain_terms = ()
-        if self.bigram:
-            self.chain_terms = _chain_terms(self.bigram, scheme.n_tags, self.c)
+        self.chain_terms = _chain_terms(self.bigram, scheme.n_tags, self.c)
 
     def _stage1(self, docs_sigmas, docs_links, seeds):
         """Stage 1 for a batch, laid out like ``soft_predict``'s arguments:
@@ -452,30 +456,27 @@ class NerTeacher:
             return None
         sigmas = [sigma for doc in docs_sigmas for sigma in doc]
         starts = np.cumsum([0] + [len(s) for s in sigmas])
+        firsts = np.cumsum([0] + [len(doc) for doc in docs_sigmas])
         rows, ends, docs = [], [], []
-        first = 0
-        for doc, links, seed in zip(docs_sigmas, docs_links, seeds):
+        offset = 0
+        for first, (sites, links), seed in zip(firsts, docs_links, seeds):
             if links:
-                sites = sorted({s for pair in links for s in pair})
-                index = {s: i for i, s in enumerate(sites)}
-                local = [(index[a], index[b]) for a, b in links]
-                ends += [len(rows) + i for pair in local for i in pair]
-                rows += [starts[first + s] + t for s, t in sites]
-                docs.append((len(sites), local, seed))
-            first += len(doc)
-        if not rows:
+                rows.append(starts[first + sites[:, 0]] + sites[:, 1])
+                ends.append(np.add(links, offset))
+                docs.append((offset, len(sites), links, seed))
+                offset += len(sites)
+        if not docs:
             return None
+        rows = np.concatenate(rows)
         sigma = np.concatenate(sigmas)[rows]
         mass = self.collapse.collapse(sigma)
         log_mass = np.log(mass)
         q = np.empty_like(mass)
         by_size: dict[int, list] = {}
-        offset = 0
-        for n_sites, local, seed in docs:
-            for group in form_groups(n_sites, local, self.g_max, seed):
+        for offset, n_sites, links, seed in docs:
+            for group in form_groups(n_sites, links, self.g_max, seed):
                 ids = [offset + i for i in group.sites]
                 by_size.setdefault(len(ids), []).append((ids, group))
-            offset += n_sites
         k = mass.shape[1]
         for n, groups in by_size.items():
             if k**n > EXACT_MAX_STATES:
@@ -491,7 +492,7 @@ class NerTeacher:
                 q[ids] = exact_group_marginals(log_mass[ids],
                                                counts[..., None, None] * self.link_table)
         gi = self.collapse.group_index
-        return np.asarray(rows), np.reshape(ends, (-1, 2)), q[:, gi] * sigma / mass[:, gi]
+        return rows, np.concatenate(ends), q[:, gi] * sigma / mass[:, gi]
 
     def _sample(self, log_mass, group) -> np.ndarray:
         """Gibbs-estimated category marginals of one group above the exact
@@ -526,8 +527,8 @@ class NerTeacher:
     def soft_predict(self, docs_sigmas, docs_links, seeds) -> list[np.ndarray]:
         """Teacher marginals of every sentence of a batch, in document
         order: ``docs_sigmas`` holds the student's outputs on each
-        document's sentences, ``docs_links`` its counterpart links and
-        ``seeds`` its stage-1 seed."""
+        document's sentences, ``docs_links`` its linked sites and links as
+        ``_doc_links`` gives them, and ``seeds`` its stage-1 seed."""
         return chain_marginals(self._chains(docs_sigmas, docs_links, seeds))
 
     def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
@@ -742,8 +743,8 @@ class _NerDriver(_Driver):
         )
         self.scheme = TagScheme(tuple(cats))
         self.vocab = Vocabulary.build([s.tokens for doc in docs + u_docs for s in doc])
-        # Each document's list links, detected on its first teacher use;
-        # base mode never builds a teacher and so detects none.
+        # Each document's linked sites and links, detected on its first
+        # teacher use; base mode never builds a teacher and so detects none.
         self.links: dict[_Unit, list] = {}
         super().__init__(config, [self._unit(d) for d in docs], [self._unit(d) for d in u_docs])
 

@@ -23,6 +23,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import indexed_links
+
 from ruledistill import predictors, trainer
 from ruledistill.corpus import (
     LabeledSentence,
@@ -472,7 +474,7 @@ class TestNerTeacherBatching:
                   for doc in docs]
         links = [trainer._doc_links([s.tokens for s in doc]) for doc in docs]
         seeds = [11 * d + 1 for d in range(len(docs))]
-        assert sum(map(bool, links)) >= 3
+        assert sum(bool(pairs) for _, pairs in links) >= 3
         alone = [teacher.soft_predict([sg], [ln], [s]) for sg, ln, s in zip(sigmas, links, seeds)]
         rng = np.random.default_rng(0)
         for _ in range(3):
@@ -713,7 +715,8 @@ class TestNerStage1MatchesReference:
             return formed[-1]
 
         with mock.patch.object(trainer, "form_groups", recording):
-            _, _, q = teacher._stage1(docs_sigmas, docs_links, seeds)
+            _, _, q = teacher._stage1(docs_sigmas, [indexed_links(ln) for ln in docs_links],
+                                      seeds)
         assert len(formed) == len(docs)
         start = 0
         for sigmas, links, seed, groups in zip(docs_sigmas, docs_links, seeds, formed):

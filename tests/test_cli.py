@@ -136,6 +136,7 @@ class TestRuleSpecs:
         [
             "unknown()",
             "but(lambda=0)",
+            "but(lambda=nan)",
             "but(variant=bogus)",
             "but(extra=1)",
             "but(lambda=1",
@@ -151,12 +152,9 @@ class TestRuleSpecs:
         with pytest.raises(CliError, match="classification"):
             parse_rule_specs("transitions(), but(lambda=1)", TagScheme(("LOC",)))
 
-    def test_positive_class_reaches_the_but_rule(self):
-        (rule,) = parse_rule_specs("but(lambda=1)", positive_class=0)
-        (g,) = rule.groundings([np.array([0.8, 0.2])])
-        np.testing.assert_allclose(g.table, [0.9, 0.6])
-        with pytest.raises(CliError):
-            parse_rule_specs("but(lambda=1)", positive_class=2)
+    def test_nan_lambda_of_a_tagging_rule(self):
+        with pytest.raises(CliError, match="lambda must be positive"):
+            parse_rule_specs("list-counterpart(lambda=nan)", TagScheme(("LOC",)))
 
 
 class TestTrainCommand:

@@ -16,14 +16,12 @@ from ruledistill.inference import (
     GroupTeacherQuery,
     InfeasibleChainError,
     MemberPotentials,
-    chain_log_z,
     chain_map_decode,
     chain_marginals,
     enumerate_chain_posterior,
     enumerate_group_posterior,
     exact_group_marginals,
     form_groups,
-    gibbs_conditional,
     gibbs_soft_predict,
 )
 from ruledistill.projection import InfeasibleConstraintError
@@ -52,7 +50,7 @@ class TestChain:
         (marg,) = chain_marginals(query)
         np.testing.assert_allclose(marg[0], joint.sum(axis=1), atol=1e-12)
         np.testing.assert_allclose(marg[1], joint.sum(axis=0), atol=1e-12)
-        assert chain_log_z(query)[0] == pytest.approx(np.log(w.sum()))
+        assert query.log_z[0] == pytest.approx(np.log(w.sum()))
 
     def test_marginals_reuse_the_construction_forward_pass(self, monkeypatch):
         calls = []
@@ -63,7 +61,6 @@ class TestChain:
         query = ChainTeacherQuery(log_unary=[norm_rows(rng, 5, 3), norm_rows(rng, 2, 3)],
                                   log_pair=-rng.uniform(0, 2, size=(3, 3)))
         chain_marginals(query)
-        chain_log_z(query)
         assert len(calls) == 1
 
     def test_against_own_enumeration(self):
@@ -79,7 +76,7 @@ class TestChain:
             (ref,) = enumerate_chain_posterior(query)
             (marg,) = chain_marginals(query)
             np.testing.assert_allclose(marg, ref.marginals, atol=1e-10)
-            assert chain_log_z(query)[0] == pytest.approx(ref.log_z, abs=1e-10)
+            assert query.log_z[0] == pytest.approx(ref.log_z, abs=1e-10)
             (path,), (score,) = chain_map_decode(query)
             assert tuple(path) == ref.best_path
             assert score == pytest.approx(ref.best_log_score, abs=1e-10)
@@ -104,17 +101,6 @@ class TestChain:
             ChainTeacherQuery(log_unary=[np.zeros((2, 2)), u, np.zeros((1, 2))],
                               log_pair=pair)
 
-    def test_per_step_pair_terms(self):
-        rng = np.random.default_rng(2)
-        t, k = 4, 3
-        query = ChainTeacherQuery(
-            log_unary=[norm_rows(rng, t, k)],
-            log_pair=-rng.uniform(0, 1, size=(1, t - 1, k, k)),
-        )
-        (ref,) = enumerate_chain_posterior(query)
-        (marg,) = chain_marginals(query)
-        np.testing.assert_allclose(marg, ref.marginals, atol=1e-10)
-
     def test_map_tie_breaks_low_index(self):
         u = np.zeros((2, 2))
         (path,), _ = chain_map_decode(ChainTeacherQuery(log_unary=[u]))
@@ -137,8 +123,10 @@ class TestChain:
             ChainTeacherQuery(log_unary=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="one label space"):
             ChainTeacherQuery(log_unary=[np.zeros((2, 2)), np.zeros((2, 3))])
-        with pytest.raises(ValueError, match="log_pair"):
-            ChainTeacherQuery(log_unary=[np.zeros((3, 2))], log_pair=np.zeros((2, 2, 2)))
+        # One table serves every chain and step: per-step tables are rejected.
+        for shape in ((2, 2, 2), (1, 2, 2, 2)):
+            with pytest.raises(ValueError, match=r"log_pair must have shape \(2, 2\)"):
+                ChainTeacherQuery(log_unary=[np.zeros((3, 2))], log_pair=np.zeros(shape))
 
     def test_n_positions_counts_every_chain(self):
         query = ChainTeacherQuery(log_unary=[np.zeros((3, 2)), np.zeros((1, 2))])
@@ -150,7 +138,7 @@ class TestChain:
 #
 # The one-chain-at-a-time forward-backward and max-product the batched chain
 # regime replaced.  Each function takes one chain's (T, K) log-unaries, a
-# (K, K) or (T - 1, K, K) pair table and (K,) boundary terms.
+# (K, K) pair table and (K,) boundary terms.
 
 
 def ref_folded(lu, start, end):
@@ -158,10 +146,6 @@ def ref_folded(lu, start, end):
     f[0] += start
     f[-1] += end
     return f
-
-
-def ref_pair(pair, t):
-    return pair if pair.ndim == 2 else pair[t]
 
 
 def ref_logsumexp(a, axis):
@@ -181,13 +165,13 @@ def ref_chain(lu, pair, start, end, dtype=np.float64):
     alpha = np.empty_like(f)
     alpha[0] = f[0]
     for t in range(1, t_len):
-        alpha[t] = f[t] + ref_logsumexp(alpha[t - 1][:, None] + ref_pair(pair, t - 1), axis=0)
+        alpha[t] = f[t] + ref_logsumexp(alpha[t - 1][:, None] + pair, axis=0)
     log_z = ref_logsumexp(alpha[-1], axis=0)
     if log_z == -np.inf:
         raise InfeasibleChainError("no feasible path")
     beta = np.zeros_like(f)
     for t in range(t_len - 2, -1, -1):
-        beta[t] = ref_logsumexp(ref_pair(pair, t) + (f[t + 1] + beta[t + 1])[None, :], axis=1)
+        beta[t] = ref_logsumexp(pair + (f[t + 1] + beta[t + 1])[None, :], axis=1)
     return np.exp(alpha + beta - log_z).astype(float), float(log_z)
 
 
@@ -199,7 +183,7 @@ def ref_map(lu, pair, start, end):
     back = np.zeros((t_len, k), dtype=int)
     delta[0] = f[0]
     for t in range(1, t_len):
-        scores = delta[t - 1][:, None] + ref_pair(pair, t - 1)
+        scores = delta[t - 1][:, None] + pair
         back[t] = np.argmax(scores, axis=0)
         delta[t] = f[t] + np.max(scores, axis=0)
     path = np.empty(t_len, dtype=int)
@@ -218,7 +202,7 @@ log_values = st.one_of(grid_values, st.floats(-3.0, 3.0))
 @st.composite
 def chain_batches(draw, pair_values=log_values, unary_values=None):
     """(unaries, pair, start, end): 1-6 chains of 1-7 positions over K <= 5
-    labels, with a shared (K, K) pair table or one per chain and step.
+    labels, with one (K, K) pair table.
     ``unary_values``, when given, also draws the boundary terms."""
     k = draw(st.integers(1, 5))
     lengths = draw(st.lists(st.integers(1, 7), min_size=1, max_size=6))
@@ -230,24 +214,19 @@ def chain_batches(draw, pair_values=log_values, unary_values=None):
 
     unaries = [values((t, k), unary_values if wide else st.floats(-3.0, 3.0) | grid_values)
                for t in lengths]
-    if draw(st.booleans()):
-        pair = values((k, k), pair_values)
-    else:
-        pair = values((len(lengths), max(lengths) - 1, k, k), pair_values)
-    return unaries, pair, values((k,)), values((k,))
+    return unaries, values((k, k), pair_values), values((k,)), values((k,))
 
 
 def reference_answers(unaries, pair, start, end, dtype=np.float64):
     """Per chain (marginals, log_z, path, score), or None if some chain
     has no feasible path; marginals and log_z are computed in ``dtype``."""
     out = []
-    for i, lu in enumerate(unaries):
-        p = pair if pair.ndim == 2 else pair[i, : len(lu) - 1]
+    for lu in unaries:
         try:
-            marg, log_z = ref_chain(lu, p, start, end, dtype)
+            marg, log_z = ref_chain(lu, pair, start, end, dtype)
         except InfeasibleChainError:
             return None
-        out.append((marg, log_z, *ref_map(lu, p, start, end)))
+        out.append((marg, log_z, *ref_map(lu, pair, start, end)))
     return out
 
 
@@ -268,11 +247,11 @@ class TestBatchedChain:
         enums = enumerate_chain_posterior(query)
         for i, (r_marg, r_log_z, r_path, r_score) in enumerate(ref):
             np.testing.assert_allclose(margs[i], r_marg, rtol=0, atol=1e-12)
-            assert abs(chain_log_z(query)[i] - r_log_z) <= 1e-12
+            assert abs(query.log_z[i] - r_log_z) <= 1e-12
             np.testing.assert_array_equal(paths[i], r_path)
             assert scores[i] == r_score
             np.testing.assert_allclose(margs[i], enums[i].marginals, rtol=0, atol=1e-10)
-            assert abs(chain_log_z(query)[i] - enums[i].log_z) <= 1e-10
+            assert abs(query.log_z[i] - enums[i].log_z) <= 1e-10
             assert abs(scores[i] - enums[i].best_log_score) <= 1e-10
 
     @settings(max_examples=80, deadline=None)
@@ -310,13 +289,6 @@ class TestBatchedChain:
         dead[int(length // 2)] = -np.inf
         where = min(where, len(unaries))
         unaries = unaries[:where] + [dead] + unaries[where:]
-        if pair.ndim == 4:
-            # Give the new chain its own all-zero pair tables.
-            t_max = max(len(u) for u in unaries)
-            grown = np.zeros((len(unaries), t_max - 1, k, k))
-            for i, j in enumerate([i for i in range(len(unaries)) if i != where]):
-                grown[j, : pair.shape[1]] = pair[i]
-            pair = grown
         with pytest.raises(InfeasibleChainError, match=match):
             ChainTeacherQuery(unaries, pair, start, end)
 
@@ -339,7 +311,7 @@ class TestWideRangeChain:
             return None
         query = ChainTeacherQuery(*batch)
         for marg, log_z, (r_marg, r_log_z, _, _) in zip(chain_marginals(query),
-                                                        chain_log_z(query), ref):
+                                                        query.log_z, ref):
             np.testing.assert_allclose(marg, r_marg, rtol=0, atol=1e-12)
             assert abs(log_z - r_log_z) <= 1e-12 * max(1.0, abs(r_log_z))
         return query
@@ -350,7 +322,7 @@ class TestWideRangeChain:
         u = np.array([[0.0, -800.0], [-np.inf, 0.0]])
         pair = np.array([[0.0, -np.inf], [-700.0, 0.0]])
         query = self.check(([u], pair, np.zeros(2), np.zeros(2)))
-        assert chain_log_z(query)[0] == -800.0
+        assert query.log_z[0] == -800.0
         np.testing.assert_array_equal(chain_marginals(query)[0], [[0.0, 1.0], [0.0, 1.0]])
         # Next to a chain the scaled pass holds, in either order.
         for unaries in ([u, np.zeros((3, 2))], [np.zeros((3, 2)), u]):
@@ -365,7 +337,7 @@ class TestWideRangeChain:
         pair = np.array([[-300.0, -np.inf], [-np.inf, 0.0]])
         query = self.check(([u], pair, np.zeros(2), np.zeros(2)))
         assert query.forward.rescued.tolist() == [True]
-        assert chain_log_z(query)[0] == np.logaddexp(-900.0, -740.0)
+        assert query.log_z[0] == np.logaddexp(-900.0, -740.0)
 
     @settings(max_examples=300, deadline=None)
     @given(chain_batches(pair_values=wide_values, unary_values=wide_values))
@@ -388,7 +360,8 @@ class TestGroups:
     def test_conditional_is_exact(self):
         query = self.two_member_query()
         states = [np.array([0, 1]), np.array([0])]
-        cond = gibbs_conditional(query, states, member=0, pos=1)
+        logits = inference._site_logits(query, states, member=0, pos=1)
+        cond = np.exp(logits - np.log(np.exp(logits).sum()))
         # Site (0,1) sees its unary and the link to (1,0)=0.
         logits = np.log([0.4, 0.6]) + np.array([0.5, -0.5])
         expect = np.exp(logits) / np.exp(logits).sum()
@@ -434,7 +407,7 @@ class TestGroups:
 @st.composite
 def small_groups(draw, k=None, lengths=None):
     """Groups of up to three members of one or two positions over two or
-    three labels, with optional shared or per-step pair terms and up to
+    three labels, with an optional (K, K) pair table each and up to
     three links between any sites (a site may link to itself).  ``k`` and
     ``lengths`` fix the label count and the members' lengths."""
     k = draw(st.integers(2, 3)) if k is None else k
@@ -446,10 +419,7 @@ def small_groups(draw, k=None, lengths=None):
 
     members = []
     for t in lengths:
-        pair = None
-        if t > 1:
-            pair = draw(st.sampled_from([None, (k, k), (t - 1, k, k)]))
-            pair = None if pair is None else values(pair)
+        pair = values((k, k)) if t > 1 and draw(st.booleans()) else None
         members.append(MemberPotentials(values((t, k)), pair))
 
     def site():
@@ -473,7 +443,7 @@ def group_arrays(query):
     for m, mem in enumerate(query.members):
         if mem.log_pair is not None:
             for t in range(mem.n_positions - 1):
-                pair[index[m, t], index[m, t + 1]] += mem.pair_term(t)
+                pair[index[m, t], index[m, t + 1]] += mem.log_pair
     for ln in query.links:
         pair[index[ln.member_a, ln.pos_a], index[ln.member_b, ln.pos_b]] += ln.log_table
     return unary, pair

@@ -100,15 +100,15 @@ class TestButRule:
         np.testing.assert_allclose(gs[0].table, [0.6, 0.9])
         np.testing.assert_allclose(gs[1].table, [0.85, 0.65])
 
-    def test_positive_class_zero(self):
-        # The rule reads clause B's probability of its own positive class.
-        rule = but_rule(positive_class=0)
-        (g,) = rule.groundings([np.array([0.8, 0.2])])
-        np.testing.assert_allclose(g.table, [0.9, 0.6])
-
-    def test_binary_only(self):
-        with pytest.raises(ValueError):
-            but_rule(positive_class=2)
+    def test_symmetric_in_the_two_classes(self):
+        # The classes' probabilities sum to 1, so swapping the classes
+        # swaps the table: no class is special.
+        for variant in ("avg", "strong"):
+            rule = but_rule(variant=variant)
+            for s1 in np.random.default_rng(0).uniform(size=200):
+                sigma = np.array([1.0 - s1, s1])
+                (g,), (swapped,) = (rule.groundings([d]) for d in (sigma, sigma[::-1]))
+                np.testing.assert_allclose(g.table, swapped.table[::-1], rtol=0, atol=1e-15)
 
     def test_rule_metadata(self):
         rule = but_rule(confidence=2.0, variant="strong")

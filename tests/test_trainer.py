@@ -9,6 +9,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import indexed_links
+
 from ruledistill.corpus import (
     TaggedSentence,
     gen_synthetic_ner,
@@ -276,17 +278,14 @@ class TestSentimentTeacher:
             return [np.array([0.9, 0.1]) if len(ids) == 1 else np.array([0.5, 0.5])
                     for ids in ids_list]
 
-    def test_positive_class_comes_from_the_but_rule(self):
+    def test_sentence_follows_clause_b(self):
         from ruledistill.predictors import Vocabulary
 
         tokens = ("dull", "but", "great")
         vocab = Vocabulary.build([tokens])
-        for positive in (0, 1):
-            # Clause B leans to class 0 and the sentence must follow it,
-            # whichever class the rule calls positive.
-            rule = but_rule(confidence=1.0, positive_class=positive)
-            teacher = SentimentTeacher(self.ClauseModel(), vocab, (rule,), 6.0)
-            assert teacher.predict_proba(tokens)[0] > 0.9
+        # Clause B leans to class 0, and the sentence must follow it.
+        teacher = SentimentTeacher(self.ClauseModel(), vocab, (but_rule(confidence=1.0),), 6.0)
+        assert teacher.predict_proba(tokens)[0] > 0.9
 
     def test_rejects_rules_it_would_drop(self, monkeypatch):
         # Bigram and cross-instance rules have no meaning for a sentence
@@ -372,7 +371,7 @@ class TestTrainNer:
         for doc in group_documents(self.DATA):
             ids = [base.vocab.encode(s.tokens) for s in doc]
             links = trainer._doc_links([s.tokens for s in doc])
-            n_links += len(links)
+            n_links += len(links[1])
             sigmas = base.student.forward(ids)
             a_doc, b_doc = (t.soft_predict([sigmas], [links], [0]) for t in (one, two))
             for a, b in zip(a_doc, b_doc):
@@ -417,7 +416,7 @@ class TestNerGroupTeacher:
 
     def site_marginals(self, teacher, sigmas, links, seed=0):
         """Stage 1's tag marginals of one document's linked sites, by site."""
-        rows, ends, q = teacher._stage1([sigmas], [links], [seed])
+        rows, ends, q = teacher._stage1([sigmas], [indexed_links(links)], [seed])
         sites = sorted({s for pair in links for s in pair})
         starts = np.cumsum([0] + [len(s) for s in sigmas])
         assert rows.tolist() == [starts[s] + t for s, t in sites]
