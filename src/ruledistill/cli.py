@@ -384,27 +384,30 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     p_reports, q_reports = [], []
     for seed, tcfg in zip(cfg["seeds"], tcfgs):
-        if cfg["mode"] == "base":
-            result = train_distill(tcfg, train_data, rules=(), dev=dev_data)
-            teacher = None
-        elif cfg["mode"] == "distill":
-            result = train_distill(tcfg, train_data, rules=rules, dev=dev_data)
-            teacher = result.teacher
-        elif cfg["mode"] == "semi":
-            result = train_semi(tcfg, train_data, unlabeled, rules=rules,
-                                dev=dev_data)
-            teacher = result.teacher
-        elif cfg["mode"] == "pipeline":
-            result = pipeline_distill(tcfg, train_data, rules=rules, dev=dev_data)
-            teacher = result.teacher
-        else:  # project-after: train plain, project only at evaluation
-            result = train_distill(replace(tcfg, mode="base"), train_data,
-                                   rules=(), dev=dev_data)
-            teacher = project_after(
-                result.student, result.vocab, rules, tcfg.c, cfg["task"],
-                scheme=result.scheme, eval_sweeps=tcfg.eval_sweeps,
-                g_max=tcfg.g_max, seed=seed,
-            )
+        try:
+            if cfg["mode"] == "base":
+                result = train_distill(tcfg, train_data, rules=(), dev=dev_data)
+                teacher = None
+            elif cfg["mode"] == "distill":
+                result = train_distill(tcfg, train_data, rules=rules, dev=dev_data)
+                teacher = result.teacher
+            elif cfg["mode"] == "semi":
+                result = train_semi(tcfg, train_data, unlabeled, rules=rules,
+                                    dev=dev_data)
+                teacher = result.teacher
+            elif cfg["mode"] == "pipeline":
+                result = pipeline_distill(tcfg, train_data, rules=rules, dev=dev_data)
+                teacher = result.teacher
+            else:  # project-after: train plain, project only at evaluation
+                result = train_distill(replace(tcfg, mode="base"), train_data,
+                                       rules=(), dev=dev_data)
+                teacher = project_after(
+                    result.student, result.vocab, rules, tcfg.c, cfg["task"],
+                    scheme=result.scheme, eval_sweeps=tcfg.eval_sweeps,
+                    g_max=tcfg.g_max, seed=seed,
+                )
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
 
         extra = {"task": cfg["task"]}
         if result.scheme is not None:

@@ -185,7 +185,7 @@ def load_conll(path, categories: Optional[Sequence[str]] = None) -> list[TaggedS
     scheme = TagScheme(tuple(cats)) if sentences else None
     for d, s, toks, tags_, lines_ in sentences:
         for pos, tag in enumerate(tags_):
-            if not scheme.is_tag(tag):
+            if tag not in scheme.tags:
                 raise CorpusFormatError(
                     path, lines_[pos], f"tag {tag!r} outside categories {tuple(cats)}"
                 )

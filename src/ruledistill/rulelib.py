@@ -57,32 +57,6 @@ class TagScheme:
     def category(self, tag: str) -> Optional[str]:
         return None if tag == "O" else tag.split("-", 1)[1]
 
-    def is_tag(self, tag: str) -> bool:
-        return tag in self.tags
-
-    def valid_sequence(self, tags: Sequence[str]) -> bool:
-        """Segment-level validity check (independent of the bigram masks).
-
-        Walks the sequence with an explicit open-entity state: an entity is
-        either a singleton S-Y or a complete B-Y I-Y* E-Y run.
-        """
-        open_cat: Optional[str] = None
-        for tag in tags:
-            p, c = self.prefix(tag), self.category(tag)
-            if open_cat is None:
-                if p in ("I", "E"):
-                    return False
-                if p == "B":
-                    open_cat = c
-            else:
-                if p == "I" and c == open_cat:
-                    continue
-                if p == "E" and c == open_cat:
-                    open_cat = None
-                    continue
-                return False
-        return open_cat is None
-
     def invalid_positions(self, tags: Sequence[str]) -> list[int]:
         """Positions at which the tag sequence breaks BIOES validity."""
         masks = transition_masks(self)
@@ -97,33 +71,6 @@ class TagScheme:
         if idx and not masks.valid_end[idx[-1]] and (len(idx) - 1) not in bad:
             bad.append(len(idx) - 1)
         return bad
-
-    def spans(self, tags: Sequence[str]) -> list[tuple[int, int, str]]:
-        """Extract complete entity spans as (start, end, category).
-
-        ``end`` is exclusive.  Only well-formed segments (S-Y, or B-Y I-Y*
-        E-Y) are emitted, so the extraction is defined even on invalid
-        predicted sequences.
-        """
-        out = []
-        i, n = 0, len(tags)
-        while i < n:
-            p, c = self.prefix(tags[i]), self.category(tags[i])
-            if p == "S":
-                out.append((i, i + 1, c))
-                i += 1
-            elif p == "B":
-                j = i + 1
-                while j < n and tags[j] == f"I-{c}":
-                    j += 1
-                if j < n and tags[j] == f"E-{c}":
-                    out.append((i, j + 1, c))
-                    i = j + 1
-                else:
-                    i += 1
-            else:
-                i += 1
-        return out
 
 
 # --- generic rule machinery -------------------------------------------------

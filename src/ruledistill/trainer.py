@@ -32,6 +32,8 @@ with C = 0 or an empty rule set takes the base code path outright, so its
 parameter trajectory is bit-identical to a base run with the same seed.
 Students are trained and evaluated on whole batches: one padded forward
 and backward pass per minibatch, and one forward per evaluation chunk.
+Evaluation sorts records by token count before chunking, so a forward
+pads only to its chunk's longest sentence, and scores tags as index arrays.
 
 Every mode runs through one epoch loop over a per-task driver, which
 supplies an epoch's batches, each unit's hard target rows as one array,
@@ -82,6 +84,7 @@ from .rulelib import (
     counterpart_truth_table,
     detect_but,
     list_rule_truth,
+    transition_masks,
 )
 
 __all__ = [
@@ -225,17 +228,48 @@ def aggregate_reports(reports: Sequence[EvalReport]) -> dict[str, tuple[float, f
     return out
 
 
-def _micro_span_prf(gold_spans, pred_spans) -> tuple[float, float, float]:
-    tp = fp = fn = 0
-    for g, p in zip(gold_spans, pred_spans):
-        gset, pset = set(g), set(p)
-        tp += len(gset & pset)
-        fp += len(pset - gset)
-        fn += len(gset - pset)
-    prec = tp / (tp + fp) if tp + fp else 1.0
-    rec = tp / (tp + fn) if tp + fn else 1.0
-    f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-    return prec, rec, f1
+def _span_ends(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """For each position of concatenated tag-index sequences, one past the
+    end of the complete span it starts, an S-Y or a B-Y I-Y* E-Y run within
+    its sentence, or 0; ``first`` marks each sentence's first position."""
+    cat, prefix = np.divmod(codes - 1, 4)  # prefix 0..3 is B, I, E, S
+    prefix[codes == 0] = -1
+    # Position t extends a run: an I or E after a B or I of its category.
+    before = np.roll(prefix, 1)
+    extends = (~first & (np.roll(cat, 1) == cat) & (prefix >= 1) & (prefix <= 2)
+               & (before >= 0) & (before <= 1))
+    run_start = np.maximum.accumulate(np.where(extends, 0, np.arange(len(codes))))
+    ends = np.flatnonzero(extends & (prefix == 2))
+    ends = ends[prefix[run_start[ends]] == 0]
+    out = np.where(prefix == 3, np.arange(1, len(codes) + 1), 0)
+    out[run_start[ends]] = ends + 1
+    return out
+
+
+def _tagging_report(scheme: TagScheme, sents, pred: np.ndarray) -> EvalReport:
+    """Exact-span micro P/R/F1 and the BIOES-valid fraction of ``pred``, the
+    predicted tag indices of ``sents`` concatenated.  A span is its start,
+    end and first tag; gold tags of a category outside the scheme get indices
+    past its own, so their spans are missed, and a tag with no prefix is O."""
+    tags = [t for s in sents for t in s.tags]
+    foreign = {t.partition("-")[2] for t in set(tags)} - {"", *scheme.categories}
+    index = {tag: k for k, tag in enumerate(TagScheme(scheme.categories + tuple(foreign)).tags)}
+    gold = np.array([index.get(t, 0) for t in tags], dtype=int)
+    first = np.zeros(len(pred), dtype=bool)
+    first[np.cumsum([0] + [len(s.tags) for s in sents])[:-1]] = True
+    gold_ends, pred_ends = _span_ends(gold, first), _span_ends(pred, first)
+    tp = int(np.count_nonzero((gold_ends > 0) & (gold_ends == pred_ends) & (gold == pred)))
+    n_pred, n_gold = int(np.count_nonzero(pred_ends)), int(np.count_nonzero(gold_ends))
+    prec = tp / n_pred if n_pred else 1.0
+    rec = tp / n_gold if n_gold else 1.0
+    masks = transition_masks(scheme)
+    bad = (np.where(first, ~masks.valid_start[pred], ~masks.valid_pair[np.roll(pred, 1), pred])
+           | (np.roll(first, -1) & ~masks.valid_end[pred]))
+    valid = np.ones(len(sents), dtype=bool)
+    valid[np.cumsum(first)[bad] - 1] = False
+    return EvalReport(task="ner", n=len(sents), precision=prec, recall=rec,
+                      f1=2 * prec * rec / (prec + rec) if prec + rec else 0.0,
+                      validity_rate=float(np.mean(valid)))
 
 
 # --- rule routing ------------------------------------------------------------
@@ -283,6 +317,12 @@ class SentimentTeacher:
         self.vocab = vocab
         (self.rules,) = _split_rules(rules, "sentiment")
         self.c = float(c)
+        k = model.n_classes
+        for rule in self.rules:
+            (probe,) = rule.groundings([np.full(k, 1.0 / k)])
+            if np.shape(probe.table) != (k,):
+                raise ValueError(f"rule {rule.name!r}: its truth table has shape "
+                                 f"{np.shape(probe.table)}, but the classifier has {k} classes")
         # Projections left at p because the hard rules exclude every label.
         self.infeasible = 0
 
@@ -432,6 +472,10 @@ class NerTeacher:
         self.scheme = scheme
         self.seed = seed
         self.bigram, self.cross = _split_rules(rules, "ner")
+        # A teacher without a model is fed the student's outputs directly.
+        if model is not None and model.n_tags != scheme.n_tags:
+            raise ValueError(f"the model outputs {model.n_tags} tags, but the scheme "
+                             f"has {scheme.n_tags}")
         self.collapse = CategoryCollapse(scheme)
         self.c = float(c)
         for rule in self.cross:
@@ -531,25 +575,26 @@ class NerTeacher:
         ``_doc_links`` gives them, and ``seeds`` its stage-1 seed."""
         return chain_marginals(self._chains(docs_sigmas, docs_links, seeds))
 
-    def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
-        """Decoded tags of every sentence of every document.  Documents are
-        decoded in chunks of about ``_EVAL_CHUNK`` sentences; document d
-        gets the seed ``seed + 7919 * d`` whatever its chunk, so repeat
-        evaluations are identical."""
+    def _paths(self, docs: Sequence[Sequence[TaggedSentence]]) -> list[np.ndarray]:
+        """Decoded tag-index paths of every sentence of every document, in
+        chunks of about ``_EVAL_CHUNK`` sentences; document d gets the seed
+        ``seed + 7919 * d`` whatever its chunk, so repeats are identical."""
 
         def decode(chunk):
             tokens = [[s.tokens for s in doc] for _, doc in chunk]
-            sizes = [len(doc) for doc in tokens]
             sigmas = self.model.forward([self.vocab.encode(t) for doc in tokens for t in doc])
-            paths, _ = chain_map_decode(self._chains(
-                _regroup(sigmas, sizes),
+            return chain_map_decode(self._chains(
+                _regroup(sigmas, [len(doc) for doc in tokens]),
                 [_doc_links(doc) for doc in tokens],
                 [self.seed + 7919 * d for d, _ in chunk],
-            ))
-            tags = [[self.scheme.tags[k] for k in path] for path in paths]
-            return _regroup(tags, sizes)
+            ))[0]
 
         return list(_chunked(decode, list(enumerate(docs)), [len(doc) for doc in docs]))
+
+    def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
+        """Decoded tags of every sentence of every document, by document."""
+        tags = [[self.scheme.tags[k] for k in path] for path in self._paths(docs)]
+        return _regroup(tags, [len(doc) for doc in docs])
 
 
 # --- generic evaluation ------------------------------------------------------
@@ -575,18 +620,27 @@ def _pack(sizes: Sequence[int], limit: int) -> list[list[int]]:
     return groups
 
 
-def _chunked(fn, items, sizes: Optional[Sequence[int]] = None):
+def _chunked(fn, items, sizes: Sequence[int]):
     """Yield ``fn``'s outputs, calling it on consecutive chunks of
     ``items`` of about ``_EVAL_CHUNK`` sentences, where ``sizes`` gives each
-    item's sentence count (1 when omitted).  A consumer that keeps only
-    what it derives from each output holds one chunk's outputs at a time."""
-    for group in _pack([1] * len(items) if sizes is None else sizes, _EVAL_CHUNK):
+    item's sentence count.  A consumer that keeps only what it derives from
+    each output holds one chunk's outputs at a time."""
+    for group in _pack(sizes, _EVAL_CHUNK):
         yield from fn([items[i] for i in group])
 
 
-def _student_forward(model, vocab: Vocabulary):
-    """A student's distributions for a chunk of sentence records."""
-    return lambda chunk: model.forward([vocab.encode(s.tokens) for s in chunk])
+def _sorted_labels(predict, records) -> list:
+    """``predict``'s label of each record, in dataset order.  Records are
+    stably sorted by token count and cut into chunks of ``_EVAL_CHUNK``, so
+    each forward pads only to its own chunk's longest sentence and one
+    chunk's distributions are held at a time."""
+    order = sorted(range(len(records)), key=lambda i: len(records[i].tokens))
+    out = [None] * len(records)
+    for start in range(0, len(order), _EVAL_CHUNK):
+        idx = order[start:start + _EVAL_CHUNK]
+        for i, label in zip(idx, predict([records[i] for i in idx])):
+            out[i] = label
+    return out
 
 
 def evaluate(predictor, dataset, task: Optional[str] = None,
@@ -603,39 +657,35 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
     if task is None:
         task = "sentiment" if isinstance(dataset[0], LabeledSentence) else "ner"
 
+    if task == "sentiment" and isinstance(predictor, SentimentTeacher):
+        def forward(chunk):
+            ids, clauses = zip(*(_encode_sentence(predictor.vocab, s.tokens) for s in chunk))
+            return predictor.soft_predict(predictor.model.forward(ids), clauses)
+    elif not (task == "ner" and isinstance(predictor, NerTeacher)):
+        if vocab is None or (task == "ner" and scheme is None):
+            raise ValueError("student evaluation needs a vocabulary, and tagging a scheme")
+
+        def forward(chunk):
+            return predictor.forward([vocab.encode(s.tokens) for s in chunk])
+
     if task == "sentiment":
-        if isinstance(predictor, SentimentTeacher):
-            def predict(chunk):
-                ids, clauses = zip(*(_encode_sentence(predictor.vocab, s.tokens) for s in chunk))
-                return predictor.soft_predict(predictor.model.forward(ids), clauses)
-        elif vocab is None:
-            raise ValueError("student evaluation needs a vocabulary")
-        else:
-            predict = _student_forward(predictor, vocab)
-        acc = float(np.mean([np.argmax(p) == s.label
-                             for p, s in zip(_chunked(predict, dataset), dataset)]))
+        labels = _sorted_labels(lambda chunk: np.argmax(forward(chunk), axis=1), dataset)
+        acc = float(np.mean(np.array(labels) == [s.label for s in dataset]))
         return EvalReport(task="sentiment", n=len(dataset), accuracy=acc)
 
     docs = group_documents(dataset)
     sents = [s for doc in docs for s in doc]
     if isinstance(predictor, NerTeacher):
-        scheme = predictor.scheme
-        pred_tags = [tags for doc_tags in predictor.predict_tags(docs) for tags in doc_tags]
-    else:
-        if vocab is None or scheme is None:
-            raise ValueError("student tagging evaluation needs vocab and scheme")
-        pred_tags = [[scheme.tags[k] for k in p.argmax(axis=1)]
-                     for p in _chunked(_student_forward(predictor, vocab), sents)]
-    prec, rec, f1 = _micro_span_prf([scheme.spans(s.tags) for s in sents],
-                                    [scheme.spans(tags) for tags in pred_tags])
-    return EvalReport(
-        task="ner",
-        n=len(dataset),
-        precision=prec,
-        recall=rec,
-        f1=f1,
-        validity_rate=float(np.mean([scheme.valid_sequence(tags) for tags in pred_tags])),
-    )
+        return _tagging_report(predictor.scheme, sents, np.concatenate(predictor._paths(docs)))
+
+    def predict(chunk):
+        p = np.concatenate(forward(chunk))
+        if p.shape[1] != scheme.n_tags:
+            raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
+                             f"has {scheme.n_tags}")
+        return np.split(p.argmax(axis=1), np.cumsum([len(s) for s in chunk])[:-1])
+
+    return _tagging_report(scheme, sents, np.concatenate(_sorted_labels(predict, sents)))
 
 
 # --- training ----------------------------------------------------------------

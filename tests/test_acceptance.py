@@ -21,6 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import ref_valid_sequence
 
 from ruledistill.corpus import (
     NerTaskSpec,
@@ -215,7 +216,7 @@ def test_criterion_03_chain_inference():
         query = ChainTeacherQuery(log_unary=[lu], log_pair=hard_pair,
                                   log_start=hard_start, log_end=hard_end)
         (path,), _ = chain_map_decode(query)
-        if scheme.valid_sequence([scheme.tags[y] for y in path]):
+        if ref_valid_sequence(scheme, [scheme.tags[y] for y in path]):
             n_valid += 1
 
     elapsed = time.monotonic() - t0
@@ -418,6 +419,7 @@ def ner_effect():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_distillation_effect(sentiment_effect):
     e = sentiment_effect
     ordered = e.base < e.p < e.q
@@ -435,6 +437,7 @@ def test_criterion_06_distillation_effect(sentiment_effect):
     assert e.elapsed < 300
 
 
+@pytest.mark.slow
 def test_criterion_07_sequence_rule_effect(ner_effect, sentiment_effect):
     e = ner_effect
     ordered = e.base < e.p < e.q
@@ -456,6 +459,7 @@ def test_criterion_07_sequence_rule_effect(ner_effect, sentiment_effect):
     assert e.elapsed < 600
 
 
+@pytest.mark.slow
 def test_criterion_08_semi_supervised():
     t0 = time.monotonic()
     rules = (but_rule(confidence=1.0, variant="avg"),)

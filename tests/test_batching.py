@@ -14,7 +14,7 @@ document's groups as objects and enumerates each in its own dense tensor.
 The chain regime's per-chain reference lives in test_inference.py.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 from unittest import mock
 
@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import indexed_links
+from conftest import indexed_links, ref_micro_span_prf, ref_spans, ref_valid_sequence
 
 from ruledistill import predictors, trainer
 from ruledistill.corpus import (
@@ -390,11 +390,15 @@ class TestBatchValidation:
 
 
 class Recorder:
-    """Forwards through a model and records each call's batch size."""
+    """Forwards through a model and records each call's batch size; every
+    other attribute is the model's."""
 
     def __init__(self, model):
         self.model = model
         self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(self.model, name)
 
     def forward(self, ids_list):
         self.sizes.append(len(ids_list))
@@ -447,6 +451,51 @@ class TestChunkedEvaluate:
         assert max(rec.sizes) == self.CHUNK and sum(rec.sizes) == len(data)
         # Every batched tag sequence equals its relabeled gold.
         assert batched.f1 == 1.0
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 2**16))
+    def test_length_sorted_chunks_match_one_sentence_at_a_time(self, chunk, n, seed):
+        # Sentences of shuffled lengths, in shuffled order: each report
+        # equals one scored from one forward per sentence, and no forward
+        # sees more than a chunk.
+        rng = np.random.default_rng(seed)
+
+        def cut(data, *fields):
+            """Up to n records in random order, each cut to a random length."""
+            return [replace(data[i], **{f: getattr(data[i], f)[:k] for f in fields})
+                    for i, k in zip(rng.permutation(len(data))[:n], rng.integers(1, 40, size=n))]
+
+        sent = cut(gen_synthetic_sentiment(seed=seed, n=n), "tokens")
+        ner = cut(gen_synthetic_ner(seed=seed, n_docs=4), "tokens", "tags")
+        vocab = Vocabulary.build([s.tokens for s in sent + ner])
+        scheme = TagScheme(("LOC", "ORG", "PER"))
+        classifier = TextClassifier(len(vocab), 2, emb_dim=4, n_filters=3, seed=seed)
+        tagger = SequenceTagger(len(vocab), scheme.n_tags, emb_dim=4, hidden=5, radius=1,
+                                seed=seed)
+        teacher = SentimentTeacher(Recorder(classifier), vocab, (but_rule(confidence=1.0),), 6.0)
+        one = {
+            "p": [classifier.forward([vocab.encode(s.tokens)])[0] for s in sent],
+            "q": [teacher.predict_proba(s.tokens) for s in sent],
+        }
+        teacher.model.sizes.clear()
+        expect = {key: trainer.EvalReport(task="sentiment", n=len(sent), accuracy=float(
+            np.mean([np.argmax(p) == s.label for p, s in zip(probs, sent)])))
+            for key, probs in one.items()}
+        tags = [[scheme.tags[k] for k in tagger.forward([vocab.encode(s.tokens)])[0].argmax(axis=1)]
+                for s in ner]
+        prec, rec, f1 = ref_micro_span_prf([ref_spans(scheme, s.tags) for s in ner],
+                                           [ref_spans(scheme, t) for t in tags])
+        expect["ner"] = trainer.EvalReport(
+            task="ner", n=len(ner), precision=prec, recall=rec, f1=f1,
+            validity_rate=float(np.mean([ref_valid_sequence(scheme, t) for t in tags])))
+        with mock.patch.object(trainer, "_EVAL_CHUNK", chunk):
+            p_rec, ner_rec = Recorder(classifier), Recorder(tagger)
+            assert evaluate(p_rec, sent, task="sentiment", vocab=vocab) == expect["p"]
+            assert evaluate(teacher, sent, task="sentiment") == expect["q"]
+            assert evaluate(ner_rec, ner, task="ner", vocab=vocab, scheme=scheme) == expect["ner"]
+        for rec, records in ((p_rec, sent), (ner_rec, ner)):
+            assert len(rec.sizes) == -(-len(records) // chunk) and max(rec.sizes) <= chunk
+        assert max(teacher.model.sizes) <= chunk
 
 
 # --- the tagging teacher -----------------------------------------------------

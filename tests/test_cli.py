@@ -251,6 +251,18 @@ class TestTrainCommand:
         ]) == 2
         assert not out.exists()
 
+    def test_two_class_rule_on_three_classes_exit_2(self, data_dir, tmp_path, capsys):
+        train = tmp_path / "three.tsv"
+        texts = [ln.split("\t", 1)[1] for ln in (data_dir / "train.tsv").read_text().splitlines()]
+        train.write_text("".join(f"{i % 3}\t{text}\n" for i, text in enumerate(texts)))
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "sentiment", "--mode", "distill", "--train", str(train),
+            "--rules", "but(lambda=1)", "--epochs", "2", "--out", str(out),
+        ]) == 2
+        assert "'but-avg'" in capsys.readouterr().err
+        assert not list(out.glob("model_seed*"))
+
     def test_duplicate_seeds_exit_2_before_reading_or_writing(self, data_dir, tmp_path,
                                                                monkeypatch, capsys):
         from ruledistill import cli

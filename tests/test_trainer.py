@@ -8,10 +8,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import indexed_links
+from conftest import indexed_links, ref_micro_span_prf, ref_spans, ref_valid_sequence
 
 from ruledistill.corpus import (
+    LabeledSentence,
     TaggedSentence,
     gen_synthetic_ner,
     gen_synthetic_sentiment,
@@ -106,6 +109,32 @@ class TestSchedule:
             project_after(None, None, (), task="sentiment", **settings)
 
 
+@st.composite
+def tagged_corpora(draw):
+    """A scheme, gold sentences whose tags also use a category outside it,
+    and predicted tag-index paths, valid or not.  One tag stream is built
+    from whole entities, corrupted, and cut into sentences, so entities
+    also cross sentence ends; the prediction is the gold with some tags
+    redrawn, so that both hold complete spans and some of them agree."""
+    scheme = TagScheme(("LOC", "ORG"))
+    entity = st.sampled_from(("LOC", "ORG", "MISC")).flatmap(
+        lambda c: st.integers(0, 3).map(
+            lambda n: [f"S-{c}"] if n == 0 else [f"B-{c}"] + [f"I-{c}"] * (n - 1) + [f"E-{c}"]))
+    any_tag = st.sampled_from(scheme.tags + tuple(f"{p}-MISC" for p in "BIES"))
+    tags = [t for seg in draw(st.lists(st.one_of(st.just(["O"]), entity), min_size=1,
+                                       max_size=12)) for t in seg]
+    path = [scheme.tags.index(t) if t in scheme.tags else 0 for t in tags]
+    for i in draw(st.lists(st.integers(0, len(tags) - 1), max_size=3)):
+        tags[i] = draw(any_tag)
+    for i in draw(st.lists(st.integers(0, len(tags) - 1), max_size=3)):
+        path[i] = draw(st.integers(0, scheme.n_tags - 1))
+    cuts = draw(st.sets(st.integers(1, len(tags)), max_size=4)) | {len(tags)}
+    bounds = [0] + sorted(cuts)
+    sents = [TaggedSentence(tuple(f"w{i}" for i in range(a, b)), tuple(tags[a:b]), 0, k)
+             for k, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    return scheme, sents, [np.array(path[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
 class TestEvaluate:
     class ConstantClassifier:
         """Predicts class 1 with probability p for every input."""
@@ -157,6 +186,28 @@ class TestEvaluate:
         assert report.recall == pytest.approx(0.5)
         assert report.f1 == pytest.approx(0.5)
         assert report.validity_rate == 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(tagged_corpora())
+    def test_tag_index_scoring_matches_string_oracle(self, corpus):
+        scheme, sents, pred = corpus
+        pred_tags = [[scheme.tags[k] for k in path] for path in pred]
+        prec, rec, f1 = ref_micro_span_prf([ref_spans(scheme, s.tags) for s in sents],
+                                           [ref_spans(scheme, tags) for tags in pred_tags])
+        validity = float(np.mean([ref_valid_sequence(scheme, tags) for tags in pred_tags]))
+        assert trainer._tagging_report(scheme, sents, np.concatenate(pred)) == EvalReport(
+            task="ner", n=len(sents), precision=prec, recall=rec, f1=f1, validity_rate=validity)
+
+    @pytest.mark.parametrize("n_tags,categories", [(13, ("LOC", "ORG")), (9, ("LOC", "ORG", "PER"))])
+    def test_rejects_student_width_other_than_scheme(self, n_tags, categories):
+        from ruledistill.predictors import SequenceTagger, Vocabulary
+
+        data = gen_synthetic_ner(seed=1, n_docs=3)
+        vocab = Vocabulary.build([s.tokens for s in data])
+        model = SequenceTagger(len(vocab), n_tags, emb_dim=4, hidden=5, seed=0)
+        scheme = TagScheme(categories)
+        with pytest.raises(ValueError, match=f"outputs {n_tags} tags.*has {scheme.n_tags}"):
+            evaluate(model, data, task="ner", vocab=vocab, scheme=scheme)
 
     def test_aggregate_reports(self):
         reports = [
@@ -274,6 +325,8 @@ class TestSentimentTeacher:
     class ClauseModel:
         """p = [0.5, 0.5] on a full sentence, [0.9, 0.1] on clause B."""
 
+        n_classes = 2
+
         def forward(self, ids_list):
             return [np.array([0.9, 0.1]) if len(ids) == 1 else np.array([0.5, 0.5])
                     for ids in ids_list]
@@ -286,6 +339,21 @@ class TestSentimentTeacher:
         # Clause B leans to class 0, and the sentence must follow it.
         teacher = SentimentTeacher(self.ClauseModel(), vocab, (but_rule(confidence=1.0),), 6.0)
         assert teacher.predict_proba(tokens)[0] > 0.9
+
+    def test_rejects_rule_whose_table_misses_a_class(self, monkeypatch):
+        # The but rule is two-class: on a three-class corpus, training
+        # fails before its first step, not at the first teacher use.
+        model = self.ClauseModel()
+        model.n_classes = 3
+        with pytest.raises(ValueError, match="'but-avg'.*shape \\(2,\\).*3 classes"):
+            SentimentTeacher(model, None, (but_rule(confidence=1.0),), 6.0)
+        steps = []
+        monkeypatch.setattr(trainer, "backward_and_step", lambda *a, **kw: steps.append(1) or 0.0)
+        data = [LabeledSentence(s.tokens, i % 3)
+                for i, s in enumerate(gen_synthetic_sentiment(seed=11, n=20))]
+        with pytest.raises(ValueError, match="3 classes"):
+            train_distill(tiny_config(), data, rules=(but_rule(confidence=1.0),))
+        assert not steps
 
     def test_rejects_rules_it_would_drop(self, monkeypatch):
         # Bigram and cross-instance rules have no meaning for a sentence
@@ -463,6 +531,16 @@ class TestNerGroupTeacher:
         assert sampled == [3]
         for site, q in exact.items():
             assert 0.5 * np.abs(gibbs[site] - q).sum() <= 0.02
+
+    def test_rejects_model_with_other_tag_count(self):
+        from ruledistill.predictors import SequenceTagger
+
+        model = SequenceTagger(5, 9, emb_dim=4, hidden=5, seed=0)
+        rules = [list_counterpart_rule(self.COLLAPSE, confidence=1.0)]
+        with pytest.raises(ValueError, match="outputs 9 tags.*has 13"):
+            NerTeacher(model, None, self.SCHEME, rules, 6.0)
+        with pytest.raises(ValueError, match="outputs 9 tags.*has 13"):
+            project_after(model, None, rules, 6.0, "ner", scheme=self.SCHEME)
 
     def test_rejects_cross_table_not_constant_within_categories(self):
         table = counterpart_truth_table(self.COLLAPSE).copy()
