@@ -408,6 +408,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                 )
         except ValueError as exc:
             raise CliError(str(exc)) from exc
+        if result.diagnostics:
+            append_run_log(cfg["out"], f"seed {seed} diagnostics: " + " ".join(
+                f"{k}={_fmt_value(v)}" for k, v in result.diagnostics.items()))
 
         extra = {"task": cfg["task"]}
         if result.scheme is not None:

@@ -11,7 +11,9 @@ which exponentiates each base weight by the rule penalties:
 Because every truth value r_l(y) lies in [0, 1], the hinge in the objective
 is never active at the optimum and the closed form above is exact.  An
 infinite confidence turns the corresponding penalty into a hard mask:
-candidates with r_l(y) < 1 receive zero probability exactly.
+candidates with r_l(y) < 1 receive zero probability exactly.  A problem is
+one row of K candidates or a stack of N rows, each projected on its own:
+a row of a stack comes out bit-identical to projecting it alone.
 
 `verify_optimality` re-solves the primal numerically by exponentiated
 gradient descent from a uniform start.  It deliberately does not use the
@@ -44,11 +46,12 @@ class InfeasibleConstraintError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ProjectionProblem:
-    """One projection instance: base log-probabilities over K candidates,
-    a list of (confidence, truth-vector) pairs, and the strength C.
+    """Base log-probabilities over K candidates, one row ``(K,)`` or a stack
+    ``(N, K)``, a list of (confidence, truths) pairs whose truths have the
+    base's shape, and the strength C.
 
-    A confidence of ``inf`` marks a hard constraint.  Base log-probabilities
-    must be normalized; truth vectors must lie in [0, 1].
+    A confidence of ``inf`` marks a hard constraint.  Every base row must be
+    normalized; truths must lie in [0, 1].
     """
 
     base_log_probs: np.ndarray
@@ -57,10 +60,10 @@ class ProjectionProblem:
 
     def __post_init__(self):
         logp = np.asarray(self.base_log_probs, dtype=float)
-        if logp.ndim != 1 or logp.size == 0:
-            raise ValueError("base_log_probs must be a non-empty 1-d array")
-        if abs(logsumexp(logp)) > 1e-6:
-            raise ValueError("base_log_probs must normalize to 1")
+        if logp.ndim not in (1, 2) or logp.size == 0:
+            raise ValueError("base_log_probs must be a non-empty row (K,) or stack (N, K)")
+        if (np.abs(logsumexp(logp, axis=-1)) > 1e-6).any():
+            raise ValueError("base_log_probs must normalize to 1 in every row")
         object.__setattr__(self, "base_log_probs", logp)
 
         cleaned = []
@@ -70,7 +73,7 @@ class ProjectionProblem:
                 raise ValueError(f"confidence must be positive, got {lam}")
             r = np.asarray(truths, dtype=float)
             if r.shape != logp.shape:
-                raise ValueError("truth vector shape does not match candidates")
+                raise ValueError("truths shape does not match base_log_probs")
             if (r < 0.0).any() or (r > 1.0).any():
                 raise ValueError("truth values must lie in [0, 1]")
             cleaned.append((lam, r))
@@ -81,13 +84,10 @@ class ProjectionProblem:
             raise ValueError(f"c must be a finite nonnegative real, got {self.c}")
         object.__setattr__(self, "c", c)
 
-    @property
-    def n_candidates(self) -> int:
-        return self.base_log_probs.size
-
     def feasible_mask(self) -> np.ndarray:
-        """Boolean mask of candidates not excluded by any hard constraint."""
-        mask = np.ones(self.n_candidates, dtype=bool)
+        """Boolean mask, shaped as the base, of candidates not excluded by
+        any hard constraint."""
+        mask = np.ones(self.base_log_probs.shape, dtype=bool)
         for lam, r in self.groundings:
             if np.isinf(lam):
                 mask &= r >= 1.0
@@ -97,30 +97,32 @@ class ProjectionProblem:
 @dataclass(frozen=True, eq=False)
 class TeacherPosterior:
     """Projected distribution: normalized log-probabilities plus the log
-    normalizer of the unnormalized weights.  Hard-masked candidates carry
-    log-probability -inf, so probs() is exactly zero there."""
+    normalizer of the unnormalized weights (a float for one row, an (N,)
+    array for a stack).  Hard-masked candidates carry log-probability
+    -inf, so probs() is exactly zero there."""
 
     log_probs: np.ndarray
-    log_z: float
+    log_z: float | np.ndarray
 
     def probs(self) -> np.ndarray:
         return np.exp(self.log_probs)
 
 
 def project(problem: ProjectionProblem) -> TeacherPosterior:
-    """Closed-form projection of the base distribution onto the rules."""
+    """Closed-form projection of each base row onto the rules."""
     logq = problem.base_log_probs.copy()
     for lam, r in problem.groundings:
         if np.isinf(lam):
             logq = np.where(r >= 1.0, logq, -np.inf)
         else:
             logq = logq - problem.c * lam * (1.0 - r)
-    log_z = logsumexp(logq)
-    if log_z == -np.inf:
-        raise InfeasibleConstraintError(
-            "hard constraints exclude every candidate"
-        )
-    return TeacherPosterior(log_probs=logq - log_z, log_z=log_z)
+    log_z = logsumexp(logq, axis=-1)
+    infeasible = np.flatnonzero(log_z == -np.inf)
+    if infeasible.size:
+        row = f" of row {infeasible[0]}" if logq.ndim == 2 else ""
+        raise InfeasibleConstraintError(f"hard constraints exclude every candidate{row}")
+    return TeacherPosterior(log_probs=logq - log_z[..., None],
+                            log_z=log_z if logq.ndim == 2 else float(log_z))
 
 
 @dataclass(frozen=True)
@@ -160,7 +162,11 @@ def verify_optimality(
     sub-simplex (the limiting form of an infinite penalty).  The start is
     uniform and the step conservative, so the search shares nothing with the
     closed form.  A non-converged report is inconclusive, not a failure.
+    It solves one row: a stack is rejected.
     """
+    if problem.base_log_probs.ndim != 1:
+        raise ValueError("verify_optimality solves one row (K,); "
+                         "pass each row of a stack as its own problem")
     if posterior is None:
         posterior = project(problem)
 

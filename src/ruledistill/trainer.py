@@ -9,10 +9,10 @@ the imitation term.  The teachers are functions of p: they never forward
 the student on the batch themselves.
 
 Teacher construction is routed by rule scope: per-instance rules become
-single-position projections, bigram rules become chain potentials read
-from their groundings, and cross-instance rules become groups over the
-linked sites whose marginals then enter the per-sentence chains as extra
-unary penalties.  The groups are solved at category level: enumerated
+one closed-form projection over a batch's stacked A-but-B rows, bigram
+rules become chain potentials read from their groundings, and
+cross-instance rules become groups over the linked sites whose marginals
+then enter the per-sentence chains as extra unary penalties.  The groups are solved at category level: enumerated
 exactly, stacked by size, when their joint space has at most
 ``EXACT_MAX_STATES`` states, Gibbs-sampled above that.  That composition
 keeps hard transition constraints out of the group regime (see the
@@ -72,11 +72,7 @@ from .predictors import (
     backward_and_step,
     check_targets,
 )
-from .projection import (
-    InfeasibleConstraintError,
-    ProjectionProblem,
-    project,
-)
+from .projection import ProjectionProblem, project
 from .rulelib import (
     CategoryCollapse,
     Rule,
@@ -307,10 +303,11 @@ def _encode_sentence(vocab: Vocabulary, tokens):
 
 class SentimentTeacher:
     """The classification teacher: projects the student's output p through
-    the per-instance rules.  Instances without an A-but-B structure are
-    left at p.  ``soft_predict`` maps a batch's p to q, in training and
-    evaluation alike; deployment forwards the student first, as
-    ``predict_proba`` does for one sentence's tokens."""
+    the per-instance rules, with one projection over a batch's A-but-B
+    rows.  Instances without an A-but-B structure, and those the hard rules
+    leave no label, are left at p.  ``soft_predict`` maps a batch's p to q,
+    in training and evaluation alike; deployment forwards the student
+    first, as ``predict_proba`` does for one sentence's tokens."""
 
     def __init__(self, model, vocab: Vocabulary, rules: Sequence[Rule], c: float):
         self.model = model
@@ -319,10 +316,13 @@ class SentimentTeacher:
         self.c = float(c)
         k = model.n_classes
         for rule in self.rules:
-            (probe,) = rule.groundings([np.full(k, 1.0 / k)])
-            if np.shape(probe.table) != (k,):
-                raise ValueError(f"rule {rule.name!r}: its truth table has shape "
-                                 f"{np.shape(probe.table)}, but the classifier has {k} classes")
+            if not rule.confidence > 0.0:
+                raise ValueError(f"rule {rule.name!r}: confidence must be positive, "
+                                 f"got {rule.confidence}")
+            for probe in rule.groundings([np.full(k, 1.0 / k)]):
+                if np.shape(probe.table) != (k,):
+                    raise ValueError(f"rule {rule.name!r}: its truth table has shape "
+                                     f"{np.shape(probe.table)}, but the classifier has {k} classes")
         # Projections left at p because the hard rules exclude every label.
         self.infeasible = 0
 
@@ -330,22 +330,34 @@ class SentimentTeacher:
         """Teacher distributions for a batch, given the student's outputs
         ``p`` on its sentences, with one student forward over their B
         clauses; ``clause_b_ids[i]`` is None when sentence i has no A-but-B
-        structure."""
+        structure.  A rule's j-th grounding of a row fills that row of its
+        j-th truth stack; the other rows keep truth 1, which adds nothing."""
         q = list(p)
         has_b = [i for i, clause in enumerate(clause_b_ids) if clause is not None]
         if not has_b or not self.rules:
             return q
         clause_sigmas = self.model.forward([clause_b_ids[i] for i in has_b])
-        for i, clause_sigma in zip(has_b, clause_sigmas):
-            groundings = tuple(
-                (rule.confidence, g.table)
-                for rule in self.rules
-                for g in rule.groundings([clause_sigma])
-            )
-            try:
-                q[i] = project(ProjectionProblem(np.log(p[i]), groundings, self.c)).probs()
-            except InfeasibleConstraintError:
-                self.infeasible += 1
+        base = np.log(np.asarray(p)[has_b])
+        groundings = []
+        for rule in self.rules:
+            seen, stacks = [0] * len(has_b), []
+            for g in rule.groundings(clause_sigmas):
+                row = g.sites[0][0]
+                if seen[row] == len(stacks):
+                    stacks.append(np.ones_like(base))
+                stacks[seen[row]][row] = g.table
+                seen[row] += 1
+            groundings += [(rule.confidence, truths) for truths in stacks]
+        problem = ProjectionProblem(base, tuple(groundings), self.c)
+        feasible = problem.feasible_mask().any(axis=-1)
+        self.infeasible += int(np.count_nonzero(~feasible))
+        if not feasible.any():
+            return q
+        if not feasible.all():
+            problem = ProjectionProblem(base[feasible], tuple(
+                (lam, truths[feasible]) for lam, truths in problem.groundings), self.c)
+        for i, row in zip(np.asarray(has_b)[feasible], project(problem).probs()):
+            q[i] = row
         return q
 
     def predict_proba(self, tokens) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Batched student forward, backward and loss against a per-sentence
 reference, the batched tagging teacher against itself one document at a
-time and its stage 1 against a per-document object reference, and the
-training loop's one student forward per step.
+time and its stage 1 against a per-document object reference, the
+sentiment teacher against a projection per row, and the training loop's
+one student forward per step.
 
 The reference below is the one-sentence-at-a-time implementation of both
 models: it strips trailing padding, zero-pads the sentence to the widest
@@ -9,11 +10,14 @@ window (classifier) or by the radius on both sides (tagger), and loops
 over windows.  The batched models must match it within 1e-12 for every
 sentence of every batch, whatever else shares the batch.  The loss
 reference is a per-sentence mixed target, validated on construction, with
-its own cross-entropies and gradient.  The stage-1 reference builds one
-document's groups as objects and enumerates each in its own dense tensor.
+its own cross-entropies and gradient.  The sentiment teacher's one
+projection per batch must equal a 1-d projection per row bit for bit.
+The stage-1 reference builds one document's groups as objects and
+enumerates each in its own dense tensor.
 The chain regime's per-chain reference lives in test_inference.py.
 """
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 from unittest import mock
@@ -46,8 +50,11 @@ from ruledistill.inference import (
     MemberPotentials,
     gibbs_soft_predict,
 )
+from ruledistill.projection import InfeasibleConstraintError, ProjectionProblem, project
 from ruledistill.rulelib import (
     CategoryCollapse,
+    Grounding,
+    Rule,
     TagScheme,
     but_rule,
     counterpart_truth_table,
@@ -566,19 +573,80 @@ class TestNerTeacherBatching:
         assert n > 1 and log == "FS" * n + "FQS" * n
 
 
+# --- per-row sentiment teacher reference -------------------------------------
+#
+# The sentiment teacher one A-but-B row at a time, as it was before the
+# batch projection: a grounder call and a 1-d projection per row.
+
+
+class _ClauseTable:
+    """A classifier whose output on clause ``[i]`` is row i of a table."""
+
+    def __init__(self, sigmas):
+        self.sigmas = sigmas
+        self.n_classes = sigmas.shape[1]
+
+    def forward(self, ids_list):
+        return self.sigmas[[ids[0] for ids in ids_list]]
+
+
+def _instance_rule(name, confidence, tables):
+    """A per-instance rule with ``tables(sigma)`` groundings per row."""
+    def grounder(sigmas):
+        return [Grounding(((m, 0),), table)
+                for m, sigma in enumerate(sigmas) for table in tables(np.asarray(sigma))]
+    return Rule(name, confidence, "per-instance", grounder)
+
+
+_ORACLE_RULES = {
+    "but": lambda lam: but_rule(confidence=lam),
+    "soft": lambda lam: _instance_rule("soft", lam, lambda s: [s / s.max()]),
+    "skip": lambda lam: _instance_rule("skip", lam, lambda s: [1.0 - s] if s[0] > 0.4 else []),
+    "twice": lambda lam: _instance_rule(
+        "twice", lam, lambda s: [np.sqrt(s)] + ([s ** 2] if s[0] > 0.3 else [])),
+    # Hard: only the clause's argmax passes, and rows leaning away from
+    # class 0 allow no label at all.
+    "hard": lambda lam: _instance_rule(
+        "hard", math.inf, lambda s: [(s >= s.max()) * float(s[0] >= 0.2)]),
+}
+
+
+def ref_sentiment_soft_predict(teacher, p, clause_b_ids):
+    """The sentiment teacher one A-but-B row at a time: its own grounder
+    call and 1-d projection per row, counting the infeasible rows on
+    ``teacher``."""
+    q = list(p)
+    has_b = [i for i, clause in enumerate(clause_b_ids) if clause is not None]
+    if not has_b:
+        return q
+    sigmas = teacher.model.forward([clause_b_ids[i] for i in has_b])
+    for i, sigma in zip(has_b, sigmas):
+        groundings = tuple((rule.confidence, g.table)
+                           for rule in teacher.rules for g in rule.groundings([sigma]))
+        try:
+            q[i] = project(ProjectionProblem(np.log(p[i]), groundings, teacher.c)).probs()
+        except InfeasibleConstraintError:
+            teacher.infeasible += 1
+    return q
+
+
 class TestSentimentTeacherBatching:
     DATA = gen_synthetic_sentiment(seed=9, n=40)
 
     def test_one_clause_forward_per_distill_batch(self, monkeypatch):
         # Each batch has the step's forward over its sentences; at pi > 0
-        # the teacher adds one forward over the batch's B clauses alone.
+        # the teacher adds one forward over the batch's B clauses alone,
+        # and one projection over the same rows.
         events = []
         forward, step = TextClassifier._forward_cache, trainer.backward_and_step
+        project = trainer.project
         monkeypatch.setattr(TextClassifier, "_forward_cache",
                             lambda self, ids: events.append(("F", len(ids))) or forward(self, ids))
         monkeypatch.setattr(trainer, "backward_and_step",
                             lambda m, out, *a, **kw: events.append(("S", len(out)))
                             or step(m, out, *a, **kw))
+        monkeypatch.setattr(trainer, "project", lambda problem: events.append(
+            ("P", len(problem.base_log_probs))) or project(problem))
         config = TrainConfig(task="sentiment", mode="distill", epochs=2, batch_size=8,
                              emb_dim=4, n_filters=3, seed=0)
         train_distill(config, self.DATA, rules=(but_rule(confidence=1.0),))
@@ -589,11 +657,36 @@ class TestSentimentTeacherBatching:
             # The step's forward covers exactly the sentences it steps on.
             (first, n_first), *extra, (_, n_step) = events[start : i + 1]
             assert first == "F" and n_first == n_step
-            assert len(extra) <= (1 if i > steps[4] else 0)
-            clause_forwards += [n for _, n in extra]
+            if extra:
+                assert i > steps[4]
+                (clauses, n_clauses), (projection, n_rows) = extra
+                assert (clauses, projection) == ("F", "P") and n_rows == n_clauses
+                clause_forwards.append(n_clauses)
             start = i + 1
         n_but = sum(trainer.detect_but(s.tokens) is not None for s in self.DATA)
         assert n_but > 0 and sum(clause_forwards) == n_but
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 12), st.integers(2, 4),
+           st.lists(st.sampled_from(sorted(_ORACLE_RULES)), min_size=1, max_size=3),
+           st.sampled_from((0.0, 1.0, 6.0)))
+    def test_matches_per_row_projection(self, seed, n, k, names, c):
+        # Random p and clause distributions, rows without a B clause, and
+        # rules that skip rows, ground a row twice or leave it no label:
+        # every row is bit-equal to its own 1-d projection, and the same
+        # rows are counted infeasible.
+        if "but" in names:
+            k = 2
+        rng = np.random.default_rng(seed)
+        p = rng.dirichlet(np.ones(k), size=n)
+        clauses = [[i] if rng.random() < 0.7 else None for i in range(n)]
+        model = _ClauseTable(rng.dirichlet(np.ones(k), size=n))
+        rules = [_ORACLE_RULES[name](float(rng.choice((0.5, 1.0, 3.0)))) for name in names]
+        teacher, oracle = (SentimentTeacher(model, None, rules, c) for _ in range(2))
+        q = teacher.soft_predict(p, clauses)
+        expect = ref_sentiment_soft_predict(oracle, p, clauses)
+        assert len(q) == n and all(np.array_equal(a, b) for a, b in zip(q, expect))
+        assert teacher.infeasible == oracle.infeasible
 
 
 # --- per-document stage-1 reference -------------------------------------------

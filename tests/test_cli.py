@@ -11,7 +11,9 @@ from ruledistill.cli import (
     parse_rule_specs,
     resolve_config,
 )
+from ruledistill.corpus import load_classification
 from ruledistill.rulelib import TagScheme
+from ruledistill.trainer import TrainConfig, train_distill
 
 
 def run(argv):
@@ -180,6 +182,25 @@ class TestTrainCommand:
         # Timestamps live in the run log, never in the summary.
         assert (out / "run_log.txt").exists()
         assert "[" not in summary
+
+    def test_run_log_records_diagnostics(self, data_dir, tmp_path):
+        # A hard but-rule leaves almost every A-but-B sentence without a
+        # label; each seed's count goes to the run log, as the library has it.
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "sentiment", "--mode", "distill",
+            "--train", str(data_dir / "train.tsv"), "--rules", "but(lambda=inf)",
+            "--out", str(out), "--seeds", "0,1", "--epochs", "2",
+        ]) == 0
+        logged = [line.split("] ", 1)[1] for line in
+                  (out / "run_log.txt").read_text().splitlines() if "diagnostics" in line]
+        data = load_classification(data_dir / "train.tsv")
+        counts = [train_distill(TrainConfig(task="sentiment", epochs=2, seed=seed), data,
+                                rules=parse_rule_specs("but(lambda=inf)")
+                                ).diagnostics["infeasible_instances"] for seed in (0, 1)]
+        assert counts[0] > 0
+        assert logged == [f"seed {seed} diagnostics: infeasible_instances={n}"
+                          for seed, n in zip((0, 1), counts)]
 
     def test_base_mode_has_no_teacher_keys(self, data_dir, tmp_path):
         out = tmp_path / "run"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruledistill.projection import (
     InfeasibleConstraintError,
@@ -88,7 +90,68 @@ class TestProject:
             make(uniform_log(2), [], c=-1.0)
 
 
+class TestStack:
+    """A problem over a stack (N, K) projects each row as it would alone."""
+
+    @staticmethod
+    def random_stack(seed, n, k):
+        rng = np.random.default_rng(seed)
+        logp = np.log(rng.dirichlet(np.ones(k), size=n))
+        groundings, keep = [], rng.integers(0, k, size=n)
+        for lam in rng.choice((0.5, 1.0, 2.0, math.inf), size=rng.integers(0, 4)):
+            r = rng.uniform(0.0, 1.0, size=(n, k))
+            r[rng.random((n, k)) < 0.3] = 1.0
+            if np.isinf(lam):
+                # Keep every row feasible: one candidate per row passes all.
+                r[np.arange(n), keep] = 1.0
+            groundings.append((lam, r))
+        return logp, groundings, float(rng.choice((0.0, 1.0, 6.0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**16), st.integers(1, 9), st.integers(1, 6))
+    def test_stack_equals_row_by_row(self, seed, n, k):
+        logp, groundings, c = self.random_stack(seed, n, k)
+        stacked = project(make(logp, groundings, c))
+        assert stacked.log_probs.shape == (n, k) and stacked.log_z.shape == (n,)
+        for i in range(n):
+            alone = project(make(logp[i], [(lam, r[i]) for lam, r in groundings], c))
+            assert np.array_equal(stacked.log_probs[i], alone.log_probs)
+            assert stacked.log_z[i] == alone.log_z
+
+    def test_infeasible_names_first_row(self):
+        logp = np.log(np.full((4, 2), 0.5))
+        hard = np.array([[1.0, 0.0], [0.0, 0.5], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(InfeasibleConstraintError, match="of row 1$"):
+            project(make(logp, [(math.inf, hard)]))
+        mask = make(logp, [(math.inf, hard)]).feasible_mask()
+        assert mask.any(axis=-1).tolist() == [True, False, True, False]
+
+    def test_validated_per_row(self):
+        logp = np.log(np.full((3, 2), 0.5))
+        bad = logp.copy()
+        bad[2] = [0.0, 0.0]
+        with pytest.raises(ValueError, match="every row"):
+            make(bad, [])
+        truths = np.ones((3, 2))
+        truths[1, 0] = 1.5
+        with pytest.raises(ValueError, match="\\[0, 1\\]"):
+            make(logp, [(1.0, truths)])
+        with pytest.raises(ValueError, match="shape"):
+            make(logp, [(1.0, [1.0, 1.0])])  # one row's truths for a stack
+        with pytest.raises(ValueError, match="positive"):
+            make(logp, [(0.0, np.ones((3, 2)))])
+        with pytest.raises(ValueError):
+            make(np.zeros((0, 2)), [])
+        with pytest.raises(ValueError):
+            make(np.zeros((1, 1, 1)), [])
+
+
 class TestVerifyOptimality:
+    def test_rejects_stack(self):
+        problem = make(np.log(np.full((2, 2), 0.5)), [(1.0, [[1.0, 0.0], [0.5, 1.0]])])
+        with pytest.raises(ValueError, match="solves one row"):
+            verify_optimality(problem)
+
     def test_agrees_on_soft_instance(self):
         problem = make(
             np.log([0.5, 0.2, 0.3]),

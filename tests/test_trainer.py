@@ -355,6 +355,36 @@ class TestSentimentTeacher:
             train_distill(tiny_config(), data, rules=(but_rule(confidence=1.0),))
         assert not steps
 
+    @pytest.mark.parametrize("n_groundings", [0, 2])
+    def test_probe_accepts_any_grounding_count(self, n_groundings):
+        # A per-instance rule may ground a sentence any number of times;
+        # the probe checks each grounding's table, whatever their count.
+        def grounder(batch):
+            return [Grounding(((m, 0),), np.ones(2)) for m in range(len(batch))
+                    for _ in range(n_groundings)]
+
+        rule = Rule(f"x{n_groundings}", 1.0, "per-instance", grounder)
+        teacher = SentimentTeacher(self.ClauseModel(), None, (rule,), 6.0)
+        q = teacher.soft_predict(np.array([[0.3, 0.7]]), [[1]])
+        np.testing.assert_array_equal(q[0], [0.3, 0.7])
+        short = Rule("short", 1.0, "per-instance",
+                     lambda batch: [Grounding(((0, 0),), np.ones(2))] * 2
+                     + [Grounding(((0, 0),), np.ones(3))])
+        with pytest.raises(ValueError, match="'short'.*shape \\(3,\\)"):
+            SentimentTeacher(self.ClauseModel(), None, (short,), 6.0)
+
+    def test_rejects_zero_confidence_rule_by_name(self, monkeypatch):
+        # A rule of confidence 0 could never be projected; it fails when the
+        # teacher is built, before the first training step.
+        with pytest.raises(ValueError, match="'but-avg': confidence must be positive, got 0.0"):
+            SentimentTeacher(self.ClauseModel(), None, (but_rule(confidence=0.0),), 6.0)
+        steps = []
+        monkeypatch.setattr(trainer, "backward_and_step", lambda *a, **kw: steps.append(1) or 0.0)
+        data = gen_synthetic_sentiment(seed=11, n=20)
+        with pytest.raises(ValueError, match="'but-avg'"):
+            train_distill(tiny_config(), data, rules=(but_rule(confidence=0.0),))
+        assert not steps
+
     def test_rejects_rules_it_would_drop(self, monkeypatch):
         # Bigram and cross-instance rules have no meaning for a sentence
         # label; each is named, and training fails before its first step.
