@@ -8,8 +8,9 @@ rule knowledge survives even when the rules are switched off at test time.
 Layers, bottom up:
 
 - ``softlogic``: Lukasiewicz truth values and operators.
-- ``rulelib``: concrete rules (contrastive "but", BIOES transitions, list
-  counterparts) plus tag-scheme helpers.
+- ``rulelib``: the three rule kinds, each carrying what its teacher reads
+  (the "but" rule's truths from clause B, the BIOES transition tables, the
+  list rule's category collapse), plus tag-scheme helpers.
 - ``projection``: the closed-form teacher projection with an optimality
   verifier.
 - ``inference``: exact posterior computation for chain- and group-coupled
@@ -33,7 +34,9 @@ from .softlogic import (
 )
 from .rulelib import (
     Rule,
-    Grounding,
+    ButRule,
+    TransitionRule,
+    ListRule,
     TagScheme,
     CategoryCollapse,
     but_rule,
@@ -108,7 +111,9 @@ __all__ = [
     "avg_conj",
     "implies",
     "Rule",
-    "Grounding",
+    "ButRule",
+    "TransitionRule",
+    "ListRule",
     "TagScheme",
     "CategoryCollapse",
     "but_rule",

@@ -206,35 +206,34 @@ def parse_rule_specs(text: str, scheme: TagScheme | None = None) -> tuple[Rule, 
     need the tag scheme of the task at hand).
     """
     rules: list[Rule] = []
-    for spec in _split_specs(text):
-        name, args = _parse_one_spec(spec)
-        if name == "but":
-            if scheme is not None:
-                raise CliError("but() requires a classification task")
-            lam = _rule_lambda(args, name)
-            variant = args.pop("variant", "avg")
-            if variant not in ("avg", "strong"):
-                raise CliError(f"but: unknown variant {variant!r}")
-            if args:
-                raise CliError(f"but: unknown arguments {sorted(args)}")
-            rules.append(but_rule(confidence=lam, variant=variant))
-        elif name == "transitions":
-            if args:
-                raise CliError(f"transitions: unknown arguments {sorted(args)}")
-            if scheme is None:
-                raise CliError("transitions() requires a tagging task")
-            rules.extend(transition_rules(scheme))
-        elif name == "list-counterpart":
-            lam = _rule_lambda(args, name)
-            if args:
-                raise CliError(f"list-counterpart: unknown arguments {sorted(args)}")
-            if scheme is None:
-                raise CliError("list-counterpart() requires a tagging task")
-            rules.append(
-                list_counterpart_rule(CategoryCollapse(scheme), confidence=lam)
-            )
-        else:
-            raise CliError(f"unknown rule {name!r}")
+    try:  # the rule constructors check their own arguments
+        for spec in _split_specs(text):
+            name, args = _parse_one_spec(spec)
+            if name == "but":
+                if scheme is not None:
+                    raise CliError("but() requires a classification task")
+                lam = _rule_lambda(args, name)
+                variant = args.pop("variant", "avg")
+                if args:
+                    raise CliError(f"but: unknown arguments {sorted(args)}")
+                rules.append(but_rule(confidence=lam, variant=variant))
+            elif name == "transitions":
+                if args:
+                    raise CliError(f"transitions: unknown arguments {sorted(args)}")
+                if scheme is None:
+                    raise CliError("transitions() requires a tagging task")
+                rules.extend(transition_rules(scheme))
+            elif name == "list-counterpart":
+                lam = _rule_lambda(args, name)
+                if args:
+                    raise CliError(f"list-counterpart: unknown arguments {sorted(args)}")
+                if scheme is None:
+                    raise CliError("list-counterpart() requires a tagging task")
+                rules.append(list_counterpart_rule(CategoryCollapse(scheme), confidence=lam))
+            else:
+                raise CliError(f"unknown rule {name!r}")
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     return tuple(rules)
 
 

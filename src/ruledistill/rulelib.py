@@ -1,14 +1,18 @@
-"""Concrete rule templates: the "but" rule, BIOES transition rules, and the
-list-counterpart rule.
+"""Concrete rules: the "but" rule, the BIOES transition rules and the
+list-counterpart rule, with the tag-scheme helpers they read.
 
-Each template is packaged as a :class:`Rule` carrying a confidence level and
-a grounder that maps a batch to :class:`Grounding` objects.  A grounding's
-truth value depends only on the labels of the sites it reads, so it is
-stored as a dense lookup table; this makes brute-force enumeration, chain
-compilation, and Gibbs conditionals all exact and cheap.
+A :class:`Rule` is a name and a confidence lambda.  Each of its three kinds
+carries exactly what its teacher reads:
 
-Confidence ``math.inf`` marks a hard rule: any outcome with grounding truth
-below 1 receives zero teacher probability.
+- :class:`ButRule` gives the truth of both labels of A-but-B sentences,
+  an (N, 2) array, from the predictor's class distributions on clause B;
+- :class:`TransitionRule` holds fixed truth tables for a tag sequence's
+  first tag (K,), each bigram (K, K) and last tag (K,);
+- :class:`ListRule` holds the category collapse under which
+  ``list_rule_truth`` scores a linked site against its counterpart.
+
+Confidence ``math.inf`` marks a hard rule: any outcome with truth below 1
+receives zero teacher probability.  A list rule must be soft.
 """
 
 from __future__ import annotations
@@ -16,11 +20,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .softlogic import TruthValue
+__all__ = [
+    "TagScheme",
+    "Rule",
+    "ButRule",
+    "TransitionRule",
+    "ListRule",
+    "ButStructure",
+    "detect_but",
+    "but_rule_truth",
+    "but_rule",
+    "TransitionMasks",
+    "transition_masks",
+    "transition_rules",
+    "CategoryCollapse",
+    "list_rule_truth",
+    "counterpart_truth_table",
+    "list_counterpart_rule",
+]
 
 BIOES_PREFIXES = ("B", "I", "E", "S")
 
@@ -73,37 +94,15 @@ class TagScheme:
         return bad
 
 
-# --- generic rule machinery -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Grounding:
-    """One instantiated constraint: truth depends only on the site labels.
-
-    ``sites`` are (member, position) pairs into a batch-joint assignment;
-    ``table`` has one axis per site, indexed by label.
-    """
-
-    sites: tuple[tuple[int, int], ...]
-    table: np.ndarray = field(compare=False)
-
-    def truth(self, assignment) -> float:
-        labels = tuple(assignment[m][t] for m, t in self.sites)
-        return float(self.table[labels])
+# --- rules -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class Rule:
-    """A named constraint with confidence and a batch grounder.
-
-    ``scope`` is one of ``per-instance``, ``bigram``, ``cross-instance``;
-    it tells the inference layer which regime can absorb the groundings.
-    """
+    """A named rule with its confidence lambda; ``math.inf`` makes it hard."""
 
     name: str
     confidence: float
-    scope: str
-    grounder: Callable[[Sequence], list[Grounding]] = field(compare=False)
 
     def __post_init__(self):
         if not self.confidence >= 0:
@@ -112,9 +111,6 @@ class Rule:
     @property
     def hard(self) -> bool:
         return math.isinf(self.confidence)
-
-    def groundings(self, batch) -> list[Grounding]:
-        return self.grounder(batch)
 
 
 # --- the "but" rule ---------------------------------------------------------
@@ -134,10 +130,6 @@ class ButStructure:
             raise ValueError(f"token at split is {self.tokens[self.split]!r}, not 'but'")
 
     @property
-    def clause_a(self) -> tuple[str, ...]:
-        return self.tokens[: self.split]
-
-    @property
     def clause_b(self) -> tuple[str, ...]:
         return self.tokens[self.split + 1 :]
 
@@ -150,50 +142,52 @@ def detect_but(tokens: Sequence[str]) -> Optional[ButStructure]:
     return None
 
 
-def but_rule_truth(sigma_b_pos: float, positive: bool, variant: str = "avg") -> TruthValue:
-    """Truth of the A-but-B rule given the predictor's positive-class
-    probability on clause B alone.
+_BUT_VARIANTS = ("avg", "strong")
 
-    The default ``avg`` variant averages the two directions of the
-    equivalence, giving (1 + sigma)/2 for the positive label and
-    (2 - sigma)/2 otherwise.  The ``strong`` variant uses the selection
-    conjunction instead: sigma for positive, 1 - sigma otherwise.
+
+def but_rule_truth(sigma_pos, variant: str = "avg") -> np.ndarray:
+    """Truth of the A-but-B rule for labels 0 and 1, shape (..., 2), given
+    the predictor's probability of class 1 on clause B alone.
+
+    The ``avg`` variant averages the two directions of the equivalence,
+    giving (1 + sigma)/2 for label 1 and (2 - sigma)/2 for label 0.  The
+    ``strong`` variant uses the selection conjunction instead: sigma for
+    label 1, 1 - sigma for label 0.
     """
-    if not 0.0 <= sigma_b_pos <= 1.0:
-        raise ValueError(f"probability {sigma_b_pos!r} outside [0, 1]")
+    s = np.asarray(sigma_pos, dtype=float)
+    outside = ~((s >= 0.0) & (s <= 1.0))
+    if outside.any():
+        raise ValueError(f"probability {float(s[outside][0])!r} outside [0, 1]")
     if variant == "avg":
-        value = (1.0 + sigma_b_pos) / 2.0 if positive else (2.0 - sigma_b_pos) / 2.0
-    elif variant == "strong":
-        value = sigma_b_pos if positive else 1.0 - sigma_b_pos
-    else:
-        raise ValueError(f"unknown but-rule variant {variant!r}")
-    return TruthValue(value)
+        return np.stack([(2.0 - s) / 2.0, (1.0 + s) / 2.0], axis=-1)
+    if variant == "strong":
+        return np.stack([1.0 - s, s], axis=-1)
+    raise ValueError(f"unknown but-rule variant {variant!r}")
 
 
-def but_rule(confidence: float = 1.0, variant: str = "avg") -> Rule:
-    """The A-but-B rule for two-way sentiment classification.
+@dataclass(frozen=True)
+class ButRule(Rule):
+    """The A-but-B rule for two-way sentiment classification, read from
+    the predictor's class distribution on clause B.  Which class it calls
+    positive does not matter: the two probabilities sum to 1, so swapping
+    the classes swaps the table."""
 
-    The grounder expects one entry per batch instance: the predictor's
-    class distribution on clause B, or None for instances without an
-    A-but-B structure (those contribute no grounding).  The rule reads the
-    probability of class 1 from it.  Which class it calls positive does
-    not matter: the two probabilities sum to 1, so calling class 0
-    positive gives the same table.
-    """
+    variant: str
 
-    def grounder(sigma_b: Sequence[Optional[np.ndarray]]) -> list[Grounding]:
-        out = []
-        for m, dist in enumerate(sigma_b):
-            if dist is None:
-                continue
-            s = float(dist[1])
-            table = np.array(
-                [but_rule_truth(s, positive=(k == 1), variant=variant) for k in (0, 1)]
-            )
-            out.append(Grounding(((m, 0),), table))
-        return out
+    def __post_init__(self):
+        super().__post_init__()
+        if self.variant not in _BUT_VARIANTS:
+            raise ValueError(f"unknown but-rule variant {self.variant!r}")
 
-    return Rule(f"but-{variant}", confidence, "per-instance", grounder)
+    def truths(self, sigma_b) -> np.ndarray:
+        """The (N, 2) truths of both labels, given the (N, 2) clause-B
+        class distributions of N A-but-B sentences."""
+        return but_rule_truth(np.asarray(sigma_b, dtype=float)[..., 1], self.variant)
+
+
+def but_rule(confidence: float = 1.0, variant: str = "avg") -> ButRule:
+    """The A-but-B rule of the given variant, ``avg`` or ``strong``."""
+    return ButRule(f"but-{variant}", confidence, variant)
 
 
 # --- BIOES transition rules -------------------------------------------------
@@ -227,56 +221,36 @@ def transition_masks(scheme: TagScheme) -> TransitionMasks:
     return TransitionMasks(start, pair, end)
 
 
-def transition_rules(scheme: TagScheme) -> list[Rule]:
+@dataclass(frozen=True)
+class TransitionRule(Rule):
+    """A rule on tag sequences, as truth tables of the first tag ``start``
+    (K,), each bigram ``pair`` (K, K) indexed [prev, cur], and the last
+    tag ``end`` (K,).  A table that the rule does not constrain is all
+    ones."""
+
+    pair: np.ndarray = field(compare=False)
+    start: np.ndarray = field(compare=False)
+    end: np.ndarray = field(compare=False)
+
+
+def transition_rules(scheme: TagScheme) -> list[TransitionRule]:
     """Hard rules forbidding every invalid BIOES bigram.
 
     Two templates cover the scheme: "opens" requires every I/E tag to
     extend an open entity of the same category (which also bars I/E at the
     sequence start), and "closes" requires every B/I tag to be continued
-    (which also bars B/I at the sequence end).  The grounder expects a
-    batch of sized members (anything supporting ``len``), one grounding
-    per position.
+    (which also bars B/I at the sequence end).
     """
-    tags = scheme.tags
-    K = len(tags)
-    inside = np.array([scheme.prefix(t) in ("I", "E") for t in tags])
-    opens = np.array([scheme.prefix(t) in ("B", "I") for t in tags])
-    pair = transition_masks(scheme).valid_pair
-
-    # opens_table[a, b]: violated only when b is I/E without a matching opener.
-    opens_table = np.where(inside[None, :], pair, True).astype(float)
-    closes_table = np.where(opens[:, None], pair, True).astype(float)
-    start_table = (~inside).astype(float)
-    end_table = (~opens).astype(float)
-
-    def make_grounder(pair_table, edge_table, at_start):
-        def grounder(batch) -> list[Grounding]:
-            out = []
-            for m, member in enumerate(batch):
-                n = len(member)
-                if n == 0:
-                    continue
-                edge_pos = 0 if at_start else n - 1
-                out.append(Grounding(((m, edge_pos),), edge_table))
-                for t in range(1, n):
-                    out.append(Grounding(((m, t - 1), (m, t)), pair_table))
-            return out
-
-        return grounder
-
+    masks = transition_masks(scheme)
+    start, end = masks.valid_start.astype(float), masks.valid_end.astype(float)
+    ones = np.ones(scheme.n_tags)
+    # opens[a, b]: violated only when b is I/E (not a valid start) without a
+    # matching opener; closes[a, b] only when a is B/I and not continued.
+    opens = np.where(masks.valid_start[None, :], True, masks.valid_pair).astype(float)
+    closes = np.where(masks.valid_end[:, None], True, masks.valid_pair).astype(float)
     return [
-        Rule(
-            "bioes-entity-opens",
-            math.inf,
-            "bigram",
-            make_grounder(opens_table, start_table, at_start=True),
-        ),
-        Rule(
-            "bioes-entity-closes",
-            math.inf,
-            "bigram",
-            make_grounder(closes_table, end_table, at_start=False),
-        ),
+        TransitionRule("bioes-entity-opens", math.inf, opens, start, ones),
+        TransitionRule("bioes-entity-closes", math.inf, closes, ones, end),
     ]
 
 
@@ -343,15 +317,22 @@ def counterpart_truth_table(collapse: CategoryCollapse) -> np.ndarray:
     return list_rule_truth(collapse, onehots)[:, collapse.group_index].T
 
 
-def list_counterpart_rule(collapse: CategoryCollapse, confidence: float = 1.0) -> Rule:
-    """The list-counterpart rule over detected list alignments.
+@dataclass(frozen=True)
+class ListRule(Rule):
+    """The list-counterpart rule over detected list alignments: each end
+    of a link is scored against the other end by ``list_rule_truth`` under
+    ``collapse``.  Its confidence must be finite: the group sampler needs
+    soft couplings."""
 
-    The grounder expects a batch of links, each a pair of (member,
-    position) sites; every link yields one symmetric grounding.
-    """
-    table = counterpart_truth_table(collapse)
+    collapse: CategoryCollapse
 
-    def grounder(links) -> list[Grounding]:
-        return [Grounding((tuple(a), tuple(b)), table) for a, b in links]
+    def __post_init__(self):
+        super().__post_init__()
+        if self.hard:
+            raise ValueError(f"rule {self.name!r}: a list rule must have finite confidence "
+                             "(the group sampler needs soft couplings)")
 
-    return Rule("list-counterpart", confidence, "cross-instance", grounder)
+
+def list_counterpart_rule(collapse: CategoryCollapse, confidence: float = 1.0) -> ListRule:
+    """The list-counterpart rule of a category collapse."""
+    return ListRule("list-counterpart", confidence, collapse)

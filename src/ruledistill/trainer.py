@@ -8,16 +8,16 @@ the same forward, on the cross-entropy against the blend
 the imitation term.  The teachers are functions of p: they never forward
 the student on the batch themselves.
 
-Teacher construction is routed by rule scope: per-instance rules become
-one closed-form projection over a batch's stacked A-but-B rows, bigram
-rules become chain potentials read from their groundings, and
-cross-instance rules become groups over the linked sites whose marginals
-then enter the per-sentence chains as extra unary penalties.  The groups are solved at category level: enumerated
-exactly, stacked by size, when their joint space has at most
-``EXACT_MAX_STATES`` states, Gibbs-sampled above that.  That composition
-keeps hard transition constraints out of the group regime (see the
-inference module note on ergodicity) while still letting list information
-flow into every decoded sequence.  The tagging teacher works on a whole
+Teacher construction is routed by rule kind: but rules become one
+closed-form projection over a batch's stacked A-but-B rows, transition
+rules become chain potentials summed from their tables, and list rules
+become groups over the linked sites whose marginals then enter the
+per-sentence chains as extra unary penalties.  The groups are solved at
+category level: enumerated exactly, stacked by size, when their joint
+space has at most ``EXACT_MAX_STATES`` states, Gibbs-sampled above that.
+That composition keeps hard transition constraints out of the group
+regime (see the inference module note on ergodicity) while still letting
+list information flow into every decoded sequence.  The tagging teacher works on a whole
 minibatch of documents in training, and on chunks of about
 ``_EVAL_CHUNK`` sentences' worth of documents in evaluation: one array of
 the linked sites, groups and seeds per document, stacked exact solves,
@@ -74,9 +74,12 @@ from .predictors import (
 )
 from .projection import ProjectionProblem, project
 from .rulelib import (
+    ButRule,
     CategoryCollapse,
+    ListRule,
     Rule,
     TagScheme,
+    TransitionRule,
     counterpart_truth_table,
     detect_but,
     list_rule_truth,
@@ -271,25 +274,20 @@ def _tagging_report(scheme: TagScheme, sents, pred: np.ndarray) -> EvalReport:
 # --- rule routing ------------------------------------------------------------
 
 
-# The rule scopes each task's teacher reads.
-_SCOPES = {"sentiment": ("per-instance",), "ner": ("bigram", "cross-instance")}
+# The rule kinds each task's teacher reads.
+_KINDS = {"sentiment": (ButRule,), "ner": (TransitionRule, ListRule)}
 
 
 def _split_rules(rules: Sequence[Rule], task: str):
-    """The task teacher's rules, one list per scope it reads.  A rule of
-    any other scope is rejected by name rather than dropped."""
-    scopes = _SCOPES[task]
-    unread = [r.name for r in rules if r.scope not in scopes]
+    """The task teacher's rules, one list per kind it reads.  A rule of
+    any other kind is rejected by name rather than dropped."""
+    kinds = _KINDS[task]
+    unread = [r.name for r in rules if not isinstance(r, kinds)]
     if unread:
-        raise ValueError(f"the {task} teacher reads only {' and '.join(scopes)} rules, "
+        raise ValueError(f"the {task} teacher reads only "
+                         f"{' and '.join(kind.__name__ for kind in kinds)}s, "
                          f"so it cannot use {', '.join(map(repr, unread))}")
-    for r in rules:
-        if r.scope == "cross-instance" and r.hard:
-            raise ValueError(
-                f"rule {r.name!r}: cross-instance rules must have finite "
-                "confidence (the sampler needs soft couplings)"
-            )
-    return [[r for r in rules if r.scope == scope] for scope in scopes]
+    return [[r for r in rules if isinstance(r, kind)] for kind in kinds]
 
 
 # --- sentiment teacher -------------------------------------------------------
@@ -303,26 +301,24 @@ def _encode_sentence(vocab: Vocabulary, tokens):
 
 class SentimentTeacher:
     """The classification teacher: projects the student's output p through
-    the per-instance rules, with one projection over a batch's A-but-B
-    rows.  Instances without an A-but-B structure, and those the hard rules
-    leave no label, are left at p.  ``soft_predict`` maps a batch's p to q,
-    in training and evaluation alike; deployment forwards the student
-    first, as ``predict_proba`` does for one sentence's tokens."""
+    the but rules, with one projection over a batch's A-but-B rows.
+    Instances without an A-but-B structure, and those the hard rules leave
+    no label, are left at p.  ``soft_predict`` maps a batch's p to q, in
+    training and evaluation alike; deployment forwards the student first,
+    as ``predict_proba`` does for one sentence's tokens."""
 
     def __init__(self, model, vocab: Vocabulary, rules: Sequence[Rule], c: float):
         self.model = model
         self.vocab = vocab
         (self.rules,) = _split_rules(rules, "sentiment")
         self.c = float(c)
-        k = model.n_classes
         for rule in self.rules:
             if not rule.confidence > 0.0:
                 raise ValueError(f"rule {rule.name!r}: confidence must be positive, "
                                  f"got {rule.confidence}")
-            for probe in rule.groundings([np.full(k, 1.0 / k)]):
-                if np.shape(probe.table) != (k,):
-                    raise ValueError(f"rule {rule.name!r}: its truth table has shape "
-                                     f"{np.shape(probe.table)}, but the classifier has {k} classes")
+            if model.n_classes != 2:
+                raise ValueError(f"rule {rule.name!r}: its truth table has shape (2,), "
+                                 f"but the classifier has {model.n_classes} classes")
         # Projections left at p because the hard rules exclude every label.
         self.infeasible = 0
 
@@ -330,25 +326,15 @@ class SentimentTeacher:
         """Teacher distributions for a batch, given the student's outputs
         ``p`` on its sentences, with one student forward over their B
         clauses; ``clause_b_ids[i]`` is None when sentence i has no A-but-B
-        structure.  A rule's j-th grounding of a row fills that row of its
-        j-th truth stack; the other rows keep truth 1, which adds nothing."""
+        structure."""
         q = list(p)
         has_b = [i for i, clause in enumerate(clause_b_ids) if clause is not None]
         if not has_b or not self.rules:
             return q
         clause_sigmas = self.model.forward([clause_b_ids[i] for i in has_b])
         base = np.log(np.asarray(p)[has_b])
-        groundings = []
-        for rule in self.rules:
-            seen, stacks = [0] * len(has_b), []
-            for g in rule.groundings(clause_sigmas):
-                row = g.sites[0][0]
-                if seen[row] == len(stacks):
-                    stacks.append(np.ones_like(base))
-                stacks[seen[row]][row] = g.table
-                seen[row] += 1
-            groundings += [(rule.confidence, truths) for truths in stacks]
-        problem = ProjectionProblem(base, tuple(groundings), self.c)
+        problem = ProjectionProblem(
+            base, tuple((r.confidence, r.truths(clause_sigmas)) for r in self.rules), self.c)
         feasible = problem.feasible_mask().any(axis=-1)
         self.infeasible += int(np.count_nonzero(~feasible))
         if not feasible.any():
@@ -368,42 +354,16 @@ class SentimentTeacher:
 # --- NER teacher -------------------------------------------------------------
 
 
-def _chain_terms(rules: Sequence[Rule], n_tags: int, c: float):
-    """Chain potentials (pair, start, end) of the bigram rules, read from
-    each rule's groundings on one 3-position member: -c * confidence *
-    (1 - truth), summed over rules and groundings, or -inf where a hard
-    rule's truth is below 1; zeros without a bigram rule.  A rule the
-    chain cannot hold is rejected by name: one that grounds other sites
-    than the first, the last or two consecutive ones, or whose pair table
-    depends on the position."""
-    pair, start, end = np.zeros((n_tags, n_tags)), np.zeros(n_tags), np.zeros(n_tags)
+def _chain_terms(rules: Sequence[TransitionRule], n_tags: int, c: float):
+    """Chain potentials (pair, start, end) of the transition rules: each
+    table's -c * confidence * (1 - truth), or -inf where a hard rule's
+    truth is below 1, summed over rules; zeros without a transition rule."""
+    terms = [np.zeros((n_tags, n_tags)), np.zeros(n_tags), np.zeros(n_tags)]
     for rule in rules:
-        steps = np.zeros((2, n_tags, n_tags))
-        for g in rule.groundings([range(3)]):
-            table = np.asarray(g.table, dtype=float)
-            term = (np.where(table < 1.0, -math.inf, 0.0) if rule.hard
-                    else -c * rule.confidence * (1.0 - table))
-            sites = tuple(map(tuple, g.sites))
-            if sites == ((0, 0),):
-                start = start + term
-            elif sites == ((0, 2),):
-                end = end + term
-            elif (len(sites) == 2 and sites[0][0] == sites[1][0] == 0
-                  and abs(sites[1][1] - sites[0][1]) == 1):
-                (_, a), (_, b) = sites
-                steps[min(a, b)] += term if a < b else term.T
-            else:
-                raise ValueError(
-                    f"rule {rule.name!r}: a chain holds groundings of the first site, the "
-                    f"last site or two consecutive sites, not of {sites}"
-                )
-        if not np.array_equal(steps[0], steps[1]):
-            raise ValueError(
-                f"rule {rule.name!r}: its pair table depends on the position, which a "
-                "chain cannot hold"
-            )
-        pair = pair + steps[0]
-    return pair, start, end
+        for i, table in enumerate((rule.pair, rule.start, rule.end)):
+            terms[i] = terms[i] + (np.where(table < 1.0, -math.inf, 0.0) if rule.hard
+                                   else -c * rule.confidence * (1.0 - table))
+    return tuple(terms)
 
 
 def _doc_links(doc_tokens: Sequence[Sequence[str]]):
@@ -425,28 +385,6 @@ def _doc_links(doc_tokens: Sequence[Sequence[str]]):
             [(index[a], index[b]) for a, b in links])
 
 
-def _check_cross_rule(rule: Rule, collapse: CategoryCollapse) -> None:
-    """Reject a cross rule whose truth table is not
-    ``counterpart_truth_table``'s.  The group teacher sums out the BIOES
-    variants exactly only for a table that is constant within categories,
-    and stage 2 scores every cross rule with the list-rule truth."""
-    gi = collapse.group_index
-    reps = np.unique(gi, return_index=True)[1]
-    (probe,) = rule.groundings([((0, 0), (1, 0))])
-    table = probe.table[np.ix_(reps, reps)]
-    if not np.array_equal(table[np.ix_(gi, gi)], probe.table):
-        raise ValueError(
-            f"rule {rule.name!r}: a cross-instance truth table must be "
-            "constant within tag categories"
-        )
-    if not np.array_equal(probe.table, counterpart_truth_table(collapse)):
-        raise ValueError(
-            f"rule {rule.name!r}: the tagging teacher measures cross-instance "
-            "rules with the list-counterpart truth, so their truth table must "
-            "be counterpart_truth_table's"
-        )
-
-
 def _regroup(items: list, sizes: Sequence[int]) -> list[list]:
     """``items`` cut into consecutive runs of the given sizes."""
     it = iter(items)
@@ -463,7 +401,7 @@ class NerTeacher:
     one array.  Within each document the linked sites form groups over tag
     categories, each site's unary being the student's mass per category,
     and every link carrying one table for the summed confidence of the
-    cross rules.  Groups never span documents, and each document has its
+    list rules.  Groups never span documents, and each document has its
     own seed for link cutting and sampling.  Groups of one size are
     enumerated exactly in stacks of up to ``EXACT_MAX_STATES`` joint
     states; a group above that bound is Gibbs-sampled.  Each category's
@@ -471,7 +409,7 @@ class NerTeacher:
     proportions.  Stage 2: every linked site gets a unary penalty measuring
     the list rule against its counterparts' stage-1 marginals, one array
     expression for the batch; then one chain query holds every sentence of
-    the batch, with the bigram rules' potentials, and is solved with one
+    the batch, with the transition rules' potentials, and is solved with one
     product per position.  At evaluation the counterpart links come from
     the evaluated document itself.
     """
@@ -483,32 +421,41 @@ class NerTeacher:
         self.vocab = vocab
         self.scheme = scheme
         self.seed = seed
-        self.bigram, self.cross = _split_rules(rules, "ner")
+        self.transitions, self.lists = _split_rules(rules, "ner")
         # A teacher without a model is fed the student's outputs directly.
         if model is not None and model.n_tags != scheme.n_tags:
             raise ValueError(f"the model outputs {model.n_tags} tags, but the scheme "
                              f"has {scheme.n_tags}")
         self.collapse = CategoryCollapse(scheme)
         self.c = float(c)
-        for rule in self.cross:
-            _check_cross_rule(rule, self.collapse)
-        # Every cross rule is the list rule, so their confidences add up,
-        # in stage 1's link table as in stage 2's penalty.
-        self.lam = sum(rule.confidence for rule in self.cross)
+        for rule in self.lists:
+            if rule.collapse != self.collapse:
+                raise ValueError(f"rule {rule.name!r} is built for the categories "
+                                 f"{rule.collapse.scheme.categories}, but the teacher's "
+                                 f"scheme has {scheme.categories}")
+        for rule in self.transitions:
+            shapes = tuple(np.shape(t) for t in (rule.pair, rule.start, rule.end))
+            if shapes != ((scheme.n_tags,) * 2, (scheme.n_tags,), (scheme.n_tags,)):
+                raise ValueError(f"rule {rule.name!r}: its tables have shapes {shapes}, "
+                                 f"but the teacher's scheme {scheme.categories} has "
+                                 f"{scheme.n_tags} tags")
+        # The list rules' confidences add up, in stage 1's link table as in
+        # stage 2's penalty.
+        self.lam = sum(rule.confidence for rule in self.lists)
         reps = np.unique(self.collapse.group_index, return_index=True)[1]
         truth = counterpart_truth_table(self.collapse)[np.ix_(reps, reps)]
         self.link_table = -self.c * self.lam * (1.0 - truth)
         self.sweeps = sweeps
         self.g_max = g_max
-        self.chain_terms = _chain_terms(self.bigram, scheme.n_tags, self.c)
+        self.chain_terms = _chain_terms(self.transitions, scheme.n_tags, self.c)
 
     def _stage1(self, docs_sigmas, docs_links, seeds):
         """Stage 1 for a batch, laid out like ``soft_predict``'s arguments:
         the row of every linked site in the batch's concatenated positions
         (documents in order, each one's sites sorted), every link as an
         (L, 2) array of indices into those sites, and the sites' (S, K)
-        teacher tag marginals.  None without a cross rule, link or c > 0."""
-        if not self.cross or self.c == 0.0:
+        teacher tag marginals.  None without a list rule, link or c > 0."""
+        if not self.lists or self.c == 0.0:
             return None
         sigmas = [sigma for doc in docs_sigmas for sigma in doc]
         starts = np.cumsum([0] + [len(s) for s in sigmas])

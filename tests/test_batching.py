@@ -53,8 +53,6 @@ from ruledistill.inference import (
 from ruledistill.projection import InfeasibleConstraintError, ProjectionProblem, project
 from ruledistill.rulelib import (
     CategoryCollapse,
-    Grounding,
-    Rule,
     TagScheme,
     but_rule,
     counterpart_truth_table,
@@ -576,7 +574,8 @@ class TestNerTeacherBatching:
 # --- per-row sentiment teacher reference -------------------------------------
 #
 # The sentiment teacher one A-but-B row at a time, as it was before the
-# batch projection: a grounder call and a 1-d projection per row.
+# batch projection: each rule's truths of one row and a 1-d projection per
+# row.
 
 
 class _ClauseTable:
@@ -590,41 +589,28 @@ class _ClauseTable:
         return self.sigmas[[ids[0] for ids in ids_list]]
 
 
-def _instance_rule(name, confidence, tables):
-    """A per-instance rule with ``tables(sigma)`` groundings per row."""
-    def grounder(sigmas):
-        return [Grounding(((m, 0),), table)
-                for m, sigma in enumerate(sigmas) for table in tables(np.asarray(sigma))]
-    return Rule(name, confidence, "per-instance", grounder)
-
-
 _ORACLE_RULES = {
-    "but": lambda lam: but_rule(confidence=lam),
-    "soft": lambda lam: _instance_rule("soft", lam, lambda s: [s / s.max()]),
-    "skip": lambda lam: _instance_rule("skip", lam, lambda s: [1.0 - s] if s[0] > 0.4 else []),
-    "twice": lambda lam: _instance_rule(
-        "twice", lam, lambda s: [np.sqrt(s)] + ([s ** 2] if s[0] > 0.3 else [])),
-    # Hard: only the clause's argmax passes, and rows leaning away from
-    # class 0 allow no label at all.
-    "hard": lambda lam: _instance_rule(
-        "hard", math.inf, lambda s: [(s >= s.max()) * float(s[0] >= 0.2)]),
+    "avg": lambda lam: but_rule(confidence=lam),
+    "strong": lambda lam: but_rule(confidence=lam, variant="strong"),
+    # Hard: both labels' truths lie below 1 unless the clause is certain,
+    # so its rows allow no label.
+    "hard": lambda lam: but_rule(confidence=math.inf),
 }
 
 
 def ref_sentiment_soft_predict(teacher, p, clause_b_ids):
-    """The sentiment teacher one A-but-B row at a time: its own grounder
-    call and 1-d projection per row, counting the infeasible rows on
-    ``teacher``."""
+    """The sentiment teacher one A-but-B row at a time: each rule's truths
+    of the row and a 1-d projection per row, counting the infeasible rows
+    on ``teacher``."""
     q = list(p)
     has_b = [i for i, clause in enumerate(clause_b_ids) if clause is not None]
     if not has_b:
         return q
     sigmas = teacher.model.forward([clause_b_ids[i] for i in has_b])
     for i, sigma in zip(has_b, sigmas):
-        groundings = tuple((rule.confidence, g.table)
-                           for rule in teacher.rules for g in rule.groundings([sigma]))
+        truths = tuple((rule.confidence, rule.truths(sigma[None])[0]) for rule in teacher.rules)
         try:
-            q[i] = project(ProjectionProblem(np.log(p[i]), groundings, teacher.c)).probs()
+            q[i] = project(ProjectionProblem(np.log(p[i]), truths, teacher.c)).probs()
         except InfeasibleConstraintError:
             teacher.infeasible += 1
     return q
@@ -667,20 +653,18 @@ class TestSentimentTeacherBatching:
         assert n_but > 0 and sum(clause_forwards) == n_but
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**16), st.integers(1, 12), st.integers(2, 4),
-           st.lists(st.sampled_from(sorted(_ORACLE_RULES)), min_size=1, max_size=3),
+    @given(st.integers(0, 2**16), st.integers(1, 12),
+           st.lists(st.sampled_from(sorted(_ORACLE_RULES)), min_size=1, max_size=2),
            st.sampled_from((0.0, 1.0, 6.0)))
-    def test_matches_per_row_projection(self, seed, n, k, names, c):
+    def test_matches_per_row_projection(self, seed, n, names, c):
         # Random p and clause distributions, rows without a B clause, and
-        # rules that skip rows, ground a row twice or leave it no label:
-        # every row is bit-equal to its own 1-d projection, and the same
-        # rows are counted infeasible.
-        if "but" in names:
-            k = 2
+        # one or two but rules, soft or hard (a hard one leaves its rows no
+        # label): every row is bit-equal to its own 1-d projection, and the
+        # same rows are counted infeasible.
         rng = np.random.default_rng(seed)
-        p = rng.dirichlet(np.ones(k), size=n)
+        p = rng.dirichlet(np.ones(2), size=n)
         clauses = [[i] if rng.random() < 0.7 else None for i in range(n)]
-        model = _ClauseTable(rng.dirichlet(np.ones(k), size=n))
+        model = _ClauseTable(rng.dirichlet(np.ones(2), size=n))
         rules = [_ORACLE_RULES[name](float(rng.choice((0.5, 1.0, 3.0)))) for name in names]
         teacher, oracle = (SentimentTeacher(model, None, rules, c) for _ in range(2))
         q = teacher.soft_predict(p, clauses)
@@ -694,7 +678,7 @@ class TestSentimentTeacherBatching:
 # Stage 1 of the tagging teacher one document at a time, as objects: a
 # MemberPotentials per linked site, a GroupLink per link, one
 # GroupTeacherQuery per group, and one dense score tensor per group.  Each
-# link carries the summed tables of the cross rules, as the batch path's do.
+# link carries the summed tables of the list rules, as the batch path's do.
 
 
 def ref_form_groups(members, links, g_max, seed, sweeps=200):
@@ -776,9 +760,8 @@ def ref_site_marginals(teacher, sigmas, site_links, seed):
     gi = teacher.collapse.group_index
     reps = np.unique(gi, return_index=True)[1]
     truth = counterpart_truth_table(teacher.collapse)[np.ix_(reps, reps)]
-    table = sum(-teacher.c * rule.confidence * (1.0 - truth) for rule in teacher.cross)
-    glinks = [GroupLink(index[a], 0, index[b], 0, table)
-              for a, b in (g.sites for g in teacher.cross[0].groundings(site_links))]
+    table = sum(-teacher.c * rule.confidence * (1.0 - truth) for rule in teacher.lists)
+    glinks = [GroupLink(index[a], 0, index[b], 0, table) for a, b in site_links]
     q = np.empty_like(mass)
     kept = []
     for query, ids in ref_form_groups(members, glinks, teacher.g_max, seed):

@@ -153,6 +153,16 @@ class TestRuleSpecs:
         with pytest.raises(CliError, match="classification"):
             parse_rule_specs("transitions(), but(lambda=1)", TagScheme(("LOC",)))
 
+    @pytest.mark.parametrize("text, match", [
+        ("but(variant=bogus)", "variant 'bogus'"),
+        ("list-counterpart(lambda=inf)", "'list-counterpart'.*finite"),
+    ])
+    def test_rule_constructor_errors_are_cli_errors(self, text, match):
+        # The rules check their own arguments; the parser reports them.
+        scheme = None if text.startswith("but") else TagScheme(("LOC",))
+        with pytest.raises(CliError, match=match):
+            parse_rule_specs(text, scheme)
+
     def test_nan_lambda_of_a_tagging_rule(self):
         with pytest.raises(CliError, match="lambda must be positive"):
             parse_rule_specs("list-counterpart(lambda=nan)", TagScheme(("LOC",)))
@@ -272,6 +282,17 @@ class TestTrainCommand:
         ]) == 2
         assert not out.exists()
 
+    def test_hard_list_rule_exit_2_before_writing(self, data_dir, tmp_path, capsys):
+        # The list rule rejects an infinite lambda itself, by name.
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "ner", "--mode", "distill",
+            "--train", str(data_dir / "ner_train.conll"),
+            "--rules", "transitions(), list-counterpart(lambda=inf)", "--out", str(out),
+        ]) == 2
+        assert "'list-counterpart'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_two_class_rule_on_three_classes_exit_2(self, data_dir, tmp_path, capsys):
         train = tmp_path / "three.tsv"
         texts = [ln.split("\t", 1)[1] for ln in (data_dir / "train.tsv").read_text().splitlines()]
@@ -381,6 +402,16 @@ class TestEvalCommand:
             "--test", str(data_dir / "test.tsv"),
             "--use-teacher", "--rules", "but()", flag, value,
         ]) == 2
+
+    def test_hard_list_rule_exit_2_before_writing(self, data_dir, ner_ckpt, tmp_path, capsys):
+        out_file = tmp_path / "eval.txt"
+        assert run([
+            "eval", "--checkpoint", str(ner_ckpt),
+            "--test", str(data_dir / "ner_test.conll"), "--use-teacher",
+            "--rules", "list-counterpart(lambda=inf)", "--out", str(out_file),
+        ]) == 2
+        assert "'list-counterpart'" in capsys.readouterr().err
+        assert not out_file.exists()
 
     def test_missing_checkpoint_exit_2(self, data_dir, tmp_path):
         assert run([

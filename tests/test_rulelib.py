@@ -6,13 +6,17 @@ import math
 import numpy as np
 import pytest
 from conftest import ref_spans, ref_valid_sequence
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruledistill.rulelib import (
+    ButRule,
     ButStructure,
     CategoryCollapse,
-    Grounding,
+    ListRule,
     Rule,
     TagScheme,
+    TransitionRule,
     but_rule,
     but_rule_truth,
     counterpart_truth_table,
@@ -75,47 +79,66 @@ class TestTagScheme:
             TagScheme(("LOC", "LOC"))
 
 
+def ref_but_truths(s: float, variant: str) -> list:
+    """The but rule's truths of labels 0 and 1 for one clause-B
+    probability s of class 1, in scalar arithmetic."""
+    if variant == "avg":
+        return [(2.0 - s) / 2.0, (1.0 + s) / 2.0]
+    return [1.0 - s, s]
+
+
 class TestButRule:
     def test_truth_values_avg(self):
-        # (1 + sigma)/2 for the positive label, (2 - sigma)/2 for the other.
-        assert but_rule_truth(0.8, positive=True) == pytest.approx(0.9)
-        assert but_rule_truth(0.8, positive=False) == pytest.approx(0.6)
-        assert but_rule_truth(0.0, positive=True) == pytest.approx(0.5)
-        assert but_rule_truth(1.0, positive=True) == pytest.approx(1.0)
-        assert but_rule_truth(1.0, positive=False) == pytest.approx(0.5)
+        # (1 + sigma)/2 for label 1, (2 - sigma)/2 for label 0.
+        np.testing.assert_allclose(but_rule_truth(0.8), [0.6, 0.9])
+        np.testing.assert_allclose(but_rule_truth(0.0), [1.0, 0.5])
+        np.testing.assert_allclose(but_rule_truth(1.0), [0.5, 1.0])
 
     def test_truth_values_strong(self):
-        assert but_rule_truth(0.8, True, variant="strong") == pytest.approx(0.8)
-        assert but_rule_truth(0.8, False, variant="strong") == pytest.approx(0.2)
+        np.testing.assert_allclose(but_rule_truth(0.8, variant="strong"), [0.2, 0.8])
 
     def test_truth_validation(self):
-        with pytest.raises(ValueError):
-            but_rule_truth(1.2, True)
-        with pytest.raises(ValueError):
-            but_rule_truth(0.5, True, variant="nope")
+        with pytest.raises(ValueError, match="1.2 outside"):
+            but_rule_truth(np.array([0.5, 1.2]))
+        with pytest.raises(ValueError, match="outside"):
+            but_rule_truth(math.nan)
+        with pytest.raises(ValueError, match="variant 'nope'"):
+            but_rule_truth(0.5, variant="nope")
+        # The variant is checked when the rule is built.
+        with pytest.raises(ValueError, match="variant 'nope'"):
+            but_rule(variant="nope")
 
-    def test_grounder_skips_non_but_instances(self):
-        rule = but_rule(confidence=1.0)
-        gs = rule.groundings([np.array([0.2, 0.8]), None, np.array([0.7, 0.3])])
-        assert [g.sites for g in gs] == [((0, 0),), ((2, 0),)]
-        np.testing.assert_allclose(gs[0].table, [0.6, 0.9])
-        np.testing.assert_allclose(gs[1].table, [0.85, 0.65])
+    def test_truth_of_a_stack_keeps_its_shape(self):
+        s = np.random.default_rng(1).uniform(size=(3, 4))
+        for variant in ("avg", "strong"):
+            got = but_rule_truth(s, variant)
+            assert got.shape == (3, 4, 2)
+            np.testing.assert_allclose(got[..., 0] + got[..., 1],
+                                       1.5 if variant == "avg" else 1.0, rtol=0, atol=1e-15)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+           st.sampled_from(("avg", "strong")))
+    def test_truths_bit_equal_to_the_scalar_formula_by_row(self, s1, variant):
+        sigma = np.stack([1.0 - np.array(s1), s1], axis=1)
+        got = but_rule(variant=variant).truths(sigma)
+        assert got.shape == (len(s1), 2)
+        for row, s in zip(got, sigma[:, 1]):
+            assert row.tolist() == ref_but_truths(float(s), variant)
 
     def test_symmetric_in_the_two_classes(self):
         # The classes' probabilities sum to 1, so swapping the classes
         # swaps the table: no class is special.
+        s1 = np.random.default_rng(0).uniform(size=200)
+        sigma = np.stack([1.0 - s1, s1], axis=1)
         for variant in ("avg", "strong"):
             rule = but_rule(variant=variant)
-            for s1 in np.random.default_rng(0).uniform(size=200):
-                sigma = np.array([1.0 - s1, s1])
-                (g,), (swapped,) = (rule.groundings([d]) for d in (sigma, sigma[::-1]))
-                np.testing.assert_allclose(g.table, swapped.table[::-1], rtol=0, atol=1e-15)
+            np.testing.assert_allclose(rule.truths(sigma), rule.truths(sigma[:, ::-1])[:, ::-1],
+                                       rtol=0, atol=1e-15)
 
     def test_rule_metadata(self):
         rule = but_rule(confidence=2.0, variant="strong")
-        assert rule.name == "but-strong"
-        assert rule.confidence == 2.0
-        assert rule.scope == "per-instance"
+        assert rule == ButRule("but-strong", 2.0, "strong")
         assert not rule.hard
 
 
@@ -123,7 +146,7 @@ class TestDetectBut:
     def test_first_standalone_but(self):
         s = detect_but(["good", "but", "bad", "but", "fine"])
         assert s is not None and s.split == 1
-        assert s.clause_a == ("good",)
+        assert s.tokens[: s.split] == ("good",)
         assert s.clause_b == ("bad", "but", "fine")
 
     def test_case_folded(self):
@@ -165,34 +188,46 @@ class TestTransitions:
             "bioes-entity-opens",
             "bioes-entity-closes",
         ]
-        assert all(r.hard and r.scope == "bigram" for r in rules)
+        assert all(r.hard and isinstance(r, TransitionRule) for r in rules)
+
+    def test_unconstrained_edges_are_all_ones(self):
+        # "opens" does not constrain the last tag, nor "closes" the first:
+        # all-ones tables, which add exactly nothing to a chain.
+        opens, closes = transition_rules(SCHEME)
+        masks = transition_masks(SCHEME)
+        assert np.array_equal(opens.end, np.ones(SCHEME.n_tags))
+        assert np.array_equal(closes.start, np.ones(SCHEME.n_tags))
+        assert np.array_equal(opens.start, masks.valid_start)
+        assert np.array_equal(closes.end, masks.valid_end)
+        assert np.array_equal(opens.pair * closes.pair, masks.valid_pair)
+
+    @staticmethod
+    def truths(rules, tags):
+        """The truth of each grounding of the rules on one tag sequence:
+        its first tag, each bigram and its last tag, per rule."""
+        idx = [SCHEME.index(t) for t in tags]
+        return [truth for r in rules
+                for truth in [r.start[idx[0]], *r.pair[idx[:-1], idx[1:]], r.end[idx[-1]]]]
 
     def test_grounding_truth_on_sequences(self):
         rules = transition_rules(SCHEME)
-        batch = [[0, 1, 2], [0, 1]]  # members only need len()
-        idx = {t: i for i, t in enumerate(SCHEME.tags)}
 
-        def joint_truth(tag_rows):
-            assignment = [[idx[t] for t in row] for row in tag_rows]
-            return min(
-                float(g.truth(assignment))
-                for r in rules
-                for g in r.groundings(batch)
-            )
+        def joint_truth(*rows):
+            return float(np.prod([t for row in rows for t in self.truths(rules, row)]))
 
-        assert joint_truth([["B-LOC", "I-LOC", "E-LOC"], ["O", "S-ORG"]]) == 1.0
-        assert joint_truth([["B-LOC", "I-LOC", "O"], ["O", "S-ORG"]]) == 0.0
-        assert joint_truth([["O", "O", "O"], ["B-ORG", "O"]]) == 0.0
-        assert joint_truth([["I-LOC", "O", "O"], ["O", "O"]]) == 0.0
+        assert joint_truth(["B-LOC", "I-LOC", "E-LOC"], ["O", "S-ORG"]) == 1.0
+        assert joint_truth(["B-LOC", "I-LOC", "O"], ["O", "S-ORG"]) == 0.0
+        assert joint_truth(["O", "O", "O"], ["B-ORG", "O"]) == 0.0
+        assert joint_truth(["I-LOC", "O", "O"], ["O", "O"]) == 0.0
 
     def test_every_invalid_sequence_violates_some_grounding(self):
+        # Every tag sequence of length 1 to 3: the product of the start,
+        # pair and end truths is 1 exactly on the valid ones, and 0 else.
         rules = transition_rules(SCHEME)
-        batch = [[0, 1, 2]]
-        gs = [g for r in rules for g in r.groundings(batch)]
-        for tags in itertools.product(SCHEME.tags, repeat=3):
-            assignment = [[SCHEME.index(t) for t in tags]]
-            ok = all(g.truth(assignment) >= 1.0 for g in gs)
-            assert ok == ref_valid_sequence(SCHEME, tags), tags
+        for n in (1, 2, 3):
+            for tags in itertools.product(SCHEME.tags, repeat=n):
+                truth = np.prod(self.truths(rules, tags))
+                assert truth == float(ref_valid_sequence(SCHEME, tags)), tags
 
 
 class TestListRule:
@@ -254,21 +289,14 @@ class TestListRule:
                 expect = 1.0 if SCHEME.category(a) == SCHEME.category(b) else 0.0
                 assert table[i, j] == pytest.approx(expect), (a, b)
 
-    def test_rule_groundings(self):
-        rule = list_counterpart_rule(self.COLLAPSE, confidence=1.0)
-        links = [(((0, 1), (2, 0))), (((1, 0), (3, 2)))]
-        gs = rule.groundings(links)
-        assert [g.sites for g in gs] == [((0, 1), (2, 0)), ((1, 0), (3, 2))]
-        assignment = {
-            0: {1: SCHEME.index("S-LOC")},
-            2: {0: SCHEME.index("B-LOC")},
-        }
-        assert gs[0].truth(assignment) == 1.0
-        assignment[2][0] = SCHEME.index("B-ORG")
-        assert gs[0].truth(assignment) == 0.0
+    def test_rule_carries_its_collapse_and_must_be_soft(self):
+        rule = list_counterpart_rule(self.COLLAPSE, confidence=0.5)
+        assert rule == ListRule("list-counterpart", 0.5, self.COLLAPSE)
+        with pytest.raises(ValueError, match="'list-counterpart'.*finite confidence"):
+            list_counterpart_rule(self.COLLAPSE, confidence=math.inf)
 
 
 class TestPenalty:
     def test_rule_validation(self):
         with pytest.raises(ValueError):
-            Rule("bad", -1.0, "per-instance", lambda b: [])
+            Rule("bad", -1.0)

@@ -5,6 +5,7 @@ exercise mechanics on tiny corpora.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,9 +30,8 @@ from ruledistill.inference import (
 )
 from ruledistill.rulelib import (
     CategoryCollapse,
-    Grounding,
-    Rule,
     TagScheme,
+    TransitionRule,
     counterpart_truth_table,
     but_rule,
     detect_but,
@@ -355,24 +355,6 @@ class TestSentimentTeacher:
             train_distill(tiny_config(), data, rules=(but_rule(confidence=1.0),))
         assert not steps
 
-    @pytest.mark.parametrize("n_groundings", [0, 2])
-    def test_probe_accepts_any_grounding_count(self, n_groundings):
-        # A per-instance rule may ground a sentence any number of times;
-        # the probe checks each grounding's table, whatever their count.
-        def grounder(batch):
-            return [Grounding(((m, 0),), np.ones(2)) for m in range(len(batch))
-                    for _ in range(n_groundings)]
-
-        rule = Rule(f"x{n_groundings}", 1.0, "per-instance", grounder)
-        teacher = SentimentTeacher(self.ClauseModel(), None, (rule,), 6.0)
-        q = teacher.soft_predict(np.array([[0.3, 0.7]]), [[1]])
-        np.testing.assert_array_equal(q[0], [0.3, 0.7])
-        short = Rule("short", 1.0, "per-instance",
-                     lambda batch: [Grounding(((0, 0),), np.ones(2))] * 2
-                     + [Grounding(((0, 0),), np.ones(3))])
-        with pytest.raises(ValueError, match="'short'.*shape \\(3,\\)"):
-            SentimentTeacher(self.ClauseModel(), None, (short,), 6.0)
-
     def test_rejects_zero_confidence_rule_by_name(self, monkeypatch):
         # A rule of confidence 0 could never be projected; it fails when the
         # teacher is built, before the first training step.
@@ -386,8 +368,8 @@ class TestSentimentTeacher:
         assert not steps
 
     def test_rejects_rules_it_would_drop(self, monkeypatch):
-        # Bigram and cross-instance rules have no meaning for a sentence
-        # label; each is named, and training fails before its first step.
+        # Transition and list rules have no meaning for a sentence label;
+        # each is named, and training fails before its first step.
         scheme = TagScheme(("LOC",))
         rules = (but_rule(confidence=1.0),) + tuple(transition_rules(scheme)) + (
             list_counterpart_rule(CategoryCollapse(scheme), confidence=1.0),)
@@ -572,22 +554,29 @@ class TestNerGroupTeacher:
         with pytest.raises(ValueError, match="outputs 9 tags.*has 13"):
             project_after(model, None, rules, 6.0, "ner", scheme=self.SCHEME)
 
-    def test_rejects_cross_table_not_constant_within_categories(self):
-        table = counterpart_truth_table(self.COLLAPSE).copy()
-        b_loc, i_loc = self.SCHEME.index("B-LOC"), self.SCHEME.index("I-LOC")
-        table[b_loc, i_loc] = 0.5
-
-        def grounder(links):
-            return [Grounding((tuple(a), tuple(b)), table) for a, b in links]
-
-        rule = Rule("bioes-aware-list", 1.0, "cross-instance", grounder)
-        with pytest.raises(ValueError, match="constant within tag categories"):
-            NerTeacher(None, None, self.SCHEME, [rule], 6.0)
-        with pytest.raises(ValueError, match="constant within tag categories"):
-            project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
+    def test_rejects_rules_of_another_scheme(self, monkeypatch):
+        # Rules built for another tag scheme are named with both category
+        # lists, when the teacher is built and before training's first step.
+        scheme = TagScheme(("LOC",))
+        cases = [
+            ([list_counterpart_rule(CategoryCollapse(scheme), confidence=1.0)],
+             r"'list-counterpart'.*\('LOC',\).*\('LOC', 'ORG', 'PER'\)"),
+            (transition_rules(scheme),
+             r"'bioes-entity-opens'.*\(5, 5\).*\('LOC', 'ORG', 'PER'\) has 13 tags"),
+        ]
+        steps = []
+        monkeypatch.setattr(trainer, "backward_and_step", lambda *a, **kw: steps.append(1) or 0.0)
+        config = TrainConfig(task="ner", epochs=1, emb_dim=4, hidden=4)
+        data = gen_synthetic_ner(seed=11, n_docs=4)
+        for rules, match in cases:
+            with pytest.raises(ValueError, match=match):
+                NerTeacher(None, None, self.SCHEME, rules, 6.0)
+            with pytest.raises(ValueError, match=match):
+                train_distill(config, data, rules=rules)
+        assert not steps
 
     def test_rejects_per_instance_rule(self, monkeypatch):
-        # The tagging teacher reads only bigram and cross-instance rules: a
+        # The tagging teacher reads only transition and list rules: a
         # but-rule is named, and training fails before its first step.
         rules = (list_counterpart_rule(self.COLLAPSE, confidence=1.0), but_rule(confidence=1.0))
         with pytest.raises(ValueError, match="'but-avg'"):
@@ -598,20 +587,6 @@ class TestNerGroupTeacher:
         with pytest.raises(ValueError, match="'but-avg'"):
             train_distill(config, gen_synthetic_ner(seed=11, n_docs=4), rules=rules)
         assert not steps
-
-    def test_rejects_cross_rule_other_than_the_list_rule(self):
-        # "Categories differ": constant within categories, so it passes the
-        # first check, but stage 2 would score it as the list rule.
-        table = 1.0 - counterpart_truth_table(self.COLLAPSE)
-
-        def grounder(links):
-            return [Grounding((tuple(a), tuple(b)), table) for a, b in links]
-
-        rule = Rule("categories-differ", 1.0, "cross-instance", grounder)
-        with pytest.raises(ValueError, match="'categories-differ'.*counterpart_truth_table"):
-            NerTeacher(None, None, self.SCHEME, [rule], 6.0)
-        with pytest.raises(ValueError, match="'categories-differ'.*counterpart_truth_table"):
-            project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
 
 
 class TestNerChainTerms:
@@ -629,34 +604,18 @@ class TestNerChainTerms:
             assert np.array_equal(np.signbit(got), np.signbit(expected))
 
     def test_each_rule_read_from_its_own_groundings(self):
-        # A bigram rule that grounds nothing puts no term on the chain.
-        nothing = Rule("anything-bigram", 0.5, "bigram", lambda batch: [])
+        # A rule whose tables are all ones puts no term on the chain.
+        k = self.SCHEME.n_tags
+        nothing = TransitionRule("anything", 0.5, np.ones((k, k)), np.ones(k), np.ones(k))
         for term in self.terms([nothing]):
             assert not term.any()
-        # Soft copies of the two transition templates at their own
-        # confidences: each one's penalty at its own strength, summed.
+        # Soft copies of the two transition rules at their own confidences:
+        # each table's penalty -c * lambda * (1 - truth), summed.
         opens, closes = transition_rules(self.SCHEME)
-        soft = [Rule("soft-opens", 0.5, "bigram", opens.grounder),
-                Rule("soft-closes", 0.25, "bigram", closes.grounder)]
-        (o_pair,), (c_pair,) = ({g.table.shape: g.table for g in r.groundings([range(3)])
-                                 if len(g.sites) == 2}.values() for r in (opens, closes))
+        soft = [replace(opens, confidence=0.5), replace(closes, confidence=0.25)]
         pair, start, end = self.terms(soft)
         np.testing.assert_array_equal(
-            pair, -6.0 * 0.5 * (1.0 - o_pair) - 6.0 * 0.25 * (1.0 - c_pair))
+            pair, -6.0 * 0.5 * (1.0 - opens.pair) - 6.0 * 0.25 * (1.0 - closes.pair))
         masks = transition_masks(self.SCHEME)
         np.testing.assert_array_equal(start, np.where(masks.valid_start, 0.0, -3.0))
         np.testing.assert_array_equal(end, np.where(masks.valid_end, 0.0, -1.5))
-
-    @pytest.mark.parametrize("sites, match", [
-        ([((0, 1),)], "not of"),
-        ([((0, 0), (0, 2))], "not of"),
-        ([((0, 0), (0, 1))], "depends on the position"),
-    ])
-    def test_rejects_rules_the_chain_cannot_hold(self, sites, match):
-        k = self.SCHEME.n_tags
-        rule = Rule("odd-bigram", 1.0, "bigram", lambda batch: [
-            Grounding(s, np.zeros((k,) * len(s))) for s in sites])
-        with pytest.raises(ValueError, match=f"'odd-bigram'.*{match}"):
-            NerTeacher(None, None, self.SCHEME, [rule], 6.0)
-        with pytest.raises(ValueError, match="'odd-bigram'"):
-            project_after(None, None, [rule], 6.0, "ner", scheme=self.SCHEME)
