@@ -52,7 +52,7 @@ def main():
     for ex in test:
         if detect_but(ex.tokens) is None:
             continue
-        (p,) = rd.student.forward([rd.vocab.encode(ex.tokens)])
+        (p,) = rd.student.forward(rd.vocab.encode([ex.tokens]))
         q = rd.teacher.predict_proba(ex.tokens)
         if p.argmax() != q.argmax() and q.argmax() == ex.label:
             print("\n" + " ".join(ex.tokens))

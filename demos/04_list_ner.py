@@ -72,7 +72,7 @@ def main():
 
     # Show one sentence where the teacher's decode beats the raw argmax.
     for doc, decoded in zip(docs, rd.teacher.predict_tags(docs)):
-        sigmas = rd.student.forward([rd.vocab.encode(s.tokens) for s in doc])
+        sigmas = rd.student.forward(rd.vocab.encode([s.tokens for s in doc]))
         for sent, q_tags, sigma in zip(doc, decoded, sigmas):
             p_tags = [rd.scheme.tags[k] for k in sigma.argmax(axis=1)]
             if p_tags != list(sent.tags) and q_tags == list(sent.tags):

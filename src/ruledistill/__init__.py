@@ -15,8 +15,8 @@ Layers, bottom up:
   verifier.
 - ``inference``: exact posterior computation for chain- and group-coupled
   teachers, with Gibbs sampling for groups too large to enumerate.
-- ``predictors``: numpy conv classifier and window tagger with manual
-  gradients and checkpointing.
+- ``predictors``: numpy conv classifier and window tagger over flat token
+  batches, with manual gradients and checkpointing.
 - ``trainer``: one training loop over a per-task driver (base / distill /
   semi / pipeline), one teacher per task for both training targets and
   evaluation, and post-hoc projection.
@@ -66,6 +66,7 @@ from .inference import (
 )
 from .predictors import (
     Vocabulary,
+    TokenBatch,
     TextClassifier,
     SequenceTagger,
     save_checkpoint,
@@ -137,6 +138,7 @@ __all__ = [
     "form_groups",
     "enumerate_group_posterior",
     "Vocabulary",
+    "TokenBatch",
     "TextClassifier",
     "SequenceTagger",
     "save_checkpoint",

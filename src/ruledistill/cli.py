@@ -476,6 +476,8 @@ EVAL_SCHEMA = {
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(EVAL_SCHEMA, args)
+    if cfg["rules"] and not cfg["use-teacher"]:
+        raise CliError("--rules applies only to the teacher: add --use-teacher")
     ckpt_path = _require_path(cfg["checkpoint"], "checkpoint")
     test_path = _require_path(cfg["test"], "test")
     try:

@@ -277,7 +277,7 @@ def _validate_item(tokens: Sequence[str], sent_index: int, start: int, end: int)
                 if i - s > 3:
                     return None
                 for w in tokens[s:i]:
-                    if w[0].isalpha() and not w[0].isupper():
+                    if w[:1].isalpha() and not w[:1].isupper():
                         return None
                 blocks.append((s, i))
             s = i + 1
@@ -369,7 +369,9 @@ def detect_lists(document, doc_id: int = 0) -> list[ListGroup]:
     ]
     groups = []
     for idx, tokens in enumerate(sentences):
-        groups.extend(_intra_sentence_groups(doc_id, idx, tokens))
+        # A list needs 3 dashes or 3 markers, each marker holding one ".".
+        if tokens.count("-") >= 3 or "".join(tokens).count(".") >= 3:
+            groups.extend(_intra_sentence_groups(doc_id, idx, tokens))
     groups.extend(_inter_sentence_groups(doc_id, sentences))
     groups.sort(key=lambda g: (g.items[0].sent_index, g.items[0].start))
     return groups

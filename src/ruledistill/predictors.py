@@ -17,15 +17,15 @@ gradient is output - target.  Log arguments are floored at 1e-12; the
 analytic gradient treats the floor as inactive, which only matters in
 saturated regions.
 
-Both models are batch-native: ``forward`` takes a list of 1-d token-id
-arrays and returns one distribution per sentence, (K,) for the classifier
-and (T_i, K) for the tagger, and training takes one forward and one
-backward pass per minibatch.  The batch is padded to (B, T_max), windows
-are strided views of it, and each conv width (or the tagger's hidden
-layer) is one stacked matmul.  Trailing padding ids are stripped first, so a
-padded and an unpadded copy of a sentence produce identical outputs, and
-whatever else shares its batch.  Masks work by position, not by id: an
-interior id 0 keeps its embedding row, while positions past a sentence's
+Both models are batch-native: ``forward`` takes a ``TokenBatch`` (one
+flat id array and the sentence lengths, as ``Vocabulary.encode`` returns
+it) and returns one distribution per sentence, (K,) for the classifier
+and (T_i, K) for the tagger; training takes one forward and one backward
+pass per minibatch.  The batch is scattered into (B, T_max) under its
+position mask, windows are strided views of it, and each conv width (or
+the tagger's hidden layer) is one stacked matmul, so a sentence's outputs
+do not depend on what else shares its batch.  Masks work by position, not
+by id: an id 0 keeps its embedding row, while positions past a sentence's
 end are zero vectors.  The classifier pools only over windows that start
 within max(length, widest window) - w; the tagger's out-of-sentence
 positions get no gradient.
@@ -33,6 +33,7 @@ positions get no gradient.
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -44,6 +45,7 @@ __all__ = [
     "PAD_TOKEN",
     "UNK_TOKEN",
     "Vocabulary",
+    "TokenBatch",
     "TextClassifier",
     "SequenceTagger",
     "Adadelta",
@@ -71,7 +73,7 @@ _EPS = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """Dense token-to-index map with padding at 0 and unknown at 1."""
+    """Token-to-index map: padding at 0, unknown and reserved strings at 1."""
 
     tokens: tuple[str, ...]
 
@@ -82,26 +84,71 @@ class Vocabulary:
         if len(set(tokens)) != len(tokens):
             raise ValueError("vocabulary tokens must be distinct")
         object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(
-            self, "_index", {tok: i for i, tok in enumerate(tokens)}
-        )
+        object.__setattr__(self, "_index", {tok: i for i, tok in enumerate(tokens) if i > 1})
 
     @classmethod
     def build(cls, corpus: Iterable[Sequence[str]]) -> "Vocabulary":
-        """Every corpus token, most frequent first, ties in lexical order."""
+        """Every corpus token but the reserved ones, by count, then lexically."""
         counts = Counter(tok for sent in corpus for tok in sent)
-        kept = sorted(counts, key=lambda tok: (-counts[tok], tok))
+        kept = sorted(counts.keys() - {PAD_TOKEN, UNK_TOKEN}, key=lambda t: (-counts[t], t))
         return cls((PAD_TOKEN, UNK_TOKEN) + tuple(kept))
 
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def encode(self, tokens: Sequence[str]) -> np.ndarray:
-        idx = self._index
-        return np.array([idx.get(t, 1) for t in tokens], dtype=int)
+    def encode(self, corpus: Sequence[Sequence[str]]) -> "TokenBatch":
+        """All sentences' ids in one batch; 1 for a token outside the vocabulary."""
+        lengths = np.fromiter(map(len, corpus), dtype=int, count=len(corpus))
+        ids = map(self._index.get, itertools.chain.from_iterable(corpus), itertools.repeat(1))
+        return TokenBatch(np.fromiter(ids, dtype=int, count=int(lengths.sum())), lengths)
 
     def to_list(self) -> list[str]:
         return list(self.tokens)
+
+
+@dataclass(frozen=True, eq=False)
+class TokenBatch:
+    """Sentences of token ids, concatenated: sentence i is the ``lengths[i]``
+    ids of the flat ``ids`` from ``starts[i]`` on.  None is empty."""
+
+    ids: np.ndarray
+    lengths: np.ndarray
+
+    def __post_init__(self):
+        ids, lengths = np.asarray(self.ids, dtype=int), np.asarray(self.lengths, dtype=int)
+        if ids.ndim != 1 or lengths.ndim != 1:
+            raise ValueError("a batch takes a 1-d id array and 1-d lengths")
+        if not len(lengths):
+            raise ValueError("empty batch")
+        if lengths.min() < 1:
+            raise ValueError("every sentence of a batch needs a token")
+        ends = np.cumsum(lengths)
+        if ends[-1] != len(ids):
+            raise ValueError(f"sentence lengths add up to {ends[-1]}, not to {len(ids)} ids")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "starts", ends - lengths)
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def positions(self, index, skip=0) -> np.ndarray:
+        """Where sentences ``index`` lie in ``ids``, without their first ``skip`` tokens."""
+        lengths = self.lengths[index] - skip
+        ends = np.cumsum(lengths)
+        return np.arange(ends[-1]) + np.repeat(self.starts[index] + skip - ends + lengths,
+                                               lengths)
+
+    def take(self, index, skip=0) -> "TokenBatch":
+        """Sentences ``index``, in that order, without their first ``skip`` tokens."""
+        return TokenBatch(self.ids[self.positions(index, skip)], self.lengths[index] - skip)
+
+    def padded(self, min_len: int = 1):
+        """(B, T) ids, 0 outside a sentence, and the in-sentence mask; T >= min_len."""
+        mask = np.arange(max(int(self.lengths.max()), min_len)) < self.lengths[:, None]
+        ids = np.zeros(mask.shape, dtype=int)
+        ids[mask] = self.ids
+        return ids, mask
 
 
 # --- model base --------------------------------------------------------------
@@ -111,32 +158,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     z = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _clean_ids(ids) -> np.ndarray:
-    ids = np.asarray(ids, dtype=int)
-    if ids.ndim != 1:
-        raise ValueError("token ids must be a 1-d array")
-    end = len(ids)
-    while end > 0 and ids[end - 1] == 0:
-        end -= 1
-    if end == 0:
-        raise ValueError("empty input (no non-padding tokens)")
-    return ids[:end]
-
-
-def _pad_batch(ids_list, min_len: int = 1):
-    """Strip each sentence's trailing padding and pad the batch to (B, T),
-    T = max(longest sentence, min_len).  Returns the padded ids, the (B, T)
-    mask of in-sentence positions and the sentence lengths."""
-    ids_list = [_clean_ids(ids) for ids in ids_list]
-    if not ids_list:
-        raise ValueError("empty batch")
-    lengths = np.array([len(ids) for ids in ids_list])
-    mask = np.arange(max(int(lengths.max()), min_len)) < lengths[:, None]
-    padded = np.zeros(mask.shape, dtype=int)
-    padded[mask] = np.concatenate(ids_list)
-    return padded, mask, lengths
 
 
 def _windows(x: np.ndarray, w: int) -> np.ndarray:
@@ -171,18 +192,18 @@ def _weight_grad(m: np.ndarray, dz: np.ndarray) -> np.ndarray:
 
 
 class _Model:
-    """A batch-native model: ``forward`` takes a list of 1-d token-id
-    arrays and returns one output distribution per sentence."""
+    """A batch-native model: ``forward`` takes a ``TokenBatch`` and returns
+    one output distribution per sentence."""
 
     kind: str = ""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
 
-    def forward(self, ids_list) -> list[np.ndarray]:
-        return self._forward_cache(ids_list)[0]
+    def forward(self, batch: TokenBatch) -> list[np.ndarray]:
+        return self._forward_cache(batch)[0]
 
-    def _forward_cache(self, ids_list):
+    def _forward_cache(self, batch: TokenBatch):
         """(per-sentence outputs, cache for ``backward``)."""
         raise NotImplementedError
 
@@ -238,13 +259,13 @@ class TextClassifier(_Model):
             "n_filters": self.n_filters,
         }
 
-    def _forward_cache(self, ids_list):
+    def _forward_cache(self, batch):
         widest = max(self.window_sizes)
-        ids, mask, lengths = _pad_batch(ids_list, widest)
+        ids, mask = batch.padded(widest)
         x = self.params["emb"][ids] * mask[..., None]
         # Each sentence is zero-padded to max(length, widest window); a
         # window starting beyond that is batch padding and never pools.
-        last_start = np.maximum(lengths, widest)[:, None]
+        last_start = np.maximum(batch.lengths, widest)[:, None]
         segments, pooled = [], []
         for w in self.window_sizes:
             m = _windows(x, w)
@@ -317,15 +338,15 @@ class SequenceTagger(_Model):
             "radius": self.radius,
         }
 
-    def _forward_cache(self, ids_list):
-        ids, mask, lengths = _pad_batch(ids_list)
+    def _forward_cache(self, batch):
+        ids, mask = batch.padded()
         r = self.radius
         xpad = np.zeros((len(ids), mask.shape[1] + 2 * r, self.emb_dim))
         xpad[:, r : r + mask.shape[1]] = self.params["emb"][ids] * mask[..., None]
         m = _windows(xpad, 2 * r + 1)
         h = np.tanh(m @ self.params["hidden_w"] + self.params["hidden_b"])
         probs = _softmax_rows(h @ self.params["out_w"] + self.params["out_b"])
-        return [p[:n] for p, n in zip(probs, lengths)], (ids, mask, m, h)
+        return [p[:n] for p, n in zip(probs, batch.lengths)], (ids, mask, m, h)
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
         ids, mask, m, h = cache
@@ -400,7 +421,7 @@ def backward_and_step(
 ) -> float:
     """One optimizer step on the batch-mean loss; returns that loss.
 
-    ``outputs, cache = model._forward_cache(ids_list)`` is the batch's
+    ``outputs, cache = model._forward_cache(batch)`` is the batch's
     training forward, and ``targets`` the (rows, K) array of target rows,
     one per row of ``np.vstack(outputs)``.  ``loss_scale`` multiplies the
     whole batch objective, for terms that enter the total loss with their
@@ -423,16 +444,17 @@ def backward_and_step(
     return loss
 
 
-def finite_difference_check(model, ids_list, targets, epsilon: float = 1e-4) -> dict[str, float]:
+def finite_difference_check(model, batch: TokenBatch, targets,
+                            epsilon: float = 1e-4) -> dict[str, float]:
     """Per-block relative error between analytic and central-difference
     gradients of the batch-mean loss against the (rows, K) ``targets``.
     Exhaustive over coordinates, so use a tiny model."""
-    n = len(ids_list)
+    n = len(batch)
 
     def batch_loss():
-        return _loss_and_dlogits(np.vstack(model.forward(ids_list)), targets, n)[0]
+        return _loss_and_dlogits(np.vstack(model.forward(batch)), targets, n)[0]
 
-    outputs, cache = model._forward_cache(ids_list)
+    outputs, cache = model._forward_cache(batch)
     probs = np.vstack(outputs)
     targets = check_targets(targets, probs.shape)
     analytic = model.backward(cache, _loss_and_dlogits(probs, targets, n)[1])

@@ -31,7 +31,8 @@ fresh student against a frozen projected teacher.  A distillation run
 with C = 0 or an empty rule set takes the base code path outright, so its
 parameter trajectory is bit-identical to a base run with the same seed.
 Students are trained and evaluated on whole batches: one padded forward
-and backward pass per minibatch, and one forward per evaluation chunk.
+and backward pass per minibatch, and one forward per evaluation chunk,
+each taken by index from one ``TokenBatch`` of the run's sentences.
 Evaluation sorts records by token count before chunking, so a forward
 pads only to its chunk's longest sentence, and scores tags as index arrays.
 
@@ -293,10 +294,11 @@ def _split_rules(rules: Sequence[Rule], task: str):
 # --- sentiment teacher -------------------------------------------------------
 
 
-def _encode_sentence(vocab: Vocabulary, tokens):
-    """A sentence's ids and its clause-B ids (None without A-but-B)."""
-    st = detect_but(tokens)
-    return vocab.encode(tokens), None if st is None else vocab.encode(st.clause_b)
+def _clause_starts(sentences) -> np.ndarray:
+    """Where each sentence's clause B starts, one past its "but", or 0
+    without an A-but-B structure."""
+    return np.array([0 if (st := detect_but(tokens)) is None else st.split + 1
+                     for tokens in sentences], dtype=int)
 
 
 class SentimentTeacher:
@@ -322,16 +324,16 @@ class SentimentTeacher:
         # Projections left at p because the hard rules exclude every label.
         self.infeasible = 0
 
-    def soft_predict(self, p, clause_b_ids) -> list[np.ndarray]:
-        """Teacher distributions for a batch, given the student's outputs
+    def soft_predict(self, p, batch, clause_starts) -> list[np.ndarray]:
+        """Teacher distributions for ``batch``, given the student's outputs
         ``p`` on its sentences, with one student forward over their B
-        clauses; ``clause_b_ids[i]`` is None when sentence i has no A-but-B
-        structure."""
+        clauses, read from the batch as the suffixes from
+        ``clause_starts`` (``_clause_starts``' offsets)."""
         q = list(p)
-        has_b = [i for i, clause in enumerate(clause_b_ids) if clause is not None]
-        if not has_b or not self.rules:
+        has_b = np.flatnonzero(clause_starts)
+        if not len(has_b) or not self.rules:
             return q
-        clause_sigmas = self.model.forward([clause_b_ids[i] for i in has_b])
+        clause_sigmas = self.model.forward(batch.take(has_b, clause_starts[has_b]))
         base = np.log(np.asarray(p)[has_b])
         problem = ProjectionProblem(
             base, tuple((r.confidence, r.truths(clause_sigmas)) for r in self.rules), self.c)
@@ -342,13 +344,13 @@ class SentimentTeacher:
         if not feasible.all():
             problem = ProjectionProblem(base[feasible], tuple(
                 (lam, truths[feasible]) for lam, truths in problem.groundings), self.c)
-        for i, row in zip(np.asarray(has_b)[feasible], project(problem).probs()):
+        for i, row in zip(has_b[feasible], project(problem).probs()):
             q[i] = row
         return q
 
     def predict_proba(self, tokens) -> np.ndarray:
-        ids, clause = _encode_sentence(self.vocab, tokens)
-        return self.soft_predict(self.model.forward([ids]), [clause])[0]
+        batch = self.vocab.encode([tokens])
+        return self.soft_predict(self.model.forward(batch), batch, _clause_starts([tokens]))[0]
 
 
 # --- NER teacher -------------------------------------------------------------
@@ -541,7 +543,7 @@ class NerTeacher:
 
         def decode(chunk):
             tokens = [[s.tokens for s in doc] for _, doc in chunk]
-            sigmas = self.model.forward([self.vocab.encode(t) for doc in tokens for t in doc])
+            sigmas = self.model.forward(self.vocab.encode([t for doc in tokens for t in doc]))
             return chain_map_decode(self._chains(
                 _regroup(sigmas, [len(doc) for doc in tokens]),
                 [_doc_links(doc) for doc in tokens],
@@ -588,20 +590,6 @@ def _chunked(fn, items, sizes: Sequence[int]):
         yield from fn([items[i] for i in group])
 
 
-def _sorted_labels(predict, records) -> list:
-    """``predict``'s label of each record, in dataset order.  Records are
-    stably sorted by token count and cut into chunks of ``_EVAL_CHUNK``, so
-    each forward pads only to its own chunk's longest sentence and one
-    chunk's distributions are held at a time."""
-    order = sorted(range(len(records)), key=lambda i: len(records[i].tokens))
-    out = [None] * len(records)
-    for start in range(0, len(order), _EVAL_CHUNK):
-        idx = order[start:start + _EVAL_CHUNK]
-        for i, label in zip(idx, predict([records[i] for i in idx])):
-            out[i] = label
-    return out
-
-
 def evaluate(predictor, dataset, task: Optional[str] = None,
              vocab: Optional[Vocabulary] = None,
              scheme: Optional[TagScheme] = None) -> EvalReport:
@@ -609,42 +597,47 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
 
     Students need ``vocab`` (and ``scheme`` for tagging); teachers carry
     their own.  The task is inferred from the record type when omitted.
+    Records are encoded once and stably sorted by token count into chunks
+    of ``_EVAL_CHUNK``, so a forward pads only to its chunk's longest
+    sentence and one chunk's outputs are held at a time.
     """
-    dataset = list(dataset)
-    if not dataset:
+    records = list(dataset)
+    if not records:
         raise ValueError("empty evaluation dataset")
     if task is None:
-        task = "sentiment" if isinstance(dataset[0], LabeledSentence) else "ner"
+        task = "sentiment" if isinstance(records[0], LabeledSentence) else "ner"
+    if task == "ner":
+        docs = group_documents(records)
+        records = [s for doc in docs for s in doc]
+        if isinstance(predictor, NerTeacher):
+            return _tagging_report(predictor.scheme, records,
+                                   np.concatenate(predictor._paths(docs)))
 
+    model, teacher = predictor, None
     if task == "sentiment" and isinstance(predictor, SentimentTeacher):
-        def forward(chunk):
-            ids, clauses = zip(*(_encode_sentence(predictor.vocab, s.tokens) for s in chunk))
-            return predictor.soft_predict(predictor.model.forward(ids), clauses)
-    elif not (task == "ner" and isinstance(predictor, NerTeacher)):
-        if vocab is None or (task == "ner" and scheme is None):
-            raise ValueError("student evaluation needs a vocabulary, and tagging a scheme")
-
-        def forward(chunk):
-            return predictor.forward([vocab.encode(s.tokens) for s in chunk])
-
-    if task == "sentiment":
-        labels = _sorted_labels(lambda chunk: np.argmax(forward(chunk), axis=1), dataset)
-        acc = float(np.mean(np.array(labels) == [s.label for s in dataset]))
-        return EvalReport(task="sentiment", n=len(dataset), accuracy=acc)
-
-    docs = group_documents(dataset)
-    sents = [s for doc in docs for s in doc]
-    if isinstance(predictor, NerTeacher):
-        return _tagging_report(predictor.scheme, sents, np.concatenate(predictor._paths(docs)))
-
-    def predict(chunk):
-        p = np.concatenate(forward(chunk))
-        if p.shape[1] != scheme.n_tags:
+        model, teacher, vocab = predictor.model, predictor, predictor.vocab
+        clause_starts = _clause_starts([s.tokens for s in records])
+    elif vocab is None or (task == "ner" and scheme is None):
+        raise ValueError("student evaluation needs a vocabulary, and tagging a scheme")
+    batch = vocab.encode([s.tokens for s in records])
+    order = np.argsort(batch.lengths, kind="stable")
+    labels = np.empty(len(batch) if task == "sentiment" else len(batch.ids), dtype=int)
+    for start in range(0, len(order), _EVAL_CHUNK):
+        idx = order[start:start + _EVAL_CHUNK]
+        chunk = batch.take(idx)
+        p = model.forward(chunk)
+        if teacher is not None:
+            p = teacher.soft_predict(p, chunk, clause_starts[idx])
+        p = np.vstack(p)
+        if task == "ner" and p.shape[1] != scheme.n_tags:
             raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
                              f"has {scheme.n_tags}")
-        return np.split(p.argmax(axis=1), np.cumsum([len(s) for s in chunk])[:-1])
+        labels[idx if task == "sentiment" else batch.positions(idx)] = p.argmax(axis=1)
 
-    return _tagging_report(scheme, sents, np.concatenate(_sorted_labels(predict, sents)))
+    if task == "sentiment":
+        acc = float(np.mean(labels == [s.label for s in records]))
+        return EvalReport(task="sentiment", n=len(records), accuracy=acc)
+    return _tagging_report(scheme, records, labels)
 
 
 # --- training ----------------------------------------------------------------
@@ -664,27 +657,29 @@ class TrainResult:
 class _Unit:
     """What one shuffle moves: a sentence for classification, a whole
     document for tagging (so every teacher group is built in full).
-    ``ids`` holds one entry per sentence; ``hard`` is the (rows, K) array of
-    hard target rows (a row per sentence, or per position, in sentence
-    order), None for an unlabeled unit; ``rule_input`` is what the teacher
-    reads besides the student's outputs (clause-B ids, or the document's
-    tokens, from which list links are detected)."""
+    ``rows`` indexes its sentences in the driver's batch; ``hard`` is the
+    (rows, K) array of hard target rows (a row per sentence, or per
+    position, in sentence order), None for an unlabeled unit; ``rule_input``
+    is what the teacher reads besides the student's outputs (the clause-B
+    offset, or the document's tokens, from which list links are detected)."""
 
-    ids: list
+    rows: np.ndarray
     hard: Optional[np.ndarray]
     rule_input: object = None
 
 
 class _Driver:
     """Task plumbing for the training loop: the units and the batches of an
-    epoch.  The units' hard target rows are checked once, here.  Task
-    subclasses add ``soft_targets(teacher, outputs, units)``: the teacher's
-    q for each sentence of a batch, given the student's outputs on them."""
+    epoch, over one ``TokenBatch`` of every sentence, encoded once.  The
+    units' hard target rows are checked once, here.  Task subclasses add
+    ``soft_targets(teacher, outputs, batch, units)``: the teacher's q for
+    each sentence of a batch, given the student's outputs on them."""
 
     scheme: Optional[TagScheme] = None
 
-    def __init__(self, config: TrainConfig, units, u_units=()):
+    def __init__(self, config: TrainConfig, sentences, units, u_units=()):
         self.config = config
+        self.sentences = sentences
         self.units = units
         self.u_units = list(u_units)
         if units:
@@ -695,7 +690,7 @@ class _Driver:
 
     def _split(self, order, units):
         """Shuffled units in batches of about batch_size sentences."""
-        sizes = [len(units[int(u)].ids) for u in order]
+        sizes = [len(units[int(u)].rows) for u in order]
         return [[units[int(order[i])] for i in group]
                 for group in _pack(sizes, self.config.batch_size)]
 
@@ -716,17 +711,13 @@ class _SentimentDriver(_Driver):
     def __init__(self, config: TrainConfig, train, unlabeled=()):
         train, unlabeled = list(train), list(unlabeled)
         self.n_classes = max(2, max(s.label for s in train) + 1)
-        self.vocab = Vocabulary.build([s.tokens for s in train + unlabeled])
+        tokens = [s.tokens for s in train + unlabeled]
+        self.vocab = Vocabulary.build(tokens)
         one_hot = np.eye(self.n_classes)
-        super().__init__(
-            config,
-            [self._unit(s, one_hot[[s.label]]) for s in train],
-            [self._unit(s, None) for s in unlabeled],
-        )
-
-    def _unit(self, sentence, hard):
-        ids, clause = _encode_sentence(self.vocab, sentence.tokens)
-        return _Unit([ids], hard, clause)
+        hard = [one_hot[[s.label]] for s in train] + [None] * len(unlabeled)
+        units = [_Unit(np.array([i]), h, int(start))
+                 for i, (h, start) in enumerate(zip(hard, _clause_starts(tokens)))]
+        super().__init__(config, self.vocab.encode(tokens), units[:len(train)], units[len(train):])
 
     def init_model(self, seed: int):
         cfg = self.config
@@ -739,8 +730,8 @@ class _SentimentDriver(_Driver):
             seed=seed,
         )
 
-    def soft_targets(self, teacher, outputs, units):
-        return teacher.soft_predict(outputs, [u.rule_input for u in units])
+    def soft_targets(self, teacher, outputs, batch, units):
+        return teacher.soft_predict(outputs, batch, np.array([u.rule_input for u in units]))
 
 
 class _NerDriver(_Driver):
@@ -751,19 +742,18 @@ class _NerDriver(_Driver):
             {t.split("-", 1)[1] for doc in docs + u_docs for s in doc for t in s.tags if t != "O"}
         )
         self.scheme = TagScheme(tuple(cats))
-        self.vocab = Vocabulary.build([s.tokens for doc in docs + u_docs for s in doc])
+        tokens = [s.tokens for doc in docs + u_docs for s in doc]
+        self.vocab = Vocabulary.build(tokens)
         # Each document's linked sites and links, detected on its first
         # teacher use; base mode never builds a teacher and so detects none.
         self.links: dict[_Unit, list] = {}
-        super().__init__(config, [self._unit(d) for d in docs], [self._unit(d) for d in u_docs])
-
-    def _unit(self, doc):
         one_hot = np.eye(self.scheme.n_tags)
-        return _Unit(
-            [self.vocab.encode(s.tokens) for s in doc],
-            one_hot[[self.scheme.index(t) for s in doc for t in s.tags]],
-            [s.tokens for s in doc],
-        )
+        starts = np.cumsum([0] + [len(doc) for doc in docs + u_docs])
+        units = [_Unit(np.arange(start, start + len(doc)),
+                       one_hot[[self.scheme.index(t) for s in doc for t in s.tags]],
+                       [s.tokens for s in doc])
+                 for start, doc in zip(starts, docs + u_docs)]
+        super().__init__(config, self.vocab.encode(tokens), units[:len(docs)], units[len(docs):])
 
     def init_model(self, seed: int):
         cfg = self.config
@@ -776,12 +766,12 @@ class _NerDriver(_Driver):
             seed=seed,
         )
 
-    def soft_targets(self, teacher, outputs, units):
+    def soft_targets(self, teacher, outputs, batch, units):
         for unit in units:
             if unit not in self.links:
                 self.links[unit] = _doc_links(unit.rule_input)
         seeds = [int(self.teacher_rng.integers(2**31 - 1)) for _ in units]
-        return teacher.soft_predict(_regroup(outputs, [len(u.ids) for u in units]),
+        return teacher.soft_predict(_regroup(outputs, [len(u.rows) for u in units]),
                                     [self.links[u] for u in units], seeds)
 
 
@@ -799,10 +789,11 @@ def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 
         pi = pi_at(epoch)
         losses = []
         for labeled, units in driver.batches(rng, pi):
-            outputs, cache = model._forward_cache([ids for u in units for ids in u.ids])
+            batch = driver.sentences.take(np.concatenate([u.rows for u in units]))
+            outputs, cache = model._forward_cache(batch)
             targets = np.concatenate([u.hard for u in units]) if labeled else None
             if teacher is not None and pi > 0.0:
-                q = np.vstack(driver.soft_targets(teacher, outputs, units))
+                q = np.vstack(driver.soft_targets(teacher, outputs, batch, units))
                 targets = q if targets is None else (1.0 - pi) * targets + pi * q
             losses.append(backward_and_step(model, outputs, cache, targets, opt,
                                             loss_scale=1.0 if labeled else pi))
@@ -921,16 +912,16 @@ def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
     stage1 = _train(config, driver, rules, dev, distill=False)
     teacher = stage1.teacher
     # Teacher targets from the frozen model are static: compute them once,
-    # as stage 2's hard target rows, one unit per sentence.
+    # as stage 2's hard rows, one unit per sentence in the driver's order.
     driver.teacher_rng = np.random.default_rng((config.seed, 3))
 
     def frozen_q(units):
-        p = teacher.model.forward([ids for unit in units for ids in unit.ids])
-        return driver.soft_targets(teacher, p, units)
+        batch = driver.sentences.take(np.concatenate([unit.rows for unit in units]))
+        return driver.soft_targets(teacher, teacher.model.forward(batch), batch, units)
 
-    sentences = [ids for unit in driver.units for ids in unit.ids]
-    softs = _chunked(frozen_q, driver.units, [len(unit.ids) for unit in driver.units])
-    fixed = _Driver(config, [_Unit([ids], np.atleast_2d(q)) for ids, q in zip(sentences, softs)])
+    softs = _chunked(frozen_q, driver.units, [len(unit.rows) for unit in driver.units])
+    fixed = _Driver(config, driver.sentences, [_Unit(np.array([i]), np.atleast_2d(q))
+                                               for i, q in enumerate(softs)])
     student = driver.init_model(config.seed + 1)
     history = _fit(student, fixed, None, lambda epoch: 1.0,
                    np.random.default_rng((config.seed, 4)))

@@ -9,7 +9,19 @@ tag-index scoring is held to.
 
 import numpy as np
 
+from ruledistill.predictors import TokenBatch
+
 CRITERION_LINES = []
+
+
+def batch_of(sentences):
+    """A ``TokenBatch`` of 1-d token-id sentences."""
+    return TokenBatch(np.concatenate(sentences), [len(s) for s in sentences])
+
+
+def sentences_of(batch):
+    """A ``TokenBatch``'s sentences as 1-d token-id arrays."""
+    return np.split(batch.ids, batch.starts[1:])
 
 
 def indexed_links(links):

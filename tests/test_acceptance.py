@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from conftest import ref_valid_sequence
+from conftest import batch_of, ref_valid_sequence
 
 from ruledistill.corpus import (
     NerTaskSpec,
@@ -318,7 +318,7 @@ def test_criterion_05_gradient_integrity():
         for _ in range(3):
             cls_ids.append(rng.integers(2, 12, size=int(rng.integers(2, 6))))
             cls_rows.append((1.0 - pi) * onehot(2) + pi * soft(2))
-        for block, err in finite_difference_check(cls, cls_ids, np.stack(cls_rows)).items():
+        for block, err in finite_difference_check(cls, batch_of(cls_ids), np.stack(cls_rows)).items():
             key = f"classifier/{block}@pi={pi}"
             worst[key] = err
         tag_ids, tag_rows = [], []
@@ -328,7 +328,8 @@ def test_criterion_05_gradient_integrity():
             sft = np.stack([soft(5) for _ in range(t_len)])
             tag_ids.append(rng.integers(2, 12, size=t_len))
             tag_rows.append((1.0 - pi) * hard + pi * sft)
-        for block, err in finite_difference_check(tag, tag_ids, np.concatenate(tag_rows)).items():
+        for block, err in finite_difference_check(tag, batch_of(tag_ids),
+                                                  np.concatenate(tag_rows)).items():
             worst[f"tagger/{block}@pi={pi}"] = err
 
     max_err = max(worst.values())

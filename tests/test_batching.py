@@ -5,9 +5,8 @@ sentiment teacher against a projection per row, and the training loop's
 one student forward per step.
 
 The reference below is the one-sentence-at-a-time implementation of both
-models: it strips trailing padding, zero-pads the sentence to the widest
-window (classifier) or by the radius on both sides (tagger), and loops
-over windows.  The batched models must match it within 1e-12 for every
+models: it zero-pads the sentence to the widest window (classifier) or by
+the radius on both sides (tagger), and loops over windows.  The batched models must match it within 1e-12 for every
 sentence of every batch, whatever else shares the batch.  The loss
 reference is a per-sentence mixed target, validated on construction, with
 its own cross-entropies and gradient.  The sentiment teacher's one
@@ -27,7 +26,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import indexed_links, ref_micro_span_prf, ref_spans, ref_valid_sequence
+from conftest import (
+    batch_of,
+    indexed_links,
+    ref_micro_span_prf,
+    ref_spans,
+    ref_valid_sequence,
+    sentences_of,
+)
 
 from ruledistill import predictors, trainer
 from ruledistill.corpus import (
@@ -40,6 +46,7 @@ from ruledistill.corpus import (
 from ruledistill.predictors import (
     SequenceTagger,
     TextClassifier,
+    TokenBatch,
     Vocabulary,
     backward_and_step,
 )
@@ -68,14 +75,6 @@ VOCAB = 9
 # --- per-sentence reference --------------------------------------------------
 
 
-def _strip(ids):
-    ids = np.asarray(ids, dtype=int)
-    end = len(ids)
-    while end > 0 and ids[end - 1] == 0:
-        end -= 1
-    return ids[:end]
-
-
 def _softmax(z):
     e = np.exp(z - z.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
@@ -83,7 +82,7 @@ def _softmax(z):
 
 def ref_forward(model, ids):
     """(probs, cache) of one sentence."""
-    ids = _strip(ids)
+    ids = np.asarray(ids, dtype=int)
     p = model.params
     t0 = len(ids)
     if isinstance(model, TextClassifier):
@@ -210,19 +209,21 @@ class OneByOne:
     def __init__(self, model):
         self.model = model
 
-    def forward(self, ids_list):
-        return [ref_forward(self.model, ids)[0] for ids in ids_list]
+    def forward(self, batch):
+        return [ref_forward(self.model, ids)[0] for ids in sentences_of(batch)]
+
+
+def ref_encode(vocab, tokens):
+    """One sentence's ids by a lookup per token: the reserved strings and
+    tokens outside the vocabulary are unknown."""
+    index = {tok: i for i, tok in enumerate(vocab.tokens) if i > 1}
+    return np.array([index.get(tok, 1) for tok in tokens], dtype=int)
 
 
 # --- strategies --------------------------------------------------------------
 
-# A sentence: content whose last id is not padding, possibly with interior
-# id-0 tokens, followed by trailing padding.
-sentences = st.tuples(
-    st.lists(st.integers(0, VOCAB - 1), min_size=0, max_size=6),
-    st.integers(1, VOCAB - 1),
-    st.integers(0, 3),
-).map(lambda t: np.array(t[0] + [t[1]] + [0] * t[2]))
+# A sentence of one or more ids, id 0 among them.
+sentences = st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=9).map(np.array)
 
 batches = st.lists(sentences, min_size=1, max_size=5)
 
@@ -244,7 +245,7 @@ taggers = st.builds(
 
 def check_batch(model, batch, seed):
     """Batched outputs and gradients equal the per-sentence reference."""
-    probs, cache = model._forward_cache(batch)
+    probs, cache = model._forward_cache(batch_of(batch))
     assert len(probs) == len(batch)
     rng = np.random.default_rng(seed)
     dlogits, expected = [], {k: np.zeros_like(v) for k, v in model.params.items()}
@@ -278,29 +279,30 @@ class TestBatchedMatchesReference:
         lambda: SequenceTagger(VOCAB, 4, emb_dim=3, hidden=5, radius=2, seed=1),
     ])
     def test_short_sentences_interior_zero_and_padding(self, make):
-        # Shorter than the widest window, an interior id 0, trailing
-        # padding, and a long neighbour that widens the padded batch.
+        # Shorter than the widest window, id-0 tokens inside and at the
+        # end, and a long neighbour that widens the padded batch.
         model = make()
         batch = [np.array([3]), np.array([2, 0, 5]), np.array([4, 6, 0, 0]),
                  np.arange(1, 9)]
         check_batch(model, batch, seed=0)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(classifiers, taggers), batches, st.integers(0, 3))
+    @given(st.one_of(classifiers, taggers), batches, st.integers(1, 12))
     def test_padding_invariance(self, model, batch, extra):
-        # Extra trailing padding on every sentence changes no output.
-        padded = [np.concatenate([ids, np.zeros(extra, dtype=int)]) for ids in batch]
-        for a, b in zip(model.forward(batch), model.forward(padded)):
+        # A neighbour longer than every sentence pads the whole batch
+        # further and changes no output.
+        longer = batch + [np.ones(max(len(ids) for ids in batch) + extra, dtype=int)]
+        for a, b in zip(model.forward(batch_of(batch)), model.forward(batch_of(longer))):
             np.testing.assert_allclose(a, b, rtol=0, atol=TOL)
 
     def test_interior_zero_keeps_its_embedding_row(self):
         model = TextClassifier(VOCAB, 2, emb_dim=3, window_sizes=(2,), n_filters=4, seed=2)
-        d = [np.array([1.0, -1.0])]
-        _, cache = model._forward_cache([np.array([2, 0, 3, 0, 0])])
-        assert np.abs(model.backward(cache, d)["emb"][0]).sum() > 0
-        # Trailing padding is no input and gets no gradient.
-        _, cache = model._forward_cache([np.array([2, 3, 0, 0])])
-        assert not model.backward(cache, d)["emb"][0].any()
+        _, cache = model._forward_cache(batch_of([np.array([2, 0, 3, 0, 0])]))
+        assert np.abs(model.backward(cache, [np.array([1.0, -1.0])])["emb"][0]).sum() > 0
+        # Batch padding past a sentence's end is no input and gets no
+        # gradient.
+        _, cache = model._forward_cache(batch_of([np.array([2, 3]), np.array([4, 5, 6, 7])]))
+        assert not model.backward(cache, np.array([[1.0, -1.0], [-0.5, 0.5]]))["emb"][0].any()
 
 
 class Capture:
@@ -327,7 +329,7 @@ class TestBatchLossMatchesReference:
            st.sampled_from(["labeled", "unlabeled", "stage2"]), st.integers(0, 2**16))
     def test_loss_and_gradients(self, model, batch, pi, kind, seed):
         rng = np.random.default_rng(seed)
-        outputs, cache = model._forward_cache(batch)
+        outputs, cache = model._forward_cache(batch_of(batch))
         n, scale = len(outputs), (pi if kind == "unlabeled" else 1.0)
         refs, rows = [], []
         for p in outputs:
@@ -362,20 +364,23 @@ class TestBatchValidation:
     ])
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_all_padding_sentence_raises(self, model, where):
+        # A sentence without a token, all padding in the padded layout, is
+        # rejected when its batch is built; one of id-0 tokens is input.
         batch = [np.array([2, 3]), np.array([4, 5, 6])]
         batch.insert(where, np.array([0, 0, 0]))
-        with pytest.raises(ValueError, match="no non-padding"):
-            model.forward(batch)
+        outputs = model.forward(batch_of(batch))
+        np.testing.assert_allclose(outputs[where], ref_forward(model, batch[where])[0],
+                                   rtol=0, atol=TOL)
         batch[where] = np.array([], dtype=int)
-        with pytest.raises(ValueError, match="no non-padding"):
-            model.forward(batch)
+        with pytest.raises(ValueError, match="needs a token"):
+            batch_of(batch)
 
     @pytest.mark.parametrize("model", [
         TextClassifier(VOCAB, 2, emb_dim=3, n_filters=2),
         SequenceTagger(VOCAB, 2, emb_dim=3, hidden=4, radius=1),
     ])
     def test_step_rejects_bad_targets(self, model):
-        outputs, cache = model._forward_cache([np.array([2, 3]), np.array([4, 5, 6])])
+        outputs, cache = model._forward_cache(batch_of([np.array([2, 3]), np.array([4, 5, 6])]))
         good = np.tile([1.0, 0.0], (len(np.vstack(outputs)), 1))
         backward_and_step(model, outputs, cache, good, Capture())
         for bad, match in [(good[1:], "shape"), (good[:, :1], "shape"),
@@ -386,12 +391,17 @@ class TestBatchValidation:
             backward_and_step(model, [], cache, good[:0], Capture())
 
     def test_empty_batch_and_bare_id_array_rejected(self):
-        model = TextClassifier(VOCAB, 2, emb_dim=3, n_filters=2)
         with pytest.raises(ValueError, match="empty batch"):
-            model.forward([])
-        # A bare id array is a list of scalars, not of sentences.
+            TokenBatch(np.array([], dtype=int), np.array([], dtype=int))
+        # Lengths that do not add up to the ids, and a bare id array
+        # without one length per sentence.
+        for lengths in ([2], [2, 2], [1, 1, 1, 1]):
+            with pytest.raises(ValueError, match="add up to"):
+                TokenBatch(np.array([2, 3, 4]), lengths)
         with pytest.raises(ValueError, match="1-d"):
-            model.forward(np.array([2, 3, 4]))
+            TokenBatch(np.array([2, 3, 4]), 3)
+        with pytest.raises(ValueError, match="1-d"):
+            TokenBatch(np.array([[2, 3, 4]]), [3])
 
 
 class Recorder:
@@ -405,9 +415,9 @@ class Recorder:
     def __getattr__(self, name):
         return getattr(self.model, name)
 
-    def forward(self, ids_list):
-        self.sizes.append(len(ids_list))
-        return self.model.forward(ids_list)
+    def forward(self, batch):
+        self.sizes.append(len(batch))
+        return self.model.forward(batch)
 
 
 class TestChunkedEvaluate:
@@ -418,7 +428,7 @@ class TestChunkedEvaluate:
         data = gen_synthetic_sentiment(seed=5, n=40)
         vocab = Vocabulary.build([s.tokens for s in data])
         model = TextClassifier(len(vocab), 2, emb_dim=4, n_filters=3, seed=3)
-        labels = [int(np.argmax(ref_forward(model, vocab.encode(s.tokens))[0])) for s in data]
+        labels = [int(np.argmax(ref_forward(model, ref_encode(vocab, s.tokens))[0])) for s in data]
         # Score each sentence against its per-sentence label: accuracy 1
         # exactly when every batched label agrees.
         relabeled = [LabeledSentence(s.tokens, k) for s, k in zip(data, labels)]
@@ -445,7 +455,7 @@ class TestChunkedEvaluate:
         relabeled = [
             TaggedSentence(s.tokens,
                            tuple(scheme.tags[k] for k in
-                                 ref_forward(model, vocab.encode(s.tokens))[0].argmax(axis=1)),
+                                 ref_forward(model, ref_encode(vocab, s.tokens))[0].argmax(axis=1)),
                            s.doc_id)
             for s in data
         ]
@@ -460,33 +470,43 @@ class TestChunkedEvaluate:
     @settings(max_examples=15, deadline=None)
     @given(st.integers(1, 10), st.integers(1, 40), st.integers(0, 2**16))
     def test_length_sorted_chunks_match_one_sentence_at_a_time(self, chunk, n, seed):
-        # Sentences of shuffled lengths, in shuffled order: each report
-        # equals one scored from one forward per sentence, and no forward
-        # sees more than a chunk.
+        # Sentences of shuffled lengths, in shuffled order, so tagging
+        # records of several documents arrive interleaved; some tokens are
+        # outside the vocabulary, and some are the reserved strings, at the
+        # end of a sentence too.  Each report equals one scored from one
+        # forward per sentence on per-token ids, and no forward sees more
+        # than a chunk.
         rng = np.random.default_rng(seed)
 
         def cut(data, *fields):
-            """Up to n records in random order, each cut to a random length."""
-            return [replace(data[i], **{f: getattr(data[i], f)[:k] for f in fields})
-                    for i, k in zip(rng.permutation(len(data))[:n], rng.integers(1, 40, size=n))]
+            """Up to n records in random order, each cut to a random length,
+            with some tokens replaced by reserved or unseen strings."""
+            out = []
+            for i, k in zip(rng.permutation(len(data))[:n], rng.integers(1, 40, size=n)):
+                rec = replace(data[i], **{f: getattr(data[i], f)[:k] for f in fields})
+                odd = rng.choice(["<pad>", "<unk>", "unseen"], size=len(rec.tokens))
+                tokens = np.where(rng.random(len(rec.tokens)) < 0.1, odd, rec.tokens)
+                out.append(replace(rec, tokens=tuple(str(t) for t in tokens)))
+            return out
 
         sent = cut(gen_synthetic_sentiment(seed=seed, n=n), "tokens")
-        ner = cut(gen_synthetic_ner(seed=seed, n_docs=4), "tokens", "tags")
-        vocab = Vocabulary.build([s.tokens for s in sent + ner])
+        ner = cut(gen_synthetic_ner(seed=seed, n_docs=6), "tokens", "tags")
+        vocab = Vocabulary.build([s.tokens for s in sent[: n // 2] + ner[: n // 2]])
         scheme = TagScheme(("LOC", "ORG", "PER"))
         classifier = TextClassifier(len(vocab), 2, emb_dim=4, n_filters=3, seed=seed)
         tagger = SequenceTagger(len(vocab), scheme.n_tags, emb_dim=4, hidden=5, radius=1,
                                 seed=seed)
         teacher = SentimentTeacher(Recorder(classifier), vocab, (but_rule(confidence=1.0),), 6.0)
         one = {
-            "p": [classifier.forward([vocab.encode(s.tokens)])[0] for s in sent],
+            "p": [ref_forward(classifier, ref_encode(vocab, s.tokens))[0] for s in sent],
             "q": [teacher.predict_proba(s.tokens) for s in sent],
         }
         teacher.model.sizes.clear()
         expect = {key: trainer.EvalReport(task="sentiment", n=len(sent), accuracy=float(
             np.mean([np.argmax(p) == s.label for p, s in zip(probs, sent)])))
             for key, probs in one.items()}
-        tags = [[scheme.tags[k] for k in tagger.forward([vocab.encode(s.tokens)])[0].argmax(axis=1)]
+        tags = [[scheme.tags[k]
+                 for k in ref_forward(tagger, ref_encode(vocab, s.tokens))[0].argmax(axis=1)]
                 for s in ner]
         prec, rec, f1 = ref_micro_span_prf([ref_spans(scheme, s.tags) for s in ner],
                                            [ref_spans(scheme, t) for t in tags])
@@ -524,7 +544,7 @@ class TestNerTeacherBatching:
     def test_document_targets_alone_and_in_any_batch(self):
         teacher = self.teacher()
         docs = group_documents(self.DATA)
-        sigmas = [teacher.model.forward([teacher.vocab.encode(s.tokens) for s in doc])
+        sigmas = [teacher.model.forward(teacher.vocab.encode([s.tokens for s in doc]))
                   for doc in docs]
         links = [trainer._doc_links([s.tokens for s in doc]) for doc in docs]
         seeds = [11 * d + 1 for d in range(len(docs))]
@@ -579,14 +599,15 @@ class TestNerTeacherBatching:
 
 
 class _ClauseTable:
-    """A classifier whose output on clause ``[i]`` is row i of a table."""
+    """A classifier whose output on a clause starting with id i is row i of
+    a table."""
 
     def __init__(self, sigmas):
         self.sigmas = sigmas
         self.n_classes = sigmas.shape[1]
 
-    def forward(self, ids_list):
-        return self.sigmas[[ids[0] for ids in ids_list]]
+    def forward(self, batch):
+        return self.sigmas[batch.ids[batch.starts]]
 
 
 _ORACLE_RULES = {
@@ -606,7 +627,7 @@ def ref_sentiment_soft_predict(teacher, p, clause_b_ids):
     has_b = [i for i, clause in enumerate(clause_b_ids) if clause is not None]
     if not has_b:
         return q
-    sigmas = teacher.model.forward([clause_b_ids[i] for i in has_b])
+    sigmas = teacher.model.forward(batch_of([np.asarray(clause_b_ids[i]) for i in has_b]))
     for i, sigma in zip(has_b, sigmas):
         truths = tuple((rule.confidence, rule.truths(sigma[None])[0]) for rule in teacher.rules)
         try:
@@ -667,7 +688,9 @@ class TestSentimentTeacherBatching:
         model = _ClauseTable(rng.dirichlet(np.ones(2), size=n))
         rules = [_ORACLE_RULES[name](float(rng.choice((0.5, 1.0, 3.0)))) for name in names]
         teacher, oracle = (SentimentTeacher(model, None, rules, c) for _ in range(2))
-        q = teacher.soft_predict(p, clauses)
+        # Sentence i is [n + i, i], with clause B [i] when it has one.
+        batch = TokenBatch(np.stack([n + np.arange(n), np.arange(n)], axis=1).ravel(), [2] * n)
+        q = teacher.soft_predict(p, batch, np.array([0 if cl is None else 1 for cl in clauses]))
         expect = ref_sentiment_soft_predict(oracle, p, clauses)
         assert len(q) == n and all(np.array_equal(a, b) for a, b in zip(q, expect))
         assert teacher.infeasible == oracle.infeasible

@@ -403,6 +403,16 @@ class TestEvalCommand:
             "--use-teacher", "--rules", "but()", flag, value,
         ]) == 2
 
+    def test_rules_without_teacher_exit_2_before_printing(self, data_dir, sent_ckpt, capsys):
+        # The student is scored without rules, so rules it would ignore
+        # are an error, not a no-op.
+        assert run([
+            "eval", "--checkpoint", str(sent_ckpt),
+            "--test", str(data_dir / "test.tsv"), "--rules", "but()",
+        ]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "--use-teacher" in out.err
+
     def test_hard_list_rule_exit_2_before_writing(self, data_dir, ner_ckpt, tmp_path, capsys):
         out_file = tmp_path / "eval.txt"
         assert run([

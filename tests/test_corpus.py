@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 from conftest import ref_valid_sequence
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ruledistill import corpus
 from ruledistill.corpus import (
     CorpusFormatError,
     LabeledSentence,
@@ -105,6 +108,24 @@ class TestConllFormat:
         assert [[s.tokens[0] for s in d] for d in docs] == [["b"], ["c", "a"]]
 
 
+@st.composite
+def list_sentences(draw):
+    """A sentence of marker-led items: dashes, number markers (numbered
+    from 1 or not) and unusual tokens, each followed by up to three words."""
+    odd = st.one_of(st.sampled_from(["1.\n", "\u0661.", "-1.", "3.5", "..", " - ", "", "."]),
+                    st.text(max_size=3))
+    words = st.lists(st.sampled_from(["Ashford", "Dover", "Kent", ",", "kent", "-"]),
+                     max_size=3)
+    sequential = draw(st.booleans())
+    tokens, number = list(draw(words)), 0
+    for kind in draw(st.lists(st.sampled_from(["dash", "number", "number", "odd"]), max_size=8)):
+        if kind == "number":
+            number = number + 1 if sequential else draw(st.integers(0, 5))
+        marker = {"dash": "-", "number": f"{number}."}.get(kind) or draw(odd)
+        tokens += [marker] + draw(words)
+    return tuple(tokens)
+
+
 class TestDetectLists:
     def groups(self, sentences):
         return detect_lists([tuple(s.split()) for s in sentences])
@@ -192,6 +213,19 @@ class TestDetectLists:
         ]
         gs = detect_lists(sents, doc_id=4)
         assert len(gs) == 1 and gs[0].doc_id == 4
+
+    @settings(max_examples=300, deadline=None)
+    @given(list_sentences())
+    # The smallest lists: three markers or three dashes and nothing else.
+    @example(("1.", "Ashford", "2.", "Dover", "3.", "Kent"))
+    @example(("-", "Ashford", "-", "Dover", "-", "Kent"))
+    def test_skipped_scan_finds_no_list(self, tokens):
+        # Detection skips a sentence's scan on a count of its dashes and
+        # periods; in a one-sentence document, which has no inter-sentence
+        # list, that must give what the full scan of the sentence finds.
+        tokens = tuple(tokens)
+        full = corpus._intra_sentence_groups(0, 0, tokens)
+        assert detect_lists([tokens]) == sorted(full, key=lambda g: g.items[0].start)
 
     def test_group_needs_three_items(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,10 @@ target rows, and checkpoints."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import batch_of
 
 from ruledistill import predictors
 from ruledistill.predictors import (
@@ -23,9 +27,32 @@ class TestVocabulary:
     def test_build_and_encode(self):
         vocab = Vocabulary.build([["a", "b", "a"], ["c", "a"]])
         assert len(vocab) == 5  # pad, unk, a, b, c
-        np.testing.assert_array_equal(
-            vocab.encode(["a", "zzz", "c"]), [2, 1, vocab.encode(["c"])[0]]
-        )
+        batch = vocab.encode([["a", "zzz", "c"], ["c"]])
+        np.testing.assert_array_equal(batch.ids, [2, 1, 4, 4])
+        np.testing.assert_array_equal(batch.lengths, [3, 1])
+
+    def test_reserved_tokens_are_unknown(self):
+        # A corpus may hold the reserved strings as tokens: they get no
+        # entry of their own, and encode as unknown, never as padding.
+        vocab = Vocabulary.build([["Paris", "is", "<pad>"], ["<unk>", "Paris"]])
+        assert vocab.tokens == ("<pad>", "<unk>", "Paris", "is")
+        batch = vocab.encode([["Paris", "is", "<pad>"], ["<unk>"]])
+        np.testing.assert_array_equal(batch.ids, [2, 3, 1, 1])
+        np.testing.assert_array_equal(batch.lengths, [3, 1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "c", "<pad>", "<unk>", "", " "])),
+                    min_size=1),
+           st.lists(st.lists(st.sampled_from(["a", "b", "<pad>", "<unk>", "z", "", "B"]),
+                             min_size=1), min_size=1))
+    def test_encode_is_a_lookup_per_token(self, corpus, sentences):
+        # The one-pass batch encoder against a per-token dict lookup with
+        # the unknown id as the fallback.
+        vocab = Vocabulary.build(corpus)
+        index = {tok: i for i, tok in enumerate(vocab.tokens) if i > 1}
+        batch = vocab.encode(sentences)
+        assert batch.ids.tolist() == [index.get(t, 1) for s in sentences for t in s]
+        assert batch.lengths.tolist() == [len(s) for s in sentences]
 
     def test_frequency_then_lexical_order(self):
         vocab = Vocabulary.build([["b", "b", "a", "c", "c"]])
@@ -54,7 +81,7 @@ class TestMixedTarget:
         # The batch loss against the blend is the batch mean of the
         # pi-weighted hard and soft cross-entropies.
         model = TextClassifier(vocab_size=9, n_classes=2, emb_dim=3, n_filters=2, seed=1)
-        ids = [np.array([2, 3]), np.array([4, 5, 6])]
+        ids = batch_of([np.array([2, 3]), np.array([4, 5, 6])])
         p = np.vstack(model.forward(ids))
         ce_h = -np.sum(self.HARD * np.log(p), axis=1)
         ce_s = -np.sum(self.SOFT * np.log(p), axis=1)
@@ -71,7 +98,7 @@ class TestMixedTarget:
 
     def test_validation(self):
         model = TextClassifier(vocab_size=9, n_classes=2, emb_dim=3, n_filters=2, seed=1)
-        outputs, cache = model._forward_cache([np.array([2, 3])])
+        outputs, cache = model._forward_cache(batch_of([np.array([2, 3])]))
         for bad, match in [
             (np.array([[0.9, 0.0]]), "sum to 1"),  # not a distribution
             (np.array([[1.5, -0.5]]), "nonnegative"),
@@ -90,7 +117,7 @@ class TestModels:
     def test_classifier_forward_shape_and_normalization(self):
         model = TextClassifier(vocab_size=11, n_classes=2, emb_dim=4,
                                n_filters=3, seed=0)
-        (probs,) = model.forward([np.array([2, 5, 7, 3])])
+        (probs,) = model.forward(batch_of([np.array([2, 5, 7, 3])]))
         assert probs.shape == (2,)
         assert probs.sum() == pytest.approx(1.0)
         assert (probs > 0).all()
@@ -99,14 +126,14 @@ class TestModels:
         # Sentences shorter than the largest window still classify.
         model = TextClassifier(vocab_size=11, n_classes=2,
                                window_sizes=(2, 3), seed=0)
-        (probs,) = model.forward([np.array([4])])
+        (probs,) = model.forward(batch_of([np.array([4])]))
         assert probs.shape == (2,)
         assert probs.sum() == pytest.approx(1.0)
 
     def test_tagger_forward_shape(self):
         model = SequenceTagger(vocab_size=11, n_tags=5, emb_dim=4, hidden=6,
                                radius=1, seed=0)
-        (probs,) = model.forward([np.array([2, 3, 4])])
+        (probs,) = model.forward(batch_of([np.array([2, 3, 4])]))
         assert probs.shape == (3, 5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -121,7 +148,7 @@ class TestModels:
     def test_training_step_reduces_loss(self):
         model = TextClassifier(vocab_size=9, n_classes=2, emb_dim=4,
                                n_filters=3, seed=0)
-        ids = [np.array([2, 3]), np.array([4, 5])]
+        ids = batch_of([np.array([2, 3]), np.array([4, 5])])
         targets = np.eye(2)
         opt = Adadelta()
         first = backward_and_step(model, *model._forward_cache(ids), targets, opt)
@@ -133,7 +160,8 @@ class TestModels:
         # Spot check; the exhaustive sweep runs in the acceptance suite.
         cls = TextClassifier(vocab_size=8, n_classes=2, emb_dim=3,
                              window_sizes=(2,), n_filters=2, seed=1)
-        report = finite_difference_check(cls, [np.array([2, 3, 4])], np.array([[1.0, 0.0]]))
+        report = finite_difference_check(cls, batch_of([np.array([2, 3, 4])]),
+                                         np.array([[1.0, 0.0]]))
         assert max(report.values()) < 1e-4
 
     def test_backward_and_step_rejects_empty(self):
@@ -161,7 +189,7 @@ class TestCheckpoint:
         (loaded, vocab2, extra), vocab = self.roundtrip(tmp_path, model)
         assert vocab2.tokens == vocab.tokens
         assert extra == {}
-        ids = [np.array([2, 3, 4])]
+        ids = batch_of([np.array([2, 3, 4])])
         np.testing.assert_allclose(loaded.forward(ids), model.forward(ids),
                                    atol=1e-15)
 

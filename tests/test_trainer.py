@@ -144,8 +144,8 @@ class TestEvaluate:
         def __init__(self, p):
             self.p = p
 
-        def forward(self, ids_list):
-            return [np.array([1.0 - self.p, self.p]) for _ in ids_list]
+        def forward(self, batch):
+            return [np.array([1.0 - self.p, self.p]) for _ in range(len(batch))]
 
     def test_classification_accuracy(self):
         from ruledistill.predictors import Vocabulary
@@ -171,14 +171,14 @@ class TestEvaluate:
             kind = "sequence_tagger"
             n_tags = scheme.n_tags
 
-            def forward(self, ids_list):
+            def forward(self, batch):
                 # Predict S-LOC, S-LOC, O: one true span, one false
                 # positive, one miss.
                 out = np.full((3, scheme.n_tags), 1e-6)
                 out[0, scheme.index("S-LOC")] = 1.0
                 out[1, scheme.index("S-LOC")] = 1.0
                 out[2, scheme.index("O")] = 1.0
-                return [out / out.sum(axis=1, keepdims=True) for _ in ids_list]
+                return [out / out.sum(axis=1, keepdims=True) for _ in range(len(batch))]
 
         report = evaluate(FixedTagger(), gold, task="ner", vocab=vocab,
                           scheme=scheme)
@@ -327,9 +327,9 @@ class TestSentimentTeacher:
 
         n_classes = 2
 
-        def forward(self, ids_list):
-            return [np.array([0.9, 0.1]) if len(ids) == 1 else np.array([0.5, 0.5])
-                    for ids in ids_list]
+        def forward(self, batch):
+            return [np.array([0.9, 0.1]) if n == 1 else np.array([0.5, 0.5])
+                    for n in batch.lengths]
 
     def test_sentence_follows_clause_b(self):
         from ruledistill.predictors import Vocabulary
@@ -449,7 +449,7 @@ class TestTrainNer:
         one, two = teacher(1.0), teacher(0.4, 0.6)
         n_links = 0
         for doc in group_documents(self.DATA):
-            ids = [base.vocab.encode(s.tokens) for s in doc]
+            ids = base.vocab.encode([s.tokens for s in doc])
             links = trainer._doc_links([s.tokens for s in doc])
             n_links += len(links[1])
             sigmas = base.student.forward(ids)
