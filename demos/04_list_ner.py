@@ -72,9 +72,10 @@ def main():
 
     # Show one sentence where the teacher's decode beats the raw argmax.
     for doc, decoded in zip(docs, rd.teacher.predict_tags(docs)):
-        sigmas = rd.student.forward(rd.vocab.encode([s.tokens for s in doc]))
-        for sent, q_tags, sigma in zip(doc, decoded, sigmas):
-            p_tags = [rd.scheme.tags[k] for k in sigma.argmax(axis=1)]
+        batch = rd.vocab.encode([s.tokens for s in doc])
+        p_index = rd.student.forward(batch).argmax(axis=1)
+        for sent, q_tags, start in zip(doc, decoded, batch.starts):
+            p_tags = [rd.scheme.tags[k] for k in p_index[start:start + len(sent.tokens)]]
             if p_tags != list(sent.tags) and q_tags == list(sent.tags):
                 print("\n" + " ".join(sent.tokens))
                 print(f"  gold    {' '.join(sent.tags)}")

@@ -180,8 +180,10 @@ def _parse_one_spec(spec: str) -> tuple[str, dict[str, str]]:
                 continue
             if "=" not in part:
                 raise CliError(f"rule argument must be key=value: {part!r}")
-            k, v = part.split("=", 1)
-            args[k.strip()] = v.strip()
+            k, v = (x.strip() for x in part.split("=", 1))
+            if k in args:
+                raise CliError(f"rule argument {k!r} given twice in {spec!r}")
+            args[k] = v
     else:
         name, args = spec, {}
     return name.strip(), args
@@ -351,6 +353,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     # anything is written.
     if len(set(cfg["seeds"])) != len(cfg["seeds"]):
         raise CliError(f"--seeds repeats a seed: {_fmt_value(cfg['seeds'])}")
+    if cfg["unlabeled"] and cfg["mode"] != "semi":
+        raise CliError(f"--unlabeled applies only to mode 'semi', not {cfg['mode']!r}")
     tcfgs = [_train_config(cfg, seed) for seed in cfg["seeds"]]
 
     train_path = _require_path(cfg["train"], "train")

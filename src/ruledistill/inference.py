@@ -3,11 +3,14 @@
 Two regimes compute the teacher's soft predictions, matched to how the
 rule penalties factor over the output:
 
-* chain: bigram penalties.  A query is a batch of chains of any lengths,
-  padded to (N, T_max, K), with one (K, K) pair table shared by every
-  chain and step (zeros when not given); each pass takes one vectorised
-  step per position across all chains.  The forward-backward marginals
-  and the log normalizers come from scaled passes in probability space:
+* chain: bigram penalties.  A query is a batch of chains of any lengths:
+  one (P, K) array of every chain's position rows, chain after chain, and
+  the chains' lengths, with one (K, K) pair table shared by every chain
+  and step (zeros when not given).  The passes pad the rows to
+  (N, T_max, K) and take one vectorised step per position across all
+  chains; marginals and decoded paths come back as (P, K) and (P,) rows
+  in the query's order.  The forward-backward marginals and the log
+  normalizers come from scaled passes in probability space:
   each step is one matmul of the step-normalized alphas (or betas) with
   exp(pair), and log Z is the sum of the log scale factors.  Where that
   underflows (a step whose mass falls to zero, or far enough below an
@@ -82,38 +85,37 @@ class ChainTeacherQuery:
     """A batch of N label chains over one label space of K labels, with
     bigram log-penalty terms.
 
-    ``log_unary`` holds one (T_n, K) array per chain; lengths may differ.
-    The query keeps them zero-padded to (N, T_max, K), with each chain's
-    length in ``lengths``.  ``log_pair`` is one (K, K) table shared by every
-    chain and step, its entries additive in log space (0 for no penalty,
-    -inf for a forbidden bigram); ``log_start``/``log_end`` hold the (K,)
-    boundary terms of every chain.  Each of the three is zeros when not
-    given.  Construction runs the forward pass, which verifies that each
-    chain has a feasible path; the pass and the (N,) log normalizers
-    ``log_z`` are kept for ``chain_marginals``.
+    ``log_unary`` is one (P, K) array of position rows, chain after chain,
+    and ``lengths`` the N chains' positive lengths, which add up to P.
+    ``log_pair`` is one (K, K) table shared by every chain and step, its
+    entries additive in log space (0 for no penalty, -inf for a forbidden
+    bigram); ``log_start``/``log_end`` hold the (K,) boundary terms of every
+    chain.  Each of the three is zeros when not given.  Construction runs
+    the forward pass, which verifies that each chain has a feasible path;
+    the pass and the (N,) log normalizers ``log_z`` are kept for
+    ``chain_marginals``.
     """
 
-    log_unary: np.ndarray  # N arrays of (T_n, K); padded (N, T_max, K) after init
+    log_unary: np.ndarray  # (P, K)
+    lengths: np.ndarray  # (N,)
     log_pair: Optional[np.ndarray] = None  # (K, K) after init
     log_start: Optional[np.ndarray] = None  # (K,) after init
     log_end: Optional[np.ndarray] = None  # (K,) after init
-    lengths: np.ndarray = field(init=False, repr=False)
     forward: _ScaledPass = field(init=False, repr=False)
     log_z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        rows = [np.asarray(u, dtype=float) for u in self.log_unary]
-        if not rows or any(u.ndim != 2 or u.size == 0 for u in rows):
-            raise ValueError("log_unary must be a non-empty sequence of non-empty "
-                             "(T, K) arrays, one per chain")
-        k = rows[0].shape[1]
-        if any(u.shape[1] != k for u in rows):
-            raise ValueError("all chains must share one label space")
-        lengths = np.array([len(u) for u in rows])
-        valid = np.arange(lengths.max()) < lengths[:, None]
-        lu = np.zeros(valid.shape + (k,))
-        lu[valid] = np.concatenate(rows)
-        object.__setattr__(self, "log_unary", _as_float_array(lu, "log_unary"))
+        lu = _as_float_array(self.log_unary, "log_unary")
+        lengths = np.asarray(self.lengths, dtype=int)
+        if lu.ndim != 2 or not lu.shape[1]:
+            raise ValueError("log_unary must be a (P, K) array of position rows")
+        if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1:
+            raise ValueError("lengths must be a non-empty 1-d array of positive chain lengths")
+        if lengths.sum() != len(lu):
+            raise ValueError(f"chain lengths add up to {lengths.sum()}, "
+                             f"not to {len(lu)} log_unary rows")
+        k = lu.shape[1]
+        object.__setattr__(self, "log_unary", lu)
         object.__setattr__(self, "lengths", lengths)
         for name, shape in (("log_pair", (k, k)), ("log_start", (k,)), ("log_end", (k,))):
             term = getattr(self, name)
@@ -134,28 +136,27 @@ class ChainTeacherQuery:
     @property
     def n_positions(self) -> int:
         """Positions over all chains."""
-        return int(self.lengths.sum())
+        return len(self.log_unary)
 
     @property
     def n_labels(self) -> int:
-        return self.log_unary.shape[2]
+        return self.log_unary.shape[1]
+
+
+def _valid(query: ChainTeacherQuery) -> np.ndarray:
+    """The (N, T_max) mask of each chain's positions in the padded layout."""
+    return np.arange(query.lengths.max()) < query.lengths[:, None]
 
 
 def _folded_unary(query: ChainTeacherQuery) -> np.ndarray:
-    f = query.log_unary.copy()
+    """The unaries zero-padded to (N, T_max, K), with the start and end
+    terms added at each chain's first and last position."""
+    valid = _valid(query)
+    f = np.zeros(valid.shape + (query.n_labels,))
+    f[valid] = query.log_unary
     f[:, 0] += query.log_start
     f[np.arange(len(f)), query.lengths - 1] += query.log_end
     return f
-
-
-def _last(query: ChainTeacherQuery, a: np.ndarray) -> np.ndarray:
-    """Each chain's row of a padded (N, T_max, K) array at its last position."""
-    return a[np.arange(len(a)), query.lengths - 1]
-
-
-def _unpad(query: ChainTeacherQuery, a: np.ndarray) -> list[np.ndarray]:
-    """Each chain's unpadded rows of a padded (N, T_max, ...) array."""
-    return [row[:t] for row, t in zip(a, query.lengths)]
 
 
 # The scaled passes keep every step's forward values summing to 1 and carry
@@ -211,7 +212,7 @@ def _forward(query: ChainTeacherQuery) -> tuple[_ScaledPass, np.ndarray]:
         s = a.sum(axis=1)
         scale[:, t] = s
         alpha[:, t] = a / np.where(s > 0, s, 1.0)[:, None]
-    valid = np.arange(t_max) < query.lengths[:, None]
+    valid = _valid(query)
     zero = valid & (scale == 0)
     log_scale = np.log(np.where(valid & ~zero, scale, 1.0))
     level = np.cumsum(log_scale, axis=1)
@@ -263,12 +264,12 @@ def _log_marginals(f: np.ndarray, log_pair: np.ndarray, lengths) -> np.ndarray:
     return np.exp(_log_normalized(alpha + beta)[0])
 
 
-def chain_marginals(query: ChainTeacherQuery) -> list[np.ndarray]:
-    """Exact per-position marginals of every chain, one (T_n, K) array
-    each.  The backward pass is scaled by the forward pass's factors, so
-    alpha * beta is the marginal: one product per position.  A chain the
-    forward pass rescued, or whose betas overflow, is recomputed in log
-    space."""
+def chain_marginals(query: ChainTeacherQuery) -> np.ndarray:
+    """Exact per-position marginals of every chain, as (P, K) rows in the
+    query's order.  The backward pass is scaled by the forward pass's
+    factors, so alpha * beta is the marginal: one product per position.  A
+    chain the forward pass rescued, or whose betas overflow, is recomputed
+    in log space."""
     fw = query.forward
     lengths = query.lengths
     beta = np.ones_like(fw.alpha)
@@ -284,13 +285,13 @@ def chain_marginals(query: ChainTeacherQuery) -> list[np.ndarray]:
         rows = np.flatnonzero(redo)
         marginals[rows] = _log_marginals(_folded_unary(query)[rows], query.log_pair,
                                          lengths[rows])
-    return _unpad(query, marginals)
+    return marginals[_valid(query)]
 
 
-def chain_map_decode(query: ChainTeacherQuery) -> tuple[list[np.ndarray], np.ndarray]:
+def chain_map_decode(query: ChainTeacherQuery) -> tuple[np.ndarray, np.ndarray]:
     """Max-product decode of every chain: the highest-probability label
-    paths and their (N,) log scores (unnormalized).  Per-step ties break
-    toward the lower label index.
+    paths, as (P,) labels in the query's order, and their (N,) log scores
+    (unnormalized).  Per-step ties break toward the lower label index.
     """
     f = _folded_unary(query)
     n, t_max, k = f.shape
@@ -301,7 +302,7 @@ def chain_map_decode(query: ChainTeacherQuery) -> tuple[list[np.ndarray], np.nda
         scores = delta[:, t - 1, :, None] + query.log_pair
         back[:, t] = np.argmax(scores, axis=1)  # first maximum = lowest index
         delta[:, t] = f[:, t] + np.max(scores, axis=1)
-    last = _last(query, delta)
+    last = delta[np.arange(n), query.lengths - 1]
     best = np.argmax(last, axis=1)  # lowest label among equal scores
     paths = np.empty((n, t_max), dtype=int)
     y = best
@@ -310,7 +311,7 @@ def chain_map_decode(query: ChainTeacherQuery) -> tuple[list[np.ndarray], np.nda
         paths[:, t] = y
         if t:
             y = back[np.arange(n), t, y]
-    return _unpad(query, paths), np.max(last, axis=1)
+    return paths[_valid(query)], np.max(last, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -465,8 +466,8 @@ def _init_states(query: GroupTeacherQuery) -> list[np.ndarray]:
         if m.log_pair is None:
             states.append(np.argmax(m.log_unary, axis=1).astype(int))
         else:
-            (path,), _ = chain_map_decode(
-                ChainTeacherQuery(log_unary=[m.log_unary], log_pair=m.log_pair)
+            path, _ = chain_map_decode(
+                ChainTeacherQuery(m.log_unary, [m.n_positions], log_pair=m.log_pair)
             )
             states.append(path)
     return states

@@ -8,27 +8,28 @@ correctness can be established by finite differences rather than trust:
 * SequenceTagger: embeddings, a tanh window MLP around each position,
   per-position softmax outputs (positions conditionally independent).
 
-Training fits each output row to a target row, the blend
-(1 - pi) * hard + pi * q of the hard labels and the teacher's q.  The
-loss is the batch-mean cross-entropy of the target rows against the
-output rows, one expression over the batch's concatenated rows (a row per
-sentence for the classifier, per position for the tagger); its logit
-gradient is output - target.  Log arguments are floored at 1e-12; the
-analytic gradient treats the floor as inactive, which only matters in
-saturated regions.
-
 Both models are batch-native: ``forward`` takes a ``TokenBatch`` (one
 flat id array and the sentence lengths, as ``Vocabulary.encode`` returns
-it) and returns one distribution per sentence, (K,) for the classifier
-and (T_i, K) for the tagger; training takes one forward and one backward
-pass per minibatch.  The batch is scattered into (B, T_max) under its
-position mask, windows are strided views of it, and each conv width (or
-the tagger's hidden layer) is one stacked matmul, so a sentence's outputs
-do not depend on what else shares its batch.  Masks work by position, not
-by id: an id 0 keeps its embedding row, while positions past a sentence's
-end are zero vectors.  The classifier pools only over windows that start
-within max(length, widest window) - w; the tagger's out-of-sentence
-positions get no gradient.
+it) and returns one (rows, K) array of output distributions: a row per
+sentence for the classifier, (B, K), and a row per position for the
+tagger, (P, K), in the order of ``batch.ids``.  Only the batch knows where
+a sentence's rows begin and end.  The batch is scattered into (B, T_max)
+under its position mask, windows are strided views of it, and each conv
+width (or the tagger's hidden layer) is one stacked matmul, so a
+sentence's outputs do not depend on what else shares its batch.  Masks
+work by position, not by id: an id 0 keeps its embedding row, while
+positions past a sentence's end are zero vectors.  The classifier pools
+only over windows that start within max(length, widest window) - w; the
+tagger's out-of-sentence positions get no gradient.
+
+Training takes one forward and one backward pass per minibatch and fits
+each output row to a target row, the blend (1 - pi) * hard + pi * q of
+the hard labels and the teacher's q.  The loss is the cross-entropy of
+the target rows against the output rows, summed in one expression over
+the batch and divided by its number of sentences; its logit gradient is
+(output - target) over that number.  Log arguments are floored at 1e-12;
+the analytic gradient treats the floor as inactive, which only matters in
+saturated regions.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ __all__ = [
     "backward_and_step",
     "check_targets",
     "finite_difference_check",
-    "num_params",
     "save_checkpoint",
     "load_checkpoint",
     "CHECKPOINT_VERSION",
@@ -193,23 +193,23 @@ def _weight_grad(m: np.ndarray, dz: np.ndarray) -> np.ndarray:
 
 class _Model:
     """A batch-native model: ``forward`` takes a ``TokenBatch`` and returns
-    one output distribution per sentence."""
+    its (rows, K) output distributions, in the order of ``batch.ids``."""
 
     kind: str = ""
 
     def __init__(self):
         self.params: dict[str, np.ndarray] = {}
 
-    def forward(self, batch: TokenBatch) -> list[np.ndarray]:
+    def forward(self, batch: TokenBatch) -> np.ndarray:
         return self._forward_cache(batch)[0]
 
     def _forward_cache(self, batch: TokenBatch):
-        """(per-sentence outputs, cache for ``backward``)."""
+        """((rows, K) outputs, cache for ``backward``)."""
         raise NotImplementedError
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
-        """Parameter gradients given the (rows, K) logit gradient: a row
-        per sentence for the classifier, per position for the tagger."""
+        """Parameter gradients given the (rows, K) logit gradient, one row
+        per output row."""
         raise NotImplementedError
 
     def config_dict(self) -> dict:
@@ -276,7 +276,7 @@ class TextClassifier(_Model):
             pooled.append(np.take_along_axis(a, arg, axis=1)[:, 0])
         feat = np.concatenate(pooled, axis=1)
         probs = _softmax_rows(feat @ self.params["out_w"] + self.params["out_b"])
-        return list(probs), (ids, mask, segments, feat)
+        return probs, (ids, mask, segments, feat)
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
         ids, mask, segments, feat = cache
@@ -346,7 +346,7 @@ class SequenceTagger(_Model):
         m = _windows(xpad, 2 * r + 1)
         h = np.tanh(m @ self.params["hidden_w"] + self.params["hidden_b"])
         probs = _softmax_rows(h @ self.params["out_w"] + self.params["out_b"])
-        return [p[:n] for p, n in zip(probs, batch.lengths)], (ids, mask, m, h)
+        return probs[mask], (ids, mask, m, h)
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
         ids, mask, m, h = cache
@@ -410,29 +410,27 @@ def check_targets(targets, shape=None) -> np.ndarray:
 
 def _loss_and_dlogits(probs: np.ndarray, targets: np.ndarray, n: int):
     """Cross-entropy of the target rows against the output rows and its
-    logit gradient, both averaged over the batch's ``n`` sentences."""
+    logit gradient, both divided by the batch's ``n`` sentences."""
     scale = 1.0 / n
     loss = -np.sum(targets * np.log(np.maximum(probs, LOG_FLOOR))) * scale
     return float(loss), (probs - targets) * scale
 
 
 def backward_and_step(
-    model, outputs, cache, targets, optimizer: Adadelta, loss_scale: float = 1.0
+    model, batch: TokenBatch, outputs, cache, targets, optimizer: Adadelta,
+    loss_scale: float = 1.0,
 ) -> float:
-    """One optimizer step on the batch-mean loss; returns that loss.
+    """One optimizer step on the loss averaged over the batch's sentences;
+    returns that loss.
 
     ``outputs, cache = model._forward_cache(batch)`` is the batch's
     training forward, and ``targets`` the (rows, K) array of target rows,
-    one per row of ``np.vstack(outputs)``.  ``loss_scale`` multiplies the
-    whole batch objective, for terms that enter the total loss with their
-    own weight (imitation-only batches).
+    one per output row.  ``loss_scale`` multiplies the whole batch objective, for terms that
+    enter the total loss with their own weight (imitation-only batches).
     """
-    if not outputs:
-        raise ValueError("empty batch")
     if not 0.0 <= loss_scale or not np.isfinite(loss_scale):
         raise ValueError("loss_scale must be finite and nonnegative")
-    probs = np.vstack(outputs)
-    loss, dlogits = _loss_and_dlogits(probs, check_targets(targets, probs.shape), len(outputs))
+    loss, dlogits = _loss_and_dlogits(outputs, check_targets(targets, outputs.shape), len(batch))
     grads = model.backward(cache, dlogits)
     for name, g in grads.items():
         if not np.isfinite(g).all():
@@ -452,10 +450,9 @@ def finite_difference_check(model, batch: TokenBatch, targets,
     n = len(batch)
 
     def batch_loss():
-        return _loss_and_dlogits(np.vstack(model.forward(batch)), targets, n)[0]
+        return _loss_and_dlogits(model.forward(batch), targets, n)[0]
 
-    outputs, cache = model._forward_cache(batch)
-    probs = np.vstack(outputs)
+    probs, cache = model._forward_cache(batch)
     targets = check_targets(targets, probs.shape)
     analytic = model.backward(cache, _loss_and_dlogits(probs, targets, n)[1])
     report = {}
@@ -475,10 +472,6 @@ def finite_difference_check(model, batch: TokenBatch, targets,
         denom = np.linalg.norm(ga) + np.linalg.norm(fd) + 1e-12
         report[name] = float(np.linalg.norm(ga - fd) / denom)
     return report
-
-
-def num_params(model) -> int:
-    return int(sum(v.size for v in model.params.values()))
 
 
 # --- checkpoints -------------------------------------------------------------

@@ -129,10 +129,6 @@ class ButStructure:
         if self.tokens[self.split].casefold() != "but":
             raise ValueError(f"token at split is {self.tokens[self.split]!r}, not 'but'")
 
-    @property
-    def clause_b(self) -> tuple[str, ...]:
-        return self.tokens[self.split + 1 :]
-
 
 def detect_but(tokens: Sequence[str]) -> Optional[ButStructure]:
     """First standalone case-folded "but" with at least one token on each side."""

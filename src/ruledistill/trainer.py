@@ -32,7 +32,11 @@ with C = 0 or an empty rule set takes the base code path outright, so its
 parameter trajectory is bit-identical to a base run with the same seed.
 Students are trained and evaluated on whole batches: one padded forward
 and backward pass per minibatch, and one forward per evaluation chunk,
-each taken by index from one ``TokenBatch`` of the run's sentences.
+each taken by index from one ``TokenBatch`` of the run's sentences.  A
+batch's student outputs, teacher targets and hard targets are each one
+(rows, K) array in the batch's order, a row per sentence for
+classification and per position for tagging; only the ``TokenBatch``
+holds where sentences begin and end.
 Evaluation sorts records by token count before chunking, so a forward
 pads only to its chunk's longest sentence, and scores tags as index arrays.
 
@@ -136,11 +140,13 @@ TAGGING_SCHEDULE = ImitationSchedule(pi0=0.9, alpha=0.9)
 _MODES = ("base", "distill", "semi", "project-after", "pipeline")
 
 
-def _check_settings(c: float, **counts: int) -> None:
-    """Reject a rule strength c that is not finite and nonnegative, and any
-    count below 1."""
+def _check_settings(c: float, seed: int, **counts: int) -> None:
+    """Reject a rule strength c that is not finite and nonnegative, a
+    negative seed, and any count below 1."""
     if not (math.isfinite(c) and c >= 0):
         raise ValueError(f"c must be finite and nonnegative, got {c}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     for name, value in counts.items():
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -170,7 +176,7 @@ class TrainConfig:
             raise ValueError(f"unknown task {self.task!r}")
         if self.mode not in _MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        _check_settings(self.c, **{
+        _check_settings(self.c, self.seed, **{
             name: getattr(self, name)
             for name in ("epochs", "batch_size", "g_max", "train_sweeps", "eval_sweeps",
                          "patience", "emb_dim", "n_filters", "hidden")
@@ -305,9 +311,9 @@ class SentimentTeacher:
     """The classification teacher: projects the student's output p through
     the but rules, with one projection over a batch's A-but-B rows.
     Instances without an A-but-B structure, and those the hard rules leave
-    no label, are left at p.  ``soft_predict`` maps a batch's p to q, in
-    training and evaluation alike; deployment forwards the student first,
-    as ``predict_proba`` does for one sentence's tokens."""
+    no label, are left at p.  ``soft_predict`` maps a batch's (B, K) p rows
+    to q rows, in training and evaluation alike; deployment forwards the
+    student first, as ``predict_proba`` does for one sentence's tokens."""
 
     def __init__(self, model, vocab: Vocabulary, rules: Sequence[Rule], c: float):
         self.model = model
@@ -324,28 +330,27 @@ class SentimentTeacher:
         # Projections left at p because the hard rules exclude every label.
         self.infeasible = 0
 
-    def soft_predict(self, p, batch, clause_starts) -> list[np.ndarray]:
-        """Teacher distributions for ``batch``, given the student's outputs
-        ``p`` on its sentences, with one student forward over their B
-        clauses, read from the batch as the suffixes from
-        ``clause_starts`` (``_clause_starts``' offsets)."""
-        q = list(p)
+    def soft_predict(self, p, batch, clause_starts) -> np.ndarray:
+        """Teacher rows for ``batch``, given the student's (B, K) rows ``p``
+        on its sentences, with one student forward over their B clauses,
+        read from the batch as the suffixes from ``clause_starts``
+        (``_clause_starts``' offsets)."""
         has_b = np.flatnonzero(clause_starts)
         if not len(has_b) or not self.rules:
-            return q
+            return p
         clause_sigmas = self.model.forward(batch.take(has_b, clause_starts[has_b]))
-        base = np.log(np.asarray(p)[has_b])
+        base = np.log(p[has_b])
         problem = ProjectionProblem(
             base, tuple((r.confidence, r.truths(clause_sigmas)) for r in self.rules), self.c)
         feasible = problem.feasible_mask().any(axis=-1)
         self.infeasible += int(np.count_nonzero(~feasible))
         if not feasible.any():
-            return q
+            return p
         if not feasible.all():
             problem = ProjectionProblem(base[feasible], tuple(
                 (lam, truths[feasible]) for lam, truths in problem.groundings), self.c)
-        for i, row in zip(has_b[feasible], project(problem).probs()):
-            q[i] = row
+        q = p.copy()
+        q[has_b[feasible]] = project(problem).probs()
         return q
 
     def predict_proba(self, tokens) -> np.ndarray:
@@ -387,32 +392,26 @@ def _doc_links(doc_tokens: Sequence[Sequence[str]]):
             [(index[a], index[b]) for a, b in links])
 
 
-def _regroup(items: list, sizes: Sequence[int]) -> list[list]:
-    """``items`` cut into consecutive runs of the given sizes."""
-    it = iter(items)
-    return [list(itertools.islice(it, n)) for n in sizes]
-
-
 class NerTeacher:
     """The tagging teacher: the chain+group teacher built from the
     student's probabilities, for a batch of documents at a time.
 
-    Stage 1 reads the student's outputs on every sentence of the batch
+    Stage 1 reads the student's (P, K) position rows on the batch
     (training hands over the step's forward; deployment forwards the
-    student first) and gathers every cross-linked site of the batch into
-    one array.  Within each document the linked sites form groups over tag
-    categories, each site's unary being the student's mass per category,
-    and every link carrying one table for the summed confidence of the
-    list rules.  Groups never span documents, and each document has its
-    own seed for link cutting and sampling.  Groups of one size are
-    enumerated exactly in stacks of up to ``EXACT_MAX_STATES`` joint
-    states; a group above that bound is Gibbs-sampled.  Each category's
-    marginal mass is spread back over its tags in the student's
+    student first) and gathers the rows of every cross-linked site of the
+    batch into one array.  Within each document the linked sites form
+    groups over tag categories, each site's unary being the student's mass
+    per category, and every link carrying one table for the summed
+    confidence of the list rules.  Groups never span documents, and each
+    document has its own seed for link cutting and sampling.  Groups of one
+    size are enumerated exactly in stacks of up to ``EXACT_MAX_STATES``
+    joint states; a group above that bound is Gibbs-sampled.  Each
+    category's marginal mass is spread back over its tags in the student's
     proportions.  Stage 2: every linked site gets a unary penalty measuring
     the list rule against its counterparts' stage-1 marginals, one array
-    expression for the batch; then one chain query holds every sentence of
-    the batch, with the transition rules' potentials, and is solved with one
-    product per position.  At evaluation the counterpart links come from
+    expression for the batch; then one chain query holds every position row
+    of the batch, with the transition rules' potentials, and is solved with
+    one product per position.  At evaluation the counterpart links come from
     the evaluated document itself.
     """
 
@@ -451,29 +450,27 @@ class NerTeacher:
         self.g_max = g_max
         self.chain_terms = _chain_terms(self.transitions, scheme.n_tags, self.c)
 
-    def _stage1(self, docs_sigmas, docs_links, seeds):
-        """Stage 1 for a batch, laid out like ``soft_predict``'s arguments:
-        the row of every linked site in the batch's concatenated positions
-        (documents in order, each one's sites sorted), every link as an
-        (L, 2) array of indices into those sites, and the sites' (S, K)
-        teacher tag marginals.  None without a list rule, link or c > 0."""
+    def _stage1(self, p, batch, doc_sizes, docs_links, seeds):
+        """Stage 1 for a batch, given ``soft_predict``'s arguments: the row
+        of every linked site in ``p`` (documents in order, each one's sites
+        sorted), every link as an (L, 2) array of indices into those sites,
+        and the sites' (S, K) teacher tag marginals.  None without a list
+        rule, link or c > 0."""
         if not self.lists or self.c == 0.0:
             return None
-        sigmas = [sigma for doc in docs_sigmas for sigma in doc]
-        starts = np.cumsum([0] + [len(s) for s in sigmas])
-        firsts = np.cumsum([0] + [len(doc) for doc in docs_sigmas])
+        firsts = np.cumsum([0, *doc_sizes])
         rows, ends, docs = [], [], []
         offset = 0
         for first, (sites, links), seed in zip(firsts, docs_links, seeds):
             if links:
-                rows.append(starts[first + sites[:, 0]] + sites[:, 1])
+                rows.append(batch.starts[first + sites[:, 0]] + sites[:, 1])
                 ends.append(np.add(links, offset))
                 docs.append((offset, len(sites), links, seed))
                 offset += len(sites)
         if not docs:
             return None
         rows = np.concatenate(rows)
-        sigma = np.concatenate(sigmas)[rows]
+        sigma = p[rows]
         mass = self.collapse.collapse(sigma)
         log_mass = np.log(mass)
         q = np.empty_like(mass)
@@ -510,12 +507,11 @@ class NerTeacher:
         )
         return np.concatenate(gibbs_soft_predict(query))
 
-    def _chains(self, docs_sigmas, docs_links, seeds) -> ChainTeacherQuery:
-        """One chain query over every sentence of a batch of documents, in
-        document order, given the student's outputs per document."""
-        sigmas = [sigma for doc in docs_sigmas for sigma in doc]
-        log_unary = np.log(np.concatenate(sigmas))
-        stage1 = self._stage1(docs_sigmas, docs_links, seeds)
+    def _chains(self, p, batch, doc_sizes, docs_links, seeds) -> ChainTeacherQuery:
+        """One chain query over every sentence of a batch of documents,
+        given ``soft_predict``'s arguments."""
+        log_unary = np.log(p)
+        stage1 = self._stage1(p, batch, doc_sizes, docs_links, seeds)
         if stage1 is not None:
             # Stage 2 penalises each end of every link with the list truth
             # against the other end's stage-1 marginal.
@@ -526,36 +522,36 @@ class NerTeacher:
             np.add.at(penalty, rows[ends.ravel()],
                       self.c * self.lam * (1.0 - truth[:, self.collapse.group_index]))
             log_unary -= penalty
-        starts = np.cumsum([len(s) for s in sigmas])[:-1]
-        return ChainTeacherQuery(np.split(log_unary, starts), *self.chain_terms)
+        return ChainTeacherQuery(log_unary, batch.lengths, *self.chain_terms)
 
-    def soft_predict(self, docs_sigmas, docs_links, seeds) -> list[np.ndarray]:
-        """Teacher marginals of every sentence of a batch, in document
-        order: ``docs_sigmas`` holds the student's outputs on each
-        document's sentences, ``docs_links`` its linked sites and links as
-        ``_doc_links`` gives them, and ``seeds`` its stage-1 seed."""
-        return chain_marginals(self._chains(docs_sigmas, docs_links, seeds))
+    def soft_predict(self, p, batch, doc_sizes, docs_links, seeds) -> np.ndarray:
+        """Teacher marginals of a batch of documents: ``p`` holds the
+        student's (P, K) position rows on ``batch``, whose sentences are
+        the documents' in order, ``doc_sizes`` each document's sentence
+        count, ``docs_links`` its linked sites and links as ``_doc_links``
+        gives them, and ``seeds`` its stage-1 seed.  Returns (P, K) rows."""
+        return chain_marginals(self._chains(p, batch, doc_sizes, docs_links, seeds))
 
-    def _paths(self, docs: Sequence[Sequence[TaggedSentence]]) -> list[np.ndarray]:
-        """Decoded tag-index paths of every sentence of every document, in
+    def _paths(self, docs: Sequence[Sequence[TaggedSentence]]) -> np.ndarray:
+        """Decoded tag indices of every position of every document, in
         chunks of about ``_EVAL_CHUNK`` sentences; document d gets the seed
         ``seed + 7919 * d`` whatever its chunk, so repeats are identical."""
 
         def decode(chunk):
             tokens = [[s.tokens for s in doc] for _, doc in chunk]
-            sigmas = self.model.forward(self.vocab.encode([t for doc in tokens for t in doc]))
+            batch = self.vocab.encode([t for doc in tokens for t in doc])
             return chain_map_decode(self._chains(
-                _regroup(sigmas, [len(doc) for doc in tokens]),
+                self.model.forward(batch), batch, [len(doc) for doc in tokens],
                 [_doc_links(doc) for doc in tokens],
                 [self.seed + 7919 * d for d, _ in chunk],
             ))[0]
 
-        return list(_chunked(decode, list(enumerate(docs)), [len(doc) for doc in docs]))
+        return _chunked(decode, list(enumerate(docs)), [len(doc) for doc in docs])
 
     def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
         """Decoded tags of every sentence of every document, by document."""
-        tags = [[self.scheme.tags[k] for k in path] for path in self._paths(docs)]
-        return _regroup(tags, [len(doc) for doc in docs])
+        tags = iter([self.scheme.tags[k] for k in self._paths(docs)])
+        return [[list(itertools.islice(tags, len(s.tokens))) for s in doc] for doc in docs]
 
 
 # --- generic evaluation ------------------------------------------------------
@@ -581,13 +577,12 @@ def _pack(sizes: Sequence[int], limit: int) -> list[list[int]]:
     return groups
 
 
-def _chunked(fn, items, sizes: Sequence[int]):
-    """Yield ``fn``'s outputs, calling it on consecutive chunks of
-    ``items`` of about ``_EVAL_CHUNK`` sentences, where ``sizes`` gives each
-    item's sentence count.  A consumer that keeps only what it derives from
-    each output holds one chunk's outputs at a time."""
-    for group in _pack(sizes, _EVAL_CHUNK):
-        yield from fn([items[i] for i in group])
+def _chunked(fn, items, sizes: Sequence[int]) -> np.ndarray:
+    """``fn``'s row arrays, called on consecutive chunks of ``items`` of
+    about ``_EVAL_CHUNK`` sentences, where ``sizes`` gives each item's
+    sentence count, concatenated."""
+    return np.concatenate([fn([items[i] for i in group])
+                           for group in _pack(sizes, _EVAL_CHUNK)])
 
 
 def evaluate(predictor, dataset, task: Optional[str] = None,
@@ -610,8 +605,7 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
         docs = group_documents(records)
         records = [s for doc in docs for s in doc]
         if isinstance(predictor, NerTeacher):
-            return _tagging_report(predictor.scheme, records,
-                                   np.concatenate(predictor._paths(docs)))
+            return _tagging_report(predictor.scheme, records, predictor._paths(docs))
 
     model, teacher = predictor, None
     if task == "sentiment" and isinstance(predictor, SentimentTeacher):
@@ -628,7 +622,6 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
         p = model.forward(chunk)
         if teacher is not None:
             p = teacher.soft_predict(p, chunk, clause_starts[idx])
-        p = np.vstack(p)
         if task == "ner" and p.shape[1] != scheme.n_tags:
             raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
                              f"has {scheme.n_tags}")
@@ -672,8 +665,8 @@ class _Driver:
     """Task plumbing for the training loop: the units and the batches of an
     epoch, over one ``TokenBatch`` of every sentence, encoded once.  The
     units' hard target rows are checked once, here.  Task subclasses add
-    ``soft_targets(teacher, outputs, batch, units)``: the teacher's q for
-    each sentence of a batch, given the student's outputs on them."""
+    ``soft_targets(teacher, outputs, batch, units)``: the teacher's q rows
+    for a batch, given the student's output rows on it."""
 
     scheme: Optional[TagScheme] = None
 
@@ -771,7 +764,7 @@ class _NerDriver(_Driver):
             if unit not in self.links:
                 self.links[unit] = _doc_links(unit.rule_input)
         seeds = [int(self.teacher_rng.integers(2**31 - 1)) for _ in units]
-        return teacher.soft_predict(_regroup(outputs, [len(u.rows) for u in units]),
+        return teacher.soft_predict(outputs, batch, [len(u.rows) for u in units],
                                     [self.links[u] for u in units], seeds)
 
 
@@ -793,9 +786,9 @@ def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 
             outputs, cache = model._forward_cache(batch)
             targets = np.concatenate([u.hard for u in units]) if labeled else None
             if teacher is not None and pi > 0.0:
-                q = np.vstack(driver.soft_targets(teacher, outputs, batch, units))
+                q = driver.soft_targets(teacher, outputs, batch, units)
                 targets = q if targets is None else (1.0 - pi) * targets + pi * q
-            losses.append(backward_and_step(model, outputs, cache, targets, opt,
+            losses.append(backward_and_step(model, batch, outputs, cache, targets, opt,
                                             loss_scale=1.0 if labeled else pi))
         history.append({"epoch": epoch, "pi": pi, "train_loss": float(np.mean(losses))})
         if dev is None:
@@ -894,8 +887,9 @@ def project_after(model, vocab: Vocabulary, rules: Sequence[Rule], c: float,
                   task: str, scheme: Optional[TagScheme] = None,
                   eval_sweeps: int = 2000, g_max: int = 8, seed: int = 0):
     """Evaluation-time-only projection of a trained model; no weight change.
-    Rejects a c that is not finite and nonnegative, and counts below 1."""
-    _check_settings(c, eval_sweeps=eval_sweeps, g_max=g_max)
+    Rejects a c that is not finite and nonnegative, a negative seed, and
+    counts below 1."""
+    _check_settings(c, seed, eval_sweeps=eval_sweeps, g_max=g_max)
     if task == "sentiment":
         return SentimentTeacher(model, vocab, rules, c)
     if scheme is None:
@@ -912,7 +906,8 @@ def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
     stage1 = _train(config, driver, rules, dev, distill=False)
     teacher = stage1.teacher
     # Teacher targets from the frozen model are static: compute them once,
-    # as stage 2's hard rows, one unit per sentence in the driver's order.
+    # as stage 2's hard rows, one unit per sentence in the driver's order
+    # (a row per sentence, or per position for tagging).
     driver.teacher_rng = np.random.default_rng((config.seed, 3))
 
     def frozen_q(units):
@@ -920,8 +915,9 @@ def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
         return driver.soft_targets(teacher, teacher.model.forward(batch), batch, units)
 
     softs = _chunked(frozen_q, driver.units, [len(unit.rows) for unit in driver.units])
-    fixed = _Driver(config, driver.sentences, [_Unit(np.array([i]), np.atleast_2d(q))
-                                               for i, q in enumerate(softs)])
+    sizes = driver.sentences.lengths if config.task == "ner" else np.ones(len(softs), dtype=int)
+    fixed = _Driver(config, driver.sentences, [
+        _Unit(np.array([i]), q) for i, q in enumerate(np.split(softs, np.cumsum(sizes)[:-1]))])
     student = driver.init_model(config.seed + 1)
     history = _fit(student, fixed, None, lambda epoch: 1.0,
                    np.random.default_rng((config.seed, 4)))

@@ -19,9 +19,28 @@ def batch_of(sentences):
     return TokenBatch(np.concatenate(sentences), [len(s) for s in sentences])
 
 
+def batch_of_lengths(lengths):
+    """A ``TokenBatch`` of sentences of the given lengths, for code that
+    reads only where its sentences lie."""
+    return TokenBatch(np.ones(int(np.sum(lengths)), dtype=int), lengths)
+
+
 def sentences_of(batch):
     """A ``TokenBatch``'s sentences as 1-d token-id arrays."""
     return np.split(batch.ids, batch.starts[1:])
+
+
+def split_rows(rows, lengths):
+    """Row arrays cut into consecutive runs of ``lengths`` rows: a batch's
+    rows per sentence, or a chain query's per chain, for the per-sentence
+    and per-chain references."""
+    return np.split(rows, np.cumsum(lengths)[:-1])
+
+
+def flat(arrays):
+    """Per-sentence (or per-chain) row arrays as one array of their rows
+    and their lengths."""
+    return np.concatenate(arrays), [len(a) for a in arrays]
 
 
 def indexed_links(links):

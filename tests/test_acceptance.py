@@ -192,12 +192,12 @@ def test_criterion_03_chain_inference():
         lp = -rng.uniform(0.0, 2.0, size=(k, k))
         ls = -rng.uniform(0.0, 1.0, size=k)
         le = -rng.uniform(0.0, 1.0, size=k)
-        query = ChainTeacherQuery(log_unary=[lu], log_pair=lp,
+        query = ChainTeacherQuery(lu, [t_len], log_pair=lp,
                                   log_start=ls, log_end=le)
         ref_marg, ref_path, ref_score = _enumerate_chain(lu, lp, ls, le)
-        (marg,) = chain_marginals(query)
+        marg = chain_marginals(query)
         worst = max(worst, float(np.abs(marg - ref_marg).max()))
-        (path,), (score,) = chain_map_decode(query)
+        path, (score,) = chain_map_decode(query)
         if tuple(path) == ref_path and abs(score - ref_score) < 1e-9:
             map_matches += 1
 
@@ -213,9 +213,9 @@ def test_criterion_03_chain_inference():
         t_len = int(rng.integers(2, 9))
         logits = rng.normal(size=(t_len, scheme.n_tags))
         lu = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        query = ChainTeacherQuery(log_unary=[lu], log_pair=hard_pair,
+        query = ChainTeacherQuery(lu, [t_len], log_pair=hard_pair,
                                   log_start=hard_start, log_end=hard_end)
-        (path,), _ = chain_map_decode(query)
+        path, _ = chain_map_decode(query)
         if ref_valid_sequence(scheme, [scheme.tags[y] for y in path]):
             n_valid += 1
 

@@ -28,11 +28,14 @@ from hypothesis import strategies as st
 
 from conftest import (
     batch_of,
+    batch_of_lengths,
+    flat,
     indexed_links,
     ref_micro_span_prf,
     ref_spans,
     ref_valid_sequence,
     sentences_of,
+    split_rows,
 )
 
 from ruledistill import predictors, trainer
@@ -210,7 +213,7 @@ class OneByOne:
         self.model = model
 
     def forward(self, batch):
-        return [ref_forward(self.model, ids)[0] for ids in sentences_of(batch)]
+        return np.vstack([ref_forward(self.model, ids)[0] for ids in sentences_of(batch)])
 
 
 def ref_encode(vocab, tokens):
@@ -243,16 +246,24 @@ taggers = st.builds(
 )
 
 
+def per_sentence(model, batch, rows):
+    """A batch's output rows cut per sentence: one row each for the
+    classifier, one per position for the tagger."""
+    return split_rows(rows, batch.lengths if isinstance(model, SequenceTagger)
+                      else np.ones(len(batch), dtype=int))
+
+
 def check_batch(model, batch, seed):
-    """Batched outputs and gradients equal the per-sentence reference."""
+    """Batched outputs, the per-sentence reference rows concatenated in
+    ``batch.ids`` order, and gradients equal the reference's."""
     probs, cache = model._forward_cache(batch_of(batch))
-    assert len(probs) == len(batch)
+    refs = [ref_forward(model, ids) for ids in batch]
+    expect = np.vstack([ref_out for ref_out, _ in refs])
+    assert probs.shape == expect.shape
+    np.testing.assert_allclose(probs, expect, rtol=0, atol=TOL)
     rng = np.random.default_rng(seed)
     dlogits, expected = [], {k: np.zeros_like(v) for k, v in model.params.items()}
-    for ids, out in zip(batch, probs):
-        ref_out, ref_cache = ref_forward(model, ids)
-        assert out.shape == ref_out.shape
-        np.testing.assert_allclose(out, ref_out, rtol=0, atol=TOL)
+    for ref_out, ref_cache in refs:
         d = rng.normal(size=ref_out.shape)
         dlogits.append(d)
         for k, g in ref_backward(model, ref_cache, d).items():
@@ -329,10 +340,12 @@ class TestBatchLossMatchesReference:
            st.sampled_from(["labeled", "unlabeled", "stage2"]), st.integers(0, 2**16))
     def test_loss_and_gradients(self, model, batch, pi, kind, seed):
         rng = np.random.default_rng(seed)
-        outputs, cache = model._forward_cache(batch_of(batch))
-        n, scale = len(outputs), (pi if kind == "unlabeled" else 1.0)
+        tokens = batch_of(batch)
+        outputs, cache = model._forward_cache(tokens)
+        n, scale = len(batch), (pi if kind == "unlabeled" else 1.0)
         refs, rows = [], []
-        for p in outputs:
+        sentence_outputs = per_sentence(model, tokens, outputs)
+        for p in sentence_outputs:
             hard = _rows(rng, p.shape, one_hot=kind == "labeled")
             soft = _rows(rng, p.shape, one_hot=False)
             if kind == "labeled":
@@ -344,14 +357,16 @@ class TestBatchLossMatchesReference:
             else:
                 refs.append(MixedTarget(hard=hard, soft=hard, pi=1.0))
                 rows.append(hard)
-        ref_loss = scale * sum(mixed_loss(p, t) for p, t in zip(outputs, refs)) / n
-        ref_dlogits = np.vstack([mixed_target_gradient(p, t) / n for p, t in zip(outputs, refs)])
+        ref_loss = scale * sum(mixed_loss(p, t) for p, t in zip(sentence_outputs, refs)) / n
+        ref_dlogits = np.vstack([mixed_target_gradient(p, t) / n
+                                 for p, t in zip(sentence_outputs, refs)])
         ref_grads = model.backward(cache, ref_dlogits)
 
-        _, dlogits = predictors._loss_and_dlogits(np.vstack(outputs), np.vstack(rows), n)
+        _, dlogits = predictors._loss_and_dlogits(outputs, np.vstack(rows), n)
         np.testing.assert_allclose(dlogits, ref_dlogits, rtol=0, atol=TOL)
         opt = Capture()
-        loss = backward_and_step(model, outputs, cache, np.vstack(rows), opt, loss_scale=scale)
+        loss = backward_and_step(model, tokens, outputs, cache, np.vstack(rows), opt,
+                                 loss_scale=scale)
         assert abs(loss - ref_loss) <= TOL * max(1.0, abs(ref_loss))
         for k, g in opt.grads.items():
             np.testing.assert_allclose(g, scale * ref_grads[k], rtol=0, atol=TOL, err_msg=k)
@@ -368,9 +383,10 @@ class TestBatchValidation:
         # rejected when its batch is built; one of id-0 tokens is input.
         batch = [np.array([2, 3]), np.array([4, 5, 6])]
         batch.insert(where, np.array([0, 0, 0]))
-        outputs = model.forward(batch_of(batch))
-        np.testing.assert_allclose(outputs[where], ref_forward(model, batch[where])[0],
-                                   rtol=0, atol=TOL)
+        tokens = batch_of(batch)
+        outputs = per_sentence(model, tokens, model.forward(tokens))
+        expect = np.atleast_2d(ref_forward(model, batch[where])[0])
+        np.testing.assert_allclose(outputs[where], expect, rtol=0, atol=TOL)
         batch[where] = np.array([], dtype=int)
         with pytest.raises(ValueError, match="needs a token"):
             batch_of(batch)
@@ -380,15 +396,14 @@ class TestBatchValidation:
         SequenceTagger(VOCAB, 2, emb_dim=3, hidden=4, radius=1),
     ])
     def test_step_rejects_bad_targets(self, model):
-        outputs, cache = model._forward_cache(batch_of([np.array([2, 3]), np.array([4, 5, 6])]))
-        good = np.tile([1.0, 0.0], (len(np.vstack(outputs)), 1))
-        backward_and_step(model, outputs, cache, good, Capture())
-        for bad, match in [(good[1:], "shape"), (good[:, :1], "shape"),
+        batch = batch_of([np.array([2, 3]), np.array([4, 5, 6])])
+        outputs, cache = model._forward_cache(batch)
+        good = np.tile([1.0, 0.0], (len(outputs), 1))
+        backward_and_step(model, batch, outputs, cache, good, Capture())
+        for bad, match in [(good[1:], "shape"), (good[:, :1], "shape"), (good[:0], "shape"),
                            (good * 0.5, "sum to 1"), (good - 0.5, "nonnegative")]:
             with pytest.raises(ValueError, match=match):
-                backward_and_step(model, outputs, cache, bad, Capture())
-        with pytest.raises(ValueError, match="empty batch"):
-            backward_and_step(model, [], cache, good[:0], Capture())
+                backward_and_step(model, batch, outputs, cache, bad, Capture())
 
     def test_empty_batch_and_bare_id_array_rejected(self):
         with pytest.raises(ValueError, match="empty batch"):
@@ -544,19 +559,22 @@ class TestNerTeacherBatching:
     def test_document_targets_alone_and_in_any_batch(self):
         teacher = self.teacher()
         docs = group_documents(self.DATA)
-        sigmas = [teacher.model.forward(teacher.vocab.encode([s.tokens for s in doc]))
-                  for doc in docs]
+        batches = [teacher.vocab.encode([s.tokens for s in doc]) for doc in docs]
+        sigmas = [teacher.model.forward(batch) for batch in batches]
         links = [trainer._doc_links([s.tokens for s in doc]) for doc in docs]
         seeds = [11 * d + 1 for d in range(len(docs))]
         assert sum(bool(pairs) for _, pairs in links) >= 3
-        alone = [teacher.soft_predict([sg], [ln], [s]) for sg, ln, s in zip(sigmas, links, seeds)]
+        alone = [teacher.soft_predict(*args, [len(doc)], [ln], [s])
+                 for args, doc, ln, s in zip(zip(sigmas, batches), docs, links, seeds)]
         rng = np.random.default_rng(0)
         for _ in range(3):
             order = rng.permutation(len(docs))[: rng.integers(2, len(docs) + 1)]
-            batched = teacher.soft_predict([sigmas[d] for d in order], [links[d] for d in order],
-                                           [seeds[d] for d in order])
-            for d, doc_q in zip(order, trainer._regroup(batched, [len(docs[d]) for d in order])):
-                assert len(doc_q) == len(alone[d])
+            batch = teacher.vocab.encode([s.tokens for d in order for s in docs[d]])
+            batched = teacher.soft_predict(np.concatenate([sigmas[d] for d in order]), batch,
+                                           [len(docs[d]) for d in order],
+                                           [links[d] for d in order], [seeds[d] for d in order])
+            for d, doc_q in zip(order, split_rows(batched, [len(alone[d]) for d in order])):
+                assert doc_q.shape == alone[d].shape
                 for a, b in zip(alone[d], doc_q):
                     np.testing.assert_allclose(b, a, rtol=0, atol=TOL)
 
@@ -573,14 +591,17 @@ class TestNerTeacherBatching:
     def test_one_student_forward_per_distill_batch(self, monkeypatch):
         # Epoch 0 trains at pi = 0, epoch 1 at pi > 0; in both, each batch
         # has the step's forward (F) and no other, and the teacher's chain
-        # query (Q) reads that forward's outputs before the step (S).
-        events = []
+        # query (Q) reads that forward's outputs before the step (S).  The
+        # step's second argument counts the sentences it steps on.
+        events, forwarded, stepped = [], [], []
         forward, step = SequenceTagger._forward_cache, trainer.backward_and_step
         marginals = trainer.chain_marginals
         monkeypatch.setattr(SequenceTagger, "_forward_cache",
-                            lambda self, ids: events.append("F") or forward(self, ids))
+                            lambda self, batch: events.append("F") or forwarded.append(len(batch))
+                            or forward(self, batch))
         monkeypatch.setattr(trainer, "backward_and_step",
-                            lambda *a, **kw: events.append("S") or step(*a, **kw))
+                            lambda *a, **kw: events.append("S") or stepped.append(len(a[1]))
+                            or step(*a, **kw))
         monkeypatch.setattr(trainer, "chain_marginals",
                             lambda query: events.append("Q") or marginals(query))
         config = TrainConfig(task="ner", mode="distill", epochs=2, batch_size=8, emb_dim=4,
@@ -589,6 +610,7 @@ class TestNerTeacherBatching:
         log = "".join(events)
         n = log.count("S") // 2
         assert n > 1 and log == "FS" * n + "FQS" * n
+        assert stepped == forwarded and sum(stepped) == 2 * len(self.DATA)
 
 
 # --- per-row sentiment teacher reference -------------------------------------
@@ -650,8 +672,8 @@ class TestSentimentTeacherBatching:
         monkeypatch.setattr(TextClassifier, "_forward_cache",
                             lambda self, ids: events.append(("F", len(ids))) or forward(self, ids))
         monkeypatch.setattr(trainer, "backward_and_step",
-                            lambda m, out, *a, **kw: events.append(("S", len(out)))
-                            or step(m, out, *a, **kw))
+                            lambda m, batch, *a, **kw: events.append(("S", len(batch)))
+                            or step(m, batch, *a, **kw))
         monkeypatch.setattr(trainer, "project", lambda problem: events.append(
             ("P", len(problem.base_log_probs))) or project(problem))
         config = TrainConfig(task="sentiment", mode="distill", epochs=2, batch_size=8,
@@ -862,9 +884,11 @@ class TestNerStage1MatchesReference:
             formed.append(form_groups(*args, **kw))
             return formed[-1]
 
+        p, lengths = flat([sigma for doc in docs_sigmas for sigma in doc])
         with mock.patch.object(trainer, "form_groups", recording):
-            _, _, q = teacher._stage1(docs_sigmas, [indexed_links(ln) for ln in docs_links],
-                                      seeds)
+            _, _, q = teacher._stage1(p, batch_of_lengths(lengths),
+                                      [len(doc) for doc in docs_sigmas],
+                                      [indexed_links(ln) for ln in docs_links], seeds)
         assert len(formed) == len(docs)
         start = 0
         for sigmas, links, seed, groups in zip(docs_sigmas, docs_links, seeds, formed):

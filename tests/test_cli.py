@@ -142,6 +142,7 @@ class TestRuleSpecs:
             "but(extra=1)",
             "but(lambda=1",
             "transitions()",  # no scheme supplied
+            "but(lambda=1, lambda=5)",
         ],
     )
     def test_errors(self, text):
@@ -272,6 +273,30 @@ class TestTrainCommand:
             "--rules", "but(lambda=1)", flag, value, "--out", str(out),
         ]) == 2
         assert not out.exists()
+
+    def test_negative_seed_exit_2_before_writing(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "sentiment", "--mode", "base",
+            "--train", str(data_dir / "train.tsv"), "--seeds=-1", "--out", str(out),
+        ]) == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unlabeled_outside_semi_exit_2_before_reading_or_writing(
+            self, data_dir, tmp_path, monkeypatch, capsys):
+        from ruledistill import cli
+
+        read = []
+        monkeypatch.setattr(cli, "_load_task_data", lambda *a: read.append(a))
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "sentiment", "--mode", "distill",
+            "--train", str(data_dir / "train.tsv"), "--unlabeled", str(data_dir / "train.tsv"),
+            "--rules", "but(lambda=1)", "--out", str(out),
+        ]) == 2
+        assert "--unlabeled applies only to mode 'semi'" in capsys.readouterr().err
+        assert not read and not out.exists()
 
     def test_but_rule_on_tagging_exit_2_before_writing(self, data_dir, tmp_path):
         out = tmp_path / "run"

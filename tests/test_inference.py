@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import flat, split_rows
+
 from ruledistill import inference
 from ruledistill.inference import (
     EXACT_MAX_STATES,
@@ -36,7 +38,7 @@ class TestChain:
     def test_no_pair_terms_factorizes(self):
         rng = np.random.default_rng(0)
         lu = norm_rows(rng, 4, 3)
-        (marg,) = chain_marginals(ChainTeacherQuery(log_unary=[lu]))
+        marg = chain_marginals(ChainTeacherQuery(lu, [4]))
         np.testing.assert_allclose(marg, np.exp(lu), atol=1e-12)
 
     def test_two_position_hand_computed(self):
@@ -46,8 +48,8 @@ class TestChain:
         pair = np.array([[0.0, -1.0], [-1.0, 0.0]])
         w = np.exp(u[0][:, None] + u[1][None, :] + pair)
         joint = w / w.sum()
-        query = ChainTeacherQuery(log_unary=[u], log_pair=pair)
-        (marg,) = chain_marginals(query)
+        query = ChainTeacherQuery(u, [2], log_pair=pair)
+        marg = chain_marginals(query)
         np.testing.assert_allclose(marg[0], joint.sum(axis=1), atol=1e-12)
         np.testing.assert_allclose(marg[1], joint.sum(axis=0), atol=1e-12)
         assert query.log_z[0] == pytest.approx(np.log(w.sum()))
@@ -58,7 +60,7 @@ class TestChain:
         monkeypatch.setattr(inference, "_forward",
                             lambda query: calls.append(1) or original(query))
         rng = np.random.default_rng(2)
-        query = ChainTeacherQuery(log_unary=[norm_rows(rng, 5, 3), norm_rows(rng, 2, 3)],
+        query = ChainTeacherQuery(*flat([norm_rows(rng, 5, 3), norm_rows(rng, 2, 3)]),
                                   log_pair=-rng.uniform(0, 2, size=(3, 3)))
         chain_marginals(query)
         assert len(calls) == 1
@@ -68,24 +70,24 @@ class TestChain:
         for _ in range(10):
             t, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
             query = ChainTeacherQuery(
-                log_unary=[norm_rows(rng, t, k)],
+                norm_rows(rng, t, k), [t],
                 log_pair=-rng.uniform(0, 2, size=(k, k)),
                 log_start=-rng.uniform(0, 1, size=k),
                 log_end=-rng.uniform(0, 1, size=k),
             )
             (ref,) = enumerate_chain_posterior(query)
-            (marg,) = chain_marginals(query)
+            marg = chain_marginals(query)
             np.testing.assert_allclose(marg, ref.marginals, atol=1e-10)
             assert query.log_z[0] == pytest.approx(ref.log_z, abs=1e-10)
-            (path,), (score,) = chain_map_decode(query)
+            path, (score,) = chain_map_decode(query)
             assert tuple(path) == ref.best_path
             assert score == pytest.approx(ref.best_log_score, abs=1e-10)
 
     def test_hard_pair_zeroes_paths(self):
         u = np.log(np.full((3, 2), 0.5))
         pair = np.array([[0.0, -np.inf], [0.0, 0.0]])  # forbid 0 -> 1
-        query = ChainTeacherQuery(log_unary=[u], log_pair=pair)
-        (marg,) = chain_marginals(query)
+        query = ChainTeacherQuery(u, [3], log_pair=pair)
+        marg = chain_marginals(query)
         # The surviving paths are 000, 100, 110 and 111.
         (ref,) = enumerate_chain_posterior(query)
         np.testing.assert_allclose(marg, ref.marginals, atol=1e-12)
@@ -95,43 +97,48 @@ class TestChain:
         u = np.array([[0.0, -np.inf], [-np.inf, 0.0]])
         pair = np.array([[0.0, -np.inf], [-np.inf, 0.0]])
         with pytest.raises(InfeasibleChainError):
-            ChainTeacherQuery(log_unary=[u], log_pair=pair)
+            ChainTeacherQuery(u, [2], log_pair=pair)
         # One infeasible chain sinks a batch of feasible ones, and is named.
         with pytest.raises(InfeasibleChainError, match="chain 1"):
-            ChainTeacherQuery(log_unary=[np.zeros((2, 2)), u, np.zeros((1, 2))],
-                              log_pair=pair)
+            ChainTeacherQuery(*flat([np.zeros((2, 2)), u, np.zeros((1, 2))]), log_pair=pair)
 
     def test_map_tie_breaks_low_index(self):
         u = np.zeros((2, 2))
-        (path,), _ = chain_map_decode(ChainTeacherQuery(log_unary=[u]))
+        path, _ = chain_map_decode(ChainTeacherQuery(u, [2]))
         assert tuple(path) == (0, 0)
 
     def test_rejects_nan_and_plus_inf(self):
         with pytest.raises(ValueError):
-            ChainTeacherQuery(log_unary=[np.array([[0.0, np.nan]])])
+            ChainTeacherQuery(np.array([[0.0, np.nan]]), [1])
         with pytest.raises(ValueError):
-            ChainTeacherQuery(log_unary=[np.zeros((2, 2)), np.array([[0.0, np.inf]])])
+            ChainTeacherQuery(*flat([np.zeros((2, 2)), np.array([[0.0, np.inf]])]))
         with pytest.raises(ValueError, match="log_pair"):
-            ChainTeacherQuery(log_unary=[np.zeros((2, 2))],
+            ChainTeacherQuery(np.zeros((2, 2)), [2],
                               log_pair=np.array([[0.0, np.inf], [0.0, 0.0]]))
 
     def test_rejects_bad_batches(self):
-        with pytest.raises(ValueError, match="one per chain"):
-            ChainTeacherQuery(log_unary=[])
-        # A bare (T, K) array is a batch of 1-d rows, not of chains.
-        with pytest.raises(ValueError, match="one per chain"):
-            ChainTeacherQuery(log_unary=np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="one label space"):
-            ChainTeacherQuery(log_unary=[np.zeros((2, 2)), np.zeros((2, 3))])
+        # No chain, a chain of no position, or lengths that are not 1-d.
+        for lengths in ([], [3, 0], [[3]]):
+            with pytest.raises(ValueError, match="positive chain lengths"):
+                ChainTeacherQuery(np.zeros((3, 2)), lengths)
+        # Lengths that do not add up to the rows.
+        for lengths in ([2], [2, 2]):
+            with pytest.raises(ValueError, match="add up to"):
+                ChainTeacherQuery(np.zeros((3, 2)), lengths)
+        # Rows are (P, K): not 1-d labels, nor per-chain blocks, nor no label.
+        for rows in (np.zeros(3), np.zeros((1, 3, 2)), np.zeros((3, 0))):
+            with pytest.raises(ValueError, match=r"\(P, K\)"):
+                ChainTeacherQuery(rows, [3])
         # One table serves every chain and step: per-step tables are rejected.
         for shape in ((2, 2, 2), (1, 2, 2, 2)):
             with pytest.raises(ValueError, match=r"log_pair must have shape \(2, 2\)"):
-                ChainTeacherQuery(log_unary=[np.zeros((3, 2))], log_pair=np.zeros(shape))
+                ChainTeacherQuery(np.zeros((3, 2)), [3], log_pair=np.zeros(shape))
 
     def test_n_positions_counts_every_chain(self):
-        query = ChainTeacherQuery(log_unary=[np.zeros((3, 2)), np.zeros((1, 2))])
+        query = ChainTeacherQuery(*flat([np.zeros((3, 2)), np.zeros((1, 2))]))
         assert query.n_positions == 4
-        assert query.log_unary.shape == (2, 3, 2)
+        assert query.log_unary.shape == (4, 2)
+        assert query.lengths.tolist() == [3, 1]
 
 
 # --- per-chain reference ------------------------------------------------------
@@ -238,12 +245,13 @@ class TestBatchedChain:
         ref = reference_answers(*batch)
         if ref is None:
             with pytest.raises(InfeasibleChainError):
-                ChainTeacherQuery(unaries, pair, start, end)
+                ChainTeacherQuery(*flat(unaries), pair, start, end)
             return
-        query = ChainTeacherQuery(unaries, pair, start, end)
+        query = ChainTeacherQuery(*flat(unaries), pair, start, end)
         assert query.n_positions == sum(len(u) for u in unaries)
-        margs = chain_marginals(query)
+        margs = split_rows(chain_marginals(query), query.lengths)
         paths, scores = chain_map_decode(query)
+        paths = split_rows(paths, query.lengths)
         enums = enumerate_chain_posterior(query)
         for i, (r_marg, r_log_z, r_path, r_score) in enumerate(ref):
             np.testing.assert_allclose(margs[i], r_marg, rtol=0, atol=1e-12)
@@ -269,8 +277,10 @@ class TestBatchedChain:
         ref = reference_answers(*batch)
         if ref is None:
             return
-        query = ChainTeacherQuery(*batch)
+        unaries, *terms = batch
+        query = ChainTeacherQuery(*flat(unaries), *terms)
         paths, scores = chain_map_decode(query)
+        paths = split_rows(paths, query.lengths)
         for path, score, (_, _, r_path, _), enum in zip(
                 paths, scores, ref, enumerate_chain_posterior(query)):
             np.testing.assert_array_equal(path, r_path)
@@ -290,7 +300,7 @@ class TestBatchedChain:
         where = min(where, len(unaries))
         unaries = unaries[:where] + [dead] + unaries[where:]
         with pytest.raises(InfeasibleChainError, match=match):
-            ChainTeacherQuery(unaries, pair, start, end)
+            ChainTeacherQuery(*flat(unaries), pair, start, end)
 
 
 # Entries spanning the whole exponent range of a float: the scaled passes
@@ -305,13 +315,14 @@ wide_values = st.just(-np.inf) | st.floats(-1000.0, 0.0)
 class TestWideRangeChain:
     def check(self, batch):
         ref = reference_answers(*batch, dtype=np.longdouble)
+        unaries, *terms = batch
         if ref is None:
             with pytest.raises(InfeasibleChainError):
-                ChainTeacherQuery(*batch)
+                ChainTeacherQuery(*flat(unaries), *terms)
             return None
-        query = ChainTeacherQuery(*batch)
-        for marg, log_z, (r_marg, r_log_z, _, _) in zip(chain_marginals(query),
-                                                        query.log_z, ref):
+        query = ChainTeacherQuery(*flat(unaries), *terms)
+        margs = split_rows(chain_marginals(query), query.lengths)
+        for marg, log_z, (r_marg, r_log_z, _, _) in zip(margs, query.log_z, ref):
             np.testing.assert_allclose(marg, r_marg, rtol=0, atol=1e-12)
             assert abs(log_z - r_log_z) <= 1e-12 * max(1.0, abs(r_log_z))
         return query
@@ -323,7 +334,7 @@ class TestWideRangeChain:
         pair = np.array([[0.0, -np.inf], [-700.0, 0.0]])
         query = self.check(([u], pair, np.zeros(2), np.zeros(2)))
         assert query.log_z[0] == -800.0
-        np.testing.assert_array_equal(chain_marginals(query)[0], [[0.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(chain_marginals(query), [[0.0, 1.0], [0.0, 1.0]])
         # Next to a chain the scaled pass holds, in either order.
         for unaries in ([u, np.zeros((3, 2))], [np.zeros((3, 2)), u]):
             query = self.check((unaries, pair, np.zeros(2), np.zeros(2)))

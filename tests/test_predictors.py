@@ -14,11 +14,11 @@ from ruledistill.predictors import (
     NonFiniteGradientError,
     SequenceTagger,
     TextClassifier,
+    TokenBatch,
     Vocabulary,
     backward_and_step,
     finite_difference_check,
     load_checkpoint,
-    num_params,
     save_checkpoint,
 )
 
@@ -82,12 +82,12 @@ class TestMixedTarget:
         # pi-weighted hard and soft cross-entropies.
         model = TextClassifier(vocab_size=9, n_classes=2, emb_dim=3, n_filters=2, seed=1)
         ids = batch_of([np.array([2, 3]), np.array([4, 5, 6])])
-        p = np.vstack(model.forward(ids))
+        p = model.forward(ids)
         ce_h = -np.sum(self.HARD * np.log(p), axis=1)
         ce_s = -np.sum(self.SOFT * np.log(p), axis=1)
         outputs, cache = model._forward_cache(ids)
-        loss = backward_and_step(model, outputs, cache, 0.75 * self.HARD + 0.25 * self.SOFT,
-                                 Adadelta())
+        loss = backward_and_step(model, ids, outputs, cache,
+                                 0.75 * self.HARD + 0.25 * self.SOFT, Adadelta())
         assert loss == pytest.approx(np.mean(0.75 * ce_h + 0.25 * ce_s))
 
     def test_gradient_is_pred_minus_blend(self):
@@ -98,7 +98,8 @@ class TestMixedTarget:
 
     def test_validation(self):
         model = TextClassifier(vocab_size=9, n_classes=2, emb_dim=3, n_filters=2, seed=1)
-        outputs, cache = model._forward_cache(batch_of([np.array([2, 3])]))
+        batch = batch_of([np.array([2, 3])])
+        outputs, cache = model._forward_cache(batch)
         for bad, match in [
             (np.array([[0.9, 0.0]]), "sum to 1"),  # not a distribution
             (np.array([[1.5, -0.5]]), "nonnegative"),
@@ -107,9 +108,9 @@ class TestMixedTarget:
             (np.array([[1.0, 0.0], [0.0, 1.0]]), "shape"),  # a row too many
         ]:
             with pytest.raises(ValueError, match=match):
-                backward_and_step(model, outputs, cache, bad, Adadelta())
+                backward_and_step(model, batch, outputs, cache, bad, Adadelta())
         with pytest.raises(ValueError, match="loss_scale"):
-            backward_and_step(model, outputs, cache, np.array([[1.0, 0.0]]), Adadelta(),
+            backward_and_step(model, batch, outputs, cache, np.array([[1.0, 0.0]]), Adadelta(),
                               loss_scale=-1.0)
 
 
@@ -133,7 +134,7 @@ class TestModels:
     def test_tagger_forward_shape(self):
         model = SequenceTagger(vocab_size=11, n_tags=5, emb_dim=4, hidden=6,
                                radius=1, seed=0)
-        (probs,) = model.forward(batch_of([np.array([2, 3, 4])]))
+        probs = model.forward(batch_of([np.array([2, 3, 4])]))
         assert probs.shape == (3, 5)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -151,9 +152,9 @@ class TestModels:
         ids = batch_of([np.array([2, 3]), np.array([4, 5])])
         targets = np.eye(2)
         opt = Adadelta()
-        first = backward_and_step(model, *model._forward_cache(ids), targets, opt)
+        first = backward_and_step(model, ids, *model._forward_cache(ids), targets, opt)
         for _ in range(60):
-            last = backward_and_step(model, *model._forward_cache(ids), targets, opt)
+            last = backward_and_step(model, ids, *model._forward_cache(ids), targets, opt)
         assert last < first
 
     def test_gradient_check_small_models(self):
@@ -165,15 +166,15 @@ class TestModels:
         assert max(report.values()) < 1e-4
 
     def test_backward_and_step_rejects_empty(self):
+        # An empty batch cannot be built, so no step takes one; nor does a
+        # step take no target rows for a batch's outputs.
         model = TextClassifier(vocab_size=8, n_classes=2)
         with pytest.raises(ValueError, match="empty batch"):
-            backward_and_step(model, [], None, np.zeros((0, 2)), Adadelta())
-
-    def test_num_params(self):
-        model = SequenceTagger(vocab_size=5, n_tags=3, emb_dim=2, hidden=4,
-                               radius=1)
-        expect = 5 * 2 + (3 * 2) * 4 + 4 + 4 * 3 + 3
-        assert num_params(model) == expect
+            TokenBatch(np.array([], dtype=int), np.array([], dtype=int))
+        batch = batch_of([np.array([2, 3])])
+        outputs, cache = model._forward_cache(batch)
+        with pytest.raises(ValueError, match="shape"):
+            backward_and_step(model, batch, outputs, cache, np.zeros((0, 2)), Adadelta())
 
 
 class TestCheckpoint:

@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import indexed_links, ref_micro_span_prf, ref_spans, ref_valid_sequence
+from conftest import (
+    batch_of_lengths,
+    flat,
+    indexed_links,
+    ref_micro_span_prf,
+    ref_spans,
+    ref_valid_sequence,
+)
 
 from ruledistill.corpus import (
     LabeledSentence,
@@ -93,6 +100,7 @@ class TestSchedule:
             ("radius", -1),
             ("conv_windows", ()),
             ("conv_windows", (2, 0)),
+            ("seed", -1),
         ],
     )
     def test_config_rejects_bad_value(self, field, value):
@@ -101,7 +109,7 @@ class TestSchedule:
             TrainConfig(**{field: value})
 
     @pytest.mark.parametrize("setting, value", [
-        ("c", math.nan), ("c", -1.0), ("eval_sweeps", 0), ("g_max", 0),
+        ("c", math.nan), ("c", -1.0), ("eval_sweeps", 0), ("g_max", 0), ("seed", -1),
     ])
     def test_project_after_rejects_bad_value(self, setting, value):
         settings = {"c": 6.0, "eval_sweeps": 10, "g_max": 8, setting: value}
@@ -145,7 +153,7 @@ class TestEvaluate:
             self.p = p
 
         def forward(self, batch):
-            return [np.array([1.0 - self.p, self.p]) for _ in range(len(batch))]
+            return np.tile([1.0 - self.p, self.p], (len(batch), 1))
 
     def test_classification_accuracy(self):
         from ruledistill.predictors import Vocabulary
@@ -178,7 +186,7 @@ class TestEvaluate:
                 out[0, scheme.index("S-LOC")] = 1.0
                 out[1, scheme.index("S-LOC")] = 1.0
                 out[2, scheme.index("O")] = 1.0
-                return [out / out.sum(axis=1, keepdims=True) for _ in range(len(batch))]
+                return np.tile(out / out.sum(axis=1, keepdims=True), (len(batch), 1))
 
         report = evaluate(FixedTagger(), gold, task="ner", vocab=vocab,
                           scheme=scheme)
@@ -328,8 +336,7 @@ class TestSentimentTeacher:
         n_classes = 2
 
         def forward(self, batch):
-            return [np.array([0.9, 0.1]) if n == 1 else np.array([0.5, 0.5])
-                    for n in batch.lengths]
+            return np.where((batch.lengths == 1)[:, None], [0.9, 0.1], [0.5, 0.5])
 
     def test_sentence_follows_clause_b(self):
         from ruledistill.predictors import Vocabulary
@@ -453,7 +460,8 @@ class TestTrainNer:
             links = trainer._doc_links([s.tokens for s in doc])
             n_links += len(links[1])
             sigmas = base.student.forward(ids)
-            a_doc, b_doc = (t.soft_predict([sigmas], [links], [0]) for t in (one, two))
+            a_doc, b_doc = (t.soft_predict(sigmas, ids, [len(doc)], [links], [0])
+                            for t in (one, two))
             for a, b in zip(a_doc, b_doc):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
         assert n_links > 0
@@ -496,7 +504,9 @@ class TestNerGroupTeacher:
 
     def site_marginals(self, teacher, sigmas, links, seed=0):
         """Stage 1's tag marginals of one document's linked sites, by site."""
-        rows, ends, q = teacher._stage1([sigmas], [indexed_links(links)], [seed])
+        p, lengths = flat(sigmas)
+        rows, ends, q = teacher._stage1(p, batch_of_lengths(lengths), [len(sigmas)],
+                                        [indexed_links(links)], [seed])
         sites = sorted({s for pair in links for s in pair})
         starts = np.cumsum([0] + [len(s) for s in sigmas])
         assert rows.tolist() == [starts[s] + t for s, t in sites]
