@@ -17,9 +17,9 @@ Layers, bottom up:
   teachers, with Gibbs sampling for groups too large to enumerate.
 - ``predictors``: numpy conv classifier and window tagger over flat token
   batches, with manual gradients and checkpointing.
-- ``trainer``: one training loop over a per-task driver (base / distill /
-  semi / pipeline), one teacher per task for both training targets and
-  evaluation, and post-hoc projection.
+- ``trainer``: datasets prepared once for training and evaluation, one
+  training loop (base / distill / semi / pipeline), one teacher per task
+  for both training targets and evaluation, and post-hoc projection.
 - ``corpus``: file formats, synthetic task generators, list detection.
 - ``cli``: the ``ruledistill`` command.
 """

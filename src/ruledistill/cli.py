@@ -48,7 +48,9 @@ from .trainer import (
     TrainConfig,
     aggregate_reports,
     evaluate,
+    infer_scheme,
     pipeline_distill,
+    prepare,
     project_after,
     train_distill,
     train_semi,
@@ -111,13 +113,15 @@ _CASTERS = {
 }
 
 
-def resolve_config(schema: dict, args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file values, and flags, in rising precedence.
+def resolve_config(schema: dict, args: argparse.Namespace) -> tuple[dict, set]:
+    """Merge defaults, config-file values, and flags, in rising precedence;
+    returns the merged values and the keys the file or the flags set.
 
     `schema` maps key -> (type tag, default).  Flags are declared with
     default None so an unset flag falls through to the file value.
     """
     merged = {key: default for key, (_, default) in schema.items()}
+    given = set()
     config_path = getattr(args, "config", None)
     if config_path:
         for key, text in parse_config_file(config_path).items():
@@ -128,11 +132,13 @@ def resolve_config(schema: dict, args: argparse.Namespace) -> dict:
                 merged[key] = _CASTERS[kind](text)
             except ValueError as exc:
                 raise CliError(f"config key {key!r}: {exc}") from exc
+            given.add(key)
     for key in schema:
         flag_val = getattr(args, key.replace("-", "_"), None)
         if flag_val is not None:
             merged[key] = flag_val
-    return merged
+            given.add(key)
+    return merged, given
 
 
 def _require_path(path, what: str) -> str:
@@ -301,10 +307,10 @@ TRAIN_SCHEMA = {
 
 
 def _ner_scheme(dataset) -> TagScheme:
-    cats = sorted({t.split("-", 1)[1] for s in dataset for t in s.tags if t != "O"})
-    if not cats:
-        raise CliError("tagging data contains no entity tags")
-    return TagScheme(tuple(cats))
+    try:
+        return infer_scheme(dataset)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
 
 
 def _load_task_data(task: str, path):
@@ -348,13 +354,15 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    cfg = resolve_config(TRAIN_SCHEMA, args)
+    cfg, _ = resolve_config(TRAIN_SCHEMA, args)
     # Every seed's configuration is checked before any data is read or
     # anything is written.
     if len(set(cfg["seeds"])) != len(cfg["seeds"]):
         raise CliError(f"--seeds repeats a seed: {_fmt_value(cfg['seeds'])}")
     if cfg["unlabeled"] and cfg["mode"] != "semi":
         raise CliError(f"--unlabeled applies only to mode 'semi', not {cfg['mode']!r}")
+    if cfg["rules"] and cfg["mode"] == "base":
+        raise CliError("--rules does not apply to mode 'base', which trains without rules")
     tcfgs = [_train_config(cfg, seed) for seed in cfg["seeds"]]
 
     train_path = _require_path(cfg["train"], "train")
@@ -367,17 +375,11 @@ def cmd_train(args: argparse.Namespace) -> int:
         _load_task_data(cfg["task"], _require_path(cfg["test"], "test"))
         if cfg["test"] else None
     )
-    unlabeled = None
-    if cfg["mode"] == "semi":
-        unlabeled = _load_task_data(
-            cfg["task"], _require_path(cfg["unlabeled"], "unlabeled")
-        )
+    unlabeled = (_load_task_data(cfg["task"], _require_path(cfg["unlabeled"], "unlabeled"))
+                 if cfg["mode"] == "semi" else None)
 
     scheme = _ner_scheme(train_data) if cfg["task"] == "ner" else None
-    rules = (
-        parse_rule_specs(cfg["rules"], scheme)
-        if cfg["rules"] else ()
-    )
+    rules = parse_rule_specs(cfg["rules"], scheme)
     if cfg["mode"] != "base" and not rules:
         raise CliError(f"mode {cfg['mode']!r} needs at least one rule (--rules)")
 
@@ -388,27 +390,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     p_reports, q_reports = [], []
     for seed, tcfg in zip(cfg["seeds"], tcfgs):
         try:
-            if cfg["mode"] == "base":
-                result = train_distill(tcfg, train_data, rules=(), dev=dev_data)
-                teacher = None
-            elif cfg["mode"] == "distill":
+            if cfg["mode"] in ("base", "distill"):
                 result = train_distill(tcfg, train_data, rules=rules, dev=dev_data)
-                teacher = result.teacher
             elif cfg["mode"] == "semi":
                 result = train_semi(tcfg, train_data, unlabeled, rules=rules,
                                     dev=dev_data)
-                teacher = result.teacher
             elif cfg["mode"] == "pipeline":
                 result = pipeline_distill(tcfg, train_data, rules=rules, dev=dev_data)
-                teacher = result.teacher
             else:  # project-after: train plain, project only at evaluation
                 result = train_distill(replace(tcfg, mode="base"), train_data,
                                        rules=(), dev=dev_data)
-                teacher = project_after(
+                result = replace(result, teacher=project_after(
                     result.student, result.vocab, rules, tcfg.c, cfg["task"],
                     scheme=result.scheme, eval_sweeps=tcfg.eval_sweeps,
                     g_max=tcfg.g_max, seed=seed,
-                )
+                ))
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         if result.diagnostics:
@@ -428,12 +424,10 @@ def cmd_train(args: argparse.Namespace) -> int:
                 fh.write(line + "\n")
 
         if test_data is not None:
-            p_reports.append(
-                evaluate(result.student, test_data, task=cfg["task"],
-                         vocab=result.vocab, scheme=result.scheme)
-            )
-            if teacher is not None:
-                q_reports.append(evaluate(teacher, test_data, task=cfg["task"]))
+            test = prepare(test_data, result.vocab, result.scheme)
+            p_reports.append(evaluate(result.student, test))
+            if result.teacher is not None:
+                q_reports.append(evaluate(result.teacher, test))
 
     pairs: list[tuple[str, object]] = [
         ("command", "train"),
@@ -479,9 +473,10 @@ EVAL_SCHEMA = {
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_config(EVAL_SCHEMA, args)
-    if cfg["rules"] and not cfg["use-teacher"]:
-        raise CliError("--rules applies only to the teacher: add --use-teacher")
+    cfg, given = resolve_config(EVAL_SCHEMA, args)
+    unused = [f"--{key}" for key in ("rules", "c", "eval-sweeps", "g-max", "seed") if key in given]
+    if unused and not cfg["use-teacher"]:
+        raise CliError(f"teacher settings {', '.join(unused)} need --use-teacher")
     ckpt_path = _require_path(cfg["checkpoint"], "checkpoint")
     test_path = _require_path(cfg["test"], "test")
     try:
@@ -489,9 +484,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
-    task = extra.get("task") or (
-        "sentiment" if model.kind == "text_classifier" else "ner"
-    )
+    task = extra.get("task") or ("sentiment" if model.kind == "text_classifier" else "ner")
     data = _load_task_data(task, test_path)
     if task == "ner":
         if model.kind != "sequence_tagger":
@@ -508,7 +501,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise CliError("checkpoint is not a classification model")
         scheme = None
 
-    rules = parse_rule_specs(cfg["rules"], scheme) if cfg["rules"] else ()
+    rules = parse_rule_specs(cfg["rules"], scheme)
     pairs: list[tuple[str, object]] = [
         ("command", "eval"),
         ("task", task),
@@ -553,7 +546,7 @@ GEN_SENTIMENT_SCHEMA = {
 
 
 def cmd_gen_sentiment(args: argparse.Namespace) -> int:
-    cfg = resolve_config(GEN_SENTIMENT_SCHEMA, args)
+    cfg, _ = resolve_config(GEN_SENTIMENT_SCHEMA, args)
     if not cfg["out"]:
         raise CliError("missing required out path")
     spec_kwargs = {
@@ -585,7 +578,7 @@ GEN_NER_SCHEMA = {
 
 
 def cmd_gen_ner(args: argparse.Namespace) -> int:
-    cfg = resolve_config(GEN_NER_SCHEMA, args)
+    cfg, _ = resolve_config(GEN_NER_SCHEMA, args)
     if not cfg["out"]:
         raise CliError("missing required out path")
     spec_kwargs = {
@@ -615,7 +608,7 @@ DETECT_SCHEMA = {
 
 
 def cmd_detect_lists(args: argparse.Namespace) -> int:
-    cfg = resolve_config(DETECT_SCHEMA, args)
+    cfg, _ = resolve_config(DETECT_SCHEMA, args)
     path = _require_path(cfg["data"], "data")
     sentences = _load_task_data("ner", path)
     lines = []
@@ -653,7 +646,7 @@ VERIFY_SCHEMA = {
 
 
 def cmd_verify_projection(args: argparse.Namespace) -> int:
-    cfg = resolve_config(VERIFY_SCHEMA, args)
+    cfg, _ = resolve_config(VERIFY_SCHEMA, args)
     if cfg["trials"] < 0:
         raise CliError("trials must be nonnegative")
     results = random_projection_sweep(

@@ -30,21 +30,26 @@ evaluation-time-only projection, and a two-stage pipeline that trains a
 fresh student against a frozen projected teacher.  A distillation run
 with C = 0 or an empty rule set takes the base code path outright, so its
 parameter trajectory is bit-identical to a base run with the same seed.
-Students are trained and evaluated on whole batches: one padded forward
-and backward pass per minibatch, and one forward per evaluation chunk,
-each taken by index from one ``TokenBatch`` of the run's sentences.  A
+
+Every dataset becomes arrays once, as a ``PreparedSet``: one
+``TokenBatch`` of its sentences, each document's sentence count, the gold
+rows, and the rule inputs (clause starts, or each document's list links),
+computed on a teacher's first read.  Training, dev and test evaluation
+read it by index, so no repeat evaluation re-encodes a sentence or
+re-detects a grounding, and a student detects none.  One padded forward
+and backward pass runs per minibatch, one forward per evaluation chunk.  A
 batch's student outputs, teacher targets and hard targets are each one
 (rows, K) array in the batch's order, a row per sentence for
-classification and per position for tagging; only the ``TokenBatch``
-holds where sentences begin and end.
-Evaluation sorts records by token count before chunking, so a forward
-pads only to its chunk's longest sentence, and scores tags as index arrays.
+classification and per position for tagging.  Evaluation sorts sentences
+by token count before chunking, so a forward pads only to its chunk's
+longest sentence, and scores tags as index arrays.
 
-Every mode runs through one epoch loop over a per-task driver, which
-supplies an epoch's batches, each unit's hard target rows as one array,
-and the teacher's q for a batch's student outputs.  Each task has one
-teacher class, which builds the training targets and is deployed for
-evaluation as a student forward followed by the same call.
+Every mode runs through one epoch loop over one driver, which shuffles
+units of the prepared training set (a sentence for classification, a
+document for tagging) and asks the task's teacher for q on a batch's
+student outputs.  Each task has one teacher class, which builds the
+training targets and is deployed for evaluation as a student forward
+followed by the same call.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,6 +79,7 @@ from .predictors import (
     Adadelta,
     SequenceTagger,
     TextClassifier,
+    TokenBatch,
     Vocabulary,
     backward_and_step,
     check_targets,
@@ -101,6 +108,9 @@ __all__ = [
     "TrainResult",
     "SentimentTeacher",
     "NerTeacher",
+    "PreparedSet",
+    "prepare",
+    "infer_scheme",
     "train_distill",
     "train_semi",
     "project_after",
@@ -252,17 +262,13 @@ def _span_ends(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tagging_report(scheme: TagScheme, sents, pred: np.ndarray) -> EvalReport:
+def _tagging_report(data: PreparedSet, pred: np.ndarray) -> EvalReport:
     """Exact-span micro P/R/F1 and the BIOES-valid fraction of ``pred``, the
-    predicted tag indices of ``sents`` concatenated.  A span is its start,
-    end and first tag; gold tags of a category outside the scheme get indices
-    past its own, so their spans are missed, and a tag with no prefix is O."""
-    tags = [t for s in sents for t in s.tags]
-    foreign = {t.partition("-")[2] for t in set(tags)} - {"", *scheme.categories}
-    index = {tag: k for k, tag in enumerate(TagScheme(scheme.categories + tuple(foreign)).tags)}
-    gold = np.array([index.get(t, 0) for t in tags], dtype=int)
+    predicted tag indices of a prepared tagging set's positions.  A span is
+    its start, end and first tag, read off the set's gold rows."""
+    scheme, gold = data.scheme, data.gold
     first = np.zeros(len(pred), dtype=bool)
-    first[np.cumsum([0] + [len(s.tags) for s in sents])[:-1]] = True
+    first[data.batch.starts] = True
     gold_ends, pred_ends = _span_ends(gold, first), _span_ends(pred, first)
     tp = int(np.count_nonzero((gold_ends > 0) & (gold_ends == pred_ends) & (gold == pred)))
     n_pred, n_gold = int(np.count_nonzero(pred_ends)), int(np.count_nonzero(gold_ends))
@@ -271,9 +277,9 @@ def _tagging_report(scheme: TagScheme, sents, pred: np.ndarray) -> EvalReport:
     masks = transition_masks(scheme)
     bad = (np.where(first, ~masks.valid_start[pred], ~masks.valid_pair[np.roll(pred, 1), pred])
            | (np.roll(first, -1) & ~masks.valid_end[pred]))
-    valid = np.ones(len(sents), dtype=bool)
+    valid = np.ones(len(data.batch), dtype=bool)
     valid[np.cumsum(first)[bad] - 1] = False
-    return EvalReport(task="ner", n=len(sents), precision=prec, recall=rec,
+    return EvalReport(task="ner", n=len(data.batch), precision=prec, recall=rec,
                       f1=2 * prec * rec / (prec + rec) if prec + rec else 0.0,
                       validity_rate=float(np.mean(valid)))
 
@@ -354,8 +360,9 @@ class SentimentTeacher:
         return q
 
     def predict_proba(self, tokens) -> np.ndarray:
-        batch = self.vocab.encode([tokens])
-        return self.soft_predict(self.model.forward(batch), batch, _clause_starts([tokens]))[0]
+        # The label of the one-sentence set is never read.
+        data = prepare([LabeledSentence(tokens, 0)], self.vocab)
+        return self.soft_predict(self.model.forward(data.batch), data.batch, data.rule_inputs)[0]
 
 
 # --- NER teacher -------------------------------------------------------------
@@ -532,26 +539,80 @@ class NerTeacher:
         gives them, and ``seeds`` its stage-1 seed.  Returns (P, K) rows."""
         return chain_marginals(self._chains(p, batch, doc_sizes, docs_links, seeds))
 
-    def _paths(self, docs: Sequence[Sequence[TaggedSentence]]) -> np.ndarray:
-        """Decoded tag indices of every position of every document, in
-        chunks of about ``_EVAL_CHUNK`` sentences; document d gets the seed
-        ``seed + 7919 * d`` whatever its chunk, so repeats are identical."""
+    def _paths(self, data: PreparedSet) -> np.ndarray:
+        """Decoded tag indices of a prepared set's positions, in chunks of
+        whole documents of about ``_EVAL_CHUNK`` sentences; document d gets
+        the seed ``seed + 7919 * d`` whatever its chunk."""
 
-        def decode(chunk):
-            tokens = [[s.tokens for s in doc] for _, doc in chunk]
-            batch = self.vocab.encode([t for doc in tokens for t in doc])
+        def decode(docs):
+            batch = data.batch.take(data.docs.positions(docs))
             return chain_map_decode(self._chains(
-                self.model.forward(batch), batch, [len(doc) for doc in tokens],
-                [_doc_links(doc) for doc in tokens],
-                [self.seed + 7919 * d for d, _ in chunk],
+                self.model.forward(batch), batch, data.docs.lengths[docs],
+                [data.rule_inputs[d] for d in docs], [self.seed + 7919 * d for d in docs],
             ))[0]
 
-        return _chunked(decode, list(enumerate(docs)), [len(doc) for doc in docs])
+        return _chunked(decode, data.docs.lengths)
 
     def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
         """Decoded tags of every sentence of every document, by document."""
-        tags = iter([self.scheme.tags[k] for k in self._paths(docs)])
+        tags = iter([self.scheme.tags[k]
+                     for k in self._paths(PreparedSet(docs, self.vocab, self.scheme))])
         return [[list(itertools.islice(tags, len(s.tokens))) for s in doc] for doc in docs]
+
+
+# --- prepared datasets -------------------------------------------------------
+
+
+def infer_scheme(sentences: Sequence[TaggedSentence]) -> TagScheme:
+    """The tag scheme of tagged sentences: their entity categories, sorted."""
+    cats = sorted({t.split("-", 1)[1] for s in sentences for t in s.tags if t != "O"})
+    if not cats:
+        raise ValueError("tagging data contains no entity tags")
+    return TagScheme(tuple(cats))
+
+
+class PreparedSet:
+    """A dataset as the arrays training and evaluation read, built once
+    from its documents (lists of tagging records, or classification
+    records, each a document of its own), a vocabulary and, for tagging, a
+    scheme: ``batch`` holds every sentence, documents in order; ``docs``
+    the documents as runs of sentence indices; ``gold`` a class index per
+    sentence or a tag index per position (a category outside the scheme
+    indexes past its tags, so its spans are missed; a tag with no prefix is
+    O).  ``rule_inputs``, each sentence's clause-B start or each document's
+    links, is computed on a teacher's first read, and by no student."""
+
+    def __init__(self, documents, vocab: Vocabulary, scheme: Optional[TagScheme] = None):
+        self.vocab, self.scheme = vocab, scheme
+        self.task = "sentiment" if scheme is None else "ner"
+        sentences = list(documents) if scheme is None else [s for doc in documents for s in doc]
+        self.tokens = [s.tokens for s in sentences]
+        self.batch = vocab.encode(self.tokens)
+        sizes = np.ones(len(sentences), dtype=int) if scheme is None else list(map(len, documents))
+        self.docs = TokenBatch(np.arange(len(sentences)), sizes)
+        if scheme is None:
+            self.gold = np.array([s.label for s in sentences], dtype=int)
+            return
+        tags = [t for s in sentences for t in s.tags]
+        foreign = {t.partition("-")[2] for t in set(tags)} - {"", *scheme.categories}
+        index = {tag: k for k, tag in enumerate(TagScheme(scheme.categories + tuple(foreign)).tags)}
+        self.gold = np.array([index.get(t, 0) for t in tags], dtype=int)
+
+    def rows(self, sentences) -> np.ndarray:
+        """The gold rows of ``sentences``: themselves, or their positions."""
+        return sentences if self.scheme is None else self.batch.positions(sentences)
+
+    @cached_property
+    def rule_inputs(self):
+        if self.scheme is None:
+            return _clause_starts(self.tokens)
+        docs = zip(self.docs.starts, self.docs.lengths)
+        return [_doc_links(self.tokens[first:first + n]) for first, n in docs]
+
+
+def prepare(records, vocab: Vocabulary, scheme: Optional[TagScheme] = None) -> PreparedSet:
+    """Records as a ``PreparedSet``, tagging ones (given a scheme) by document."""
+    return PreparedSet(records if scheme is None else group_documents(records), vocab, scheme)
 
 
 # --- generic evaluation ------------------------------------------------------
@@ -577,60 +638,63 @@ def _pack(sizes: Sequence[int], limit: int) -> list[list[int]]:
     return groups
 
 
-def _chunked(fn, items, sizes: Sequence[int]) -> np.ndarray:
-    """``fn``'s row arrays, called on consecutive chunks of ``items`` of
-    about ``_EVAL_CHUNK`` sentences, where ``sizes`` gives each item's
-    sentence count, concatenated."""
-    return np.concatenate([fn([items[i] for i in group])
-                           for group in _pack(sizes, _EVAL_CHUNK)])
+def _chunked(fn, sizes: Sequence[int]) -> np.ndarray:
+    """``fn``'s row arrays, called on the indices of consecutive chunks of
+    items of about ``_EVAL_CHUNK`` sentences, where ``sizes`` gives each
+    item's sentence count, concatenated."""
+    return np.concatenate([fn(group) for group in _pack(sizes, _EVAL_CHUNK)])
 
 
 def evaluate(predictor, dataset, task: Optional[str] = None,
              vocab: Optional[Vocabulary] = None,
              scheme: Optional[TagScheme] = None) -> EvalReport:
-    """Score a student model or teacher evaluator on a dataset.
-
-    Students need ``vocab`` (and ``scheme`` for tagging); teachers carry
-    their own.  The task is inferred from the record type when omitted.
-    Records are encoded once and stably sorted by token count into chunks
-    of ``_EVAL_CHUNK``, so a forward pads only to its chunk's longest
-    sentence and one chunk's outputs are held at a time.
+    """Score a student model or teacher evaluator on records, prepared here
+    with ``vocab`` (and ``scheme`` for tagging) for a student, or on a
+    ``PreparedSet``, which must match the teacher's or the arguments'.
+    Teachers carry their own; the task is inferred from the record type
+    when omitted.  Students and the sentiment teacher forward chunks of
+    ``_EVAL_CHUNK`` sentences stably sorted by token count, so a forward
+    pads only to its chunk's longest sentence; the tagging teacher decodes
+    chunks of whole documents.
     """
-    records = list(dataset)
-    if not records:
-        raise ValueError("empty evaluation dataset")
-    if task is None:
-        task = "sentiment" if isinstance(records[0], LabeledSentence) else "ner"
-    if task == "ner":
-        docs = group_documents(records)
-        records = [s for doc in docs for s in doc]
-        if isinstance(predictor, NerTeacher):
-            return _tagging_report(predictor.scheme, records, predictor._paths(docs))
+    if isinstance(predictor, (SentimentTeacher, NerTeacher)):
+        vocab, scheme = predictor.vocab, getattr(predictor, "scheme", None)
+    if isinstance(dataset, PreparedSet):
+        data = dataset
+        if (task not in (None, data.task) or vocab not in (None, data.vocab)
+                or scheme not in (None, data.scheme)):
+            raise ValueError("the prepared set was made for another task, vocabulary or scheme")
+    else:
+        records = list(dataset)
+        if not records:
+            raise ValueError("empty evaluation dataset")
+        if task is None:
+            task = "sentiment" if isinstance(records[0], LabeledSentence) else "ner"
+        if vocab is None or (task == "ner" and scheme is None):
+            raise ValueError("student evaluation needs a vocabulary, and tagging a scheme")
+        data = prepare(records, vocab, scheme if task == "ner" else None)
+    if isinstance(predictor, NerTeacher):
+        return _tagging_report(data, predictor._paths(data))
 
-    model, teacher = predictor, None
-    if task == "sentiment" and isinstance(predictor, SentimentTeacher):
-        model, teacher, vocab = predictor.model, predictor, predictor.vocab
-        clause_starts = _clause_starts([s.tokens for s in records])
-    elif vocab is None or (task == "ner" and scheme is None):
-        raise ValueError("student evaluation needs a vocabulary, and tagging a scheme")
-    batch = vocab.encode([s.tokens for s in records])
-    order = np.argsort(batch.lengths, kind="stable")
-    labels = np.empty(len(batch) if task == "sentiment" else len(batch.ids), dtype=int)
+    teacher = predictor if isinstance(predictor, SentimentTeacher) else None
+    model = predictor if teacher is None else teacher.model
+    order = np.argsort(data.batch.lengths, kind="stable")
+    labels = np.empty(len(data.gold), dtype=int)
     for start in range(0, len(order), _EVAL_CHUNK):
         idx = order[start:start + _EVAL_CHUNK]
-        chunk = batch.take(idx)
+        chunk = data.batch.take(idx)
         p = model.forward(chunk)
         if teacher is not None:
-            p = teacher.soft_predict(p, chunk, clause_starts[idx])
-        if task == "ner" and p.shape[1] != scheme.n_tags:
+            p = teacher.soft_predict(p, chunk, data.rule_inputs[idx])
+        if data.scheme is not None and p.shape[1] != data.scheme.n_tags:
             raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
-                             f"has {scheme.n_tags}")
-        labels[idx if task == "sentiment" else batch.positions(idx)] = p.argmax(axis=1)
+                             f"has {data.scheme.n_tags}")
+        labels[data.rows(idx)] = p.argmax(axis=1)
 
-    if task == "sentiment":
-        acc = float(np.mean(labels == [s.label for s in records]))
-        return EvalReport(task="sentiment", n=len(records), accuracy=acc)
-    return _tagging_report(scheme, records, labels)
+    if data.scheme is None:
+        return EvalReport(task="sentiment", n=len(labels),
+                          accuracy=float(np.mean(labels == data.gold)))
+    return _tagging_report(data, labels)
 
 
 # --- training ----------------------------------------------------------------
@@ -646,126 +710,56 @@ class TrainResult:
     diagnostics: dict
 
 
-@dataclass(frozen=True, eq=False)
-class _Unit:
-    """What one shuffle moves: a sentence for classification, a whole
-    document for tagging (so every teacher group is built in full).
-    ``rows`` indexes its sentences in the driver's batch; ``hard`` is the
-    (rows, K) array of hard target rows (a row per sentence, or per
-    position, in sentence order), None for an unlabeled unit; ``rule_input``
-    is what the teacher reads besides the student's outputs (the clause-B
-    offset, or the document's tokens, from which list links are detected)."""
-
-    rows: np.ndarray
-    hard: Optional[np.ndarray]
-    rule_input: object = None
-
-
 class _Driver:
-    """Task plumbing for the training loop: the units and the batches of an
-    epoch, over one ``TokenBatch`` of every sentence, encoded once.  The
-    units' hard target rows are checked once, here.  Task subclasses add
-    ``soft_targets(teacher, outputs, batch, units)``: the teacher's q rows
-    for a batch, given the student's output rows on it."""
+    """The training loop's units over a prepared set: runs of sentence
+    indices in ``units``, the first ``n_labeled`` labeled; the set's
+    documents (whole, so every teacher group is built in full), or single
+    sentences in pipeline stage 2.  ``targets``, the labeled rows' hard
+    targets, is checked once, here."""
 
-    scheme: Optional[TagScheme] = None
-
-    def __init__(self, config: TrainConfig, sentences, units, u_units=()):
-        self.config = config
-        self.sentences = sentences
-        self.units = units
-        self.u_units = list(u_units)
-        if units:
-            check_targets(np.concatenate([unit.hard for unit in units]))
+    def __init__(self, config: TrainConfig, data: PreparedSet, targets, units: TokenBatch,
+                 n_labeled: int):
+        self.config, self.data, self.targets = config, data, targets
+        self.units, self.n_labeled = units, n_labeled
+        if n_labeled:
+            check_targets(targets)
         # Seeds the tagging teacher's group formation and Gibbs runs, one
         # draw per document.
         self.teacher_rng = np.random.default_rng((config.seed, 2))
 
-    def _split(self, order, units):
+    def _split(self, units):
         """Shuffled units in batches of about batch_size sentences."""
-        sizes = [len(units[int(u)].rows) for u in order]
-        return [[units[int(order[i])] for i in group]
-                for group in _pack(sizes, self.config.batch_size)]
+        return [units[group] for group in _pack(self.units.lengths[units], self.config.batch_size)]
 
     def batches(self, rng, pi: float):
         """One epoch's (labeled, units) batches; unlabeled ones join only
         while pi > 0."""
-        plan = [(True, b) for b in self._split(rng.permutation(len(self.units)), self.units)]
-        if pi > 0.0 and self.u_units:
-            plan += [
-                (False, b)
-                for b in self._split(rng.permutation(len(self.u_units)), self.u_units)
-            ]
+        plan = [(True, b) for b in self._split(rng.permutation(self.n_labeled))]
+        n_unlabeled = len(self.units) - self.n_labeled
+        if pi > 0.0 and n_unlabeled:
+            plan += [(False, b)
+                     for b in self._split(self.n_labeled + rng.permutation(n_unlabeled))]
             rng.shuffle(plan)
         return plan
 
-
-class _SentimentDriver(_Driver):
-    def __init__(self, config: TrainConfig, train, unlabeled=()):
-        train, unlabeled = list(train), list(unlabeled)
-        self.n_classes = max(2, max(s.label for s in train) + 1)
-        tokens = [s.tokens for s in train + unlabeled]
-        self.vocab = Vocabulary.build(tokens)
-        one_hot = np.eye(self.n_classes)
-        hard = [one_hot[[s.label]] for s in train] + [None] * len(unlabeled)
-        units = [_Unit(np.array([i]), h, int(start))
-                 for i, (h, start) in enumerate(zip(hard, _clause_starts(tokens)))]
-        super().__init__(config, self.vocab.encode(tokens), units[:len(train)], units[len(train):])
-
     def init_model(self, seed: int):
-        cfg = self.config
-        return TextClassifier(
-            len(self.vocab),
-            self.n_classes,
-            emb_dim=cfg.emb_dim,
-            window_sizes=cfg.conv_windows,
-            n_filters=cfg.n_filters,
-            seed=seed,
-        )
+        cfg, n_out = self.config, self.targets.shape[1]
+        if cfg.task == "sentiment":
+            return TextClassifier(len(self.data.vocab), n_out, emb_dim=cfg.emb_dim,
+                                  window_sizes=cfg.conv_windows, n_filters=cfg.n_filters,
+                                  seed=seed)
+        return SequenceTagger(len(self.data.vocab), n_out, emb_dim=cfg.emb_dim,
+                              hidden=cfg.hidden, radius=cfg.radius, seed=seed)
 
-    def soft_targets(self, teacher, outputs, batch, units):
-        return teacher.soft_predict(outputs, batch, np.array([u.rule_input for u in units]))
-
-
-class _NerDriver(_Driver):
-    def __init__(self, config: TrainConfig, train, unlabeled=()):
-        docs = group_documents(list(train))
-        u_docs = group_documents(list(unlabeled))
-        cats = sorted(
-            {t.split("-", 1)[1] for doc in docs + u_docs for s in doc for t in s.tags if t != "O"}
-        )
-        self.scheme = TagScheme(tuple(cats))
-        tokens = [s.tokens for doc in docs + u_docs for s in doc]
-        self.vocab = Vocabulary.build(tokens)
-        # Each document's linked sites and links, detected on its first
-        # teacher use; base mode never builds a teacher and so detects none.
-        self.links: dict[_Unit, list] = {}
-        one_hot = np.eye(self.scheme.n_tags)
-        starts = np.cumsum([0] + [len(doc) for doc in docs + u_docs])
-        units = [_Unit(np.arange(start, start + len(doc)),
-                       one_hot[[self.scheme.index(t) for s in doc for t in s.tags]],
-                       [s.tokens for s in doc])
-                 for start, doc in zip(starts, docs + u_docs)]
-        super().__init__(config, self.vocab.encode(tokens), units[:len(docs)], units[len(docs):])
-
-    def init_model(self, seed: int):
-        cfg = self.config
-        return SequenceTagger(
-            len(self.vocab),
-            self.scheme.n_tags,
-            emb_dim=cfg.emb_dim,
-            hidden=cfg.hidden,
-            radius=cfg.radius,
-            seed=seed,
-        )
-
-    def soft_targets(self, teacher, outputs, batch, units):
-        for unit in units:
-            if unit not in self.links:
-                self.links[unit] = _doc_links(unit.rule_input)
-        seeds = [int(self.teacher_rng.integers(2**31 - 1)) for _ in units]
-        return teacher.soft_predict(outputs, batch, [len(u.rows) for u in units],
-                                    [self.links[u] for u in units], seeds)
+    def soft_targets(self, teacher, outputs, batch, docs):
+        """The teacher's q rows for a batch of the set's documents, given the
+        student's output rows on it."""
+        inputs = self.data.rule_inputs
+        if self.data.scheme is None:
+            return teacher.soft_predict(outputs, batch, inputs[docs])
+        seeds = [int(self.teacher_rng.integers(2**31 - 1)) for _ in docs]
+        return teacher.soft_predict(outputs, batch, self.data.docs.lengths[docs],
+                                    [inputs[d] for d in docs], seeds)
 
 
 def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 1):
@@ -773,8 +767,12 @@ def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 
     to the teacher for q while pi > 0, and takes one step on the blend
     (1 - pi) * hard + pi * q through the same forward; unlabeled batches
     imitate q alone, weighted by pi.  Without a teacher the targets are
-    the units' hard rows.  With a dev set it keeps the best-dev parameters
-    and stops after ``patience`` epochs without improvement."""
+    the units' hard rows.  With a dev set, prepared once, it keeps the
+    best-dev parameters and stops after ``patience`` epochs without
+    improvement."""
+    data = driver.data
+    if dev is not None:
+        dev = prepare(dev, data.vocab, data.scheme)
     opt = Adadelta()
     best, best_params, stale = -np.inf, None, 0
     history = []
@@ -782,9 +780,10 @@ def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 
         pi = pi_at(epoch)
         losses = []
         for labeled, units in driver.batches(rng, pi):
-            batch = driver.sentences.take(np.concatenate([u.rows for u in units]))
+            sentences = driver.units.positions(units)
+            batch = data.batch.take(sentences)
             outputs, cache = model._forward_cache(batch)
-            targets = np.concatenate([u.hard for u in units]) if labeled else None
+            targets = driver.targets[data.rows(sentences)] if labeled else None
             if teacher is not None and pi > 0.0:
                 q = driver.soft_targets(teacher, outputs, batch, units)
                 targets = q if targets is None else (1.0 - pi) * targets + pi * q
@@ -793,8 +792,7 @@ def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 
         history.append({"epoch": epoch, "pi": pi, "train_loss": float(np.mean(losses))})
         if dev is None:
             continue
-        metric = evaluate(model, dev, task=driver.config.task, vocab=driver.vocab,
-                          scheme=driver.scheme).metric()
+        metric = evaluate(model, dev).metric()
         history[-1]["dev_metric"] = metric
         if metric > best + 1e-12:
             best, stale = metric, 0
@@ -808,15 +806,24 @@ def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 
     return history
 
 
-def _make_driver(config, train, unlabeled=()):
+def _make_driver(config: TrainConfig, train, unlabeled=()) -> _Driver:
+    """The driver over the labeled, then the unlabeled documents."""
+    train, unlabeled = list(train), list(unlabeled)
     if config.task == "sentiment":
-        return _SentimentDriver(config, train, unlabeled)
-    return _NerDriver(config, train, unlabeled)
+        docs, u_docs, scheme = train, unlabeled, None
+    else:
+        docs, u_docs = group_documents(train), group_documents(unlabeled)
+        scheme = infer_scheme(train + unlabeled)
+    data = PreparedSet(docs + u_docs, Vocabulary.build(s.tokens for s in train + unlabeled),
+                       scheme)
+    gold = data.gold[:len(train) if scheme is None else sum(map(len, train))]
+    n_out = max(2, int(gold.max()) + 1) if scheme is None else scheme.n_tags
+    return _Driver(config, data, np.eye(n_out)[gold], data.docs, len(docs))
 
 
 def _teacher(config: TrainConfig, driver: _Driver, model, rules, sweeps: int):
-    return project_after(model, driver.vocab, rules, config.c, config.task,
-                         scheme=driver.scheme, eval_sweeps=sweeps,
+    return project_after(model, driver.data.vocab, rules, config.c, config.task,
+                         scheme=driver.data.scheme, eval_sweeps=sweeps,
                          g_max=config.g_max, seed=config.seed)
 
 
@@ -849,8 +856,8 @@ def _train(config: TrainConfig, driver: _Driver, rules, dev,
     return TrainResult(
         student=model,
         teacher=deployed,
-        vocab=driver.vocab,
-        scheme=driver.scheme,
+        vocab=driver.data.vocab,
+        scheme=driver.data.scheme,
         history=tuple(history),
         diagnostics=_diagnostics(teacher),
     )
@@ -906,18 +913,17 @@ def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
     stage1 = _train(config, driver, rules, dev, distill=False)
     teacher = stage1.teacher
     # Teacher targets from the frozen model are static: compute them once,
-    # as stage 2's hard rows, one unit per sentence in the driver's order
-    # (a row per sentence, or per position for tagging).
+    # as stage 2's hard rows, with one unit per sentence of the set.
     driver.teacher_rng = np.random.default_rng((config.seed, 3))
+    data = driver.data
 
-    def frozen_q(units):
-        batch = driver.sentences.take(np.concatenate([unit.rows for unit in units]))
-        return driver.soft_targets(teacher, teacher.model.forward(batch), batch, units)
+    def frozen_q(docs):
+        batch = data.batch.take(data.docs.positions(docs))
+        return driver.soft_targets(teacher, teacher.model.forward(batch), batch, docs)
 
-    softs = _chunked(frozen_q, driver.units, [len(unit.rows) for unit in driver.units])
-    sizes = driver.sentences.lengths if config.task == "ner" else np.ones(len(softs), dtype=int)
-    fixed = _Driver(config, driver.sentences, [
-        _Unit(np.array([i]), q) for i, q in enumerate(np.split(softs, np.cumsum(sizes)[:-1]))])
+    n = len(data.batch)
+    fixed = _Driver(config, data, _chunked(frozen_q, data.docs.lengths),
+                    TokenBatch(np.arange(n), np.ones(n, dtype=int)), n)
     student = driver.init_model(config.seed + 1)
     history = _fit(student, fixed, None, lambda epoch: 1.0,
                    np.random.default_rng((config.seed, 4)))

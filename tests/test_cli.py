@@ -76,18 +76,22 @@ class TestConfigFile:
             return argparse.Namespace(**base)
 
         # defaults only
-        got = resolve_config(schema, ns())
+        got, given = resolve_config(schema, ns())
         assert (got["epochs"], got["c"], got["seeds"]) == (20, 6.0, (0,))
+        assert given == set()
         # file overrides defaults
-        got = resolve_config(schema, ns(config=str(cfg_path)))
+        got, given = resolve_config(schema, ns(config=str(cfg_path)))
         assert (got["epochs"], got["c"], got["seeds"]) == (7, 2.5, (1, 2))
         assert got["task"] == "sentiment"  # untouched default survives
+        assert given == {"epochs", "c", "seeds"}
         # flag overrides file
-        got = resolve_config(schema, ns(config=str(cfg_path), epochs=9))
+        got, given = resolve_config(schema, ns(config=str(cfg_path), epochs=9, task="ner"))
         assert got["epochs"] == 9 and got["c"] == 2.5
+        assert given == {"epochs", "c", "seeds", "task"}
         # flag overrides default without a file
-        got = resolve_config(schema, ns(c=1.5))
+        got, given = resolve_config(schema, ns(c=1.5))
         assert got["c"] == 1.5 and got["epochs"] == 20
+        assert given == {"c"}
 
     def test_unknown_key_rejected(self, tmp_path):
         import argparse
@@ -212,6 +216,21 @@ class TestTrainCommand:
         assert counts[0] > 0
         assert logged == [f"seed {seed} diagnostics: infeasible_instances={n}"
                           for seed, n in zip((0, 1), counts)]
+
+    def test_rules_in_base_mode_exit_2_before_reading_or_writing(
+            self, data_dir, tmp_path, monkeypatch, capsys):
+        from ruledistill import cli
+
+        read = []
+        monkeypatch.setattr(cli, "_load_task_data", lambda *a: read.append(a))
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "sentiment", "--mode", "base",
+            "--train", str(data_dir / "train.tsv"), "--rules", "but(lambda=1)",
+            "--out", str(out),
+        ]) == 2
+        assert "mode 'base'" in capsys.readouterr().err
+        assert not read and not out.exists()
 
     def test_base_mode_has_no_teacher_keys(self, data_dir, tmp_path):
         out = tmp_path / "run"
@@ -437,6 +456,27 @@ class TestEvalCommand:
         ]) == 2
         out = capsys.readouterr()
         assert out.out == "" and "--use-teacher" in out.err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--c", "nan"), ("--eval-sweeps", "0"), ("--g-max", "0"), ("--seed", "1"), ("c", "6"),
+    ])
+    def test_teacher_setting_without_teacher_exit_2_before_printing(
+            self, data_dir, sent_ckpt, tmp_path, capsys, flag, value):
+        # Teacher settings are an error without the teacher, whether a flag
+        # or the config file sets them (a bare key below), even to the
+        # default value, as c = 6 is.
+        if flag.startswith("--"):
+            setting = [flag, value]
+        else:
+            (tmp_path / "eval.cfg").write_text(f"{flag} = {value}\n")
+            setting = ["--config", str(tmp_path / "eval.cfg")]
+        assert run([
+            "eval", "--checkpoint", str(sent_ckpt),
+            "--test", str(data_dir / "test.tsv"), *setting,
+        ]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and f"--{flag.lstrip('-')}" in out.err
+        assert "--use-teacher" in out.err
 
     def test_hard_list_rule_exit_2_before_writing(self, data_dir, ner_ckpt, tmp_path, capsys):
         out_file = tmp_path / "eval.txt"

@@ -106,9 +106,11 @@ def test_train_artifacts_match_golden_digests(task, mode, corpora, tmp_path):
         "train", "--task", task, "--mode", mode,
         "--train", str(corpora / f"{prefix}_train.{ext}"),
         "--test", str(corpora / f"{prefix}_test.{ext}"),
-        "--rules", RULES[task],
         "--epochs", "3", "--seeds", "0,1", "--out", str(tmp_path),
     ]
+    if mode != "base":
+        # Base mode trains without rules and rejects them.
+        argv += ["--rules", RULES[task]]
     if mode == "semi":
         # Every other mode rejects an unlabeled set.
         argv += ["--unlabeled", str(corpora / f"{prefix}_unlab.{ext}")]

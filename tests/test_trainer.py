@@ -29,6 +29,7 @@ from ruledistill.corpus import (
     group_documents,
 )
 from ruledistill import trainer
+from ruledistill.predictors import SequenceTagger, TextClassifier, Vocabulary
 from ruledistill.inference import (
     GroupLink,
     GroupTeacherQuery,
@@ -203,7 +204,9 @@ class TestEvaluate:
         prec, rec, f1 = ref_micro_span_prf([ref_spans(scheme, s.tags) for s in sents],
                                            [ref_spans(scheme, tags) for tags in pred_tags])
         validity = float(np.mean([ref_valid_sequence(scheme, tags) for tags in pred_tags]))
-        assert trainer._tagging_report(scheme, sents, np.concatenate(pred)) == EvalReport(
+        vocab = Vocabulary.build([s.tokens for s in sents])
+        data = trainer.prepare(sents, vocab, scheme)
+        assert trainer._tagging_report(data, np.concatenate(pred)) == EvalReport(
             task="ner", n=len(sents), precision=prec, recall=rec, f1=f1, validity_rate=validity)
 
     @pytest.mark.parametrize("n_tags,categories", [(13, ("LOC", "ORG")), (9, ("LOC", "ORG", "PER"))])
@@ -419,6 +422,10 @@ class TestTrainNer:
         report = evaluate(res.teacher, self.DATA, task="ner")
         # Hard transition rules make every teacher decode BIOES-valid.
         assert report.validity_rate == 1.0
+        # Without an entity tag there is no scheme to infer.
+        untagged = [replace(s, tags=("O",) * len(s.tags)) for s in self.DATA]
+        with pytest.raises(ValueError, match="tagging data contains no entity tags"):
+            train_distill(self.config(), untagged, rules=self.RULES)
 
     def test_student_evaluation_reports_validity(self):
         res = train_distill(self.config(mode="base"), self.DATA, rules=())
@@ -483,6 +490,87 @@ class TestTrainNer:
         train_distill(self.config(epochs=3), self.DATA, rules=self.RULES)
         n_docs = len({s.doc_id for s in self.DATA})
         assert calls == {"detect_lists": n_docs, "chain_map_decode": 0}
+
+
+class TestPreparedSet:
+    """A prepared set is encoded once, and its rule inputs are detected on
+    a teacher's first read and never by a student."""
+
+    SENT = gen_synthetic_sentiment(seed=13, n=40)
+    NER = gen_synthetic_ner(seed=13, n_docs=6)
+    SCHEME = TagScheme(("LOC", "ORG", "PER"))
+    KINDS = ("sentiment student", "sentiment teacher", "ner student", "ner teacher")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"encode": 0, "detect_but": 0, "detect_lists": 0}
+        for owner, name in ((Vocabulary, "encode"), (trainer, "detect_but"),
+                            (trainer, "detect_lists")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kw):
+                calls[_name] += 1
+                return _original(*args, **kw)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def case(self, kind):
+        """A predictor of ``kind``, its records, and the vocabulary and
+        scheme a student is evaluated with."""
+        if kind.startswith("sentiment"):
+            vocab = Vocabulary.build([s.tokens for s in self.SENT])
+            model = TextClassifier(len(vocab), 2, emb_dim=4, n_filters=3, seed=1)
+            teacher = SentimentTeacher(model, vocab, (but_rule(confidence=1.0),), 6.0)
+            records, scheme = self.SENT, None
+        else:
+            vocab = Vocabulary.build([s.tokens for s in self.NER])
+            model = SequenceTagger(len(vocab), self.SCHEME.n_tags, emb_dim=4, hidden=5,
+                                   radius=1, seed=1)
+            rules = tuple(transition_rules(self.SCHEME)) + (
+                list_counterpart_rule(CategoryCollapse(self.SCHEME), confidence=1.0),)
+            teacher = NerTeacher(model, vocab, self.SCHEME, rules, 6.0, g_max=2, seed=3)
+            records, scheme = self.NER, self.SCHEME
+        return (teacher if kind.endswith("teacher") else model), records, vocab, scheme
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_prepared_evaluation_repeats_no_work(self, kind, calls):
+        predictor, records, vocab, scheme = self.case(kind)
+        raw = evaluate(predictor, records, vocab=vocab, scheme=scheme)
+        data = trainer.prepare(records, vocab, scheme)
+        # Neither evaluation encodes; the first teacher evaluation detects
+        # each rule input once, and the second detects nothing again.
+        expect = {"encode": 0, "detect_but": 0, "detect_lists": 0}
+        if kind == "sentiment teacher":
+            expect["detect_but"] = len(records)
+        elif kind == "ner teacher":
+            expect["detect_lists"] = len(group_documents(records))
+        reports = []
+        for _ in range(2):
+            calls.update(dict.fromkeys(calls, 0))
+            reports.append(evaluate(predictor, data))
+            assert calls == expect
+            expect = dict.fromkeys(calls, 0)
+        assert reports == [raw, raw]
+
+    def test_rule_inputs_stay_lazy(self, calls):
+        # Students, in evaluation and in base training with a dev set, read
+        # no rule input, so none is detected.
+        for kind in ("sentiment student", "ner student"):
+            predictor, records, vocab, scheme = self.case(kind)
+            evaluate(predictor, records, vocab=vocab, scheme=scheme)
+        train_distill(tiny_config(mode="base", epochs=1), self.SENT, dev=self.SENT)
+        train_distill(tiny_config(task="ner", mode="base", epochs=1, hidden=5), self.NER,
+                      dev=self.NER)
+        assert calls["detect_but"] == calls["detect_lists"] == 0
+
+    def test_rejects_a_set_of_another_vocabulary_or_scheme(self):
+        teacher, records, vocab, scheme = self.case("ner teacher")
+        other = Vocabulary.build([s.tokens for s in records])
+        with pytest.raises(ValueError, match="prepared set"):
+            evaluate(teacher, trainer.prepare(records, other, scheme))
+        with pytest.raises(ValueError, match="prepared set"):
+            evaluate(teacher, trainer.prepare(records, vocab, TagScheme(("LOC", "ORG", "X"))))
 
 
 class TestNerGroupTeacher:
