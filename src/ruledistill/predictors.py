@@ -14,10 +14,10 @@ it) and returns one (rows, K) array of output distributions: a row per
 sentence for the classifier, (B, K), and a row per position for the
 tagger, (P, K), in the order of ``batch.ids``.  Only the batch knows where
 a sentence's rows begin and end.  The batch is scattered into (B, T_max)
-under its position mask, windows are strided views of it, and each conv
-width (or the tagger's hidden layer) is one stacked matmul, so a
-sentence's outputs do not depend on what else shares its batch.  Masks
-work by position, not by id: an id 0 keeps its embedding row, while
+under its position mask, windows are strided views of it, and the
+classifier's conv (all widths at once) or the tagger's hidden layer is
+one stacked matmul, so a sentence's outputs do not depend on its batch.
+Masks work by position, not by id: an id 0 keeps its embedding row, while
 positions past a sentence's end are zero vectors.  The classifier pools
 only over windows that start within max(length, widest window) - w; the
 tagger's out-of-sentence positions get no gradient.
@@ -179,16 +179,31 @@ def _unwindow(dm: np.ndarray, w: int, length: int) -> np.ndarray:
     return dx
 
 
-# Every matmul on a (B, n, d) batch array is stacked, one small product
-# per sentence: a single (B * n, d) product is large enough for BLAS to
-# split it over threads, which costs more than it saves at these sizes and
-# stalls when the other cores are busy.
+# Every matmul on a (B, n, d) batch array, the fused conv's included, is
+# stacked, one small product per sentence: a single (B * n, d) product is
+# large enough for BLAS to split it over threads, which costs more than it
+# saves at these sizes and stalls when the other cores are busy.
 
 
 def _weight_grad(m: np.ndarray, dz: np.ndarray) -> np.ndarray:
     """Sum over sentences and positions of outer(m, dz), for (B, n, d) m
     and (B, n, k) dz."""
     return (m.transpose(0, 2, 1) @ dz).sum(axis=0)
+
+
+def _embedding_grad(ids: np.ndarray, rows: np.ndarray, vocab_size: int) -> np.ndarray:
+    """(V, E) sums of the (P, E) ``rows`` by id, in ``np.add.at``'s order."""
+    e = rows.shape[1]
+    flat = (ids[:, None] * e + np.arange(e)).ravel()
+    return np.bincount(flat, rows.ravel(), vocab_size * e).reshape(vocab_size, e)
+
+
+def _check_widths(widths, name: str) -> None:
+    if not widths or min(widths) < 1:
+        raise ValueError(f"{name} must be nonempty widths >= 1, got {tuple(widths)}")
+    repeated = sorted(w for w, n in Counter(widths).items() if n > 1)
+    if repeated:
+        raise ValueError(f"{name} must be distinct widths; {repeated} repeat")
 
 
 class _Model:
@@ -233,8 +248,7 @@ class TextClassifier(_Model):
         super().__init__()
         if n_classes < 2:
             raise ValueError("need at least two classes")
-        if not window_sizes or any(w < 1 for w in window_sizes):
-            raise ValueError("window sizes must be positive")
+        _check_widths(window_sizes, "window sizes")
         self.vocab_size = int(vocab_size)
         self.n_classes = int(n_classes)
         self.emb_dim = int(emb_dim)
@@ -260,39 +274,39 @@ class TextClassifier(_Model):
         }
 
     def _forward_cache(self, batch):
-        widest = max(self.window_sizes)
-        ids, mask = batch.padded(widest)
+        ws, e, f = self.window_sizes, self.emb_dim, self.n_filters
+        widest = max(ws)
+        # One conv of the widest window for all widths, width w's weights on
+        # top of zeros.  widest - narrowest more zero positions let width w
+        # start up to T - w; it never pools past max(length, widest) - w.
+        last_start = np.maximum(batch.lengths, widest)
+        ids, mask = batch.padded(int(last_start.max()) + widest - min(ws))
         x = self.params["emb"][ids] * mask[..., None]
-        # Each sentence is zero-padded to max(length, widest window); a
-        # window starting beyond that is batch padding and never pools.
-        last_start = np.maximum(batch.lengths, widest)[:, None]
-        segments, pooled = [], []
-        for w in self.window_sizes:
-            m = _windows(x, w)
-            a = np.tanh(m @ self.params[f"conv{w}_w"] + self.params[f"conv{w}_b"])
-            valid = np.arange(m.shape[1]) <= last_start - w
-            arg = np.argmax(np.where(valid[..., None], a, -np.inf), axis=1)[:, None, :]
-            segments.append((w, m, a, arg))
-            pooled.append(np.take_along_axis(a, arg, axis=1)[:, 0])
-        feat = np.concatenate(pooled, axis=1)
+        w_all = np.zeros((widest * e, len(ws) * f))
+        for j, w in enumerate(ws):
+            w_all[: w * e, j * f : (j + 1) * f] = self.params[f"conv{w}_w"]
+        m = _windows(x, widest)
+        a = np.tanh(m @ w_all + np.concatenate([self.params[f"conv{w}_b"] for w in ws]))
+        valid = np.arange(m.shape[1])[:, None] <= (last_start[:, None, None] - np.repeat(ws, f))
+        arg = np.argmax(np.where(valid, a, -np.inf), axis=1)[:, None, :]
+        feat = np.take_along_axis(a, arg, axis=1)[:, 0]
         probs = _softmax_rows(feat @ self.params["out_w"] + self.params["out_b"])
-        return probs, (ids, mask, segments, feat)
+        return probs, (ids, mask, m, a, arg, w_all, feat)
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
-        ids, mask, segments, feat = cache
+        ids, mask, m, a, arg, w_all, feat = cache
+        ws, e, f = self.window_sizes, self.emb_dim, self.n_filters
         dlogits = np.asarray(dlogits, dtype=float)
         g = {"out_w": feat.T @ dlogits, "out_b": dlogits.sum(axis=0)}
-        dfeat = (dlogits @ self.params["out_w"].T).reshape(len(ids), -1, self.n_filters)
-        dx = np.zeros(mask.shape + (self.emb_dim,))
-        for (w, m, a, arg), dpool in zip(segments, np.moveaxis(dfeat, 1, 0)):
-            da = np.zeros_like(a)
-            np.put_along_axis(da, arg, dpool[:, None, :], axis=1)
-            dz = da * (1.0 - a * a)
-            g[f"conv{w}_w"] = _weight_grad(m, dz)
-            g[f"conv{w}_b"] = dz.sum(axis=(0, 1))
-            dx += _unwindow(dz @ self.params[f"conv{w}_w"].T, w, mask.shape[1])
-        g["emb"] = np.zeros_like(self.params["emb"])
-        np.add.at(g["emb"], ids[mask], dx[mask])
+        da = np.zeros_like(a)
+        np.put_along_axis(da, arg, (dlogits @ self.params["out_w"].T)[:, None, :], axis=1)
+        dz = da * (1.0 - a * a)
+        dw, db = _weight_grad(m, dz), dz.sum(axis=(0, 1))
+        for j, w in enumerate(ws):
+            g[f"conv{w}_w"] = dw[: w * e, j * f : (j + 1) * f]
+            g[f"conv{w}_b"] = db[j * f : (j + 1) * f]
+        dx = _unwindow(dz @ w_all.T, max(ws), mask.shape[1])
+        g["emb"] = _embedding_grad(ids[mask], dx[mask], self.vocab_size)
         return {name: g[name] for name in self.params}
 
 
@@ -359,8 +373,7 @@ class SequenceTagger(_Model):
         g["hidden_b"] = dz.sum(axis=(0, 1))
         r, t = self.radius, mask.shape[1]
         dxpad = _unwindow(dz @ self.params["hidden_w"].T, 2 * r + 1, t + 2 * r)
-        g["emb"] = np.zeros_like(self.params["emb"])
-        np.add.at(g["emb"], ids[mask], dxpad[:, r : r + t][mask])
+        g["emb"] = _embedding_grad(ids[mask], dxpad[:, r : r + t][mask], self.vocab_size)
         return {name: g[name] for name in self.params}
 
 
@@ -376,22 +389,27 @@ class NonFiniteGradientError(RuntimeError):
 
 
 class Adadelta:
-    """Adaptive per-parameter steps; no global learning rate."""
+    """Adaptive per-parameter steps; no global learning rate.  One flat state
+    over the first step's blocks, whose names and shapes every step repeats."""
 
-    def __init__(self):
-        self._state: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    _layout: Optional[list] = None
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-        for name, g in grads.items():
-            if name not in self._state:
-                self._state[name] = (np.zeros_like(g), np.zeros_like(g))
-            eg2, edx2 = self._state[name]
-            eg2 *= _RHO
-            eg2 += (1.0 - _RHO) * g * g
-            dx = -np.sqrt(edx2 + _EPS) / np.sqrt(eg2 + _EPS) * g
-            edx2 *= _RHO
-            edx2 += (1.0 - _RHO) * dx * dx
-            params[name] += dx
+        layout = [(name, g.shape) for name, g in grads.items()]
+        g = np.concatenate([g.ravel() for g in grads.values()])
+        if self._layout is None:
+            self._layout, self._eg2, self._edx2 = layout, np.zeros_like(g), np.zeros_like(g)
+        elif layout != self._layout:
+            raise ValueError(f"blocks {layout} differ from the first step's {self._layout}")
+        eg2, edx2 = self._eg2, self._edx2
+        eg2 *= _RHO
+        eg2 += (1.0 - _RHO) * g * g
+        dx = -np.sqrt(edx2 + _EPS) / np.sqrt(eg2 + _EPS) * g
+        edx2 *= _RHO
+        edx2 += (1.0 - _RHO) * dx * dx
+        for name, block in grads.items():
+            params[name] += dx[: block.size].reshape(block.shape)
+            dx = dx[block.size :]
 
 
 def check_targets(targets, shape=None) -> np.ndarray:

@@ -81,6 +81,7 @@ from .predictors import (
     TextClassifier,
     TokenBatch,
     Vocabulary,
+    _check_widths,
     backward_and_step,
     check_targets,
 )
@@ -193,8 +194,7 @@ class TrainConfig:
         })
         if self.radius < 0:
             raise ValueError(f"radius must be nonnegative, got {self.radius}")
-        if not self.conv_windows or min(self.conv_windows) < 1:
-            raise ValueError(f"conv_windows must be nonempty widths >= 1, got {self.conv_windows}")
+        _check_widths(self.conv_windows, "conv_windows")
 
     def resolved_schedule(self) -> ImitationSchedule:
         if self.schedule is not None:
@@ -564,7 +564,8 @@ class NerTeacher:
 
 
 def infer_scheme(sentences: Sequence[TaggedSentence]) -> TagScheme:
-    """The tag scheme of tagged sentences: their entity categories, sorted."""
+    """The tag scheme of tagged sentences: their entity categories, sorted.
+    A run's labeled records alone define it; unlabeled tags are never targets."""
     cats = sorted({t.split("-", 1)[1] for s in sentences for t in s.tags if t != "O"})
     if not cats:
         raise ValueError("tagging data contains no entity tags")
@@ -813,7 +814,7 @@ def _make_driver(config: TrainConfig, train, unlabeled=()) -> _Driver:
         docs, u_docs, scheme = train, unlabeled, None
     else:
         docs, u_docs = group_documents(train), group_documents(unlabeled)
-        scheme = infer_scheme(train + unlabeled)
+        scheme = infer_scheme(train)
     data = PreparedSet(docs + u_docs, Vocabulary.build(s.tokens for s in train + unlabeled),
                        scheme)
     gold = data.gold[:len(train) if scheme is None else sum(map(len, train))]

@@ -4,7 +4,9 @@ The acceptance tests register one summary line per criterion; echoing
 them here keeps the lines visible in a normal run, where stdout of
 passing tests is captured.  The tag-string span extraction, validity walk
 and micro P/R/F1 below are the reference that the evaluation's
-tag-index scoring is held to.
+tag-index scoring is held to; the per-block Adadelta and the ``np.add.at``
+embedding scatter are the references for the students' flat step and
+scatter.
 """
 
 import numpy as np
@@ -51,6 +53,33 @@ def indexed_links(links):
     index = {s: i for i, s in enumerate(sites)}
     return (np.array(sites, dtype=int).reshape(-1, 2),
             [(index[a], index[b]) for a, b in links])
+
+
+class RefAdadelta:
+    """Adadelta one parameter block at a time, each with its own state."""
+
+    def __init__(self):
+        self._state = {}
+
+    def step(self, params, grads):
+        rho, eps = 0.95, 1e-6
+        for name, g in grads.items():
+            if name not in self._state:
+                self._state[name] = (np.zeros_like(g), np.zeros_like(g))
+            eg2, edx2 = self._state[name]
+            eg2 *= rho
+            eg2 += (1.0 - rho) * g * g
+            dx = -np.sqrt(edx2 + eps) / np.sqrt(eg2 + eps) * g
+            edx2 *= rho
+            edx2 += (1.0 - rho) * dx * dx
+            params[name] += dx
+
+
+def ref_embedding_grad(ids, rows, vocab_size):
+    """The (V, E) sum of ``rows`` by their ``ids``, one row at a time."""
+    g = np.zeros((vocab_size, rows.shape[1]))
+    np.add.at(g, ids, rows)
+    return g
 
 
 def ref_valid_sequence(scheme, tags) -> bool:

@@ -364,6 +364,40 @@ class TestTrainCommand:
         assert "repeats a seed" in capsys.readouterr().err
         assert not read and not out.exists()
 
+    def test_repeated_conv_windows_exit_2_before_reading_or_writing(
+            self, data_dir, tmp_path, monkeypatch, capsys):
+        from ruledistill import cli
+
+        read = []
+        monkeypatch.setattr(cli, "_load_task_data", lambda *a: read.append(a))
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "sentiment", "--mode", "base",
+            "--train", str(data_dir / "train.tsv"), "--conv-windows", "2,2",
+            "--out", str(out),
+        ]) == 2
+        assert "conv_windows must be distinct widths; [2] repeat" in capsys.readouterr().err
+        assert not read and not out.exists()
+
+    def test_semi_scheme_comes_from_the_labeled_set(self, tmp_path):
+        # Unlabeled tags are never targets: a category only they use
+        # leaves the scheme, and so the list rule's categories, unchanged.
+        train, unlab = tmp_path / "train.conll", tmp_path / "unlab.conll"
+        assert run(["gen-ner", "--seed", "7", "--n-docs", "6", "--out", str(train)]) == 0
+        assert run(["gen-ner", "--seed", "8", "--n-docs", "4", "--out", str(unlab)]) == 0
+        sentences = unlab.read_text().split("\n\n")
+        first = next(i for i, s in enumerate(sentences) if "-LOC" in s)
+        sentences[first] = sentences[first].replace("-LOC", "-MISC")
+        unlab.write_text("\n\n".join(sentences))
+        out = tmp_path / "run"
+        assert run([
+            "train", "--task", "ner", "--mode", "semi", "--train", str(train),
+            "--unlabeled", str(unlab), "--rules", "transitions(), list-counterpart(lambda=1)",
+            "--epochs", "1", "--train-sweeps", "5", "--eval-sweeps", "5", "--seeds", "0",
+            "--out", str(out),
+        ]) == 0
+        assert (out / "model_seed0.npz").exists()
+
     def test_config_file_drives_training(self, data_dir, tmp_path):
         out = tmp_path / "run"
         cfg = tmp_path / "train.cfg"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_of
+from conftest import RefAdadelta, batch_of, ref_embedding_grad
 
 from ruledistill import predictors
 from ruledistill.predictors import (
@@ -165,6 +165,61 @@ class TestModels:
                                          np.array([[1.0, 0.0]]))
         assert max(report.values()) < 1e-4
 
+    def test_gradient_check_unsorted_widths_short_sentence(self):
+        # The fused conv keeps the features in window_sizes order; the
+        # first sentence is shorter than the widest window.  Unit-scale
+        # parameters keep the pooled windows apart: the initial ones leave
+        # a width-1 maximum within 2e-6 of a zero padding window, where the
+        # max is not differentiable at this step size.
+        cls = TextClassifier(vocab_size=8, n_classes=2, emb_dim=3,
+                             window_sizes=(3, 1), n_filters=2, seed=1)
+        rng = np.random.default_rng(0)
+        cls.params = {k: rng.normal(size=v.shape) for k, v in cls.params.items()}
+        report = finite_difference_check(cls, batch_of([np.array([2, 5]), np.array([4, 0, 3, 6])]),
+                                         np.array([[1.0, 0.0], [0.3, 0.7]]))
+        assert max(report.values()) < 1e-4
+
+    def test_repeated_widths_rejected(self):
+        with pytest.raises(ValueError, match=r"distinct widths; \[2, 3\] repeat"):
+            TextClassifier(vocab_size=8, n_classes=2, window_sizes=(2, 3, 4, 2, 3))
+
+    def test_forward_reads_the_current_params(self):
+        # A replaced block (as load_checkpoint and the best-dev restore
+        # do) and an in-place edit (as finite_difference_check does) both
+        # show in the next forward.
+        model = TextClassifier(vocab_size=9, n_classes=3, emb_dim=3,
+                               window_sizes=(3, 1), n_filters=2, seed=1)
+        batch = batch_of([np.array([2, 5]), np.array([4, 0, 3, 6, 7])])
+        before = model.forward(batch)
+        rng = np.random.default_rng(0)
+        model.params["conv3_w"] = rng.normal(size=model.params["conv3_w"].shape)
+        model.params["conv1_b"][1] += 0.5
+        fresh = TextClassifier(vocab_size=9, n_classes=3, emb_dim=3,
+                               window_sizes=(3, 1), n_filters=2, seed=2)
+        fresh.params = {k: v.copy() for k, v in model.params.items()}
+        after = model.forward(batch)
+        assert not np.array_equal(after, before)
+        np.testing.assert_array_equal(after, fresh.forward(batch))
+
+    def test_nonfinite_gradient_names_its_block(self, monkeypatch):
+        model = TextClassifier(vocab_size=8, n_classes=2, emb_dim=3, n_filters=2)
+        batch = batch_of([np.array([2, 3, 4])])
+        backward = model.backward
+
+        def poisoned(cache, dlogits):
+            grads = backward(cache, dlogits)
+            grads["conv3_b"][1] = np.inf
+            return grads
+
+        monkeypatch.setattr(model, "backward", poisoned)
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(NonFiniteGradientError, match="conv3_b") as info:
+            backward_and_step(model, batch, *model._forward_cache(batch),
+                              np.array([[1.0, 0.0]]), Adadelta())
+        assert info.value.block == "conv3_b"
+        for k, v in model.params.items():
+            np.testing.assert_array_equal(v, before[k])
+
     def test_backward_and_step_rejects_empty(self):
         # An empty batch cannot be built, so no step takes one; nor does a
         # step take no target rows for a batch's outputs.
@@ -175,6 +230,49 @@ class TestModels:
         outputs, cache = model._forward_cache(batch)
         with pytest.raises(ValueError, match="shape"):
             backward_and_step(model, batch, outputs, cache, np.zeros((0, 2)), Adadelta())
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestFlatStepMatchesBlocks:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(1, 5), min_size=1, max_size=3), min_size=1, max_size=6),
+           st.integers(1, 5), st.integers(0, 2**16))
+    def test_adadelta_bit_equal_to_per_block(self, shapes, steps, seed):
+        rng = np.random.default_rng(seed)
+        start = {f"b{i}": rng.normal(size=shape) for i, shape in enumerate(shapes)}
+        flat, ref = {k: v.copy() for k, v in start.items()}, {k: v.copy() for k, v in start.items()}
+        opt, ref_opt = Adadelta(), RefAdadelta()
+        for _ in range(steps):
+            grads = {k: rng.normal(size=v.shape) * rng.choice([1e-3, 1.0, 1e3]) for k, v in start.items()}
+            opt.step(flat, grads)
+            ref_opt.step(ref, grads)
+            for k in start:
+                assert _bits(flat[k]) == _bits(ref[k]), k
+
+    def test_adadelta_rejects_other_blocks(self):
+        params = {"a": np.zeros(3), "b": np.zeros((2, 2))}
+        opt = Adadelta()
+        opt.step(params, {"a": np.ones(3), "b": np.ones((2, 2))})
+        for grads in ({"a": np.ones(3)},
+                      {"b": np.ones((2, 2)), "a": np.ones(3)},
+                      {"a": np.ones(3), "c": np.ones((2, 2))},
+                      {"a": np.ones(3), "b": np.ones((4,))}):
+            with pytest.raises(ValueError, match="first step"):
+                opt.step(params, grads)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 50), st.integers(1, 5), st.integers(1, 80), st.integers(0, 2**16))
+    def test_embedding_grad_bit_equal_to_add_at(self, vocab_size, emb_dim, n_rows, seed):
+        rng = np.random.default_rng(seed)
+        # Ids drawn from a few of the vocabulary's rows, so most repeat.
+        ids = rng.choice(rng.integers(0, vocab_size, size=3), size=n_rows)
+        rows = rng.normal(size=(n_rows, emb_dim)) * rng.choice([1e-8, 1.0, 1e8], size=(n_rows, 1))
+        got = predictors._embedding_grad(ids, rows, vocab_size)
+        assert got.shape == (vocab_size, emb_dim)
+        assert _bits(got) == _bits(ref_embedding_grad(ids, rows, vocab_size))
 
 
 class TestCheckpoint:
@@ -193,6 +291,15 @@ class TestCheckpoint:
         ids = batch_of([np.array([2, 3, 4])])
         np.testing.assert_allclose(loaded.forward(ids), model.forward(ids),
                                    atol=1e-15)
+
+    def test_unsorted_widths_roundtrip(self, tmp_path):
+        model = TextClassifier(vocab_size=5, n_classes=3, emb_dim=3,
+                               window_sizes=(3, 1, 2), n_filters=2, seed=7)
+        (loaded, _, _), _ = self.roundtrip(tmp_path, model)
+        assert loaded.window_sizes == (3, 1, 2)
+        assert list(loaded.params) == list(model.params)
+        ids = batch_of([np.array([2, 3]), np.array([4, 0, 3, 2])])
+        np.testing.assert_array_equal(loaded.forward(ids), model.forward(ids))
 
     def test_tagger_roundtrip_with_extra(self, tmp_path):
         model = SequenceTagger(vocab_size=5, n_tags=9, radius=1, seed=3)

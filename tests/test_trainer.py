@@ -101,6 +101,7 @@ class TestSchedule:
             ("radius", -1),
             ("conv_windows", ()),
             ("conv_windows", (2, 0)),
+            ("conv_windows", (2, 3, 2)),
             ("seed", -1),
         ],
     )
