@@ -7,7 +7,7 @@ rule knowledge survives even when the rules are switched off at test time.
 
 Layers, bottom up:
 
-- ``softlogic``: Lukasiewicz truth values and operators.
+- ``softlogic``: Lukasiewicz operators on scalars or arrays; the rules' logic.
 - ``rulelib``: the three rule kinds, each carrying what its teacher reads
   (the "but" rule's truths from clause B, the BIOES transition tables, the
   list rule's category collapse), plus tag-scheme helpers.

@@ -15,10 +15,11 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .corpus import (
     NerTaskSpec,
@@ -44,7 +45,6 @@ from .rulelib import (
     transition_rules,
 )
 from .trainer import (
-    ImitationSchedule,
     TrainConfig,
     aggregate_reports,
     evaluate,
@@ -313,42 +313,30 @@ def _ner_scheme(dataset) -> TagScheme:
         raise CliError(str(exc)) from exc
 
 
-def _load_task_data(task: str, path):
+def _load_task_data(task: str, path, what: str):
+    """The records of a dataset file; a missing, malformed or empty file
+    is a usage error."""
+    load = load_classification if task == "sentiment" else load_conll
     try:
-        if task == "sentiment":
-            return load_classification(path)
-        return load_conll(path)
+        data = load(_require_path(path, what))
     except CorpusFormatError as exc:
         raise CliError(f"{path}: {exc}") from exc
+    if not data:
+        raise CliError(f"{what} file {path} has no sentences")
+    return data
 
 
 def _train_config(cfg: dict, seed: int) -> TrainConfig:
+    """One seed's configuration.  Every ``TrainConfig`` field but the seed
+    and the schedule is a schema key; a set ``pi0`` or ``alpha`` replaces
+    that part of the task's default schedule."""
+    values = {f.name: cfg[f.name.replace("_", "-")] for f in fields(TrainConfig)
+              if f.name not in ("seed", "schedule")}
+    set_schedule = {key: cfg[key] for key in ("pi0", "alpha") if cfg[key] is not None}
     try:
-        schedule = None
-        if cfg["pi0"] is not None or cfg["alpha"] is not None:
-            task_default = TrainConfig(task=cfg["task"]).resolved_schedule()
-            schedule = ImitationSchedule(
-                pi0=cfg["pi0"] if cfg["pi0"] is not None else task_default.pi0,
-                alpha=cfg["alpha"] if cfg["alpha"] is not None else task_default.alpha,
-            )
-        return TrainConfig(
-            task=cfg["task"],
-            mode=cfg["mode"],
-            c=cfg["c"],
-            schedule=schedule,
-            epochs=cfg["epochs"],
-            batch_size=cfg["batch-size"],
-            seed=seed,
-            g_max=cfg["g-max"],
-            train_sweeps=cfg["train-sweeps"],
-            eval_sweeps=cfg["eval-sweeps"],
-            patience=cfg["patience"],
-            emb_dim=cfg["emb-dim"],
-            n_filters=cfg["n-filters"],
-            conv_windows=tuple(cfg["conv-windows"]),
-            hidden=cfg["hidden"],
-            radius=cfg["radius"],
-        )
+        schedule = (replace(TrainConfig(task=cfg["task"]).resolved_schedule(), **set_schedule)
+                    if set_schedule else None)
+        return TrainConfig(**values, seed=seed, schedule=schedule)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
@@ -365,18 +353,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise CliError("--rules does not apply to mode 'base', which trains without rules")
     tcfgs = [_train_config(cfg, seed) for seed in cfg["seeds"]]
 
-    train_path = _require_path(cfg["train"], "train")
-    train_data = _load_task_data(cfg["task"], train_path)
-    dev_data = (
-        _load_task_data(cfg["task"], _require_path(cfg["dev"], "dev"))
-        if cfg["dev"] else None
-    )
-    test_data = (
-        _load_task_data(cfg["task"], _require_path(cfg["test"], "test"))
-        if cfg["test"] else None
-    )
-    unlabeled = (_load_task_data(cfg["task"], _require_path(cfg["unlabeled"], "unlabeled"))
-                 if cfg["mode"] == "semi" else None)
+    def load(key):
+        return _load_task_data(cfg["task"], cfg[key], key)
+
+    train_data = load("train")
+    dev_data = load("dev") if cfg["dev"] else None
+    test_data = load("test") if cfg["test"] else None
+    unlabeled = load("unlabeled") if cfg["mode"] == "semi" else None
 
     scheme = _ner_scheme(train_data) if cfg["task"] == "ner" else None
     rules = parse_rule_specs(cfg["rules"], scheme)
@@ -478,14 +461,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if unused and not cfg["use-teacher"]:
         raise CliError(f"teacher settings {', '.join(unused)} need --use-teacher")
     ckpt_path = _require_path(cfg["checkpoint"], "checkpoint")
-    test_path = _require_path(cfg["test"], "test")
     try:
         model, vocab, extra = load_checkpoint(ckpt_path)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
 
     task = extra.get("task") or ("sentiment" if model.kind == "text_classifier" else "ner")
-    data = _load_task_data(task, test_path)
+    data = _load_task_data(task, cfg["test"], "test")
     if task == "ner":
         if model.kind != "sequence_tagger":
             raise CliError("checkpoint is not a tagging model")
@@ -545,23 +527,25 @@ GEN_SENTIMENT_SCHEMA = {
 }
 
 
-def cmd_gen_sentiment(args: argparse.Namespace) -> int:
-    cfg, _ = resolve_config(GEN_SENTIMENT_SCHEMA, args)
+def _generator_spec(cfg: dict, spec_cls, count_key: str):
+    """The generator spec of the probabilities set in ``cfg``, checked with
+    the output path and the corpus size before anything is written."""
     if not cfg["out"]:
         raise CliError("missing required out path")
-    spec_kwargs = {
-        field: cfg[key]
-        for key, field in (
-            ("but-fraction", "but_fraction"),
-            ("mild-in-plain", "mild_in_plain"),
-            ("conflict-in-plain", "conflict_in_plain"),
-            ("plain-label-noise", "plain_label_noise"),
-        )
-        if cfg[key] is not None
-    }
-    data = gen_synthetic_sentiment(
-        seed=cfg["seed"], n=cfg["n"], spec=SentimentTaskSpec(**spec_kwargs)
-    )
+    if cfg[count_key] < 1:
+        raise CliError(f"--{count_key} must be at least 1, got {cfg[count_key]}")
+    probabilities = {key.replace("-", "_"): value for key, value in cfg.items()
+                     if key not in ("seed", count_key, "out") and value is not None}
+    try:
+        return spec_cls(**probabilities)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def cmd_gen_sentiment(args: argparse.Namespace) -> int:
+    cfg, _ = resolve_config(GEN_SENTIMENT_SCHEMA, args)
+    spec = _generator_spec(cfg, SentimentTaskSpec, "n")
+    data = gen_synthetic_sentiment(seed=cfg["seed"], n=cfg["n"], spec=spec)
     write_classification(cfg["out"], data)
     print(f"wrote {len(data)} sentences to {cfg['out']}")
     return 0
@@ -579,20 +563,8 @@ GEN_NER_SCHEMA = {
 
 def cmd_gen_ner(args: argparse.Namespace) -> int:
     cfg, _ = resolve_config(GEN_NER_SCHEMA, args)
-    if not cfg["out"]:
-        raise CliError("missing required out path")
-    spec_kwargs = {
-        field: cfg[key]
-        for key, field in (
-            ("list-fraction", "list_fraction"),
-            ("ambiguous-in-list", "ambiguous_in_list"),
-            ("entity-label-noise", "entity_label_noise"),
-        )
-        if cfg[key] is not None
-    }
-    data = gen_synthetic_ner(
-        seed=cfg["seed"], n_docs=cfg["n-docs"], spec=NerTaskSpec(**spec_kwargs)
-    )
+    spec = _generator_spec(cfg, NerTaskSpec, "n-docs")
+    data = gen_synthetic_ner(seed=cfg["seed"], n_docs=cfg["n-docs"], spec=spec)
     write_conll(cfg["out"], data)
     docs = len({s.doc_id for s in data})
     print(f"wrote {len(data)} sentences ({docs} documents) to {cfg['out']}")
@@ -609,8 +581,7 @@ DETECT_SCHEMA = {
 
 def cmd_detect_lists(args: argparse.Namespace) -> int:
     cfg, _ = resolve_config(DETECT_SCHEMA, args)
-    path = _require_path(cfg["data"], "data")
-    sentences = _load_task_data("ner", path)
+    sentences = _load_task_data("ner", cfg["data"], "data")
     lines = []
     total = 0
     for doc in group_documents(sentences):
@@ -647,8 +618,14 @@ VERIFY_SCHEMA = {
 
 def cmd_verify_projection(args: argparse.Namespace) -> int:
     cfg, _ = resolve_config(VERIFY_SCHEMA, args)
-    if cfg["trials"] < 0:
-        raise CliError("trials must be nonnegative")
+    for key, ok, what in (
+        ("trials", cfg["trials"] >= 0, "nonnegative"),
+        ("k-max", cfg["k-max"] >= 2, "at least 2"),
+        ("c", 0.0 <= cfg["c"] < math.inf, "finite and nonnegative"),
+        ("tolerance", 0.0 <= cfg["tolerance"] < math.inf, "finite and nonnegative"),
+    ):
+        if not ok:  # NaN fails every comparison
+            raise CliError(f"--{key} must be {what}, got {cfg[key]}")
     results = random_projection_sweep(
         cfg["seed"], cfg["trials"], k_max=cfg["k-max"], c=cfg["c"]
     )

@@ -380,6 +380,12 @@ def detect_lists(document, doc_id: int = 0) -> list[ListGroup]:
 # --- synthetic sentiment task ------------------------------------------------
 
 
+def _check_probabilities(spec, *names: str) -> None:
+    for name in names:
+        if not 0.0 <= getattr(spec, name) <= 1.0:  # NaN fails too
+            raise ValueError(f"{name} must lie in [0, 1], got {getattr(spec, name)!r}")
+
+
 @dataclass(frozen=True)
 class SentimentTaskSpec:
     """Knobs for the A-but-B sentiment generator.
@@ -410,8 +416,8 @@ class SentimentTaskSpec:
     plain_label_noise: float = 0.0  # chance a PLAIN sentence's label is flipped
 
     def __post_init__(self):
-        if not 0.0 <= self.but_fraction <= 1.0:
-            raise ValueError("but_fraction must lie in [0, 1]")
+        _check_probabilities(self, "but_fraction", "mild_in_plain", "conflict_in_plain",
+                             "plain_label_noise")
         pools = (self.strong_pos, self.strong_neg, self.mild_pos, self.mild_neg, self.filler)
         if any("but" in p for p in pools):
             raise ValueError("word pools must not contain 'but'")
@@ -514,8 +520,7 @@ class NerTaskSpec:
     def __post_init__(self):
         if self.categories != ("PER", "LOC", "ORG"):
             raise ValueError("generator templates assume categories (PER, LOC, ORG)")
-        if not 0.0 <= self.list_fraction <= 1.0:
-            raise ValueError("list_fraction must lie in [0, 1]")
+        _check_probabilities(self, "list_fraction", "ambiguous_in_list", "entity_label_noise")
 
 
 def _plain_ner_sentence(rng, spec: NerTaskSpec, noise_rng):

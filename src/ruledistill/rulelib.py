@@ -5,9 +5,12 @@ A :class:`Rule` is a name and a confidence lambda.  Each of its three kinds
 carries exactly what its teacher reads:
 
 - :class:`ButRule` gives the truth of both labels of A-but-B sentences,
-  an (N, 2) array, from the predictor's class distributions on clause B;
+  an (N, 2) array, from the predictor's class distributions on clause B,
+  by the soft-logic formula (1(y=1) => s) & (s => 1(y=1));
 - :class:`TransitionRule` holds fixed truth tables for a tag sequence's
-  first tag (K,), each bigram (K, K) and last tag (K,);
+  first tag (K,), each bigram (K, K) and last tag (K,), built as
+  soft-logic implications over 0/1 tag indicators; BIOES validity is
+  where every table is 1;
 - :class:`ListRule` holds the category collapse under which
   ``list_rule_truth`` scores a linked site against its counterpart.
 
@@ -23,6 +26,8 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
+
+from .softlogic import avg_conj, implies, neg, strong_conj
 
 __all__ = [
     "TagScheme",
@@ -79,17 +84,14 @@ class TagScheme:
         return None if tag == "O" else tag.split("-", 1)[1]
 
     def invalid_positions(self, tags: Sequence[str]) -> list[int]:
-        """Positions at which the tag sequence breaks BIOES validity."""
+        """Positions at which the tag sequence breaks BIOES validity: the
+        first tag or the bigram ending there is invalid, or it is the last
+        tag and leaves an entity open."""
         masks = transition_masks(self)
         idx = [self.index(t) for t in tags]
-        bad = []
-        for t, k in enumerate(idx):
-            if t == 0:
-                if not masks.valid_start[k]:
-                    bad.append(t)
-            elif not masks.valid_pair[idx[t - 1], k]:
-                bad.append(t)
-        if idx and not masks.valid_end[idx[-1]] and (len(idx) - 1) not in bad:
+        bad = [t for t, k in enumerate(idx)
+               if not (masks.valid_pair[idx[t - 1], k] if t else masks.valid_start[k])]
+        if idx and not masks.valid_end[idx[-1]] and len(idx) - 1 not in bad:
             bad.append(len(idx) - 1)
         return bad
 
@@ -143,22 +145,20 @@ _BUT_VARIANTS = ("avg", "strong")
 
 def but_rule_truth(sigma_pos, variant: str = "avg") -> np.ndarray:
     """Truth of the A-but-B rule for labels 0 and 1, shape (..., 2), given
-    the predictor's probability of class 1 on clause B alone.
+    the predictor's probability s of class 1 on clause B alone.
 
-    The ``avg`` variant averages the two directions of the equivalence,
-    giving (1 + sigma)/2 for label 1 and (2 - sigma)/2 for label 0.  The
-    ``strong`` variant uses the selection conjunction instead: sigma for
-    label 1, 1 - sigma for label 0.
+    The rule is the soft-logic formula (1(y=1) => s) and (s => 1(y=1))
+    over y = 0, 1.  The ``avg`` variant joins the two directions with
+    ``avg_conj``, giving (1 + (1 - s))/2 for label 0 and (s + 1)/2 for
+    label 1; the ``strong`` variant joins them with the selection
+    conjunction ``strong_conj``, giving 1 - s and s.
     """
-    s = np.asarray(sigma_pos, dtype=float)
-    outside = ~((s >= 0.0) & (s <= 1.0))
-    if outside.any():
-        raise ValueError(f"probability {float(s[outside][0])!r} outside [0, 1]")
-    if variant == "avg":
-        return np.stack([(2.0 - s) / 2.0, (1.0 + s) / 2.0], axis=-1)
-    if variant == "strong":
-        return np.stack([1.0 - s, s], axis=-1)
-    raise ValueError(f"unknown but-rule variant {variant!r}")
+    if variant not in _BUT_VARIANTS:
+        raise ValueError(f"unknown but-rule variant {variant!r}")
+    s = np.asarray(sigma_pos, dtype=float)[..., None]
+    y = np.array([0.0, 1.0])
+    both = (implies(y, s), implies(s, y))
+    return avg_conj(both) if variant == "avg" else strong_conj(*both)
 
 
 @dataclass(frozen=True)
@@ -198,23 +198,15 @@ class TransitionMasks:
     valid_end: np.ndarray  # (K,)
 
 
-def _pair_valid(scheme: TagScheme, prev: str, cur: str) -> bool:
-    pp, pc = scheme.prefix(prev), scheme.category(prev)
-    cp, cc = scheme.prefix(cur), scheme.category(cur)
-    if cp in ("I", "E") and not (pp in ("B", "I") and pc == cc):
-        return False
-    if pp in ("B", "I") and not (cp in ("I", "E") and cc == pc):
-        return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def transition_masks(scheme: TagScheme) -> TransitionMasks:
-    tags = scheme.tags
-    start = np.array([scheme.prefix(t) not in ("I", "E") for t in tags])
-    end = np.array([scheme.prefix(t) not in ("B", "I") for t in tags])
-    pair = np.array([[_pair_valid(scheme, a, b) for b in tags] for a in tags])
-    return TransitionMasks(start, pair, end)
+    """Where every transition rule's table is 1."""
+    rules = transition_rules(scheme)
+
+    def valid(table: str) -> np.ndarray:
+        return np.all([getattr(r, table) == 1.0 for r in rules], axis=0)
+
+    return TransitionMasks(valid("start"), valid("pair"), valid("end"))
 
 
 @dataclass(frozen=True)
@@ -230,23 +222,27 @@ class TransitionRule(Rule):
 
 
 def transition_rules(scheme: TagScheme) -> list[TransitionRule]:
-    """Hard rules forbidding every invalid BIOES bigram.
+    """Hard rules forbidding every invalid BIOES bigram, as soft-logic
+    formulas over 0/1 tag indicators: ``ie`` marks I/E tags, ``bi`` marks
+    B/I tags, and ``same[a, b]`` says tags a and b share a category.
 
-    Two templates cover the scheme: "opens" requires every I/E tag to
-    extend an open entity of the same category (which also bars I/E at the
-    sequence start), and "closes" requires every B/I tag to be continued
-    (which also bars B/I at the sequence end).
+    "opens" requires every I/E tag to extend an open entity of the same
+    category, pair[a, b] = ie[b] => (bi[a] & same[a, b]), and bars I/E at
+    the sequence start, start = not ie.  "closes" requires every B/I tag
+    to be continued, pair[a, b] = bi[a] => (ie[b] & same[a, b]), and bars
+    B/I at the sequence end, end = not bi.
     """
-    masks = transition_masks(scheme)
-    start, end = masks.valid_start.astype(float), masks.valid_end.astype(float)
+    prefixes = [scheme.prefix(t) for t in scheme.tags]
+    ie = np.isin(prefixes, ("I", "E")).astype(float)
+    bi = np.isin(prefixes, ("B", "I")).astype(float)
+    group = CategoryCollapse(scheme).group_index
+    same = (group[:, None] == group[None, :]).astype(float)
     ones = np.ones(scheme.n_tags)
-    # opens[a, b]: violated only when b is I/E (not a valid start) without a
-    # matching opener; closes[a, b] only when a is B/I and not continued.
-    opens = np.where(masks.valid_start[None, :], True, masks.valid_pair).astype(float)
-    closes = np.where(masks.valid_end[:, None], True, masks.valid_pair).astype(float)
+    opens = implies(ie[None, :], strong_conj(bi[:, None], same))
+    closes = implies(bi[:, None], strong_conj(ie[None, :], same))
     return [
-        TransitionRule("bioes-entity-opens", math.inf, opens, start, ones),
-        TransitionRule("bioes-entity-closes", math.inf, closes, ones, end),
+        TransitionRule("bioes-entity-opens", math.inf, opens, neg(ie), ones),
+        TransitionRule("bioes-entity-closes", math.inf, closes, ones, neg(bi)),
     ]
 
 

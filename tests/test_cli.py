@@ -268,6 +268,21 @@ class TestTrainCommand:
         assert code == 2
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["train", "dev", "test", "unlabeled"])
+    def test_empty_data_file_exit_2_before_writing(self, data_dir, tmp_path, capsys, key):
+        paths = {"train": data_dir / "train.tsv", "dev": data_dir / "test.tsv",
+                 "test": data_dir / "test.tsv", "unlabeled": data_dir / "test.tsv"}
+        paths[key] = tmp_path / "empty.tsv"
+        paths[key].write_text("")
+        out = tmp_path / "run"
+        argv = ["train", "--task", "sentiment", "--mode", "semi", "--rules", "but(lambda=1)",
+                "--epochs", "1", "--out", str(out)]
+        for k, path in paths.items():
+            argv += [f"--{k}", str(path)]
+        assert run(argv) == 2
+        assert f"{key} file {paths[key]} has no sentences" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_c_exit_2(self, data_dir, tmp_path):
         assert run([
             "train", "--task", "sentiment", "--mode", "distill",
@@ -581,3 +596,34 @@ class TestOtherCommands:
 
     def test_negative_trials_exit_2(self):
         assert run(["verify-projection", "--trials", "-1"]) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--k-max", "1"), ("--c", "nan"), ("--c", "-1"), ("--c", "inf"),
+        ("--tolerance", "-1"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+    ])
+    def test_bad_verify_setting_exit_2_before_any_trial(self, monkeypatch, capsys, flag, value):
+        from ruledistill import cli
+
+        swept = []
+        monkeypatch.setattr(cli, "random_projection_sweep", lambda *a, **k: swept.append(a))
+        assert run(["verify-projection", "--trials", "3", flag, value]) == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+        assert not swept
+
+    @pytest.mark.parametrize("argv, named", [
+        (["gen-sentiment", "--but-fraction", "1.5"], "but_fraction"),
+        (["gen-sentiment", "--mild-in-plain", "-0.5"], "mild_in_plain"),
+        (["gen-sentiment", "--conflict-in-plain", "nan"], "conflict_in_plain"),
+        (["gen-sentiment", "--plain-label-noise", "2"], "plain_label_noise"),
+        (["gen-ner", "--list-fraction", "-1"], "list_fraction"),
+        (["gen-ner", "--ambiguous-in-list", "2"], "ambiguous_in_list"),
+        (["gen-ner", "--entity-label-noise", "nan"], "entity_label_noise"),
+        (["gen-sentiment", "--n", "-3"], "--n"),
+        (["gen-sentiment", "--n", "0"], "--n"),
+        (["gen-ner", "--n-docs", "0"], "--n-docs"),
+    ])
+    def test_bad_generator_setting_exit_2_before_writing(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "corpus.txt"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()

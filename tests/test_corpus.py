@@ -1,5 +1,7 @@
 """File formats, the list detector, and the synthetic generators."""
 
+import math
+
 import numpy as np
 import pytest
 from conftest import ref_valid_sequence
@@ -272,6 +274,21 @@ class TestSentimentGenerator:
 
     def test_binary_labels(self):
         assert {s.label for s in gen_synthetic_sentiment(seed=1, n=100)} == {0, 1}
+
+
+PROBABILITY_FIELDS = [
+    (SentimentTaskSpec, name) for name in
+    ("but_fraction", "mild_in_plain", "conflict_in_plain", "plain_label_noise")
+] + [(NerTaskSpec, name) for name in ("list_fraction", "ambiguous_in_list", "entity_label_noise")]
+
+
+@pytest.mark.parametrize("spec_cls, name", PROBABILITY_FIELDS)
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan])
+def test_spec_rejects_a_probability_outside_the_unit_interval(spec_cls, name, value):
+    with pytest.raises(ValueError, match=f"{name} must lie in \\[0, 1\\]"):
+        spec_cls(**{name: value})
+    for edge in (0.0, 1.0):
+        assert getattr(spec_cls(**{name: edge}), name) == edge
 
 
 class TestNerGenerator:

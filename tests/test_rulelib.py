@@ -26,6 +26,7 @@ from ruledistill.rulelib import (
     transition_masks,
     transition_rules,
 )
+from ruledistill.softlogic import avg_conj, implies, strong_conj
 
 SCHEME = TagScheme(("LOC", "ORG"))
 
@@ -81,7 +82,14 @@ class TestTagScheme:
 
 def ref_but_truths(s: float, variant: str) -> list:
     """The but rule's truths of labels 0 and 1 for one clause-B
-    probability s of class 1, in scalar arithmetic."""
+    probability s of class 1, from the scalar soft-logic operators."""
+    conj = (lambda a, b: avg_conj([a, b])) if variant == "avg" else strong_conj
+    return [conj(implies(y, s), implies(s, y)) for y in (0.0, 1.0)]
+
+
+def closed_form_but_truths(s: float, variant: str) -> list:
+    """The same truths in closed form: (2 - s)/2 and (1 + s)/2 for "avg",
+    1 - s and s for "strong"."""
     if variant == "avg":
         return [(2.0 - s) / 2.0, (1.0 + s) / 2.0]
     return [1.0 - s, s]
@@ -125,6 +133,9 @@ class TestButRule:
         assert got.shape == (len(s1), 2)
         for row, s in zip(got, sigma[:, 1]):
             assert row.tolist() == ref_but_truths(float(s), variant)
+            # The closed form differs from the formula in the last bit at most.
+            np.testing.assert_allclose(row, closed_form_but_truths(float(s), variant),
+                                       rtol=0, atol=1e-15)
 
     def test_symmetric_in_the_two_classes(self):
         # The classes' probabilities sum to 1, so swapping the classes
@@ -166,20 +177,57 @@ class TestDetectBut:
             ButStructure(("a", "and", "b"), 1)
 
 
+def scheme_of(n_categories):
+    return TagScheme(("LOC", "ORG", "PER", "MISC")[:n_categories])
+
+
+def ref_pair_valid(scheme, prev, cur) -> bool:
+    """BIOES bigram validity as a walk over the tag strings: an I/E tag
+    must follow a B/I tag of its category, and a B/I tag must be followed
+    by an I/E tag of its category."""
+    pp, pc = scheme.prefix(prev), scheme.category(prev)
+    cp, cc = scheme.prefix(cur), scheme.category(cur)
+    if cp in ("I", "E") and not (pp in ("B", "I") and pc == cc):
+        return False
+    if pp in ("B", "I") and not (cp in ("I", "E") and cc == pc):
+        return False
+    return True
+
+
 class TestTransitions:
-    def test_masks_agree_with_sequence_walker(self):
+    @pytest.mark.parametrize("n_categories", [1, 2, 3, 4])
+    def test_masks_agree_with_sequence_walker(self, n_categories):
         # Cross-validate the bigram masks against the sequence walker on every
         # length-2 sequence; both routes must agree everywhere.
-        masks = transition_masks(SCHEME)
-        for i, a in enumerate(SCHEME.tags):
-            for j, b in enumerate(SCHEME.tags):
-                seq_ok = ref_valid_sequence(SCHEME, [a, b])
+        scheme = scheme_of(n_categories)
+        masks = transition_masks(scheme)
+        for i, a in enumerate(scheme.tags):
+            for j, b in enumerate(scheme.tags):
+                seq_ok = ref_valid_sequence(scheme, [a, b])
                 mask_ok = bool(
                     masks.valid_start[i]
                     and masks.valid_pair[i, j]
                     and masks.valid_end[j]
                 )
                 assert seq_ok == mask_ok, (a, b)
+
+    @pytest.mark.parametrize("n_categories", [1, 2, 3, 4])
+    def test_tables_equal_the_string_walk(self, n_categories):
+        # Each table, read off the soft-logic formulas, against the tag
+        # string walk: "opens" fails only on an I/E tag, "closes" only
+        # after a B/I tag, and the start and end rows bar the same tags.
+        scheme = scheme_of(n_categories)
+        opens, closes = transition_rules(scheme)
+        masks = transition_masks(scheme)
+        pair = np.array([[ref_pair_valid(scheme, a, b) for b in scheme.tags]
+                         for a in scheme.tags])
+        start = np.array([scheme.prefix(t) not in ("I", "E") for t in scheme.tags])
+        end = np.array([scheme.prefix(t) not in ("B", "I") for t in scheme.tags])
+        assert np.array_equal(opens.pair, np.where(start[None, :], True, pair))
+        assert np.array_equal(closes.pair, np.where(end[:, None], True, pair))
+        assert np.array_equal(opens.start, start) and np.array_equal(closes.end, end)
+        assert np.array_equal(masks.valid_pair, pair)
+        assert masks.valid_pair.dtype == bool
 
     def test_rules_are_hard(self):
         rules = transition_rules(SCHEME)
@@ -201,10 +249,10 @@ class TestTransitions:
         assert np.array_equal(opens.pair * closes.pair, masks.valid_pair)
 
     @staticmethod
-    def truths(rules, tags):
+    def truths(rules, tags, scheme=SCHEME):
         """The truth of each grounding of the rules on one tag sequence:
         its first tag, each bigram and its last tag, per rule."""
-        idx = [SCHEME.index(t) for t in tags]
+        idx = [scheme.index(t) for t in tags]
         return [truth for r in rules
                 for truth in [r.start[idx[0]], *r.pair[idx[:-1], idx[1:]], r.end[idx[-1]]]]
 
@@ -219,14 +267,16 @@ class TestTransitions:
         assert joint_truth(["O", "O", "O"], ["B-ORG", "O"]) == 0.0
         assert joint_truth(["I-LOC", "O", "O"], ["O", "O"]) == 0.0
 
-    def test_every_invalid_sequence_violates_some_grounding(self):
+    @pytest.mark.parametrize("n_categories", [1, 2, 3, 4])
+    def test_every_invalid_sequence_violates_some_grounding(self, n_categories):
         # Every tag sequence of length 1 to 3: the product of the start,
         # pair and end truths is 1 exactly on the valid ones, and 0 else.
-        rules = transition_rules(SCHEME)
+        scheme = scheme_of(n_categories)
+        rules = transition_rules(scheme)
         for n in (1, 2, 3):
-            for tags in itertools.product(SCHEME.tags, repeat=n):
-                truth = np.prod(self.truths(rules, tags))
-                assert truth == float(ref_valid_sequence(SCHEME, tags)), tags
+            for tags in itertools.product(scheme.tags, repeat=n):
+                truth = np.prod(self.truths(rules, tags, scheme))
+                assert truth == float(ref_valid_sequence(scheme, tags)), tags
 
 
 class TestListRule:

@@ -1,9 +1,13 @@
 """Operator semantics of the soft truth values."""
 
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ruledistill.softlogic import (
     TruthValue,
@@ -75,3 +79,38 @@ class TestOperators:
             TruthValue(-0.1)
         with pytest.raises(ValueError):
             strong_conj(0.5, 2.0)
+
+
+UNIT = st.floats(0.0, 1.0)
+
+
+class TestArrayOperators:
+    """Each operator on arrays is the scalar operator element by element,
+    with numpy broadcasting, and keeps the scalar operators' range check."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(UNIT, min_size=1, max_size=6), st.lists(UNIT, min_size=1, max_size=6))
+    def test_equal_to_the_scalar_operators_elementwise(self, col, row):
+        a, b = np.array(col)[:, None], np.array(row)
+        for op in (strong_conj, disj, implies):
+            got = op(a, b)
+            assert isinstance(got, np.ndarray) and got.shape == (len(col), len(row))
+            assert got.tolist() == [[op(x, y) for y in row] for x in col]
+            assert op(col[0], b).tolist() == [op(col[0], y) for y in row]
+            assert op(a, row[0]).ravel().tolist() == [op(x, row[0]) for x in col]
+        assert neg(b).tolist() == [neg(y) for y in row]
+        assert (avg_conj([a, b, row[0]]).tolist()
+                == [[avg_conj([x, y, row[0]]) for y in row] for x in col])
+        assert isinstance(implies(col[0], row[0]), TruthValue)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(UNIT, min_size=1, max_size=6), st.integers(0, 5),
+           st.sampled_from([-1e-9, 1.0 + 1e-9, 1.5, -math.inf, math.nan]))
+    def test_out_of_range_arrays_rejected(self, values, at, bad):
+        a = np.array(values)
+        a[at % len(a)] = bad
+        for call in (lambda: strong_conj(a, 0.5), lambda: disj(0.5, a),
+                     lambda: implies(a[:, None], a), lambda: neg(a),
+                     lambda: avg_conj([0.5, a])):
+            with pytest.raises(ValueError, match=re.escape(f"truth value {bad!r} outside [0, 1]")):
+                call()
