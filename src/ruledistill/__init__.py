@@ -17,9 +17,9 @@ Layers, bottom up:
   teachers, with Gibbs sampling for groups too large to enumerate.
 - ``predictors``: numpy conv classifier and window tagger over flat token
   batches, with manual gradients and checkpointing.
-- ``trainer``: datasets prepared once for training and evaluation, one
-  training loop (base / distill / semi / pipeline), one teacher per task
-  for both training targets and evaluation, and post-hoc projection.
+- ``trainer``: datasets prepared once, one entry point and training loop
+  for every mode (base / distill / semi / project-after / pipeline), one
+  teacher per task for training and evaluation, and post-hoc projection.
 - ``corpus``: file formats, synthetic task generators, list detection.
 - ``cli``: the ``ruledistill`` command.
 """
@@ -78,8 +78,6 @@ from .trainer import (
     EvalReport,
     TrainResult,
     train_distill,
-    train_semi,
-    pipeline_distill,
     project_after,
     evaluate,
     aggregate_reports,
@@ -148,8 +146,6 @@ __all__ = [
     "EvalReport",
     "TrainResult",
     "train_distill",
-    "train_semi",
-    "pipeline_distill",
     "project_after",
     "evaluate",
     "aggregate_reports",

@@ -49,11 +49,9 @@ from .trainer import (
     aggregate_reports,
     evaluate,
     infer_scheme,
-    pipeline_distill,
     prepare,
     project_after,
     train_distill,
-    train_semi,
 )
 
 
@@ -359,7 +357,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_data = load("train")
     dev_data = load("dev") if cfg["dev"] else None
     test_data = load("test") if cfg["test"] else None
-    unlabeled = load("unlabeled") if cfg["mode"] == "semi" else None
+    unlabeled = load("unlabeled") if cfg["mode"] == "semi" else ()
 
     scheme = _ner_scheme(train_data) if cfg["task"] == "ner" else None
     rules = parse_rule_specs(cfg["rules"], scheme)
@@ -373,21 +371,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     p_reports, q_reports = [], []
     for seed, tcfg in zip(cfg["seeds"], tcfgs):
         try:
-            if cfg["mode"] in ("base", "distill"):
-                result = train_distill(tcfg, train_data, rules=rules, dev=dev_data)
-            elif cfg["mode"] == "semi":
-                result = train_semi(tcfg, train_data, unlabeled, rules=rules,
-                                    dev=dev_data)
-            elif cfg["mode"] == "pipeline":
-                result = pipeline_distill(tcfg, train_data, rules=rules, dev=dev_data)
-            else:  # project-after: train plain, project only at evaluation
-                result = train_distill(replace(tcfg, mode="base"), train_data,
-                                       rules=(), dev=dev_data)
-                result = replace(result, teacher=project_after(
-                    result.student, result.vocab, rules, tcfg.c, cfg["task"],
-                    scheme=result.scheme, eval_sweeps=tcfg.eval_sweeps,
-                    g_max=tcfg.g_max, seed=seed,
-                ))
+            result = train_distill(tcfg, train_data, rules, dev_data, unlabeled)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         if result.diagnostics:

@@ -515,18 +515,36 @@ def save_checkpoint(path, model, vocab: Vocabulary, extra: Optional[dict] = None
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint; returns (model, vocabulary, extra)."""
+    """Inverse of save_checkpoint; returns (model, vocabulary, extra).  A
+    checkpoint without metadata or a block, of another version or model
+    kind, whose config builds no model, with a block of another shape than
+    that model's, or with more tokens than it embeds is rejected with a
+    ValueError naming what is wrong."""
     with np.load(path, allow_pickle=False) as data:
-        meta = json.loads(str(data["meta"]))
+        meta = json.loads(str(data["meta"])) if "meta" in data.files else None
+        if not isinstance(meta, dict):
+            raise ValueError(f"checkpoint {path} holds no metadata dict")
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {meta.get('format_version')!r}"
             )
-        kind = meta["kind"]
+        kind = meta.get("kind")
         if kind not in _MODEL_KINDS:
             raise ValueError(f"unknown model kind {kind!r}")
-        model = _MODEL_KINDS[kind](**meta["config"])
-        for name in model.params:
-            model.params[name] = np.array(data[f"param_{name}"])
-    vocab = Vocabulary(tuple(meta["vocab"]))
+        try:
+            model = _MODEL_KINDS[kind](**meta.get("config", {}))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"checkpoint config builds no {kind}: {exc}") from exc
+        for name, block in model.params.items():
+            key = f"param_{name}"
+            if key not in data.files:
+                raise ValueError(f"checkpoint has no block {key!r}")
+            model.params[name] = value = np.array(data[key])
+            if value.shape != block.shape:
+                raise ValueError(f"checkpoint block {key!r} has shape {value.shape}, "
+                                 f"but its config's {kind} needs {block.shape}")
+    vocab = Vocabulary(tuple(meta.get("vocab", ())))
+    if len(vocab) > model.vocab_size:
+        raise ValueError(f"checkpoint vocabulary has {len(vocab)} tokens, but its "
+                         f"config's {kind} embeds {model.vocab_size}")
     return model, vocab, meta.get("extra", {})

@@ -139,7 +139,7 @@ class OptimalityReport:
     converged: bool
 
     def agrees(self, tolerance: float = 1e-6) -> bool:
-        return self.converged and self.kl < tolerance
+        return self.converged and self.kl <= tolerance
 
 
 def _primal_objective(q, logp, lams, truth_rows, c):
@@ -230,8 +230,13 @@ def random_projection_sweep(
     confidence 0.5, 1 or 2.  Truth vectors are uniform in [0, 1] with
     occasional exact-1 entries so zero-penalty candidates occur.
     Deterministic for a given seed.  Returns (problem, report) pairs, so
-    failures can be dumped for reproduction.
+    failures can be dumped for reproduction.  Rejects ``trials`` below 0
+    and ``k_max`` below 2.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
+    if k_max < 2:
+        raise ValueError(f"k_max must be at least 2, got {k_max}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(trials):

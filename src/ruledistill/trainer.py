@@ -22,14 +22,16 @@ minibatch of documents in training, and on chunks of about
 ``_EVAL_CHUNK`` sentences' worth of documents in evaluation: one array of
 the linked sites, groups and seeds per document, stacked exact solves,
 one array expression for the list penalties, and one chain query over
-every sentence.
+every sentence.  Document d of a prepared set gets the stage-1 seed
+``seed + 7919 * d``, in training and evaluation alike.
 
-Modes: plain supervised (base), distillation, semi-supervised
-distillation (imitation term additionally on unlabeled batches),
-evaluation-time-only projection, and a two-stage pipeline that trains a
-fresh student against a frozen projected teacher.  A distillation run
-with C = 0 or an empty rule set takes the base code path outright, so its
-parameter trajectory is bit-identical to a base run with the same seed.
+``train_distill`` runs every mode of ``TrainConfig.mode``: base (plain
+supervised), distill, semi (the imitation term also on unlabeled
+batches), project-after (a base student whose teacher is deployed only
+for evaluation) and pipeline (project-after, then a fresh student trained
+on the frozen teacher's q alone).  A distillation run with C = 0 or an
+empty rule set takes the base code path outright, so its parameter
+trajectory is bit-identical to a base run with the same seed.
 
 Every dataset becomes arrays once, as a ``PreparedSet``: one
 ``TokenBatch`` of its sentences, each document's sentence count, the gold
@@ -113,9 +115,7 @@ __all__ = [
     "prepare",
     "infer_scheme",
     "train_distill",
-    "train_semi",
     "project_after",
-    "pipeline_distill",
     "evaluate",
 ]
 
@@ -336,11 +336,12 @@ class SentimentTeacher:
         # Projections left at p because the hard rules exclude every label.
         self.infeasible = 0
 
-    def soft_predict(self, p, batch, clause_starts) -> np.ndarray:
-        """Teacher rows for ``batch``, given the student's (B, K) rows ``p``
-        on its sentences, with one student forward over their B clauses,
-        read from the batch as the suffixes from ``clause_starts``
-        (``_clause_starts``' offsets)."""
+    def soft_predict(self, p, batch, data, sentences) -> np.ndarray:
+        """Teacher rows for ``batch``, the sentences ``sentences`` of the
+        prepared set ``data``, given the student's (B, K) rows ``p`` on
+        them, with one student forward over their B clauses, read from the
+        batch as the suffixes from the set's clause starts."""
+        clause_starts = data.rule_inputs[sentences]
         has_b = np.flatnonzero(clause_starts)
         if not len(has_b) or not self.rules:
             return p
@@ -362,7 +363,7 @@ class SentimentTeacher:
     def predict_proba(self, tokens) -> np.ndarray:
         # The label of the one-sentence set is never read.
         data = prepare([LabeledSentence(tokens, 0)], self.vocab)
-        return self.soft_predict(self.model.forward(data.batch), data.batch, data.rule_inputs)[0]
+        return self.soft_predict(self.model.forward(data.batch), data.batch, data, [0])[0]
 
 
 # --- NER teacher -------------------------------------------------------------
@@ -409,17 +410,17 @@ class NerTeacher:
     batch into one array.  Within each document the linked sites form
     groups over tag categories, each site's unary being the student's mass
     per category, and every link carrying one table for the summed
-    confidence of the list rules.  Groups never span documents, and each
-    document has its own seed for link cutting and sampling.  Groups of one
-    size are enumerated exactly in stacks of up to ``EXACT_MAX_STATES``
-    joint states; a group above that bound is Gibbs-sampled.  Each
-    category's marginal mass is spread back over its tags in the student's
-    proportions.  Stage 2: every linked site gets a unary penalty measuring
-    the list rule against its counterparts' stage-1 marginals, one array
-    expression for the batch; then one chain query holds every position row
-    of the batch, with the transition rules' potentials, and is solved with
-    one product per position.  At evaluation the counterpart links come from
-    the evaluated document itself.
+    confidence of the list rules.  Groups never span documents; document d
+    of the prepared set has the seed ``seed + 7919 * d`` for link cutting
+    and sampling.  Groups of one size are enumerated exactly in stacks of
+    up to ``EXACT_MAX_STATES`` joint states; a group above that bound is
+    Gibbs-sampled.  Each category's marginal mass is spread back over its
+    tags in the student's proportions.  Stage 2: every linked site gets a
+    unary penalty measuring the list rule against its counterparts' stage-1
+    marginals, one array expression for the batch; then one chain query
+    holds every position row of the batch, with the transition rules'
+    potentials, and is solved with one product per position.  The
+    counterpart links come from the prepared set's own documents.
     """
 
     def __init__(self, model, vocab: Vocabulary, scheme: TagScheme,
@@ -458,8 +459,8 @@ class NerTeacher:
         self.chain_terms = _chain_terms(self.transitions, scheme.n_tags, self.c)
 
     def _stage1(self, p, batch, doc_sizes, docs_links, seeds):
-        """Stage 1 for a batch, given ``soft_predict``'s arguments: the row
-        of every linked site in ``p`` (documents in order, each one's sites
+        """Stage 1 for a batch, given ``_chains``' arguments: the row of
+        every linked site in ``p`` (documents in order, each one's sites
         sorted), every link as an (L, 2) array of indices into those sites,
         and the sites' (S, K) teacher tag marginals.  None without a list
         rule, link or c > 0."""
@@ -516,7 +517,8 @@ class NerTeacher:
 
     def _chains(self, p, batch, doc_sizes, docs_links, seeds) -> ChainTeacherQuery:
         """One chain query over every sentence of a batch of documents,
-        given ``soft_predict``'s arguments."""
+        given ``soft_predict``'s ``p`` and ``batch`` and the documents'
+        ``_doc_inputs``."""
         log_unary = np.log(p)
         stage1 = self._stage1(p, batch, doc_sizes, docs_links, seeds)
         if stage1 is not None:
@@ -531,25 +533,26 @@ class NerTeacher:
             log_unary -= penalty
         return ChainTeacherQuery(log_unary, batch.lengths, *self.chain_terms)
 
-    def soft_predict(self, p, batch, doc_sizes, docs_links, seeds) -> np.ndarray:
-        """Teacher marginals of a batch of documents: ``p`` holds the
-        student's (P, K) position rows on ``batch``, whose sentences are
-        the documents' in order, ``doc_sizes`` each document's sentence
-        count, ``docs_links`` its linked sites and links as ``_doc_links``
-        gives them, and ``seeds`` its stage-1 seed.  Returns (P, K) rows."""
-        return chain_marginals(self._chains(p, batch, doc_sizes, docs_links, seeds))
+    def _doc_inputs(self, data: PreparedSet, docs):
+        """``_chains``' arguments for documents ``docs`` of a prepared set:
+        sentence counts, ``_doc_links``' links, and seed ``seed + 7919 * d``."""
+        return (data.docs.lengths[docs], [data.rule_inputs[d] for d in docs],
+                [self.seed + 7919 * d for d in docs])
+
+    def soft_predict(self, p, batch, data, docs) -> np.ndarray:
+        """Teacher marginals of ``batch``, the documents ``docs`` of the
+        prepared set ``data`` in order, given the student's (P, K) position
+        rows ``p`` on it.  Returns (P, K) rows."""
+        return chain_marginals(self._chains(p, batch, *self._doc_inputs(data, docs)))
 
     def _paths(self, data: PreparedSet) -> np.ndarray:
         """Decoded tag indices of a prepared set's positions, in chunks of
-        whole documents of about ``_EVAL_CHUNK`` sentences; document d gets
-        the seed ``seed + 7919 * d`` whatever its chunk."""
+        whole documents of about ``_EVAL_CHUNK`` sentences."""
 
         def decode(docs):
             batch = data.batch.take(data.docs.positions(docs))
-            return chain_map_decode(self._chains(
-                self.model.forward(batch), batch, data.docs.lengths[docs],
-                [data.rule_inputs[d] for d in docs], [self.seed + 7919 * d for d in docs],
-            ))[0]
+            return chain_map_decode(self._chains(self.model.forward(batch), batch,
+                                                 *self._doc_inputs(data, docs)))[0]
 
         return _chunked(decode, data.docs.lengths)
 
@@ -686,7 +689,7 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
         chunk = data.batch.take(idx)
         p = model.forward(chunk)
         if teacher is not None:
-            p = teacher.soft_predict(p, chunk, data.rule_inputs[idx])
+            p = teacher.soft_predict(p, chunk, data, idx)
         if data.scheme is not None and p.shape[1] != data.scheme.n_tags:
             raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
                              f"has {data.scheme.n_tags}")
@@ -724,9 +727,6 @@ class _Driver:
         self.units, self.n_labeled = units, n_labeled
         if n_labeled:
             check_targets(targets)
-        # Seeds the tagging teacher's group formation and Gibbs runs, one
-        # draw per document.
-        self.teacher_rng = np.random.default_rng((config.seed, 2))
 
     def _split(self, units):
         """Shuffled units in batches of about batch_size sentences."""
@@ -752,16 +752,6 @@ class _Driver:
         return SequenceTagger(len(self.data.vocab), n_out, emb_dim=cfg.emb_dim,
                               hidden=cfg.hidden, radius=cfg.radius, seed=seed)
 
-    def soft_targets(self, teacher, outputs, batch, docs):
-        """The teacher's q rows for a batch of the set's documents, given the
-        student's output rows on it."""
-        inputs = self.data.rule_inputs
-        if self.data.scheme is None:
-            return teacher.soft_predict(outputs, batch, inputs[docs])
-        seeds = [int(self.teacher_rng.integers(2**31 - 1)) for _ in docs]
-        return teacher.soft_predict(outputs, batch, self.data.docs.lengths[docs],
-                                    [inputs[d] for d in docs], seeds)
-
 
 def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 1):
     """The training loop.  Each batch takes one student forward p, hands p
@@ -786,7 +776,7 @@ def _fit(model, driver: _Driver, teacher, pi_at, rng, dev=None, patience: int = 
             outputs, cache = model._forward_cache(batch)
             targets = driver.targets[data.rows(sentences)] if labeled else None
             if teacher is not None and pi > 0.0:
-                q = driver.soft_targets(teacher, outputs, batch, units)
+                q = teacher.soft_predict(outputs, batch, data, units)
                 targets = q if targets is None else (1.0 - pi) * targets + pi * q
             losses.append(backward_and_step(model, batch, outputs, cache, targets, opt,
                                             loss_scale=1.0 if labeled else pi))
@@ -839,10 +829,9 @@ def _diagnostics(teacher) -> dict:
 def _train(config: TrainConfig, driver: _Driver, rules, dev,
            distill: bool = True) -> TrainResult:
     """Train a student, distilling the rules into it unless ``distill`` is
-    False (pipeline stage 1, which deploys a teacher even without rules).
-    Every teacher is built before training, over the student it reads, so
-    a rule the task's teacher cannot use fails first."""
-    rules = list(rules)
+    False (project-after and pipeline stage 1, which deploy a teacher even
+    without rules).  Every teacher is built before training, over the
+    student it reads, so a rule the task's teacher cannot use fails first."""
     model = driver.init_model(config.seed)
     deployed = (_teacher(config, driver, model, rules, config.eval_sweeps)
                 if rules or not distill else None)
@@ -864,31 +853,26 @@ def _train(config: TrainConfig, driver: _Driver, rules, dev,
     )
 
 
-# The entry point of each mode that train_distill does not run.
-_OTHER_ENTRY_POINTS = {
-    "semi": "train_semi",
-    "pipeline": "pipeline_distill",
-    "project-after": "train_distill in mode 'base', then project_after",
-}
-
-
-def train_distill(config: TrainConfig, train, rules: Sequence[Rule] = (),
-                  dev=None) -> TrainResult:
-    """Supervised distillation (Algorithm-style loop).  Mode "base", C = 0
-    or no rules take the plain supervised path, bit-identical to a base
-    run; base mode ignores the rules and returns no teacher."""
-    if config.mode in _OTHER_ENTRY_POINTS:
-        raise ValueError(f"mode {config.mode!r} is not trained by train_distill; "
-                         f"use {_OTHER_ENTRY_POINTS[config.mode]}")
-    return _train(config, _make_driver(config, train),
-                  () if config.mode == "base" else rules, dev)
-
-
-def train_semi(config: TrainConfig, train, unlabeled, rules: Sequence[Rule],
-               dev=None) -> TrainResult:
-    """Distillation with the imitation term additionally on unlabeled data.
-    Unlabeled batches never contribute a hard-label term."""
-    return _train(config, _make_driver(config, train, unlabeled), rules, dev)
+def train_distill(config: TrainConfig, train, rules: Sequence[Rule] = (), dev=None,
+                  unlabeled=()) -> TrainResult:
+    """Train a student on the labeled records ``train`` in ``config.mode``:
+    base, distill, semi (imitating q on ``unlabeled`` batches too),
+    project-after or pipeline, as the module docstring describes.  C = 0 or
+    no rules take the plain path, bit-identical to a base run.  The tagging
+    teacher gives document d of the training set, labeled ones first, the
+    seed ``seed + 7919 * d``.  Rules in base mode, and unlabeled records
+    outside semi or none in semi, fail by mode before any step."""
+    mode, rules, unlabeled = config.mode, tuple(rules), list(unlabeled)
+    if mode == "base" and rules:
+        raise ValueError(f"mode 'base' trains without rules, but got "
+                         f"{', '.join(repr(rule.name) for rule in rules)}")
+    if (mode == "semi") != bool(unlabeled):
+        raise ValueError("mode 'semi' needs unlabeled records" if mode == "semi" else
+                         f"unlabeled records apply only to mode 'semi', not {mode!r}")
+    if mode == "pipeline":
+        return _pipeline(config, train, rules, dev)
+    return _train(config, _make_driver(config, train, unlabeled), rules, dev,
+                  distill=mode != "project-after")
 
 
 def project_after(model, vocab: Vocabulary, rules: Sequence[Rule], c: float,
@@ -906,21 +890,18 @@ def project_after(model, vocab: Vocabulary, rules: Sequence[Rule], c: float,
                       sweeps=eval_sweeps, g_max=g_max, seed=seed)
 
 
-def pipeline_distill(config: TrainConfig, train, rules: Sequence[Rule],
-                     dev=None) -> TrainResult:
+def _pipeline(config: TrainConfig, train, rules, dev) -> TrainResult:
     """Two-stage pipeline: train a base model, freeze and project it, then
     train a FRESH student purely on the projected soft targets (pi = 1)."""
     driver = _make_driver(config, train)
     stage1 = _train(config, driver, rules, dev, distill=False)
-    teacher = stage1.teacher
+    teacher, data = stage1.teacher, driver.data
+
     # Teacher targets from the frozen model are static: compute them once,
     # as stage 2's hard rows, with one unit per sentence of the set.
-    driver.teacher_rng = np.random.default_rng((config.seed, 3))
-    data = driver.data
-
     def frozen_q(docs):
         batch = data.batch.take(data.docs.positions(docs))
-        return driver.soft_targets(teacher, teacher.model.forward(batch), batch, docs)
+        return teacher.soft_predict(teacher.model.forward(batch), batch, data, docs)
 
     n = len(data.batch)
     fixed = _Driver(config, data, _chunked(frozen_q, data.docs.lengths),

@@ -6,8 +6,11 @@ passing tests is captured.  The tag-string span extraction, validity walk
 and micro P/R/F1 below are the reference that the evaluation's
 tag-index scoring is held to; the per-block Adadelta and the ``np.add.at``
 embedding scatter are the references for the students' flat step and
-scatter.
+scatter.  ``corrupt_checkpoint`` breaks a saved checkpoint in each way the
+loader must reject by name.
 """
+
+import json
 
 import numpy as np
 
@@ -73,6 +76,35 @@ class RefAdadelta:
             edx2 *= rho
             edx2 += (1.0 - rho) * dx * dx
             params[name] += dx
+
+
+def _drop_n_classes(meta, arrays):
+    del meta["config"]["n_classes"]
+
+
+# Each way a saved classifier checkpoint is broken, as an edit of its
+# metadata dict and its arrays, and what the loader must name.
+CHECKPOINT_CORRUPTIONS = {
+    "no meta": (lambda meta, arrays: meta.clear(), "no metadata"),
+    "no n_classes": (_drop_n_classes, "n_classes"),
+    "no out_b": (lambda meta, arrays: arrays.pop("param_out_b"), "no block 'param_out_b'"),
+    "3-row emb": (lambda meta, arrays: arrays.update(param_emb=arrays["param_emb"][:3]),
+                  r"'param_emb' has shape \(3, "),
+    "token past emb": (lambda meta, arrays: meta["vocab"].append("unembedded"),
+                       r"vocabulary has \d+ tokens, but its config's text_classifier embeds"),
+}
+
+
+def corrupt_checkpoint(path, case):
+    """Rewrite the checkpoint at ``path`` broken as ``case`` says."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(str(arrays.pop("meta")))
+    CHECKPOINT_CORRUPTIONS[case][0](meta, arrays)
+    if meta:
+        arrays["meta"] = np.array(json.dumps(meta))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
 
 def ref_embedding_grad(ids, rows, vocab_size):

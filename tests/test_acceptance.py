@@ -61,7 +61,6 @@ from ruledistill.trainer import (
     TrainConfig,
     evaluate,
     train_distill,
-    train_semi,
 )
 
 
@@ -478,7 +477,7 @@ def test_criterion_08_semi_supervised():
         )
         semi_cfg = TrainConfig(task="sentiment", mode="semi", seed=seed,
                                epochs=50, patience=99, schedule=schedule)
-        rm = train_semi(semi_cfg, labeled, unlabeled, rules=rules, dev=None)
+        rm = train_distill(semi_cfg, labeled, rules=rules, unlabeled=unlabeled)
         semi_scores.append(
             evaluate(rm.student, test, task="sentiment", vocab=rm.vocab).accuracy
         )

@@ -18,6 +18,7 @@ The chain regime's per-chain reference lives in test_inference.py.
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional
 from unittest import mock
 
@@ -554,26 +555,24 @@ class TestNerTeacherBatching:
         model = SequenceTagger(len(vocab), self.SCHEME.n_tags, emb_dim=4, hidden=5,
                                radius=1, seed=2)
         # g_max = 2 cuts links of the 3-4 item lists at random, so every
-        # answer depends on the document's seed.
+        # answer depends on the document's seed, seed + 7919 * d.
         return NerTeacher(model, vocab, self.SCHEME, self.RULES, 6.0, g_max=2, seed=3)
 
     def test_document_targets_alone_and_in_any_batch(self):
         teacher = self.teacher()
         docs = group_documents(self.DATA)
+        data = trainer.prepare(self.DATA, teacher.vocab, self.SCHEME)
         batches = [teacher.vocab.encode([s.tokens for s in doc]) for doc in docs]
         sigmas = [teacher.model.forward(batch) for batch in batches]
-        links = [trainer._doc_links([s.tokens for s in doc]) for doc in docs]
-        seeds = [11 * d + 1 for d in range(len(docs))]
-        assert sum(bool(pairs) for _, pairs in links) >= 3
-        alone = [teacher.soft_predict(*args, [len(doc)], [ln], [s])
-                 for args, doc, ln, s in zip(zip(sigmas, batches), docs, links, seeds)]
+        assert sum(bool(pairs) for _, pairs in data.rule_inputs) >= 3
+        alone = [teacher.soft_predict(sigma, batch, data, [d])
+                 for d, (sigma, batch) in enumerate(zip(sigmas, batches))]
         rng = np.random.default_rng(0)
         for _ in range(3):
             order = rng.permutation(len(docs))[: rng.integers(2, len(docs) + 1)]
             batch = teacher.vocab.encode([s.tokens for d in order for s in docs[d]])
             batched = teacher.soft_predict(np.concatenate([sigmas[d] for d in order]), batch,
-                                           [len(docs[d]) for d in order],
-                                           [links[d] for d in order], [seeds[d] for d in order])
+                                           data, order)
             for d, doc_q in zip(order, split_rows(batched, [len(alone[d]) for d in order])):
                 assert doc_q.shape == alone[d].shape
                 for a, b in zip(alone[d], doc_q):
@@ -711,9 +710,11 @@ class TestSentimentTeacherBatching:
         model = _ClauseTable(rng.dirichlet(np.ones(2), size=n))
         rules = [_ORACLE_RULES[name](float(rng.choice((0.5, 1.0, 3.0)))) for name in names]
         teacher, oracle = (SentimentTeacher(model, None, rules, c) for _ in range(2))
-        # Sentence i is [n + i, i], with clause B [i] when it has one.
+        # Sentence i is [n + i, i], with clause B [i] when it has one: a set
+        # whose only rule input is each sentence's clause start.
         batch = TokenBatch(np.stack([n + np.arange(n), np.arange(n)], axis=1).ravel(), [2] * n)
-        q = teacher.soft_predict(p, batch, np.array([0 if cl is None else 1 for cl in clauses]))
+        data = SimpleNamespace(rule_inputs=np.array([0 if cl is None else 1 for cl in clauses]))
+        q = teacher.soft_predict(p, batch, data, np.arange(n))
         expect = ref_sentiment_soft_predict(oracle, p, clauses)
         assert len(q) == n and all(np.array_equal(a, b) for a, b in zip(q, expect))
         assert teacher.infeasible == oracle.infeasible

@@ -1,8 +1,11 @@
 """Command-line behavior: config precedence, artifacts, exit codes."""
 
 import os
+import re
 
 import pytest
+
+from conftest import CHECKPOINT_CORRUPTIONS, corrupt_checkpoint
 
 from ruledistill.cli import (
     CliError,
@@ -542,6 +545,16 @@ class TestEvalCommand:
             "eval", "--checkpoint", str(tmp_path / "no.npz"),
             "--test", str(data_dir / "test.tsv"),
         ]) == 2
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_broken_checkpoint_exit_2(self, data_dir, sent_ckpt, tmp_path, capsys, case):
+        broken = tmp_path / "broken.npz"
+        broken.write_bytes(sent_ckpt.read_bytes())
+        corrupt_checkpoint(broken, case)
+        assert run([
+            "eval", "--checkpoint", str(broken), "--test", str(data_dir / "test.tsv"),
+        ]) == 2
+        assert re.search(CHECKPOINT_CORRUPTIONS[case][1], capsys.readouterr().err)
 
     def test_summary_written(self, data_dir, sent_ckpt, tmp_path):
         out_file = tmp_path / "eval.txt"

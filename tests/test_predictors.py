@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import RefAdadelta, batch_of, ref_embedding_grad
+from conftest import (
+    CHECKPOINT_CORRUPTIONS,
+    RefAdadelta,
+    batch_of,
+    corrupt_checkpoint,
+    ref_embedding_grad,
+)
 
 from ruledistill import predictors
 from ruledistill.predictors import (
@@ -308,6 +314,18 @@ class TestCheckpoint:
         assert extra == meta
         assert loaded.kind == "sequence_tagger"
         assert loaded.n_tags == 9
+
+    @pytest.mark.parametrize("case", sorted(CHECKPOINT_CORRUPTIONS))
+    def test_broken_checkpoint_rejected_by_name(self, tmp_path, case):
+        # Each break fails on load with a ValueError that names it, not
+        # with a KeyError, a TypeError or, for a block of the wrong shape,
+        # an IndexError at the first forward.
+        model = TextClassifier(vocab_size=5, n_classes=2, emb_dim=3, n_filters=2, seed=7)
+        path = tmp_path / "m.npz"
+        save_checkpoint(path, model, Vocabulary.build([["alpha", "beta", "gamma"]]))
+        corrupt_checkpoint(path, case)
+        with pytest.raises(ValueError, match=CHECKPOINT_CORRUPTIONS[case][1]):
+            load_checkpoint(path)
 
     def test_corrupt_kind_rejected(self, tmp_path):
         model = TextClassifier(vocab_size=5, n_classes=2)

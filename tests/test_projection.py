@@ -1,6 +1,7 @@
 """Closed-form teacher projection and its numeric self-verification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ruledistill.projection import (
     InfeasibleConstraintError,
+    OptimalityReport,
     ProjectionProblem,
     TeacherPosterior,
     project,
@@ -162,6 +164,22 @@ class TestVerifyOptimality:
         assert report.agrees(1e-6)
         assert report.kl < 1e-8
         assert abs(report.objective_gap) < 1e-8
+
+    def test_zero_kl_agrees_at_zero_tolerance(self):
+        # Tolerance 0 asks for an exact match, which a KL of 0 is.
+        report = OptimalityReport(kl=0.0, objective_numeric=1.0, objective_closed=1.0,
+                                  objective_gap=0.0, grad_spread=0.0, iterations=3,
+                                  converged=True)
+        assert report.agrees(0.0)
+        assert not replace(report, kl=6.4e-16).agrees(0.0)
+
+    @pytest.mark.parametrize("setting, value, match", [
+        ("trials", -1, "trials must be nonnegative, got -1"),
+        ("k_max", 1, "k_max must be at least 2, got 1"),
+    ])
+    def test_sweep_rejects_bad_argument(self, setting, value, match):
+        with pytest.raises(ValueError, match=match):
+            random_projection_sweep(seed=0, **{setting: value})
 
     def test_report_fields_consistent(self):
         problem = make(uniform_log(3), [(2.0, [1.0, 0.5, 0.0])])

@@ -57,10 +57,8 @@ from ruledistill.trainer import (
     TrainConfig,
     aggregate_reports,
     evaluate,
-    pipeline_distill,
     project_after,
     train_distill,
-    train_semi,
 )
 
 
@@ -277,14 +275,23 @@ class TestTrainDistill:
         res = train_distill(tiny_config(mode="base"), self.DATA, rules=())
         assert res.teacher is None
 
-    @pytest.mark.parametrize("mode, entry", [
-        ("semi", "train_semi"),
-        ("pipeline", "pipeline_distill"),
-        ("project-after", "project_after"),
+    @pytest.mark.parametrize("mode, rules, unlabeled, match", [
+        ("base", RULES, (), "mode 'base' trains without rules"),
+        ("distill", RULES, DATA[:5], "not 'distill'"),
+        ("project-after", RULES, DATA[:5], "not 'project-after'"),
+        ("pipeline", RULES, DATA[:5], "not 'pipeline'"),
+        ("base", (), DATA[:5], "not 'base'"),
+        ("semi", RULES, (), "mode 'semi' needs unlabeled records"),
     ])
-    def test_other_modes_name_their_entry_point(self, mode, entry):
-        with pytest.raises(ValueError, match=entry):
-            train_distill(tiny_config(mode=mode), self.DATA, rules=self.RULES)
+    def test_rejects_a_setting_its_mode_cannot_use(self, monkeypatch, mode, rules,
+                                                   unlabeled, match):
+        # Each setting the mode would ignore, or run another mode for, fails
+        # by the mode's name before any step.
+        steps = []
+        monkeypatch.setattr(trainer, "backward_and_step", lambda *a, **kw: steps.append(1) or 0.0)
+        with pytest.raises(ValueError, match=match):
+            train_distill(tiny_config(mode=mode), self.DATA, rules=rules, unlabeled=unlabeled)
+        assert not steps
 
     def test_dev_history_and_early_stop(self):
         dev = gen_synthetic_sentiment(seed=12, n=30)
@@ -318,14 +325,14 @@ class TestTrainDistill:
     def test_semi_consumes_unlabeled(self):
         labeled = self.DATA[:20]
         unlabeled = self.DATA[20:]
-        res = train_semi(
-            tiny_config(mode="semi"), labeled, unlabeled, rules=self.RULES
+        res = train_distill(
+            tiny_config(mode="semi"), labeled, rules=self.RULES, unlabeled=unlabeled
         )
         assert res.teacher is not None
         assert len(res.history) == 2
 
     def test_pipeline_returns_stage2_student(self):
-        res = pipeline_distill(
+        res = train_distill(
             tiny_config(mode="pipeline", epochs=2), self.DATA, rules=self.RULES
         )
         assert res.teacher is not None
@@ -389,9 +396,9 @@ class TestSentimentTeacher:
         steps = []
         monkeypatch.setattr(trainer, "backward_and_step", lambda *a, **kw: steps.append(1) or 0.0)
         data = gen_synthetic_sentiment(seed=11, n=20)
-        for entry, mode in ((train_distill, "distill"), (pipeline_distill, "pipeline")):
+        for mode in ("distill", "pipeline"):
             with pytest.raises(ValueError, match="'list-counterpart'"):
-                entry(tiny_config(mode=mode), data, rules=rules)
+                train_distill(tiny_config(mode=mode), data, rules=rules)
         assert not steps
 
 
@@ -436,18 +443,23 @@ class TestTrainNer:
         assert 0.0 <= report.validity_rate <= 1.0
         assert report.metric() == report.f1
 
-    def test_base_mode_ignores_rules(self, monkeypatch):
-        # Base mode takes the plain path even when rules are given: no
-        # list detection, no teacher, the parameters of a rule-free run.
-        detected = []
-        original = trainer.detect_lists
-        monkeypatch.setattr(trainer, "detect_lists",
-                            lambda *a, **kw: detected.append(1) or original(*a, **kw))
-        res = train_distill(self.config(mode="base"), self.DATA, rules=self.RULES)
-        assert res.teacher is None and not detected
-        plain = train_distill(self.config(mode="base"), self.DATA, rules=())
-        for k in plain.student.params:
-            np.testing.assert_array_equal(res.student.params[k], plain.student.params[k])
+    def test_training_seeds_follow_the_document_index(self, monkeypatch):
+        # At g_max = 2 the 3-4 item lists are cut, so stage 1 reads its
+        # seeds: document d has seed + 7919 * d, in every epoch and batch,
+        # and two runs of one seed train the same student.
+        seen = []
+        original = trainer.form_groups
+        monkeypatch.setattr(trainer, "form_groups", lambda n, links, g_max, seed:
+                            seen.append(seed) or original(n, links, g_max, seed))
+        config = self.config(g_max=2, seed=5, epochs=3)
+        a, b = (train_distill(config, self.DATA, rules=self.RULES) for _ in range(2))
+        for k in a.student.params:
+            np.testing.assert_array_equal(a.student.params[k], b.student.params[k])
+        linked = [d for d, doc in enumerate(group_documents(self.DATA))
+                  if trainer._doc_links([s.tokens for s in doc])[1]]
+        # Epochs 1 and 2 of each run build the teacher of every document.
+        assert len(linked) > 1
+        assert sorted(seen) == sorted([5 + 7919 * d for d in linked] * 4)
 
     def test_list_rules_add_their_confidences(self):
         # Two list rules at lambda 0.4 and 0.6 give the teacher of one at 1.
@@ -462,17 +474,14 @@ class TestTrainNer:
                                  scheme=base.scheme)
 
         one, two = teacher(1.0), teacher(0.4, 0.6)
-        n_links = 0
-        for doc in group_documents(self.DATA):
-            ids = base.vocab.encode([s.tokens for s in doc])
-            links = trainer._doc_links([s.tokens for s in doc])
-            n_links += len(links[1])
+        data = trainer.prepare(self.DATA, base.vocab, base.scheme)
+        assert sum(len(links) for _, links in data.rule_inputs) > 0
+        for d in range(len(data.docs)):
+            ids = data.batch.take(data.docs.positions([d]))
             sigmas = base.student.forward(ids)
-            a_doc, b_doc = (t.soft_predict(sigmas, ids, [len(doc)], [links], [0])
-                            for t in (one, two))
+            a_doc, b_doc = (t.soft_predict(sigmas, ids, data, [d]) for t in (one, two))
             for a, b in zip(a_doc, b_doc):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-9)
-        assert n_links > 0
 
     def test_lists_detected_on_teacher_use_and_no_training_decodes(self, monkeypatch):
         calls = {"detect_lists": 0, "chain_map_decode": 0}
@@ -491,6 +500,27 @@ class TestTrainNer:
         train_distill(self.config(epochs=3), self.DATA, rules=self.RULES)
         n_docs = len({s.doc_id for s in self.DATA})
         assert calls == {"detect_lists": n_docs, "chain_map_decode": 0}
+
+
+@pytest.mark.parametrize("task", ("sentiment", "ner"))
+def test_project_after_mode_is_base_then_project_after(task):
+    # The project-after mode's student is a base run's, bit for bit, and its
+    # teacher scores as project_after's on that student does.
+    if task == "sentiment":
+        config, data, rules = tiny_config(), TestTrainDistill.DATA, TestTrainDistill.RULES
+    else:
+        config = tiny_config(task="ner", hidden=6, train_sweeps=20, eval_sweeps=50)
+        data, rules = TestTrainNer.DATA, TestTrainNer.RULES
+    res = train_distill(replace(config, mode="project-after"), data, rules=rules)
+    base = train_distill(replace(config, mode="base"), data)
+    assert res.student.params.keys() == base.student.params.keys()
+    for k in base.student.params:
+        np.testing.assert_array_equal(res.student.params[k], base.student.params[k])
+    assert res.history == base.history
+    teacher = project_after(base.student, base.vocab, rules, config.c, task,
+                            scheme=base.scheme, eval_sweeps=config.eval_sweeps,
+                            g_max=config.g_max, seed=config.seed)
+    assert evaluate(res.teacher, data, task=task) == evaluate(teacher, data, task=task)
 
 
 class TestPreparedSet:
