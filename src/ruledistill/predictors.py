@@ -13,14 +13,16 @@ flat id array and the sentence lengths, as ``Vocabulary.encode`` returns
 it) and returns one (rows, K) array of output distributions: a row per
 sentence for the classifier, (B, K), and a row per position for the
 tagger, (P, K), in the order of ``batch.ids``.  Only the batch knows where
-a sentence's rows begin and end.  The batch is scattered into (B, T_max)
-under its position mask, windows are strided views of it, and the
-classifier's conv (all widths at once) or the tagger's hidden layer is
-one stacked matmul, so a sentence's outputs do not depend on its batch.
-Masks work by position, not by id: an id 0 keeps its embedding row, while
-positions past a sentence's end are zero vectors.  The classifier pools
-only over windows that start within max(length, widest window) - w; the
-tagger's out-of-sentence positions get no gradient.
+a sentence's rows begin and end.  The classifier scatters the batch into
+(B, T_max) under its position mask, takes windows as strided views of it
+and runs its conv (all widths at once) as one stacked matmul; positions
+past a sentence's end are zero vectors, and it pools only over windows
+that start within max(length, widest window) - w.  The tagger computes
+nothing past a sentence's end: it lays the P positions' embedding rows
+out in one flat array, with ``radius`` zero rows around every sentence,
+gathers each position's window from it and runs its layers on (P, d)
+rows.  Either way a sentence's outputs do not depend on its batch, and
+an id 0 keeps its embedding row: masks work by position, not by id.
 
 Training takes one forward and one backward pass per minibatch and fits
 each output row to a target row, the blend (1 - pi) * hard + pi * q of
@@ -143,7 +145,7 @@ class TokenBatch:
         """Sentences ``index``, in that order, without their first ``skip`` tokens."""
         return TokenBatch(self.ids[self.positions(index, skip)], self.lengths[index] - skip)
 
-    def padded(self, min_len: int = 1):
+    def padded(self, min_len: int):
         """(B, T) ids, 0 outside a sentence, and the in-sentence mask; T >= min_len."""
         mask = np.arange(max(int(self.lengths.max()), min_len)) < self.lengths[:, None]
         ids = np.zeros(mask.shape, dtype=int)
@@ -179,10 +181,13 @@ def _unwindow(dm: np.ndarray, w: int, length: int) -> np.ndarray:
     return dx
 
 
-# Every matmul on a (B, n, d) batch array, the fused conv's included, is
-# stacked, one small product per sentence: a single (B * n, d) product is
-# large enough for BLAS to split it over threads, which costs more than it
-# saves at these sizes and stalls when the other cores are busy.
+# Every matmul is a stack of small products: one per sentence for the
+# classifier's (B, n, d) arrays, the fused conv's included, and one per
+# block of _ROW_BLOCK positions for the tagger's (P, d) rows.  A single
+# (B * n, d) or (P, d) product is large enough for BLAS to split it over
+# threads, which costs more than it saves at these sizes, stalls when the
+# other cores are busy and grows the process by the threads' buffers.
+_ROW_BLOCK = 32
 
 
 def _weight_grad(m: np.ndarray, dz: np.ndarray) -> np.ndarray:
@@ -196,6 +201,15 @@ def _embedding_grad(ids: np.ndarray, rows: np.ndarray, vocab_size: int) -> np.nd
     e = rows.shape[1]
     flat = (ids[:, None] * e + np.arange(e)).ravel()
     return np.bincount(flat, rows.ravel(), vocab_size * e).reshape(vocab_size, e)
+
+
+def _check_sizes(vocab_size: int, **sizes: int) -> None:
+    if vocab_size < 2:
+        raise ValueError(f"vocab_size must be at least 2, for the pad and unk tokens, "
+                         f"got {vocab_size}")
+    for name, size in sizes.items():
+        if size < 1:
+            raise ValueError(f"{name} must be at least 1, got {size}")
 
 
 def _check_widths(widths, name: str) -> None:
@@ -254,6 +268,7 @@ class TextClassifier(_Model):
         self.emb_dim = int(emb_dim)
         self.window_sizes = tuple(int(w) for w in window_sizes)
         self.n_filters = int(n_filters)
+        _check_sizes(self.vocab_size, emb_dim=self.emb_dim, n_filters=self.n_filters)
         rng = np.random.default_rng(seed)
         u = lambda shape: rng.uniform(-0.05, 0.05, size=shape)
         self.params["emb"] = u((self.vocab_size, self.emb_dim))
@@ -334,6 +349,7 @@ class SequenceTagger(_Model):
         self.emb_dim = int(emb_dim)
         self.hidden = int(hidden)
         self.radius = int(radius)
+        _check_sizes(self.vocab_size, emb_dim=self.emb_dim, hidden=self.hidden)
         rng = np.random.default_rng(seed)
         u = lambda shape: rng.uniform(-0.05, 0.05, size=shape)
         win = 2 * self.radius + 1
@@ -353,27 +369,35 @@ class SequenceTagger(_Model):
         }
 
     def _forward_cache(self, batch):
-        ids, mask = batch.padded()
-        r = self.radius
-        xpad = np.zeros((len(ids), mask.shape[1] + 2 * r, self.emb_dim))
-        xpad[:, r : r + mask.shape[1]] = self.params["emb"][ids] * mask[..., None]
-        m = _windows(xpad, 2 * r + 1)
+        # Sentence rows in one flat array, r zero rows before each sentence
+        # and after the last; position i's window starts at row at[i].
+        r, e, p = self.radius, self.emb_dim, len(batch.ids)
+        at = np.arange(p) + r * np.repeat(np.arange(len(batch)), batch.lengths)
+        x = np.zeros((p + r * (len(batch) + 1), e))
+        x[at + r] = self.params["emb"][batch.ids]
+        # The tail of the last row block reads the window at row 0 and is dropped.
+        rows = np.pad(at, (0, -p % _ROW_BLOCK))
+        m = x[rows[:, None] + np.arange(2 * r + 1)].reshape(-1, _ROW_BLOCK, (2 * r + 1) * e)
+        del x  # freed before the products, where an evaluation forward peaks
         h = np.tanh(m @ self.params["hidden_w"] + self.params["hidden_b"])
         probs = _softmax_rows(h @ self.params["out_w"] + self.params["out_b"])
-        return probs[mask], (ids, mask, m, h)
+        return probs.reshape(-1, self.n_tags)[:p], (batch.ids, at, m, h)
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
-        ids, mask, m, h = cache
-        # Positions past a sentence's end get no gradient.
-        d = np.zeros(mask.shape + (self.n_tags,))
-        d[mask] = dlogits
+        ids, at, m, h = cache
+        p, win = len(ids), 2 * self.radius + 1
+        d = np.zeros(h.shape[:2] + (self.n_tags,))
+        d.reshape(-1, self.n_tags)[:p] = dlogits
         g = {"out_w": _weight_grad(h, d), "out_b": d.sum(axis=(0, 1))}
         dz = (d @ self.params["out_w"].T) * (1.0 - h * h)
         g["hidden_w"] = _weight_grad(m, dz)
         g["hidden_b"] = dz.sum(axis=(0, 1))
-        r, t = self.radius, mask.shape[1]
-        dxpad = _unwindow(dz @ self.params["hidden_w"].T, 2 * r + 1, t + 2 * r)
-        g["emb"] = _embedding_grad(ids[mask], dxpad[:, r : r + t][mask], self.vocab_size)
+        dm = (dz @ self.params["hidden_w"].T).reshape(-1, win, self.emb_dim)[:p]
+        # The flat array of the forward, which ends with the last window.
+        dx = np.zeros((at[-1] + win, self.emb_dim))
+        for j in range(win):
+            dx[at + j] += dm[:, j]
+        g["emb"] = _embedding_grad(ids, dx[at + self.radius], self.vocab_size)
         return {name: g[name] for name in self.params}
 
 

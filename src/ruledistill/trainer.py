@@ -38,13 +38,14 @@ Every dataset becomes arrays once, as a ``PreparedSet``: one
 rows, and the rule inputs (clause starts, or each document's list links),
 computed on a teacher's first read.  Training, dev and test evaluation
 read it by index, so no repeat evaluation re-encodes a sentence or
-re-detects a grounding, and a student detects none.  One padded forward
-and backward pass runs per minibatch, one forward per evaluation chunk.  A
+re-detects a grounding, and a student detects none.  One forward and
+backward pass runs per minibatch, one forward per evaluation chunk.  A
 batch's student outputs, teacher targets and hard targets are each one
 (rows, K) array in the batch's order, a row per sentence for
 classification and per position for tagging.  Evaluation sorts sentences
-by token count before chunking, so a forward pads only to its chunk's
-longest sentence, and scores tags as index arrays.
+by token count before chunking, so a classifier forward pads only to its
+chunk's longest sentence (the tagger pads no sentence), and scores tags
+as index arrays.
 
 Every mode runs through one epoch loop over one driver, which shuffles
 units of the prepared training set (a sentence for classification, a
@@ -623,7 +624,7 @@ def prepare(records, vocab: Vocabulary, scheme: Optional[TagScheme] = None) -> P
 
 
 # Sentences per student forward outside training; a fixed chunk keeps the
-# padded batch arrays, and so peak memory, independent of the dataset size.
+# batch arrays, and so peak memory, independent of the dataset size.
 _EVAL_CHUNK = 64
 
 
@@ -657,9 +658,9 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
     ``PreparedSet``, which must match the teacher's or the arguments'.
     Teachers carry their own; the task is inferred from the record type
     when omitted.  Students and the sentiment teacher forward chunks of
-    ``_EVAL_CHUNK`` sentences stably sorted by token count, so a forward
-    pads only to its chunk's longest sentence; the tagging teacher decodes
-    chunks of whole documents.
+    ``_EVAL_CHUNK`` sentences stably sorted by token count, so a
+    classifier forward pads only to its chunk's longest sentence; the
+    tagging teacher decodes chunks of whole documents.
     """
     if isinstance(predictor, (SentimentTeacher, NerTeacher)):
         vocab, scheme = predictor.vocab, getattr(predictor, "scheme", None)

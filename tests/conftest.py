@@ -90,6 +90,8 @@ CHECKPOINT_CORRUPTIONS = {
     "no out_b": (lambda meta, arrays: arrays.pop("param_out_b"), "no block 'param_out_b'"),
     "3-row emb": (lambda meta, arrays: arrays.update(param_emb=arrays["param_emb"][:3]),
                   r"'param_emb' has shape \(3, "),
+    "0 filters": (lambda meta, arrays: meta["config"].update(n_filters=0),
+                  "config builds no text_classifier: n_filters must be at least 1"),
     "token past emb": (lambda meta, arrays: meta["vocab"].append("unembedded"),
                        r"vocabulary has \d+ tokens, but its config's text_classifier embeds"),
 }

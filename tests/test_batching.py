@@ -227,9 +227,11 @@ def ref_encode(vocab, tokens):
 # --- strategies --------------------------------------------------------------
 
 # A sentence of one or more ids, id 0 among them.
-sentences = st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=9).map(np.array)
+sentences = st.lists(st.integers(0, VOCAB - 1), min_size=1, max_size=25).map(np.array)
 
-batches = st.lists(sentences, min_size=1, max_size=5)
+# Up to 40 sentences: the tagger's positions span several row blocks, and
+# a block boundary can fall inside a sentence.
+batches = st.lists(sentences, min_size=1, max_size=40)
 
 # Distinct widths in any order: the features follow ``window_sizes``.
 classifiers = st.builds(
@@ -243,7 +245,7 @@ classifiers = st.builds(
 
 taggers = st.builds(
     lambda radius, seed: SequenceTagger(VOCAB, 4, emb_dim=3, hidden=5, radius=radius, seed=seed),
-    st.integers(0, 2),
+    st.integers(0, 3),
     st.integers(0, 2**16),
 )
 
@@ -287,6 +289,19 @@ class TestBatchedMatchesReference:
     def test_tagger(self, model, batch, seed):
         check_batch(model, batch, seed)
 
+    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
+    def test_evaluation_chunk(self, radius):
+        # 64 sentences, an evaluation chunk, of 1-25 tokens: row blocks end
+        # inside sentences, and some sentences are shorter than radius 3.
+        rng = np.random.default_rng(radius)
+        batch = [rng.integers(0, VOCAB, size=n) for n in rng.integers(1, 26, size=64)]
+        ends = np.cumsum([len(ids) for ids in batch])
+        blk = predictors._ROW_BLOCK
+        assert np.setdiff1d(np.arange(blk, ends[-1], blk), ends).size
+        assert min(len(ids) for ids in batch) < 3
+        model = SequenceTagger(VOCAB, 4, emb_dim=3, hidden=5, radius=radius, seed=radius)
+        check_batch(model, batch, seed=radius)
+
     @pytest.mark.parametrize("make", [
         lambda: TextClassifier(VOCAB, 2, emb_dim=3, window_sizes=(2, 4), n_filters=4, seed=1),
         lambda: SequenceTagger(VOCAB, 4, emb_dim=3, hidden=5, radius=2, seed=1),
@@ -302,8 +317,8 @@ class TestBatchedMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(classifiers, taggers), batches, st.integers(1, 12))
     def test_padding_invariance(self, model, batch, extra):
-        # A neighbour longer than every sentence pads the whole batch
-        # further and changes no output.
+        # A neighbour longer than every sentence pads the classifier's
+        # batch further, adds tagger row blocks and changes no output.
         longer = batch + [np.ones(max(len(ids) for ids in batch) + extra, dtype=int)]
         for a, b in zip(model.forward(batch_of(batch)), model.forward(batch_of(longer))):
             np.testing.assert_allclose(a, b, rtol=0, atol=TOL)

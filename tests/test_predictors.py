@@ -189,6 +189,22 @@ class TestModels:
         with pytest.raises(ValueError, match=r"distinct widths; \[2, 3\] repeat"):
             TextClassifier(vocab_size=8, n_classes=2, window_sizes=(2, 3, 4, 2, 3))
 
+    @pytest.mark.parametrize("build, name", [
+        (lambda: SequenceTagger(0, 3), "vocab_size"),
+        (lambda: SequenceTagger(1, 3), "vocab_size"),
+        (lambda: TextClassifier(1, 2), "vocab_size"),
+        (lambda: SequenceTagger(10, 3, emb_dim=0), "emb_dim"),
+        (lambda: SequenceTagger(10, 3, emb_dim=-1), "emb_dim"),
+        (lambda: TextClassifier(10, 2, emb_dim=0), "emb_dim"),
+        (lambda: SequenceTagger(10, 3, hidden=0), "hidden"),
+        (lambda: TextClassifier(10, 2, n_filters=0), "n_filters"),
+    ])
+    def test_empty_sizes_rejected_by_name(self, build, name):
+        # Each would build a model of uniform outputs, or fail in numpy on
+        # a negative dimension.
+        with pytest.raises(ValueError, match=f"^{name} must be at least"):
+            build()
+
     def test_forward_reads_the_current_params(self):
         # A replaced block (as load_checkpoint and the best-dev restore
         # do) and an in-place edit (as finite_difference_check does) both
