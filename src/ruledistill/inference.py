@@ -9,14 +9,17 @@ rule penalties factor over the output:
   and step (zeros when not given).  The passes pad the rows to
   (N, T_max, K) and take one vectorised step per position across all
   chains; marginals and decoded paths come back as (P, K) and (P,) rows
-  in the query's order.  The forward-backward marginals and the log
-  normalizers come from scaled passes in probability space:
-  each step is one matmul of the step-normalized alphas (or betas) with
-  exp(pair), and log Z is the sum of the log scale factors.  Where that
-  underflows (a step whose mass falls to zero, or far enough below an
-  earlier step's that rounding in the subnormal range could show), the
-  chain is recomputed by the same passes in log space, which alone decide
-  that a chain has no feasible path.  MAP decoding is a log-space max-product.
+  in the query's order.  Construction checks that every chain has a
+  feasible path by a boolean reachability pass over the -inf entries,
+  which needs only the chains' lengths when every unary entry is finite.
+  The forward-backward marginals and the log normalizers come from
+  scaled passes in probability space, run on first use: each step is one
+  matmul of the step-normalized alphas (or betas) with exp(pair), and
+  log Z is the sum of the log scale factors.  Where that underflows (a
+  step whose mass falls to zero, or far enough below an earlier step's
+  that rounding in the subnormal range could show), the chain is
+  recomputed by the same passes in log space.  MAP decoding is a
+  log-space max-product, one argmax per step, and runs no scaled pass.
 * group: cross-instance penalties over sites, each site taking one label.
   ``form_groups`` splits linked sites into components, cutting seeded
   random links until each fits a size cap.  ``exact_group_marginals``
@@ -38,7 +41,8 @@ so tests can compare each fast path against an independent computation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -72,9 +76,17 @@ class InfeasibleChainError(ValueError):
 
 def _as_float_array(a, name: str) -> np.ndarray:
     arr = np.asarray(a, dtype=float)
-    if np.isnan(arr).any() or (arr == np.inf).any():
+    if not (arr < np.inf).all():  # False at NaN and +inf alike
         raise ValueError(f"{name} must not contain NaN or +inf")
     return arr
+
+
+def _as_int_array(a, name: str) -> np.ndarray:
+    arr = np.asarray(a)
+    if arr.dtype.kind not in "iu" and not (
+            arr.dtype.kind == "f" and np.isfinite(arr).all() and (arr == np.round(arr)).all()):
+        raise ValueError(f"{name} must be integers, not bools or fractions")
+    return arr.astype(int)
 
 
 # --- chain regime ------------------------------------------------------------
@@ -90,10 +102,11 @@ class ChainTeacherQuery:
     ``log_pair`` is one (K, K) table shared by every chain and step, its
     entries additive in log space (0 for no penalty, -inf for a forbidden
     bigram); ``log_start``/``log_end`` hold the (K,) boundary terms of every
-    chain.  Each of the three is zeros when not given.  Construction runs
-    the forward pass, which verifies that each chain has a feasible path;
-    the pass and the (N,) log normalizers ``log_z`` are kept for
-    ``chain_marginals``.
+    chain.  Each of the three is zeros when not given.  Construction
+    checks by reachability that each chain has a feasible path.  The
+    scaled forward pass ``forward`` and the (N,) log normalizers ``log_z``
+    are computed on first use, once, and kept for ``chain_marginals``;
+    ``chain_map_decode`` needs neither.
     """
 
     log_unary: np.ndarray  # (P, K)
@@ -101,12 +114,10 @@ class ChainTeacherQuery:
     log_pair: Optional[np.ndarray] = None  # (K, K) after init
     log_start: Optional[np.ndarray] = None  # (K,) after init
     log_end: Optional[np.ndarray] = None  # (K,) after init
-    forward: _ScaledPass = field(init=False, repr=False)
-    log_z: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         lu = _as_float_array(self.log_unary, "log_unary")
-        lengths = np.asarray(self.lengths, dtype=int)
+        lengths = _as_int_array(self.lengths, "lengths")
         if lu.ndim != 2 or not lu.shape[1]:
             raise ValueError("log_unary must be a (P, K) array of position rows")
         if lengths.ndim != 1 or not len(lengths) or lengths.min() < 1:
@@ -124,14 +135,25 @@ class ChainTeacherQuery:
                 raise ValueError(f"{name} must have shape {shape}")
             object.__setattr__(self, name, term)
 
-        forward, log_z = _forward(self)
-        infeasible = np.flatnonzero(log_z == -np.inf)
+        infeasible = np.flatnonzero(~_feasible(self))
         if infeasible.size:
             raise InfeasibleChainError(
                 f"hard constraints exclude every label path of chain {infeasible[0]}"
             )
-        object.__setattr__(self, "forward", forward)
-        object.__setattr__(self, "log_z", log_z)
+
+    @cached_property
+    def _scaled(self) -> tuple[_ScaledPass, np.ndarray]:
+        return _forward(self)
+
+    @property
+    def forward(self) -> _ScaledPass:
+        """The scaled forward pass, run on first use."""
+        return self._scaled[0]
+
+    @property
+    def log_z(self) -> np.ndarray:
+        """The (N,) log normalizers, from the scaled forward pass."""
+        return self._scaled[1]
 
     @property
     def n_positions(self) -> int:
@@ -157,6 +179,43 @@ def _folded_unary(query: ChainTeacherQuery) -> np.ndarray:
     f[:, 0] += query.log_start
     f[np.arange(len(f)), query.lengths - 1] += query.log_end
     return f
+
+
+def _feasible(query: ChainTeacherQuery) -> np.ndarray:
+    """Whether each of the N chains has a label path whose every term is
+    finite: a boolean reachability pass over the -inf entries.  When every
+    unary entry is finite, that depends only on a chain's length, and one
+    pass of (K,) vectors up to the longest chain answers for every chain;
+    the pass stops where the reachable labels repeat, since every longer
+    chain then ends in the same ones."""
+    allowed = query.log_pair > -np.inf
+    start = query.log_start > -np.inf
+    end = query.log_end > -np.inf
+    lengths = query.lengths
+    finite = query.log_unary > -np.inf
+    if finite.all():
+        by_length = np.empty(lengths.max(), dtype=bool)
+        reach = start
+        for t in range(len(by_length)):
+            by_length[t] = reach @ end
+            reach, last = reach @ allowed, reach
+            if (reach == last).all():
+                by_length[t + 1:] = by_length[t]
+                break
+        return by_length[lengths - 1]
+    valid = _valid(query)
+    ok = np.zeros(valid.shape + (query.n_labels,), dtype=bool)
+    ok[valid] = finite
+    ok[:, 0] &= start
+    ok[np.arange(len(ok)), lengths - 1] &= end
+    reach = ok[:, 0]
+    feasible = np.empty(len(lengths), dtype=bool)
+    for t in range(ok.shape[1]):
+        if t:
+            reach = (reach @ allowed) & ok[:, t]
+        ends = lengths - 1 == t
+        feasible[ends] = reach[ends].any(axis=1)
+    return feasible
 
 
 # The scaled passes keep every step's forward values summing to 1 and carry
@@ -295,13 +354,16 @@ def chain_map_decode(query: ChainTeacherQuery) -> tuple[np.ndarray, np.ndarray]:
     """
     f = _folded_unary(query)
     n, t_max, k = f.shape
+    into = query.log_pair.T.copy()  # (to, from)
+    # Flat index of row (chain, to)'s first entry in the (N, K, K) scores.
+    row_starts = np.arange(0, n * k * k, k)
     delta = np.empty_like(f)
     back = np.zeros((n, t_max, k), dtype=int)
     delta[:, 0] = f[:, 0]
     for t in range(1, t_max):
-        scores = delta[:, t - 1, :, None] + query.log_pair
-        back[:, t] = np.argmax(scores, axis=1)  # first maximum = lowest index
-        delta[:, t] = f[:, t] + np.max(scores, axis=1)
+        scores = delta[:, t - 1, None, :] + into
+        back[:, t] = arg = np.argmax(scores, axis=2)  # first maximum = lowest index
+        delta[:, t] = f[:, t] + scores.ravel()[row_starts + arg.ravel()].reshape(n, k)
     last = delta[np.arange(n), query.lengths - 1]
     best = np.argmax(last, axis=1)  # lowest label among equal scores
     paths = np.empty((n, t_max), dtype=int)
@@ -311,7 +373,7 @@ def chain_map_decode(query: ChainTeacherQuery) -> tuple[np.ndarray, np.ndarray]:
         paths[:, t] = y
         if t:
             y = back[np.arange(n), t, y]
-    return paths[_valid(query)], np.max(last, axis=1)
+    return paths[_valid(query)], last[np.arange(n), best]
 
 
 @dataclass(frozen=True, eq=False)

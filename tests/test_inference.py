@@ -26,7 +26,12 @@ from ruledistill.inference import (
     form_groups,
     gibbs_soft_predict,
 )
+from ruledistill import trainer
+from ruledistill.corpus import gen_synthetic_ner
+from ruledistill.predictors import SequenceTagger, Vocabulary
 from ruledistill.projection import InfeasibleConstraintError
+from ruledistill.rulelib import CategoryCollapse, TagScheme, list_counterpart_rule, transition_rules
+from ruledistill.trainer import NerTeacher, TrainConfig, evaluate, train_distill
 
 
 def norm_rows(rng, t, k):
@@ -133,6 +138,58 @@ class TestChain:
         for shape in ((2, 2, 2), (1, 2, 2, 2)):
             with pytest.raises(ValueError, match=r"log_pair must have shape \(2, 2\)"):
                 ChainTeacherQuery(np.zeros((3, 2)), [3], log_pair=np.zeros(shape))
+
+    def test_rejects_lengths_that_are_not_integers(self):
+        # Truncating 2.7 to 2, or reading True as 1, would accept these.
+        for lengths in ([2.7], [True], [1.5, 0.5], np.array([np.nan])):
+            with pytest.raises(ValueError, match="lengths must be integers"):
+                ChainTeacherQuery(np.zeros((2, 2)), lengths)
+        assert ChainTeacherQuery(np.zeros((2, 2)), [2.0]).lengths.tolist() == [2]
+
+    def test_decoding_runs_no_scaled_pass(self, monkeypatch):
+        calls = []
+        original = inference._forward
+        monkeypatch.setattr(inference, "_forward",
+                            lambda query: calls.append(1) or original(query))
+        rng = np.random.default_rng(4)
+        pair = np.where(rng.random((3, 3)) < 0.3, -np.inf, -rng.uniform(0, 2, size=(3, 3)))
+        np.fill_diagonal(pair, 0.0)
+        query = ChainTeacherQuery(*flat([norm_rows(rng, 6, 3), norm_rows(rng, 1, 3)]),
+                                  log_pair=pair)
+        chain_map_decode(query)
+        assert not calls
+        # The first reader of the pass pays for it, once.
+        log_z = query.log_z
+        chain_marginals(query)
+        assert len(calls) == 1 and query.log_z is log_z
+        query = ChainTeacherQuery(*flat([norm_rows(rng, 3, 3)]), log_pair=pair)
+        chain_marginals(query)
+        assert np.isfinite(query.log_z).all() and len(calls) == 2
+
+    def test_tagging_teacher_runs_the_scaled_pass_only_for_marginals(self, monkeypatch):
+        # Evaluation decodes without it; each training batch's soft_predict
+        # runs it once.
+        calls = []
+        original = inference._forward
+        monkeypatch.setattr(inference, "_forward",
+                            lambda query: calls.append(1) or original(query))
+        records = gen_synthetic_ner(seed=13, n_docs=6)
+        scheme = TagScheme(("LOC", "ORG", "PER"))
+        rules = tuple(transition_rules(scheme)) + (
+            list_counterpart_rule(CategoryCollapse(scheme), confidence=1.0),)
+        vocab = Vocabulary.build([s.tokens for s in records])
+        model = SequenceTagger(len(vocab), scheme.n_tags, emb_dim=4, hidden=5, radius=1, seed=1)
+        teacher = NerTeacher(model, vocab, scheme, rules, 6.0, g_max=2, seed=3)
+        evaluate(teacher, trainer.prepare(records, vocab, scheme))
+        assert not calls
+        batches = []
+        original_soft_predict = NerTeacher.soft_predict
+        monkeypatch.setattr(NerTeacher, "soft_predict", lambda *a: batches.append(1)
+                            or original_soft_predict(*a))
+        config = TrainConfig(task="ner", mode="distill", epochs=2, batch_size=8, emb_dim=4,
+                             hidden=5, train_sweeps=20, eval_sweeps=50, seed=0)
+        train_distill(config, records, rules=rules)
+        assert batches and len(calls) == len(batches)
 
     def test_n_positions_counts_every_chain(self):
         query = ChainTeacherQuery(*flat([np.zeros((3, 2)), np.zeros((1, 2))]))
@@ -301,6 +358,47 @@ class TestBatchedChain:
         unaries = unaries[:where] + [dead] + unaries[where:]
         with pytest.raises(InfeasibleChainError, match=match):
             ChainTeacherQuery(*flat(unaries), pair, start, end)
+
+
+# Hard tables: every entry either forbids its labels or leaves them free.
+hard_values = st.sampled_from([-np.inf, 0.0])
+
+
+class TestFeasibility:
+    """Construction's reachability check against the enumeration oracle,
+    which calls a chain feasible when its best path scores above -inf."""
+
+    def check(self, unaries, pair, start, end):
+        # Hard boundary terms as well as a hard pair table.
+        start, end = (np.where(a > -np.inf, 0.0, a) for a in (start, end))
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            # The oracle's query skips the check under test.
+            mp.setattr(inference, "_feasible", lambda query: np.ones(len(query.lengths), bool))
+            enums = enumerate_chain_posterior(
+                ChainTeacherQuery(*flat(unaries), pair, start, end))
+        infeasible = [i for i, e in enumerate(enums) if e.best_log_score == -np.inf]
+        if not infeasible:
+            ChainTeacherQuery(*flat(unaries), pair, start, end)
+            return
+        with pytest.raises(InfeasibleChainError,
+                           match=f"every label path of chain {infeasible[0]}$"):
+            ChainTeacherQuery(*flat(unaries), pair, start, end)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain_batches(pair_values=hard_values))
+    def test_finite_unaries_decide_by_length(self, batch):
+        unaries, pair, start, end = batch
+        self.check([np.where(np.isfinite(u), u, -1.0) for u in unaries], pair, start, end)
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain_batches(pair_values=hard_values), st.data())
+    def test_forbidden_unaries_decide_per_chain(self, batch, data):
+        unaries, pair, start, end = batch
+        # At least one forbidden unary entry, anywhere in the batch.
+        i = data.draw(st.integers(0, len(unaries) - 1))
+        t = data.draw(st.integers(0, len(unaries[i]) - 1))
+        unaries[i][t, data.draw(st.integers(0, unaries[i].shape[1] - 1))] = -np.inf
+        self.check(unaries, pair, start, end)
 
 
 # Entries spanning the whole exponent range of a float: the scaled passes
