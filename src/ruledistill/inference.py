@@ -10,9 +10,8 @@ rule penalties factor over the output:
   (N, T_max, K) and take one vectorised step per position across all
   chains; marginals and decoded paths come back as (P, K) and (P,) rows
   in the query's order.  Construction checks that every chain has a
-  feasible path by a boolean reachability pass over the -inf entries,
-  which needs only the chains' lengths when every unary entry is finite.
-  The forward-backward marginals and the log normalizers come from
+  feasible path by a reachability pass over the -inf entries.  The
+  forward-backward marginals and the log normalizers come from
   scaled passes in probability space, run on first use: each step is one
   matmul of the step-normalized alphas (or betas) with exp(pair), and
   log Z is the sum of the log scale factors.  Where that underflows (a
@@ -103,10 +102,12 @@ class ChainTeacherQuery:
     entries additive in log space (0 for no penalty, -inf for a forbidden
     bigram); ``log_start``/``log_end`` hold the (K,) boundary terms of every
     chain.  Each of the three is zeros when not given.  Construction
-    checks by reachability that each chain has a feasible path.  The
-    scaled forward pass ``forward`` and the (N,) log normalizers ``log_z``
-    are computed on first use, once, and kept for ``chain_marginals``;
-    ``chain_map_decode`` needs neither.
+    checks by reachability that each chain has a path whose every term is
+    finite.  The scaled forward pass ``forward`` and the (N,) log
+    normalizers ``log_z`` are computed on first use, once, and kept for
+    ``chain_marginals``; ``chain_map_decode`` needs neither.  A chain whose
+    finite terms add up past the float range on every path (terms near
+    -1e308) still builds: its ``log_z`` and decoded score are -inf.
     """
 
     log_unary: np.ndarray  # (P, K)
@@ -183,39 +184,21 @@ def _folded_unary(query: ChainTeacherQuery) -> np.ndarray:
 
 def _feasible(query: ChainTeacherQuery) -> np.ndarray:
     """Whether each of the N chains has a label path whose every term is
-    finite: a boolean reachability pass over the -inf entries.  When every
-    unary entry is finite, that depends only on a chain's length, and one
-    pass of (K,) vectors up to the longest chain answers for every chain;
-    the pass stops where the reachable labels repeat, since every longer
-    chain then ends in the same ones."""
-    allowed = query.log_pair > -np.inf
-    start = query.log_start > -np.inf
-    end = query.log_end > -np.inf
+    finite: a reachability pass over the -inf entries, one product per
+    position across all chains, with each label's reachability held as 0
+    or 1."""
+    allowed = (query.log_pair > -np.inf).astype(float)
+    finite = (query.log_unary > -np.inf).astype(float)
     lengths = query.lengths
-    finite = query.log_unary > -np.inf
-    if finite.all():
-        by_length = np.empty(lengths.max(), dtype=bool)
-        reach = start
-        for t in range(len(by_length)):
-            by_length[t] = reach @ end
-            reach, last = reach @ allowed, reach
-            if (reach == last).all():
-                by_length[t + 1:] = by_length[t]
-                break
-        return by_length[lengths - 1]
-    valid = _valid(query)
-    ok = np.zeros(valid.shape + (query.n_labels,), dtype=bool)
-    ok[valid] = finite
-    ok[:, 0] &= start
-    ok[np.arange(len(ok)), lengths - 1] &= end
-    reach = ok[:, 0]
-    feasible = np.empty(len(lengths), dtype=bool)
-    for t in range(ok.shape[1]):
-        if t:
-            reach = (reach @ allowed) & ok[:, t]
-        ends = lengths - 1 == t
-        feasible[ends] = reach[ends].any(axis=1)
-    return feasible
+    first = np.cumsum(lengths) - lengths
+    # (T_max, N, K): every chain's row at each step.  Past a chain's end
+    # the rows are later chains' (or the last row), which its answer never
+    # reads.
+    reach = finite[np.minimum(np.arange(lengths.max())[:, None] + first, len(finite) - 1)]
+    reach[0] *= query.log_start > -np.inf
+    for t in range(1, len(reach)):
+        np.minimum(reach[t - 1] @ allowed, reach[t], out=reach[t])
+    return reach[lengths - 1, np.arange(len(lengths))] @ (query.log_end > -np.inf) > 0
 
 
 # The scaled passes keep every step's forward values summing to 1 and carry
@@ -355,15 +338,13 @@ def chain_map_decode(query: ChainTeacherQuery) -> tuple[np.ndarray, np.ndarray]:
     f = _folded_unary(query)
     n, t_max, k = f.shape
     into = query.log_pair.T.copy()  # (to, from)
-    # Flat index of row (chain, to)'s first entry in the (N, K, K) scores.
-    row_starts = np.arange(0, n * k * k, k)
     delta = np.empty_like(f)
     back = np.zeros((n, t_max, k), dtype=int)
     delta[:, 0] = f[:, 0]
     for t in range(1, t_max):
         scores = delta[:, t - 1, None, :] + into
         back[:, t] = arg = np.argmax(scores, axis=2)  # first maximum = lowest index
-        delta[:, t] = f[:, t] + scores.ravel()[row_starts + arg.ravel()].reshape(n, k)
+        delta[:, t] = f[:, t] + np.take_along_axis(scores, arg[..., None], 2)[..., 0]
     last = delta[np.arange(n), query.lengths - 1]
     best = np.argmax(last, axis=1)  # lowest label among equal scores
     paths = np.empty((n, t_max), dtype=int)

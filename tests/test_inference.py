@@ -107,6 +107,29 @@ class TestChain:
         with pytest.raises(InfeasibleChainError, match="chain 1"):
             ChainTeacherQuery(*flat([np.zeros((2, 2)), u, np.zeros((1, 2))]), log_pair=pair)
 
+    def test_long_chain_with_a_forbidden_label_is_feasible(self):
+        # 13^300 paths: a count of reachable paths would overflow.
+        u = np.zeros((300, 13))
+        u[-1, 0] = -np.inf
+        assert ChainTeacherQuery(u, [300]).lengths.tolist() == [300]
+
+    def test_finite_terms_that_overflow_build_with_log_z_minus_inf(self):
+        # Every term is finite, so the chain is feasible, but each allowed
+        # path's score adds up below the float range.
+        u = np.full((2, 2), -1e308)
+        pair = np.array([[-np.inf, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            query = ChainTeacherQuery(u, [2], log_pair=pair)
+            assert query.log_z.tolist() == [-np.inf]
+            path, score = chain_map_decode(query)
+            marg = chain_marginals(query)
+        # Every score ties at -inf: the last label is the lowest, and the
+        # step before it the argmax of the finite -1e308 terms into label
+        # 0, which the pair table allows only from label 1.
+        assert path.tolist() == [1, 0] and score.tolist() == [-np.inf]
+        # The marginals weigh the allowed paths 01, 10 and 11 equally.
+        np.testing.assert_allclose(marg, [[1 / 3, 2 / 3], [1 / 3, 2 / 3]], atol=1e-12)
+
     def test_map_tie_breaks_low_index(self):
         u = np.zeros((2, 2))
         path, _ = chain_map_decode(ChainTeacherQuery(u, [2]))
@@ -386,13 +409,13 @@ class TestFeasibility:
 
     @settings(max_examples=150, deadline=None)
     @given(chain_batches(pair_values=hard_values))
-    def test_finite_unaries_decide_by_length(self, batch):
+    def test_finite_unaries(self, batch):
         unaries, pair, start, end = batch
         self.check([np.where(np.isfinite(u), u, -1.0) for u in unaries], pair, start, end)
 
     @settings(max_examples=150, deadline=None)
     @given(chain_batches(pair_values=hard_values), st.data())
-    def test_forbidden_unaries_decide_per_chain(self, batch, data):
+    def test_forbidden_unaries(self, batch, data):
         unaries, pair, start, end = batch
         # At least one forbidden unary entry, anywhere in the batch.
         i = data.draw(st.integers(0, len(unaries) - 1))
