@@ -70,7 +70,12 @@ __all__ = [
 
 
 class InfeasibleChainError(ValueError):
-    """No label path survives the chain's hard constraints."""
+    """No label path survives the chain's hard constraints; ``chain`` is
+    the index of the first such chain in the batch its raiser names."""
+
+    def __init__(self, message: str, chain: int):
+        super().__init__(message)
+        self.chain = chain
 
 
 def _as_float_array(a, name: str) -> np.ndarray:
@@ -139,7 +144,8 @@ class ChainTeacherQuery:
         infeasible = np.flatnonzero(~_feasible(self))
         if infeasible.size:
             raise InfeasibleChainError(
-                f"hard constraints exclude every label path of chain {infeasible[0]}"
+                f"hard constraints exclude every label path of chain {infeasible[0]}",
+                int(infeasible[0]),
             )
 
     @cached_property
@@ -227,6 +233,16 @@ class _ScaledPass:
     rescued: np.ndarray
 
 
+def _rows_times(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``a @ table`` for (N, K) rows ``a``, each row's product the same
+    whatever N: numpy hands a one-row product to a BLAS vector kernel,
+    whose rounding differs from the matrix kernel's, so one row goes
+    through as two."""
+    if len(a) == 1:
+        return (np.concatenate([a, a]) @ table)[:1]
+    return a @ table
+
+
 def _shifted_exp(a: np.ndarray, axis) -> tuple[np.ndarray, np.ndarray]:
     """exp(a - m) and m, where m is the max of ``a`` over ``axis`` (kept),
     taken as 0 where every entry is -inf."""
@@ -250,7 +266,7 @@ def _forward(query: ChainTeacherQuery) -> tuple[_ScaledPass, np.ndarray]:
     a = factors[:, 0]
     for t in range(t_max):
         if t:
-            a = (alpha[:, t - 1] @ trans) * factors[:, t]
+            a = _rows_times(alpha[:, t - 1], trans) * factors[:, t]
         s = a.sum(axis=1)
         scale[:, t] = s
         alpha[:, t] = a / np.where(s > 0, s, 1.0)[:, None]
@@ -317,7 +333,7 @@ def chain_marginals(query: ChainTeacherQuery) -> np.ndarray:
     beta = np.ones_like(fw.alpha)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for t in range(beta.shape[1] - 2, -1, -1):
-            step = ((fw.factors[:, t + 1] * beta[:, t + 1]) @ fw.trans.T
+            step = (_rows_times(fw.factors[:, t + 1] * beta[:, t + 1], fw.trans.T)
                     / fw.scale[:, t + 1, None])
             # A chain that ends at t starts its backward pass there.
             beta[:, t] = np.where((t < lengths - 1)[:, None], step, 1.0)

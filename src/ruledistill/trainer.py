@@ -17,13 +17,16 @@ category level: enumerated exactly, stacked by size, when their joint
 space has at most ``EXACT_MAX_STATES`` states, Gibbs-sampled above that.
 That composition keeps hard transition constraints out of the group
 regime (see the inference module note on ergodicity) while still letting
-list information flow into every decoded sequence.  The tagging teacher works on a whole
-minibatch of documents in training, and on chunks of about
-``_EVAL_CHUNK`` sentences' worth of documents in evaluation: one array of
-the linked sites, groups and seeds per document, stacked exact solves,
-one array expression for the list penalties, and one chain query over
-every sentence.  Document d of a prepared set gets the stage-1 seed
-``seed + 7919 * d``, in training and evaluation alike.
+list information flow into every decoded sequence.  In training the
+tagging teacher works on a whole minibatch of documents: one array of the
+linked sites, groups and seeds per document, stacked exact solves, one
+array expression for the list penalties, and one chain query over every
+sentence.  In evaluation it makes one pass over the prepared set: the
+student's p and the penalized log-unaries are built once for every
+document, and then each length-sorted chunk of ``_EVAL_CHUNK`` sentences
+is one chain query, since a chain's answer depends only on its own rows.
+Document d of a prepared set gets the stage-1 seed ``seed + 7919 * d``,
+in training and evaluation alike.
 
 ``train_distill`` runs every mode of ``TrainConfig.mode``: base (plain
 supervised), distill, semi (the imitation term also on unlabeled
@@ -71,6 +74,7 @@ from .inference import (
     ChainTeacherQuery,
     GroupLink,
     GroupTeacherQuery,
+    InfeasibleChainError,
     MemberPotentials,
     chain_map_decode,
     chain_marginals,
@@ -361,6 +365,18 @@ class SentimentTeacher:
         q[has_b[feasible]] = project(problem).probs()
         return q
 
+    def soft_predict_set(self, data: PreparedSet) -> np.ndarray:
+        """Teacher rows of every sentence of a prepared set, forwarding
+        the student on its sentences in order, ``_EVAL_CHUNK`` at a time.
+        Not sorted by length: a classifier's clause forward can move by an
+        ulp with the sentences that share its batch."""
+        n, q = len(data.batch), []
+        for start in range(0, n, _EVAL_CHUNK):
+            idx = np.arange(start, min(start + _EVAL_CHUNK, n))
+            batch = data.batch.take(idx)
+            q.append(self.soft_predict(self.model.forward(batch), batch, data, idx))
+        return np.concatenate(q)
+
     def predict_proba(self, tokens) -> np.ndarray:
         # The label of the one-sentence set is never read.
         data = prepare([LabeledSentence(tokens, 0)], self.vocab)
@@ -422,6 +438,14 @@ class NerTeacher:
     holds every position row of the batch, with the transition rules'
     potentials, and is solved with one product per position.  The
     counterpart links come from the prepared set's own documents.
+
+    Deployed on a prepared set (``evaluate``, ``predict_tags``, pipeline
+    stage 2's frozen targets), the teacher runs the set pass instead: it
+    forwards the student over the set in length-sorted chunks, runs stage
+    1 and the list penalties once over every document, and then decodes or
+    marginalizes each sorted chunk of sentences as one chain query.  A
+    sentence that no tag path can satisfy is named by document and
+    sentence.
     """
 
     def __init__(self, model, vocab: Vocabulary, scheme: TagScheme,
@@ -460,7 +484,7 @@ class NerTeacher:
         self.chain_terms = _chain_terms(self.transitions, scheme.n_tags, self.c)
 
     def _stage1(self, p, batch, doc_sizes, docs_links, seeds):
-        """Stage 1 for a batch, given ``_chains``' arguments: the row of
+        """Stage 1 for a batch, given ``_log_unary``'s arguments: the row of
         every linked site in ``p`` (documents in order, each one's sites
         sorted), every link as an (L, 2) array of indices into those sites,
         and the sites' (S, K) teacher tag marginals.  None without a list
@@ -516,10 +540,10 @@ class NerTeacher:
         )
         return np.concatenate(gibbs_soft_predict(query))
 
-    def _chains(self, p, batch, doc_sizes, docs_links, seeds) -> ChainTeacherQuery:
-        """One chain query over every sentence of a batch of documents,
-        given ``soft_predict``'s ``p`` and ``batch`` and the documents'
-        ``_doc_inputs``."""
+    def _log_unary(self, p, batch, doc_sizes, docs_links, seeds) -> np.ndarray:
+        """The chains' (P, K) log-unaries over every sentence of a batch of
+        documents, log p less the list penalties, given ``soft_predict``'s
+        ``p`` and ``batch`` and the documents' ``_doc_inputs``."""
         log_unary = np.log(p)
         stage1 = self._stage1(p, batch, doc_sizes, docs_links, seeds)
         if stage1 is not None:
@@ -532,11 +556,12 @@ class NerTeacher:
             np.add.at(penalty, rows[ends.ravel()],
                       self.c * self.lam * (1.0 - truth[:, self.collapse.group_index]))
             log_unary -= penalty
-        return ChainTeacherQuery(log_unary, batch.lengths, *self.chain_terms)
+        return log_unary
 
     def _doc_inputs(self, data: PreparedSet, docs):
-        """``_chains``' arguments for documents ``docs`` of a prepared set:
-        sentence counts, ``_doc_links``' links, and seed ``seed + 7919 * d``."""
+        """``_log_unary``'s arguments for documents ``docs`` of a prepared
+        set: sentence counts, ``_doc_links``' links, and seed
+        ``seed + 7919 * d``."""
         return (data.docs.lengths[docs], [data.rule_inputs[d] for d in docs],
                 [self.seed + 7919 * d for d in docs])
 
@@ -544,18 +569,43 @@ class NerTeacher:
         """Teacher marginals of ``batch``, the documents ``docs`` of the
         prepared set ``data`` in order, given the student's (P, K) position
         rows ``p`` on it.  Returns (P, K) rows."""
-        return chain_marginals(self._chains(p, batch, *self._doc_inputs(data, docs)))
+        log_unary = self._log_unary(p, batch, *self._doc_inputs(data, docs))
+        return chain_marginals(ChainTeacherQuery(log_unary, batch.lengths, *self.chain_terms))
+
+    def _over_set(self, data: PreparedSet, solve, out: np.ndarray) -> np.ndarray:
+        """The set pass: ``out`` with ``solve``'s rows of every position of
+        a prepared set written in.  The student's p and the log-unaries are
+        built once for the whole set, one ``_stage1`` over every document;
+        then each of ``_sorted_chunks`` is one chain query for ``solve``."""
+        batch = data.batch
+        p = np.empty((len(data.gold), self.scheme.n_tags))
+        for idx, _, chunk_p in _forward_chunks(self.model, data):
+            p[batch.positions(idx)] = chunk_p
+        log_unary = self._log_unary(p, batch, *self._doc_inputs(data, np.arange(len(data.docs))))
+        for idx in _sorted_chunks(batch.lengths):
+            rows = batch.positions(idx)
+            try:
+                query = ChainTeacherQuery(log_unary[rows], batch.lengths[idx], *self.chain_terms)
+            except InfeasibleChainError as err:
+                s = int(idx[err.chain])
+                d = int(np.searchsorted(data.docs.starts, s, side="right")) - 1
+                raise InfeasibleChainError(
+                    f"hard constraints exclude every label path of sentence "
+                    f"{s - data.docs.starts[d]} of document {d}", s) from err
+            out[rows] = solve(query)
+        return out
+
+    def soft_predict_set(self, data: PreparedSet) -> np.ndarray:
+        """Teacher marginals of every position of a prepared set, (P, K)
+        rows by the set pass."""
+        return self._over_set(data, chain_marginals,
+                              np.empty((len(data.gold), self.scheme.n_tags)))
 
     def _paths(self, data: PreparedSet) -> np.ndarray:
-        """Decoded tag indices of a prepared set's positions, in chunks of
-        whole documents of about ``_EVAL_CHUNK`` sentences."""
-
-        def decode(docs):
-            batch = data.batch.take(data.docs.positions(docs))
-            return chain_map_decode(self._chains(self.model.forward(batch), batch,
-                                                 *self._doc_inputs(data, docs)))[0]
-
-        return _chunked(decode, data.docs.lengths)
+        """Decoded tag indices of every position of a prepared set, by the
+        set pass."""
+        return self._over_set(data, lambda query: chain_map_decode(query)[0],
+                              np.empty(len(data.gold), dtype=int))
 
     def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
         """Decoded tags of every sentence of every document, by document."""
@@ -623,8 +673,10 @@ def prepare(records, vocab: Vocabulary, scheme: Optional[TagScheme] = None) -> P
 # --- generic evaluation ------------------------------------------------------
 
 
-# Sentences per student forward outside training; a fixed chunk keeps the
-# batch arrays, and so peak memory, independent of the dataset size.
+# Sentences per student forward and chain query outside training.  A
+# fixed chunk bounds the batch arrays, but the tagging teacher's set pass
+# also holds the set's (P, K) p and log-unaries, 8 * K bytes per position
+# each (104 bytes at K = 13), so its peak memory grows with the set.
 _EVAL_CHUNK = 64
 
 
@@ -643,11 +695,23 @@ def _pack(sizes: Sequence[int], limit: int) -> list[list[int]]:
     return groups
 
 
-def _chunked(fn, sizes: Sequence[int]) -> np.ndarray:
-    """``fn``'s row arrays, called on the indices of consecutive chunks of
-    items of about ``_EVAL_CHUNK`` sentences, where ``sizes`` gives each
-    item's sentence count, concatenated."""
-    return np.concatenate([fn(group) for group in _pack(sizes, _EVAL_CHUNK)])
+def _sorted_chunks(lengths: np.ndarray) -> list[np.ndarray]:
+    """Sentence indices stably sorted by token count ``lengths``, in
+    consecutive chunks of ``_EVAL_CHUNK``: every evaluation pass's plan."""
+    order = np.argsort(lengths, kind="stable")
+    return [order[start:start + _EVAL_CHUNK] for start in range(0, len(order), _EVAL_CHUNK)]
+
+
+def _forward_chunks(model, data: PreparedSet):
+    """Yield each chunk of ``_sorted_chunks`` of a prepared set: its
+    sentence indices, its batch, and ``model``'s output rows on it."""
+    for idx in _sorted_chunks(data.batch.lengths):
+        chunk = data.batch.take(idx)
+        p = model.forward(chunk)
+        if data.scheme is not None and p.shape[1] != data.scheme.n_tags:
+            raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
+                             f"has {data.scheme.n_tags}")
+        yield idx, chunk, p
 
 
 def evaluate(predictor, dataset, task: Optional[str] = None,
@@ -657,10 +721,10 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
     with ``vocab`` (and ``scheme`` for tagging) for a student, or on a
     ``PreparedSet``, which must match the teacher's or the arguments'.
     Teachers carry their own; the task is inferred from the record type
-    when omitted.  Students and the sentiment teacher forward chunks of
-    ``_EVAL_CHUNK`` sentences stably sorted by token count, so a
-    classifier forward pads only to its chunk's longest sentence; the
-    tagging teacher decodes chunks of whole documents.
+    when omitted.  Every predictor forwards chunks of ``_EVAL_CHUNK``
+    sentences stably sorted by token count, so a classifier forward pads
+    only to its chunk's longest sentence; the tagging teacher then decodes
+    the same chunks, after one list-penalty pass over the whole set.
     """
     if isinstance(predictor, (SentimentTeacher, NerTeacher)):
         vocab, scheme = predictor.vocab, getattr(predictor, "scheme", None)
@@ -680,22 +744,12 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
         data = prepare(records, vocab, scheme if task == "ner" else None)
     if isinstance(predictor, NerTeacher):
         return _tagging_report(data, predictor._paths(data))
-
     teacher = predictor if isinstance(predictor, SentimentTeacher) else None
-    model = predictor if teacher is None else teacher.model
-    order = np.argsort(data.batch.lengths, kind="stable")
     labels = np.empty(len(data.gold), dtype=int)
-    for start in range(0, len(order), _EVAL_CHUNK):
-        idx = order[start:start + _EVAL_CHUNK]
-        chunk = data.batch.take(idx)
-        p = model.forward(chunk)
+    for idx, chunk, p in _forward_chunks(predictor if teacher is None else teacher.model, data):
         if teacher is not None:
             p = teacher.soft_predict(p, chunk, data, idx)
-        if data.scheme is not None and p.shape[1] != data.scheme.n_tags:
-            raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
-                             f"has {data.scheme.n_tags}")
         labels[data.rows(idx)] = p.argmax(axis=1)
-
     if data.scheme is None:
         return EvalReport(task="sentiment", n=len(labels),
                           accuracy=float(np.mean(labels == data.gold)))
@@ -900,12 +954,8 @@ def _pipeline(config: TrainConfig, train, rules, dev) -> TrainResult:
 
     # Teacher targets from the frozen model are static: compute them once,
     # as stage 2's hard rows, with one unit per sentence of the set.
-    def frozen_q(docs):
-        batch = data.batch.take(data.docs.positions(docs))
-        return teacher.soft_predict(teacher.model.forward(batch), batch, data, docs)
-
     n = len(data.batch)
-    fixed = _Driver(config, data, _chunked(frozen_q, data.docs.lengths),
+    fixed = _Driver(config, data, teacher.soft_predict_set(data),
                     TokenBatch(np.arange(n), np.ones(n, dtype=int)), n)
     student = driver.init_model(config.seed + 1)
     history = _fit(student, fixed, None, lambda epoch: 1.0,

@@ -1,8 +1,8 @@
 """Batched student forward, backward and loss against a per-sentence
-reference, the batched tagging teacher against itself one document at a
-time and its stage 1 against a per-document object reference, the
-sentiment teacher against a projection per row, and the training loop's
-one student forward per step.
+reference, the batched tagging teacher and its set pass against itself
+one document at a time and its stage 1 against a per-document object
+reference, the sentiment teacher against a projection per row, and the
+training loop's one student forward per step.
 
 The reference below is the one-sentence-at-a-time implementation of both
 models: it zero-pads the sentence to the widest window (classifier) or by
@@ -56,9 +56,12 @@ from ruledistill.predictors import (
 )
 from ruledistill.inference import (
     EXACT_MAX_STATES,
+    ChainTeacherQuery,
     GroupLink,
     GroupTeacherQuery,
+    InfeasibleChainError,
     MemberPotentials,
+    chain_map_decode,
     gibbs_soft_predict,
 )
 from ruledistill.projection import InfeasibleConstraintError, ProjectionProblem, project
@@ -602,6 +605,83 @@ class TestNerTeacherBatching:
             tags.append(teacher.predict_tags(group_documents(self.DATA)))
         assert all(r == reports[0] for r in reports)
         assert all(t == tags[0] for t in tags)
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(1, 10))
+    def test_set_pass_decodes_each_document_as_alone(self, chunk):
+        # One evaluation runs stage 1 once, over every document; no student
+        # forward and no chain query holds more than a chunk of sentences;
+        # and the tags are those of each document decoded on its own.
+        teacher = self.teacher()
+        data = trainer.prepare(self.DATA, teacher.vocab, self.SCHEME)
+        alone = []
+        for d in range(len(data.docs)):
+            batch = data.batch.take(data.docs.positions([d]))
+            log_unary = teacher._log_unary(teacher.model.forward(batch), batch,
+                                           *teacher._doc_inputs(data, [d]))
+            alone.append(chain_map_decode(
+                ChainTeacherQuery(log_unary, batch.lengths, *teacher.chain_terms))[0])
+        alone = np.concatenate(alone)
+        stage1, chains = [], []
+        original_stage1, decode = NerTeacher._stage1, trainer.chain_map_decode
+        teacher.model = Recorder(teacher.model)
+        with mock.patch.object(trainer, "_EVAL_CHUNK", chunk), \
+                mock.patch.object(NerTeacher, "_stage1",
+                                  lambda *a: stage1.append(1) or original_stage1(*a)), \
+                mock.patch.object(trainer, "chain_map_decode",
+                                  lambda query: chains.append(len(query.lengths)) or decode(query)):
+            report = evaluate(teacher, data)
+            assert len(stage1) == 1
+            assert max(teacher.model.sizes) <= chunk and max(chains) <= chunk
+            assert sum(teacher.model.sizes) == sum(chains) == len(data.batch)
+            assert report == trainer._tagging_report(data, alone)
+            assert teacher._paths(data).tolist() == alone.tolist()
+            tags = teacher.predict_tags(group_documents(self.DATA))
+        assert [t for doc in tags for s in doc for t in s] == [self.SCHEME.tags[k] for k in alone]
+
+    def test_pipeline_targets_are_each_documents_soft_predict_alone(self, monkeypatch):
+        monkeypatch.setattr(trainer, "_EVAL_CHUNK", 5)
+        drivers, driver = [], trainer._Driver
+        monkeypatch.setattr(trainer, "_Driver",
+                            lambda *a: drivers.append(driver(*a)) or drivers[-1])
+        config = TrainConfig(task="ner", mode="pipeline", epochs=2, batch_size=8, emb_dim=4,
+                             hidden=5, eval_sweeps=50, g_max=2, seed=3)
+        teacher = train_distill(config, self.DATA, rules=self.RULES).teacher
+        fixed = drivers[-1]  # stage 2's, one unit per sentence
+        data = fixed.data
+        assert len(fixed.units) == len(data.batch)
+        for d in range(len(data.docs)):
+            sentences = data.docs.positions([d])
+            batch = data.batch.take(sentences)
+            doc_q = teacher.soft_predict(teacher.model.forward(batch), batch, data, [d])
+            assert fixed.targets[data.batch.positions(sentences)].tobytes() == doc_q.tobytes()
+
+    def test_infeasible_sentence_named_by_document_and_sentence(self, monkeypatch):
+        # p is one-hot on B-LOC for a one-token sentence, which no valid
+        # tag path ends with.  The set pass names it by document and
+        # sentence, not by its place in a sorted chunk.
+        scheme = self.SCHEME
+
+        class OneTokenBLoc:
+            n_tags = scheme.n_tags
+
+            def forward(self, batch):
+                p = np.full((len(batch.ids), scheme.n_tags), 1.0 / scheme.n_tags)
+                p[batch.starts[batch.lengths == 1]] = np.eye(scheme.n_tags)[
+                    scheme.tags.index("B-LOC")]
+                return p
+
+        sentences = [("a", "b"), ("c", "d", "e"), ("f", "g", "h"), ("i",), ("j", "k")]
+        records = [TaggedSentence(tokens, ("O",) * len(tokens), doc_id=int(i >= 2))
+                   for i, tokens in enumerate(sentences)]
+        vocab = Vocabulary.build(sentences)
+        teacher = NerTeacher(OneTokenBLoc(), vocab, scheme, self.RULES, 6.0)
+        monkeypatch.setattr(trainer, "_EVAL_CHUNK", 2)
+        with np.errstate(divide="ignore"), pytest.raises(
+                InfeasibleChainError, match="every label path of sentence 1 of document 1$") as err:
+            evaluate(teacher, records, task="ner")
+        # Set sentence 3 is chain 0 of the first sorted chunk.
+        assert err.value.chain == 3 and err.value.__cause__.chain == 0
 
     def test_one_student_forward_per_distill_batch(self, monkeypatch):
         # Epoch 0 trains at pi = 0, epoch 1 at pi > 0; in both, each batch

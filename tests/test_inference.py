@@ -103,9 +103,11 @@ class TestChain:
         pair = np.array([[0.0, -np.inf], [-np.inf, 0.0]])
         with pytest.raises(InfeasibleChainError):
             ChainTeacherQuery(u, [2], log_pair=pair)
-        # One infeasible chain sinks a batch of feasible ones, and is named.
-        with pytest.raises(InfeasibleChainError, match="chain 1"):
+        # One infeasible chain sinks a batch of feasible ones, and is named,
+        # in the message and by index.
+        with pytest.raises(InfeasibleChainError, match="chain 1") as err:
             ChainTeacherQuery(*flat([np.zeros((2, 2)), u, np.zeros((1, 2))]), log_pair=pair)
+        assert err.value.chain == 1
 
     def test_long_chain_with_a_forbidden_label_is_feasible(self):
         # 13^300 paths: a count of reachable paths would overflow.
@@ -255,7 +257,7 @@ def ref_chain(lu, pair, start, end, dtype=np.float64):
         alpha[t] = f[t] + ref_logsumexp(alpha[t - 1][:, None] + pair, axis=0)
     log_z = ref_logsumexp(alpha[-1], axis=0)
     if log_z == -np.inf:
-        raise InfeasibleChainError("no feasible path")
+        raise InfeasibleChainError("no feasible path", 0)
     beta = np.zeros_like(f)
     for t in range(t_len - 2, -1, -1):
         beta[t] = ref_logsumexp(pair + (f[t + 1] + beta[t + 1])[None, :], axis=1)
@@ -365,6 +367,28 @@ class TestBatchedChain:
                 paths, scores, ref, enumerate_chain_posterior(query)):
             np.testing.assert_array_equal(path, r_path)
             assert score == enum.best_log_score
+
+    @settings(max_examples=150, deadline=None)
+    @given(chain_batches(), st.data())
+    def test_any_subset_of_chains_answers_bit_for_bit_as_in_the_full_batch(self, batch, data):
+        # Teacher evaluation regroups a set's sentences into sorted chunks,
+        # so a chain's rows must not depend on the chains that share its
+        # query, nor on their order.
+        unaries, *terms = batch
+        if reference_answers(*batch) is None:
+            return
+        full = ChainTeacherQuery(*flat(unaries), *terms)
+        margs = split_rows(chain_marginals(full), full.lengths)
+        paths, scores = chain_map_decode(full)
+        paths = split_rows(paths, full.lengths)
+        subset = data.draw(st.permutations(range(len(unaries))))
+        subset = subset[:data.draw(st.integers(1, len(subset)))]
+        query = ChainTeacherQuery(*flat([unaries[i] for i in subset]), *terms)
+        sub_paths, sub_scores = chain_map_decode(query)
+        for i, marg, path, score in zip(subset, split_rows(chain_marginals(query), query.lengths),
+                                        split_rows(sub_paths, query.lengths), sub_scores):
+            assert marg.tobytes() == margs[i].tobytes()
+            assert path.tolist() == paths[i].tolist() and score == scores[i]
 
     @settings(max_examples=80, deadline=None)
     @given(chain_batches(), st.integers(0, 6), st.integers(1, 7))
