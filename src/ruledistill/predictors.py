@@ -13,16 +13,15 @@ flat id array and the sentence lengths, as ``Vocabulary.encode`` returns
 it) and returns one (rows, K) array of output distributions: a row per
 sentence for the classifier, (B, K), and a row per position for the
 tagger, (P, K), in the order of ``batch.ids``.  Only the batch knows where
-a sentence's rows begin and end.  The classifier scatters the batch into
-(B, T_max) under its position mask, takes windows as strided views of it
-and runs its conv (all widths at once) as one stacked matmul; positions
-past a sentence's end are zero vectors, and it pools only over windows
-that start within max(length, widest window) - w.  The tagger computes
-nothing past a sentence's end: it lays the P positions' embedding rows
-out in one flat array, with ``radius`` zero rows around every sentence,
-gathers each position's window from it and runs its layers on (P, d)
-rows.  Either way a sentence's outputs do not depend on its batch, and
-an id 0 keeps its embedding row: masks work by position, not by id.
+a sentence's rows begin and end.  Neither model pads a sentence to the
+longest of its batch: each lays the sentences' embedding rows out in one
+flat array with zero rows between them, gathers each window as one row
+and runs its layers on those rows in blocks of ``_ROW_BLOCK``.  The
+classifier has max(length, widest) - narrowest + 1 windows per sentence,
+for all its conv widths at once, and max-pools width w over all but a
+sentence's last w - narrowest; the tagger has one per position.  Either
+way a sentence's outputs do not depend on its batch, bit for bit, and an
+id 0 keeps its embedding row: masks work by position, not by id.
 
 Training takes one forward and one backward pass per minibatch and fits
 each output row to a target row, the blend (1 - pi) * hard + pi * q of
@@ -145,13 +144,6 @@ class TokenBatch:
         """Sentences ``index``, in that order, without their first ``skip`` tokens."""
         return TokenBatch(self.ids[self.positions(index, skip)], self.lengths[index] - skip)
 
-    def padded(self, min_len: int):
-        """(B, T) ids, 0 outside a sentence, and the in-sentence mask; T >= min_len."""
-        mask = np.arange(max(int(self.lengths.max()), min_len)) < self.lengths[:, None]
-        ids = np.zeros(mask.shape, dtype=int)
-        ids[mask] = self.ids
-        return ids, mask
-
 
 # --- model base --------------------------------------------------------------
 
@@ -162,37 +154,18 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _windows(x: np.ndarray, w: int) -> np.ndarray:
-    """(B, T, E) -> (B, T - w + 1, w * E); row i of sentence b is
-    x[b, i : i + w] flattened."""
-    view = np.lib.stride_tricks.sliding_window_view(x, w, axis=1)
-    b, n, e, _ = view.shape
-    return view.transpose(0, 1, 3, 2).reshape(b, n, w * e)
-
-
-def _unwindow(dm: np.ndarray, w: int, length: int) -> np.ndarray:
-    """Adjoint of ``_windows``: (B, n, w * E) -> (B, length, E), summing
-    each position's share of the windows that cover it."""
-    b, n, we = dm.shape
-    dm = dm.reshape(b, n, w, we // w)
-    dx = np.zeros((b, length, we // w))
-    for j in range(w):
-        dx[:, j : j + n] += dm[:, :, j]
-    return dx
-
-
-# Every matmul is a stack of small products: one per sentence for the
-# classifier's (B, n, d) arrays, the fused conv's included, and one per
-# block of _ROW_BLOCK positions for the tagger's (P, d) rows.  A single
-# (B * n, d) or (P, d) product is large enough for BLAS to split it over
-# threads, which costs more than it saves at these sizes, stalls when the
-# other cores are busy and grows the process by the threads' buffers.
+# Every matmul is a stack of products of _ROW_BLOCK rows: the classifier's
+# window and sentence rows, the tagger's position rows.  A single (R, d)
+# product is large enough for BLAS to split it over threads, which costs
+# more than it saves at these sizes, stalls when the other cores are busy
+# and grows the process by the threads' buffers.  A fixed block also gives
+# a row the same bits whatever shares its batch.
 _ROW_BLOCK = 32
 
 
 def _weight_grad(m: np.ndarray, dz: np.ndarray) -> np.ndarray:
-    """Sum over sentences and positions of outer(m, dz), for (B, n, d) m
-    and (B, n, k) dz."""
+    """Sum over blocks and rows of outer(m, dz), for (N, n, d) m and
+    (N, n, k) dz."""
     return (m.transpose(0, 2, 1) @ dz).sum(axis=0)
 
 
@@ -289,39 +262,66 @@ class TextClassifier(_Model):
         }
 
     def _forward_cache(self, batch):
-        ws, e, f = self.window_sizes, self.emb_dim, self.n_filters
-        widest = max(ws)
+        ws, e, f, b = self.window_sizes, self.emb_dim, self.n_filters, len(batch)
+        widest, narrowest, c = max(ws), min(ws), len(ws) * f
+        # A sentence has max(length, widest) - narrowest + 1 windows.  Its
+        # rows in one flat array are its embedding rows, then zero rows to
+        # the end of its last window; window i starts at row at[i].
+        n_win = np.maximum(batch.lengths, widest) - narrowest + 1
+        ends = np.cumsum(n_win)
+        at = np.arange(ends[-1]) + (widest - 1) * np.repeat(np.arange(b), n_win)
+        tok = np.arange(len(batch.ids)) + np.repeat(at[ends - n_win] - batch.starts, batch.lengths)
+        x = np.zeros((at[-1] + widest, e))
+        x[tok] = self.params["emb"][batch.ids]
+        # The tail of the last row block reads the window at row 0 and is dropped.
+        rows = np.concatenate([at, np.zeros(-len(at) % _ROW_BLOCK, dtype=int)])
+        m = x.take(rows[:, None] + np.arange(widest), axis=0).reshape(-1, _ROW_BLOCK, widest * e)
         # One conv of the widest window for all widths, width w's weights on
-        # top of zeros.  widest - narrowest more zero positions let width w
-        # start up to T - w; it never pools past max(length, widest) - w.
-        last_start = np.maximum(batch.lengths, widest)
-        ids, mask = batch.padded(int(last_start.max()) + widest - min(ws))
-        x = self.params["emb"][ids] * mask[..., None]
-        w_all = np.zeros((widest * e, len(ws) * f))
+        # top of zeros.
+        w_all = np.zeros((widest * e, c))
         for j, w in enumerate(ws):
             w_all[: w * e, j * f : (j + 1) * f] = self.params[f"conv{w}_w"]
-        m = _windows(x, widest)
         a = np.tanh(m @ w_all + np.concatenate([self.params[f"conv{w}_b"] for w in ws]))
-        valid = np.arange(m.shape[1])[:, None] <= (last_start[:, None, None] - np.repeat(ws, f))
-        arg = np.argmax(np.where(valid, a, -np.inf), axis=1)[:, None, :]
-        feat = np.take_along_axis(a, arg, axis=1)[:, 0]
+        # Width w pools over all but its sentence's last w - narrowest windows.
+        pooled = a.reshape(-1, c)[: len(at)]
+        for j, w in enumerate(ws):
+            for k in range(1, w - narrowest + 1):
+                pooled[ends - k, j * f : (j + 1) * f] = -np.inf
+        feat = np.concatenate([np.maximum.reduceat(pooled, ends - n_win, axis=0),
+                               np.zeros((-b % _ROW_BLOCK, c))]).reshape(-1, _ROW_BLOCK, c)
         probs = _softmax_rows(feat @ self.params["out_w"] + self.params["out_b"])
-        return probs, (ids, mask, m, a, arg, w_all, feat)
+        return probs.reshape(-1, self.n_classes)[:b], (batch.ids, tok, at, n_win, m, pooled,
+                                                       feat, w_all)
 
     def backward(self, cache, dlogits) -> dict[str, np.ndarray]:
-        ids, mask, m, a, arg, w_all, feat = cache
-        ws, e, f = self.window_sizes, self.emb_dim, self.n_filters
-        dlogits = np.asarray(dlogits, dtype=float)
-        g = {"out_w": feat.T @ dlogits, "out_b": dlogits.sum(axis=0)}
-        da = np.zeros_like(a)
-        np.put_along_axis(da, arg, (dlogits @ self.params["out_w"].T)[:, None, :], axis=1)
-        dz = da * (1.0 - a * a)
-        dw, db = _weight_grad(m, dz), dz.sum(axis=(0, 1))
+        ids, tok, at, n_win, m, pooled, feat, w_all = cache
+        ws, e, f, b = self.window_sizes, self.emb_dim, self.n_filters, len(n_win)
+        widest, c = max(ws), len(ws) * f
+        d = np.zeros(feat.shape[:2] + (self.n_classes,))
+        d.reshape(-1, self.n_classes)[:b] = dlogits
+        g = {"out_w": _weight_grad(feat, d), "out_b": d.sum(axis=(0, 1))}
+        feat = feat.reshape(-1, c)[:b]
+        dfeat = (d @ self.params["out_w"].T).reshape(-1, c)[:b]
+        # Each (sentence, filter)'s first window at its maximum gets dz.  A
+        # NaN maximum equals no window and falls to its sentence's last one.
+        ends = np.cumsum(n_win)
+        hit = np.where(pooled == np.repeat(feat, n_win, axis=0),
+                       np.arange(len(at))[:, None], np.repeat(ends - 1, n_win)[:, None])
+        dzw = dfeat * (1.0 - feat * feat)
+        dz = np.zeros((len(m) * _ROW_BLOCK, c))
+        dz[np.minimum.reduceat(hit, ends - n_win, axis=0), np.arange(c)] = dzw
+        dz = dz.reshape(m.shape[:2] + (c,))
+        dw, db = _weight_grad(m, dz), dzw.sum(axis=0)
         for j, w in enumerate(ws):
             g[f"conv{w}_w"] = dw[: w * e, j * f : (j + 1) * f]
             g[f"conv{w}_b"] = db[j * f : (j + 1) * f]
-        dx = _unwindow(dz @ w_all.T, max(ws), mask.shape[1])
-        g["emb"] = _embedding_grad(ids[mask], dx[mask], self.vocab_size)
+        # Window i's slice j back into row at[i] + j of the forward's flat array.
+        dm = np.zeros((at[-1] + widest, widest, e))
+        dm[at] = (dz @ np.ascontiguousarray(w_all.T)).reshape(-1, widest, e)[: len(at)]
+        dx = dm[:, 0].copy()
+        for j in range(1, widest):
+            dx[j:] += dm[:-j, j]
+        g["emb"] = _embedding_grad(ids, dx[tok], self.vocab_size)
         return {name: g[name] for name in self.params}
 
 

@@ -46,9 +46,9 @@ backward pass runs per minibatch, one forward per evaluation chunk.  A
 batch's student outputs, teacher targets and hard targets are each one
 (rows, K) array in the batch's order, a row per sentence for
 classification and per position for tagging.  Evaluation sorts sentences
-by token count before chunking, so a classifier forward pads only to its
-chunk's longest sentence (the tagger pads no sentence), and scores tags
-as index arrays.
+by token count before chunking, so that the tagging teacher's chain
+queries run few steps past a sentence's end, and scores tags as index
+arrays.
 
 Every mode runs through one epoch loop over one driver, which shuffles
 units of the prepared training set (a sentence for classification, a
@@ -366,16 +366,12 @@ class SentimentTeacher:
         return q
 
     def soft_predict_set(self, data: PreparedSet) -> np.ndarray:
-        """Teacher rows of every sentence of a prepared set, forwarding
-        the student on its sentences in order, ``_EVAL_CHUNK`` at a time.
-        Not sorted by length: a classifier's clause forward can move by an
-        ulp with the sentences that share its batch."""
-        n, q = len(data.batch), []
-        for start in range(0, n, _EVAL_CHUNK):
-            idx = np.arange(start, min(start + _EVAL_CHUNK, n))
-            batch = data.batch.take(idx)
-            q.append(self.soft_predict(self.model.forward(batch), batch, data, idx))
-        return np.concatenate(q)
+        """Teacher rows of every sentence of a prepared set, (B, K) rows
+        by the chunks of ``_forward_chunks``."""
+        q = np.empty((len(data.batch), self.model.n_classes))
+        for idx, chunk, p in _forward_chunks(self.model, data):
+            q[idx] = self.soft_predict(p, chunk, data, idx)
+        return q
 
     def predict_proba(self, tokens) -> np.ndarray:
         # The label of the one-sentence set is never read.
@@ -673,10 +669,11 @@ def prepare(records, vocab: Vocabulary, scheme: Optional[TagScheme] = None) -> P
 # --- generic evaluation ------------------------------------------------------
 
 
-# Sentences per student forward and chain query outside training.  A
-# fixed chunk bounds the batch arrays, but the tagging teacher's set pass
-# also holds the set's (P, K) p and log-unaries, 8 * K bytes per position
-# each (104 bytes at K = 13), so its peak memory grows with the set.
+# Sentences per student forward and chain query outside training, sorted
+# by token count: only a chain query pads, to its chunk's longest chain.
+# The tagging teacher's set pass also holds the set's (P, K) p and
+# log-unaries, 8 * K bytes per position each (104 bytes at K = 13), so
+# its peak memory grows with the set.
 _EVAL_CHUNK = 64
 
 
@@ -722,9 +719,9 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
     ``PreparedSet``, which must match the teacher's or the arguments'.
     Teachers carry their own; the task is inferred from the record type
     when omitted.  Every predictor forwards chunks of ``_EVAL_CHUNK``
-    sentences stably sorted by token count, so a classifier forward pads
-    only to its chunk's longest sentence; the tagging teacher then decodes
-    the same chunks, after one list-penalty pass over the whole set.
+    sentences stably sorted by token count; the tagging teacher then
+    decodes the same chunks, after one list-penalty pass over the whole
+    set.  A sentence's rows do not depend on its chunk.
     """
     if isinstance(predictor, (SentimentTeacher, NerTeacher)):
         vocab, scheme = predictor.vocab, getattr(predictor, "scheme", None)

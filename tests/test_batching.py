@@ -292,18 +292,30 @@ class TestBatchedMatchesReference:
     def test_tagger(self, model, batch, seed):
         check_batch(model, batch, seed)
 
-    @pytest.mark.parametrize("radius", [0, 1, 2, 3])
-    def test_evaluation_chunk(self, radius):
+    @pytest.mark.parametrize("shape", [0, 1, 2, 3, (1,), (3, 1), (2, 4)],
+                             ids=lambda s: "widths" + "-".join(map(str, s))
+                             if isinstance(s, tuple) else str(s))
+    def test_evaluation_chunk(self, shape):
         # 64 sentences, an evaluation chunk, of 1-25 tokens: row blocks end
-        # inside sentences, and some sentences are shorter than radius 3.
-        rng = np.random.default_rng(radius)
+        # inside sentences, and some sentences are shorter than radius 3 and
+        # than the widest window.  A tagger of radius ``shape``, or a
+        # classifier of widths ``shape``, with a window row per position or
+        # per window start.
+        seed = shape if isinstance(shape, int) else 10 * len(shape) + shape[0]
+        rng = np.random.default_rng(seed)
         batch = [rng.integers(0, VOCAB, size=n) for n in rng.integers(1, 26, size=64)]
-        ends = np.cumsum([len(ids) for ids in batch])
+        if isinstance(shape, int):
+            model = SequenceTagger(VOCAB, 4, emb_dim=3, hidden=5, radius=shape, seed=shape)
+            rows = [len(ids) for ids in batch]
+        else:
+            model = TextClassifier(VOCAB, 3, emb_dim=3, window_sizes=shape, n_filters=4,
+                                   seed=seed)
+            rows = [max(len(ids), max(shape)) - min(shape) + 1 for ids in batch]
+        ends = np.cumsum(rows)
         blk = predictors._ROW_BLOCK
         assert np.setdiff1d(np.arange(blk, ends[-1], blk), ends).size
         assert min(len(ids) for ids in batch) < 3
-        model = SequenceTagger(VOCAB, 4, emb_dim=3, hidden=5, radius=radius, seed=radius)
-        check_batch(model, batch, seed=radius)
+        check_batch(model, batch, seed=seed)
 
     @pytest.mark.parametrize("make", [
         lambda: TextClassifier(VOCAB, 2, emb_dim=3, window_sizes=(2, 4), n_filters=4, seed=1),
@@ -330,10 +342,29 @@ class TestBatchedMatchesReference:
         model = TextClassifier(VOCAB, 2, emb_dim=3, window_sizes=(2,), n_filters=4, seed=2)
         _, cache = model._forward_cache(batch_of([np.array([2, 0, 3, 0, 0])]))
         assert np.abs(model.backward(cache, [np.array([1.0, -1.0])])["emb"][0]).sum() > 0
-        # Batch padding past a sentence's end is no input and gets no
-        # gradient.
+        # A sentence's trailing zero rows, which its windows read past its
+        # end, are no input: they get no gradient, so only the batch's ids
+        # get one, and id 0 none.
+        model = TextClassifier(VOCAB, 2, emb_dim=3, window_sizes=(2, 4), n_filters=4, seed=2)
         _, cache = model._forward_cache(batch_of([np.array([2, 3]), np.array([4, 5, 6, 7])]))
-        assert not model.backward(cache, np.array([[1.0, -1.0], [-0.5, 0.5]]))["emb"][0].any()
+        grad = model.backward(cache, np.array([[1.0, -1.0], [-0.5, 0.5]]))["emb"]
+        assert np.flatnonzero(np.abs(grad).sum(axis=1)).tolist() == [2, 3, 4, 5, 6, 7]
+
+    @settings(max_examples=100, deadline=None)
+    @given(classifiers, batches, st.data())
+    def test_any_subset_of_a_batch_gives_bit_equal_classifier_rows(self, model, batch, data):
+        # Evaluation regroups a set's sentences into sorted chunks, and the
+        # sentiment teacher forwards clause suffixes, so a sentence's row
+        # must not depend on the sentences that share its batch, nor on
+        # their order.  Unit-scale parameters: at the initial scale a row
+        # rounds alike in most batches, padded or not.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        model.params = {k: rng.normal(size=v.shape) for k, v in model.params.items()}
+        full = model.forward(batch_of(batch))
+        subset = data.draw(st.permutations(range(len(batch))))
+        subset = subset[:data.draw(st.integers(1, len(subset)))]
+        for i, row in zip(subset, model.forward(batch_of([batch[i] for i in subset]))):
+            assert row.tobytes() == full[i].tobytes()
 
 
 class Capture:
@@ -789,6 +820,24 @@ class TestSentimentTeacherBatching:
             start = i + 1
         n_but = sum(trainer.detect_but(s.tokens) is not None for s in self.DATA)
         assert n_but > 0 and sum(clause_forwards) == n_but
+
+    def test_pipeline_targets_are_each_sentences_soft_predict_alone(self, monkeypatch):
+        # Stage 2's targets come from length-sorted chunks of 5 sentences;
+        # each row is bit-equal to the sentence's own forward and teacher.
+        monkeypatch.setattr(trainer, "_EVAL_CHUNK", 5)
+        drivers, driver = [], trainer._Driver
+        monkeypatch.setattr(trainer, "_Driver",
+                            lambda *a: drivers.append(driver(*a)) or drivers[-1])
+        config = TrainConfig(task="sentiment", mode="pipeline", epochs=2, batch_size=8,
+                             emb_dim=4, n_filters=3, seed=3)
+        teacher = train_distill(config, self.DATA, rules=(but_rule(confidence=1.0),)).teacher
+        fixed = drivers[-1]
+        data = fixed.data
+        assert np.count_nonzero(data.rule_inputs) > 0
+        for s in range(len(data.batch)):
+            batch = data.batch.take([s])
+            q = teacher.soft_predict(teacher.model.forward(batch), batch, data, [s])
+            assert fixed.targets[s].tobytes() == q[0].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**16), st.integers(1, 12),

@@ -242,6 +242,21 @@ class TestModels:
         for k, v in model.params.items():
             np.testing.assert_array_equal(v, before[k])
 
+    def test_nan_embedding_row_ends_in_nonfinite_gradient(self):
+        # A NaN embedding row makes its sentence's pooled maxima NaN, and a
+        # NaN equals no window: the backward still finds a window for each,
+        # and the step fails by name with the parameters as they were.
+        model = TextClassifier(vocab_size=8, n_classes=2, emb_dim=3, window_sizes=(3, 1),
+                               n_filters=2)
+        model.params["emb"][4] = np.nan
+        batch = batch_of([np.array([2, 3]), np.array([5, 4, 6, 7]), np.array([6])])
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(NonFiniteGradientError, match="'emb'"):
+            backward_and_step(model, batch, *model._forward_cache(batch),
+                              np.eye(2)[[0, 1, 0]], Adadelta())
+        for k, v in model.params.items():
+            np.testing.assert_array_equal(v, before[k])
+
     def test_backward_and_step_rejects_empty(self):
         # An empty batch cannot be built, so no step takes one; nor does a
         # step take no target rows for a batch's outputs.
