@@ -323,7 +323,7 @@ class TestBatchedMatchesReference:
     ])
     def test_short_sentences_interior_zero_and_padding(self, make):
         # Shorter than the widest window, id-0 tokens inside and at the
-        # end, and a long neighbour that widens the padded batch.
+        # end, and a long neighbour.
         model = make()
         batch = [np.array([3]), np.array([2, 0, 5]), np.array([4, 6, 0, 0]),
                  np.arange(1, 9)]
@@ -332,8 +332,8 @@ class TestBatchedMatchesReference:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(classifiers, taggers), batches, st.integers(1, 12))
     def test_padding_invariance(self, model, batch, extra):
-        # A neighbour longer than every sentence pads the classifier's
-        # batch further, adds tagger row blocks and changes no output.
+        # A neighbour longer than every sentence adds row blocks and
+        # changes no output.
         longer = batch + [np.ones(max(len(ids) for ids in batch) + extra, dtype=int)]
         for a, b in zip(model.forward(batch_of(batch)), model.forward(batch_of(longer))):
             np.testing.assert_allclose(a, b, rtol=0, atol=TOL)
@@ -430,8 +430,8 @@ class TestBatchValidation:
     ])
     @pytest.mark.parametrize("where", [0, 1, 2])
     def test_all_padding_sentence_raises(self, model, where):
-        # A sentence without a token, all padding in the padded layout, is
-        # rejected when its batch is built; one of id-0 tokens is input.
+        # A sentence without a token is rejected when its batch is built;
+        # one of id-0 tokens is input.
         batch = [np.array([2, 3]), np.array([4, 5, 6])]
         batch.insert(where, np.array([0, 0, 0]))
         tokens = batch_of(batch)
