@@ -21,12 +21,13 @@ rule penalties factor over the output:
   log-space max-product, one argmax per step, and runs no scaled pass.
 * group: cross-instance penalties over sites, each site taking one label.
   ``form_groups`` splits linked sites into components, cutting seeded
-  random links until each fits a size cap.  ``exact_group_marginals``
-  enumerates a stack of groups of one size in one dense score tensor per
-  group, up to ``EXACT_MAX_STATES`` joint states each; a larger group
-  falls back to single-site Gibbs sampling with exact conditionals, with
-  marginals estimated by averaging those conditionals (Rao-Blackwellized
-  counts).
+  random links until each fits a size cap; a cut whose ends keep a
+  parallel link or a shared neighbour cannot split, so it is not searched.
+  ``exact_group_marginals`` enumerates any number of groups of one size,
+  one dense score tensor per group, in slices of up to
+  ``EXACT_MAX_STATES`` joint states; a group above that bound falls back
+  to single-site Gibbs sampling with exact conditionals, with marginals
+  estimated by averaging those conditionals (Rao-Blackwellized counts).
 
 Group members carry finite pair potentials only: a -inf bigram entry can
 freeze single-site sampling into one basin, so hard transition constraints
@@ -592,16 +593,17 @@ def exact_group_marginals(log_unary, log_pair) -> np.ndarray:
 
     ``log_unary`` is (B, n, K); ``log_pair`` is (B, n, n, K, K), and
     ``log_pair[b, i, j][y_i, y_j]`` adds to group b's joint score (i == j
-    reads the table's diagonal).  The score tensor, one axis per site,
-    grows one site at a time, each new site's axis in front: site m's
-    unary and its tables with the sites before it are first summed into
-    one tensor over (y_m, y_m-1, ..., y_0), itself grown one axis at a
-    time.  Every addition then runs over contiguous trailing blocks, and
+    reads the table's diagonal).  The stack is solved in slices of at most
+    ``EXACT_MAX_STATES`` joint states.  The score tensor, one axis per
+    site, grows one site at a time, each new site's axis in front: site
+    m's unary and its tables with the sites before it are first summed
+    into one tensor over (y_m, y_m-1, ..., y_0), itself grown one axis at
+    a time.  Every addition then runs over contiguous trailing blocks, and
     each site costs about two passes over the tensor it creates.  Each
     group's tensor is normalized once; the marginals are read off while
-    summing out the sites from the front.  Returns (B, n, K).  Raises
-    ValueError above ``EXACT_MAX_STATES`` joint states per group; bounding
-    B is the caller's.
+    summing out the sites from the front.  A group's marginals are the
+    same alone and in any stack.  Returns (B, n, K).  Raises ValueError
+    above ``EXACT_MAX_STATES`` joint states per group.
     """
     u = np.asarray(log_unary, dtype=float)
     pair = np.asarray(log_pair, dtype=float)
@@ -614,22 +616,26 @@ def exact_group_marginals(log_unary, log_pair) -> np.ndarray:
         )
     # A self-link scores its site's own label, so it joins the unary.
     u = u + np.einsum("biikk->bik", pair)
-    score = u[:, 0]
-    for m in range(1, n):
-        terms = u[:, m]
-        for i in range(m):
-            # Both directions of the pair, as one table over (y_m, y_i).
-            table = pair[:, m, i] + pair[:, i, m].transpose(0, 2, 1)
-            terms = terms[:, :, None] + table.reshape((b, k, k) + (1,) * i)
-        score = score[:, None] + terms
-    mass = score.reshape(b, -1)
-    mass = np.exp(mass - mass.max(axis=1, keepdims=True))
-    mass /= mass.sum(axis=1, keepdims=True)
+    # Both directions of the pair (m, i), as one table over (y_m, y_i).
+    both = pair + pair.transpose(0, 2, 1, 4, 3)
     out = np.empty((b, n, k))
-    for m in range(n - 1, -1, -1):
-        block = mass.reshape(b, k, -1)
-        out[:, m] = block.sum(axis=2)
-        mass = block.sum(axis=1)
+    step = EXACT_MAX_STATES // k**n
+    for s in range(0, b, step):
+        ub, pb = u[s:s + step], both[s:s + step]
+        score = ub[:, 0]
+        for m in range(1, n):
+            terms = ub[:, m]
+            for i in range(m):
+                terms = terms[:, :, None] + pb[:, m, i].reshape((len(ub), k, k) + (1,) * i)
+            score = score[:, None] + terms
+        mass = score.reshape(len(ub), -1)
+        mass -= mass.max(axis=1, keepdims=True)
+        np.exp(mass, out=mass)
+        mass /= mass.sum(axis=1, keepdims=True)
+        for m in range(n - 1, -1, -1):
+            block = mass.reshape(len(ub), k, -1)
+            out[s:s + step, m] = block.sum(axis=2)
+            mass = block.sum(axis=1)
     return out
 
 
@@ -770,6 +776,9 @@ def form_groups(
                 adjacent[x][y] -= 1
                 if not adjacent[x][y]:
                     del adjacent[x][y]
+            # The ends stay joined through a parallel link or a shared neighbour.
+            if b in adjacent[a] or not adjacent[a].keys().isdisjoint(adjacent[b]):
+                continue
             side = _side(adjacent, a, b)
         pieces = [sorted(side), [site for site in target if site not in side]]
         comps = sorted([c for c in comps if c is not target] + pieces, key=min)

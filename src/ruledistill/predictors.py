@@ -301,7 +301,7 @@ class TextClassifier(_Model):
         d.reshape(-1, self.n_classes)[:b] = dlogits
         g = {"out_w": _weight_grad(feat, d), "out_b": d.sum(axis=(0, 1))}
         feat = feat.reshape(-1, c)[:b]
-        dfeat = (d @ self.params["out_w"].T).reshape(-1, c)[:b]
+        dfeat = (d @ np.ascontiguousarray(self.params["out_w"].T)).reshape(-1, c)[:b]
         # Each (sentence, filter)'s first window at its maximum gets dz.  A
         # NaN maximum equals no window and falls to its sentence's last one.
         ends = np.cumsum(n_win)
@@ -376,7 +376,7 @@ class SequenceTagger(_Model):
         x = np.zeros((p + r * (len(batch) + 1), e))
         x[at + r] = self.params["emb"][batch.ids]
         # The tail of the last row block reads the window at row 0 and is dropped.
-        rows = np.pad(at, (0, -p % _ROW_BLOCK))
+        rows = np.concatenate([at, np.zeros(-p % _ROW_BLOCK, dtype=at.dtype)])
         m = x[rows[:, None] + np.arange(2 * r + 1)].reshape(-1, _ROW_BLOCK, (2 * r + 1) * e)
         del x  # freed before the products, where an evaluation forward peaks
         h = np.tanh(m @ self.params["hidden_w"] + self.params["hidden_b"])
@@ -389,10 +389,11 @@ class SequenceTagger(_Model):
         d = np.zeros(h.shape[:2] + (self.n_tags,))
         d.reshape(-1, self.n_tags)[:p] = dlogits
         g = {"out_w": _weight_grad(h, d), "out_b": d.sum(axis=(0, 1))}
-        dz = (d @ self.params["out_w"].T) * (1.0 - h * h)
+        dz = (d @ np.ascontiguousarray(self.params["out_w"].T)) * (1.0 - h * h)
         g["hidden_w"] = _weight_grad(m, dz)
         g["hidden_b"] = dz.sum(axis=(0, 1))
-        dm = (dz @ self.params["hidden_w"].T).reshape(-1, win, self.emb_dim)[:p]
+        dm = dz @ np.ascontiguousarray(self.params["hidden_w"].T)
+        dm = dm.reshape(-1, win, self.emb_dim)[:p]
         # The flat array of the forward, which ends with the last window.
         dx = np.zeros((at[-1] + win, self.emb_dim))
         for j in range(win):

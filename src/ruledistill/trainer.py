@@ -425,9 +425,9 @@ class NerTeacher:
     per category, and every link carrying one table for the summed
     confidence of the list rules.  Groups never span documents; document d
     of the prepared set has the seed ``seed + 7919 * d`` for link cutting
-    and sampling.  Groups of one size are enumerated exactly in stacks of
-    up to ``EXACT_MAX_STATES`` joint states; a group above that bound is
-    Gibbs-sampled.  Each category's marginal mass is spread back over its
+    and sampling.  The groups of one size are enumerated exactly in one
+    call when each has at most ``EXACT_MAX_STATES`` joint states; a larger
+    group is Gibbs-sampled.  Each category's marginal mass is spread back over its
     tags in the student's proportions.  Stage 2: every linked site gets a
     unary penalty measuring the list rule against its counterparts' stage-1
     marginals, one array expression for the batch; then one chain query
@@ -514,14 +514,12 @@ class NerTeacher:
                 for ids, group in groups:
                     q[ids] = self._sample(log_mass[ids], group)
                 continue
-            for chunk in _pack([k**n] * len(groups), EXACT_MAX_STATES):
-                ids = np.array([groups[g][0] for g in chunk])
-                counts = np.zeros((len(chunk), n, n))
-                for b, g in enumerate(chunk):
-                    for i, j in groups[g][1].links:
-                        counts[b, i, j] += 1.0
-                q[ids] = exact_group_marginals(log_mass[ids],
-                                               counts[..., None, None] * self.link_table)
+            ids = np.array([site_ids for site_ids, _ in groups])
+            kept = [(g, i, j) for g, (_, group) in enumerate(groups) for i, j in group.links]
+            counts = np.zeros((len(groups), n, n))
+            np.add.at(counts, tuple(np.array(kept, dtype=int).reshape(-1, 3).T), 1.0)
+            q[ids] = exact_group_marginals(log_mass[ids],
+                                           counts[..., None, None] * self.link_table)
         gi = self.collapse.group_index
         return rows, np.concatenate(ends), q[:, gi] * sigma / mass[:, gi]
 

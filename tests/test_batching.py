@@ -988,6 +988,19 @@ def linked_documents(draw):
     return lengths, links
 
 
+@st.composite
+def dense_graphs(draw):
+    """(n, links) of a clique of 9-14 sites in shuffled order, each link in
+    either direction, with up to eight links doubled and up to four
+    self-links."""
+    n = draw(st.integers(9, 14))
+    links = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    links += draw(st.lists(st.sampled_from(links), max_size=8))
+    links += [(a, a) for a in draw(st.lists(st.integers(0, n - 1), max_size=4))]
+    links = [(b, a) if draw(st.booleans()) else (a, b) for a, b in links]
+    return n, draw(st.permutations(links))
+
+
 class TestFormGroupsMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 12).flatmap(lambda n: st.tuples(
@@ -997,7 +1010,15 @@ class TestFormGroupsMatchesReference:
     def test_random_graphs(self, graph, g_max, seed):
         # Any graph, with repeated links and self-links: the same groups,
         # kept links and seeds as the object reference.
-        n, links = graph
+        self.check(*graph, g_max, seed)
+
+    @settings(max_examples=60, deadline=None)
+    @given(dense_graphs(), st.integers(2, 8), st.integers(0, 2**31 - 1))
+    def test_dense_graphs(self, graph, g_max, seed):
+        # Cliques, where most cuts leave the cut link's ends joined.
+        self.check(*graph, g_max, seed)
+
+    def check(self, n, links, g_max, seed):
         members = [MemberPotentials(np.zeros((1, 2))) for _ in range(n)]
         ref = ref_form_groups(members, [GroupLink(a, 0, b, 0, np.zeros((2, 2))) for a, b in links],
                               g_max, seed)

@@ -615,6 +615,19 @@ def group_stacks(draw):
     return [draw(small_groups(k=k, lengths=lengths)) for _ in range(draw(st.integers(1, 4)))]
 
 
+def random_stack(rng, b, n, k):
+    """``b`` groups of ``n`` sites over ``k`` labels: normal unaries and
+    pair tables between every two sites, self-links included."""
+    return rng.normal(size=(b, n, k)), rng.normal(size=(b, n, n, k, k))
+
+
+def assert_rows_as_alone(unary, pair, exact):
+    """Each group's rows of a stack's answer are bit-equal to its own
+    one-group stack's."""
+    for g, marg in enumerate(exact):
+        assert np.array_equal(marg, exact_group_marginals(unary[g:g + 1], pair[g:g + 1])[0])
+
+
 class TestExactGroup:
     @settings(max_examples=80, deadline=None)
     @given(group_stacks())
@@ -622,9 +635,37 @@ class TestExactGroup:
         unary, pair = map(np.stack, zip(*map(group_arrays, queries)))
         exact = exact_group_marginals(unary, pair)
         assert exact.shape == unary.shape
+        assert_rows_as_alone(unary, pair, exact)
         for query, marg in zip(queries, exact):
             ref = np.concatenate(enumerate_group_posterior(query).marginals)
             np.testing.assert_allclose(marg, ref, rtol=0, atol=1e-12)
+
+    def test_groups_at_the_state_bound_solve_as_alone(self):
+        # Three 4**8-state groups: one slice each.
+        unary, pair = random_stack(np.random.default_rng(3), 3, 8, 4)
+        exact = exact_group_marginals(unary, pair)
+        assert exact.shape == (3, 8, 4)
+        np.testing.assert_allclose(exact.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+        assert_rows_as_alone(unary, pair, exact)
+
+    def test_stack_over_several_slices_solves_as_alone(self):
+        # 1,500 groups of 4**3 states: more than one slice of EXACT_MAX_STATES.
+        b, n, k = 1500, 3, 4
+        assert b * k**n > EXACT_MAX_STATES
+        unary, pair = random_stack(np.random.default_rng(4), b, n, k)
+        exact = exact_group_marginals(unary, pair)
+        assert_rows_as_alone(unary, pair, exact)
+        for g in range(0, b, 97):
+            query = GroupTeacherQuery(
+                members=tuple(MemberPotentials(row[None, :]) for row in unary[g]),
+                links=tuple(GroupLink(i, 0, j, 0, pair[g, i, j])
+                            for i in range(n) for j in range(n)))
+            ref = np.concatenate(enumerate_group_posterior(query).marginals)
+            np.testing.assert_allclose(exact[g], ref, rtol=0, atol=1e-12)
+
+    def test_empty_stack(self):
+        exact = exact_group_marginals(np.zeros((0, 3, 4)), np.zeros((0, 3, 3, 4, 4)))
+        assert exact.shape == (0, 3, 4)
 
     def test_state_bound(self):
         k = 4
