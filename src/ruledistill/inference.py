@@ -602,8 +602,9 @@ def exact_group_marginals(log_unary, log_pair) -> np.ndarray:
     each site costs about two passes over the tensor it creates.  Each
     group's tensor is normalized once; the marginals are read off while
     summing out the sites from the front.  A group's marginals are the
-    same alone and in any stack.  Returns (B, n, K).  Raises ValueError
-    above ``EXACT_MAX_STATES`` joint states per group.
+    same alone and in any stack.  Returns (B, n, K), so (0, n, K) for an
+    empty stack.  Raises ValueError above ``EXACT_MAX_STATES`` joint states
+    per group.
     """
     u = np.asarray(log_unary, dtype=float)
     pair = np.asarray(log_pair, dtype=float)

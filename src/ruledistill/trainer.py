@@ -427,13 +427,14 @@ class NerTeacher:
     of the prepared set has the seed ``seed + 7919 * d`` for link cutting
     and sampling.  The groups of one size are enumerated exactly in one
     call when each has at most ``EXACT_MAX_STATES`` joint states; a larger
-    group is Gibbs-sampled.  Each category's marginal mass is spread back over its
-    tags in the student's proportions.  Stage 2: every linked site gets a
-    unary penalty measuring the list rule against its counterparts' stage-1
-    marginals, one array expression for the batch; then one chain query
-    holds every position row of the batch, with the transition rules'
-    potentials, and is solved with one product per position.  The
-    counterpart links come from the prepared set's own documents.
+    group is Gibbs-sampled.  Each category's marginal mass is spread back
+    over its tags in the student's proportions.  Stage 2: every linked
+    site gets a unary penalty measuring the list rule against its
+    counterparts' stage-1 marginals, one array expression for the batch;
+    then one chain query holds every position row of the batch, with the
+    transition rules' potentials, and is solved with one product per
+    position.  The counterpart links come from the prepared set's own
+    documents.
 
     Deployed on a prepared set (``evaluate``, ``predict_tags``, pipeline
     stage 2's frozen targets), the teacher runs the set pass instead: it
