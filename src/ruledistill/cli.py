@@ -29,6 +29,7 @@ from .corpus import (
     gen_synthetic_ner,
     gen_synthetic_sentiment,
     group_documents,
+    infer_scheme,
     load_classification,
     load_conll,
     write_classification,
@@ -48,7 +49,6 @@ from .trainer import (
     TrainConfig,
     aggregate_reports,
     evaluate,
-    infer_scheme,
     prepare,
     project_after,
     train_distill,

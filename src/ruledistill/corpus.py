@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .rulelib import TagScheme
+from .rulelib import TagScheme, transition_masks
 
 __all__ = [
     "CorpusFormatError",
@@ -34,6 +34,7 @@ __all__ = [
     "load_classification",
     "write_classification",
     "load_conll",
+    "infer_scheme",
     "write_conll",
     "group_documents",
     "detect_lists",
@@ -128,25 +129,26 @@ _DOCSTART = "-DOCSTART-"
 _TAG_RE = re.compile(r"^(O|[BIES]-[^\s]+)$")
 
 
-def load_conll(path, categories: Optional[Sequence[str]] = None) -> list[TaggedSentence]:
+def load_conll(path) -> list[TaggedSentence]:
     """Parse two-column sentences grouped into documents.
 
-    Every sentence must be a valid BIOES sequence; the scheme's categories
-    are taken from the file unless given explicitly.
+    Every sentence must be a valid BIOES sequence under the categories the
+    file's tags name; the first invalid one in file order is reported at
+    the line of its first bad position.
     """
-    sentences: list[tuple[int, int, list[str], list[str], list[int]]] = []
+    out: list[TaggedSentence] = []
+    lines: list[int] = []  # each token's line, in file order
     doc_id, sent_index = 0, 0
     tokens: list[str] = []
     tags: list[str] = []
-    lines: list[int] = []
     seen_any = False
 
     def flush():
-        nonlocal tokens, tags, lines, sent_index
+        nonlocal tokens, tags, sent_index
         if tokens:
-            sentences.append((doc_id, sent_index, tokens, tags, lines))
+            out.append(TaggedSentence(tuple(tokens), tuple(tags), doc_id, sent_index))
             sent_index += 1
-            tokens, tags, lines = [], [], []
+            tokens, tags = [], []
 
     with open(path, encoding="utf-8") as fh:
         for ln, raw in enumerate(fh, start=1):
@@ -172,32 +174,33 @@ def load_conll(path, categories: Optional[Sequence[str]] = None) -> list[TaggedS
             lines.append(ln)
     flush()
 
-    if categories is None:
-        cats = sorted(
-            {t.split("-", 1)[1] for _, _, _, ts, _ in sentences for t in ts if t != "O"}
-        )
-    else:
-        cats = list(categories)
-    out = []
-    if sentences and not cats:
-        # all-O corpus: a one-category scheme suffices for validation
-        cats = ["X"]
-    scheme = TagScheme(tuple(cats)) if sentences else None
-    for d, s, toks, tags_, lines_ in sentences:
-        for pos, tag in enumerate(tags_):
-            if tag not in scheme.tags:
-                raise CorpusFormatError(
-                    path, lines_[pos], f"tag {tag!r} outside categories {tuple(cats)}"
-                )
-        bad = scheme.invalid_positions(tags_)
-        if bad:
+    all_tags = [t for s in out for t in s.tags]
+    if any(t != "O" for t in all_tags):  # an all-O sequence is always valid
+        scheme = infer_scheme(out)
+        lengths = np.array([len(s) for s in out])
+        starts = np.cumsum(lengths) - lengths
+        first = np.zeros(len(all_tags), dtype=bool)
+        first[starts] = True
+        bad = np.flatnonzero(transition_masks(scheme).violations(scheme.encode(all_tags), first))
+        if len(bad):
+            i = np.searchsorted(starts, bad[0], side="right") - 1
+            at = bad[bad < starts[i] + lengths[i]] - starts[i]
             raise CorpusFormatError(
                 path,
-                lines_[bad[0]],
-                f"invalid BIOES sequence at positions {bad} of sentence {s} in document {d}",
+                lines[bad[0]],
+                f"invalid BIOES sequence at positions {at.tolist()} of sentence "
+                f"{out[i].sent_index} in document {out[i].doc_id}",
             )
-        out.append(TaggedSentence(tuple(toks), tuple(tags_), d, s))
     return out
+
+
+def infer_scheme(sentences: Sequence[TaggedSentence]) -> TagScheme:
+    """The tag scheme of tagged sentences: their entity categories, sorted.
+    A run's labeled records alone define it; unlabeled tags are never targets."""
+    cats = sorted({t.split("-", 1)[1] for s in sentences for t in s.tags if t != "O"})
+    if not cats:
+        raise ValueError("tagging data contains no entity tags")
+    return TagScheme(tuple(cats))
 
 
 def write_conll(path, sentences: Iterable[TaggedSentence]) -> None:

@@ -256,8 +256,9 @@ def _forward(query: ChainTeacherQuery) -> tuple[_ScaledPass, np.ndarray]:
     """The scaled forward pass, one product per position across all
     chains, and the (N,) log normalizers: the sum of each chain's log scale
     factors and shifts up to its length.  A rescued chain takes its log
-    normalizer from the log-space pass, which alone finds a chain with no
-    feasible path."""
+    normalizer from the log-space pass, which handles underflow and chains
+    whose finite terms sum past the float range; construction
+    (``_feasible``) has already rejected every chain with no feasible path."""
     f = _folded_unary(query)
     n, t_max, _ = f.shape
     factors, f_shift = _shifted_exp(f, 2)

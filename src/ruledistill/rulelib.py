@@ -71,11 +71,13 @@ class TagScheme:
     def n_tags(self) -> int:
         return 1 + 4 * len(self.categories)
 
-    def index(self, tag: str) -> int:
-        try:
-            return self.tags.index(tag)
-        except ValueError:
-            raise ValueError(f"unknown tag {tag!r} for categories {self.categories}")
+    def encode(self, tags: Sequence[str]) -> np.ndarray:
+        """The tag index of each of ``tags``.  A tag with no prefix is O, and
+        a category outside the scheme continues the layout past ``n_tags``:
+        its gold spans count, and no prediction over the scheme matches them."""
+        foreign = {t.partition("-")[2] for t in set(tags)} - {"", *self.categories}
+        index = {tag: k for k, tag in enumerate(TagScheme(self.categories + tuple(foreign)).tags)}
+        return np.array([index.get(t, 0) for t in tags], dtype=int)
 
     def prefix(self, tag: str) -> str:
         return "O" if tag == "O" else tag.split("-", 1)[0]
@@ -83,17 +85,23 @@ class TagScheme:
     def category(self, tag: str) -> Optional[str]:
         return None if tag == "O" else tag.split("-", 1)[1]
 
-    def invalid_positions(self, tags: Sequence[str]) -> list[int]:
-        """Positions at which the tag sequence breaks BIOES validity: the
-        first tag or the bigram ending there is invalid, or it is the last
-        tag and leaves an entity open."""
-        masks = transition_masks(self)
-        idx = [self.index(t) for t in tags]
-        bad = [t for t, k in enumerate(idx)
-               if not (masks.valid_pair[idx[t - 1], k] if t else masks.valid_start[k])]
-        if idx and not masks.valid_end[idx[-1]] and len(idx) - 1 not in bad:
-            bad.append(len(idx) - 1)
-        return bad
+
+def _span_ends(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """For each position of concatenated tag-index sequences, one past the
+    end of the complete span it starts, an S-Y or a B-Y I-Y* E-Y run within
+    its sentence, or 0; ``first`` marks each sentence's first position."""
+    cat, prefix = np.divmod(codes - 1, 4)  # prefix 0..3 is B, I, E, S
+    prefix[codes == 0] = -1
+    # Position t extends a run: an I or E after a B or I of its category.
+    before = np.roll(prefix, 1)
+    extends = (~first & (np.roll(cat, 1) == cat) & (prefix >= 1) & (prefix <= 2)
+               & (before >= 0) & (before <= 1))
+    run_start = np.maximum.accumulate(np.where(extends, 0, np.arange(len(codes))))
+    ends = np.flatnonzero(extends & (prefix == 2))
+    ends = ends[prefix[run_start[ends]] == 0]
+    out = np.where(prefix == 3, np.arange(1, len(codes) + 1), 0)
+    out[run_start[ends]] = ends + 1
+    return out
 
 
 # --- rules -------------------------------------------------------------------
@@ -196,6 +204,15 @@ class TransitionMasks:
     valid_start: np.ndarray  # (K,)
     valid_pair: np.ndarray  # (K, K) indexed [prev, cur]
     valid_end: np.ndarray  # (K,)
+
+    def violations(self, codes: np.ndarray, first: np.ndarray) -> np.ndarray:
+        """One flag per position of concatenated tag-index sequences, set
+        where BIOES validity breaks: the sentence's first tag or the bigram
+        ending there is invalid, or it is the sentence's last tag and leaves
+        an entity open.  ``first`` marks each sentence's first position."""
+        return (np.where(first, ~self.valid_start[codes],
+                         ~self.valid_pair[np.roll(codes, 1), codes])
+                | (np.roll(first, -1) & ~self.valid_end[codes]))
 
 
 @lru_cache(maxsize=None)

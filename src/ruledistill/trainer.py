@@ -68,7 +68,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import LabeledSentence, TaggedSentence, detect_lists, group_documents
+from .corpus import LabeledSentence, TaggedSentence, detect_lists, group_documents, infer_scheme
 from .inference import (
     EXACT_MAX_STATES,
     ChainTeacherQuery,
@@ -100,6 +100,7 @@ from .rulelib import (
     Rule,
     TagScheme,
     TransitionRule,
+    _span_ends,
     counterpart_truth_table,
     detect_but,
     list_rule_truth,
@@ -118,7 +119,6 @@ __all__ = [
     "NerTeacher",
     "PreparedSet",
     "prepare",
-    "infer_scheme",
     "train_distill",
     "project_after",
     "evaluate",
@@ -249,29 +249,11 @@ def aggregate_reports(reports: Sequence[EvalReport]) -> dict[str, tuple[float, f
     return out
 
 
-def _span_ends(codes: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """For each position of concatenated tag-index sequences, one past the
-    end of the complete span it starts, an S-Y or a B-Y I-Y* E-Y run within
-    its sentence, or 0; ``first`` marks each sentence's first position."""
-    cat, prefix = np.divmod(codes - 1, 4)  # prefix 0..3 is B, I, E, S
-    prefix[codes == 0] = -1
-    # Position t extends a run: an I or E after a B or I of its category.
-    before = np.roll(prefix, 1)
-    extends = (~first & (np.roll(cat, 1) == cat) & (prefix >= 1) & (prefix <= 2)
-               & (before >= 0) & (before <= 1))
-    run_start = np.maximum.accumulate(np.where(extends, 0, np.arange(len(codes))))
-    ends = np.flatnonzero(extends & (prefix == 2))
-    ends = ends[prefix[run_start[ends]] == 0]
-    out = np.where(prefix == 3, np.arange(1, len(codes) + 1), 0)
-    out[run_start[ends]] = ends + 1
-    return out
-
-
 def _tagging_report(data: PreparedSet, pred: np.ndarray) -> EvalReport:
     """Exact-span micro P/R/F1 and the BIOES-valid fraction of ``pred``, the
     predicted tag indices of a prepared tagging set's positions.  A span is
     its start, end and first tag, read off the set's gold rows."""
-    scheme, gold = data.scheme, data.gold
+    gold = data.gold
     first = np.zeros(len(pred), dtype=bool)
     first[data.batch.starts] = True
     gold_ends, pred_ends = _span_ends(gold, first), _span_ends(pred, first)
@@ -279,9 +261,7 @@ def _tagging_report(data: PreparedSet, pred: np.ndarray) -> EvalReport:
     n_pred, n_gold = int(np.count_nonzero(pred_ends)), int(np.count_nonzero(gold_ends))
     prec = tp / n_pred if n_pred else 1.0
     rec = tp / n_gold if n_gold else 1.0
-    masks = transition_masks(scheme)
-    bad = (np.where(first, ~masks.valid_start[pred], ~masks.valid_pair[np.roll(pred, 1), pred])
-           | (np.roll(first, -1) & ~masks.valid_end[pred]))
+    bad = transition_masks(data.scheme).violations(pred, first)
     valid = np.ones(len(data.batch), dtype=bool)
     valid[np.cumsum(first)[bad] - 1] = False
     return EvalReport(task="ner", n=len(data.batch), precision=prec, recall=rec,
@@ -612,24 +592,14 @@ class NerTeacher:
 # --- prepared datasets -------------------------------------------------------
 
 
-def infer_scheme(sentences: Sequence[TaggedSentence]) -> TagScheme:
-    """The tag scheme of tagged sentences: their entity categories, sorted.
-    A run's labeled records alone define it; unlabeled tags are never targets."""
-    cats = sorted({t.split("-", 1)[1] for s in sentences for t in s.tags if t != "O"})
-    if not cats:
-        raise ValueError("tagging data contains no entity tags")
-    return TagScheme(tuple(cats))
-
-
 class PreparedSet:
     """A dataset as the arrays training and evaluation read, built once
     from its documents (lists of tagging records, or classification
     records, each a document of its own), a vocabulary and, for tagging, a
     scheme: ``batch`` holds every sentence, documents in order; ``docs``
     the documents as runs of sentence indices; ``gold`` a class index per
-    sentence or a tag index per position (a category outside the scheme
-    indexes past its tags, so its spans are missed; a tag with no prefix is
-    O).  ``rule_inputs``, each sentence's clause-B start or each document's
+    sentence or a tag index per position, by ``TagScheme.encode``.
+    ``rule_inputs``, each sentence's clause-B start or each document's
     links, is computed on a teacher's first read, and by no student."""
 
     def __init__(self, documents, vocab: Vocabulary, scheme: Optional[TagScheme] = None):
@@ -643,10 +613,7 @@ class PreparedSet:
         if scheme is None:
             self.gold = np.array([s.label for s in sentences], dtype=int)
             return
-        tags = [t for s in sentences for t in s.tags]
-        foreign = {t.partition("-")[2] for t in set(tags)} - {"", *scheme.categories}
-        index = {tag: k for k, tag in enumerate(TagScheme(scheme.categories + tuple(foreign)).tags)}
-        self.gold = np.array([index.get(t, 0) for t in tags], dtype=int)
+        self.gold = scheme.encode([t for s in sentences for t in s.tags])
 
     def rows(self, sentences) -> np.ndarray:
         """The gold rows of ``sentences``: themselves, or their positions."""
@@ -740,12 +707,12 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
         data = prepare(records, vocab, scheme if task == "ner" else None)
     if isinstance(predictor, NerTeacher):
         return _tagging_report(data, predictor._paths(data))
-    teacher = predictor if isinstance(predictor, SentimentTeacher) else None
-    labels = np.empty(len(data.gold), dtype=int)
-    for idx, chunk, p in _forward_chunks(predictor if teacher is None else teacher.model, data):
-        if teacher is not None:
-            p = teacher.soft_predict(p, chunk, data, idx)
-        labels[data.rows(idx)] = p.argmax(axis=1)
+    if isinstance(predictor, SentimentTeacher):
+        labels = predictor.soft_predict_set(data).argmax(axis=1)
+    else:
+        labels = np.empty(len(data.gold), dtype=int)
+        for idx, _, p in _forward_chunks(predictor, data):
+            labels[data.rows(idx)] = p.argmax(axis=1)
     if data.scheme is None:
         return EvalReport(task="sentiment", n=len(labels),
                           accuracy=float(np.mean(labels == data.gold)))

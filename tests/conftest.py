@@ -4,7 +4,8 @@ The acceptance tests register one summary line per criterion; echoing
 them here keeps the lines visible in a normal run, where stdout of
 passing tests is captured.  The tag-string span extraction, validity walk
 and micro P/R/F1 below are the reference that the evaluation's
-tag-index scoring is held to; the per-block Adadelta and the ``np.add.at``
+tag-index scoring is held to, and ``tag_runs`` draws the tag sequences
+held to the validity walk; the per-block Adadelta and the ``np.add.at``
 embedding scatter are the references for the students' flat step and
 scatter.  ``corrupt_checkpoint`` breaks a saved checkpoint in each way the
 loader must reject by name.
@@ -13,8 +14,10 @@ loader must reject by name.
 import json
 
 import numpy as np
+from hypothesis import strategies as st
 
 from ruledistill.predictors import TokenBatch
+from ruledistill.rulelib import TagScheme
 
 CRITERION_LINES = []
 
@@ -136,6 +139,23 @@ def ref_valid_sequence(scheme, tags) -> bool:
                 continue
             return False
     return open_cat is None
+
+
+@st.composite
+def tag_runs(draw):
+    """A scheme of 1-4 categories, a sequence of its tags and the sorted
+    start of each sentence in it: valid entity segments with up to three
+    tags redrawn at random, cut into sentences at any points."""
+    scheme = TagScheme(("LOC", "ORG", "PER", "MISC")[:draw(st.integers(1, 4))])
+    tags = []
+    for _ in range(draw(st.integers(1, 10))):
+        c, n = draw(st.sampled_from(scheme.categories)), draw(st.integers(0, 4))
+        tags += (["O"] if n == 0 else [f"S-{c}"] if n == 1
+                 else [f"B-{c}"] + [f"I-{c}"] * (n - 2) + [f"E-{c}"])
+    for _ in range(draw(st.integers(0, 3))):
+        tags[draw(st.integers(0, len(tags) - 1))] = draw(st.sampled_from(scheme.tags))
+    starts = {0} | draw(st.sets(st.integers(1, len(tags) - 1))) if len(tags) > 1 else {0}
+    return scheme, tags, sorted(starts)
 
 
 def ref_spans(scheme, tags) -> list:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ref_valid_sequence
+from conftest import ref_valid_sequence, tag_runs
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -66,6 +66,40 @@ class TestClassificationFormat:
         assert info.value.line == 1
 
 
+def ref_bad_positions(tags) -> list:
+    """Where a tag-string walk breaks BIOES: an I/E tag that does not
+    continue a B/I tag of its category, a tag after a B/I tag that does
+    not continue it, and a B/I tag at the end."""
+    bad = []
+    for t, tag in enumerate(tags):
+        (p, c), (pp, pc) = (tag[0], tag[2:]), (tags[t - 1][0], tags[t - 1][2:]) if t else ("O", "")
+        if ((p in ("I", "E") and not (pp in ("B", "I") and pc == c))
+                or (pp in ("B", "I") and not (p in ("I", "E") and pc == c))
+                or (t == len(tags) - 1 and p in ("B", "I"))):
+            bad.append(t)
+    return bad
+
+
+@st.composite
+def conll_files(draw):
+    """A tagging file's text and its sentences as (document id, sentence
+    index, tags, first line): the sentences of a tag run, each document
+    led by one or two -DOCSTART- lines and each sentence ended by one or
+    two blank lines.  A -DOCSTART- after the first token opens a new
+    document id, even when no sentence follows it."""
+    _, tags, starts = draw(tag_runs())
+    lines, sentences, doc_id, sent_index = [], [], 0, 0
+    for i, (a, b) in enumerate(zip(starts, starts[1:] + [len(tags)])):
+        if i == 0 or draw(st.booleans()):
+            n = draw(st.integers(1, 2))
+            lines += ["-DOCSTART-"] * n + [""]
+            doc_id, sent_index = doc_id + n if i else 0, 0
+        sentences.append((doc_id, sent_index, tags[a:b], len(lines) + 1))
+        lines += [f"w{k} {tag}" for k, tag in enumerate(tags[a:b])] + [""] * draw(st.integers(1, 2))
+        sent_index += 1
+    return "\n".join(lines) + "\n", sentences
+
+
 class TestConllFormat:
     def test_round_trip(self, tmp_path):
         data = [
@@ -87,12 +121,40 @@ class TestConllFormat:
             load_conll(path)
         assert "BIOES" in str(info.value)
 
-    def test_unknown_tag_against_categories(self, tmp_path):
-        path = tmp_path / "d.conll"
-        path.write_text("-DOCSTART-\n\nOmar S-PER\n\n")
-        assert len(load_conll(path, categories=("PER",))) == 1
-        with pytest.raises(CorpusFormatError):
-            load_conll(path, categories=("LOC",))
+    def test_first_invalid_sentence_named(self, tmp_path):
+        # A -DOCSTART- after the first token opens a new document id, so
+        # the doubled one skips an id: the second document is document 2.
+        path = tmp_path / "bad.conll"
+        path.write_text("-DOCSTART-\n\nOmar S-PER\n\n"
+                        "-DOCSTART-\n-DOCSTART-\n\nAcme B-ORG\nLabs E-ORG\n\n"
+                        "in O\nKent E-LOC\nnow B-PER\n\nOslo B-LOC\n\n")
+        with pytest.raises(CorpusFormatError) as info:
+            load_conll(path)
+        assert info.value.line == 12
+        assert str(info.value) == (f"{path}:12: invalid BIOES sequence at positions [1, 2] "
+                                   "of sentence 1 in document 2")
+
+    @settings(max_examples=200, deadline=None)
+    @given(conll_files())
+    def test_loads_exactly_the_valid_files(self, tmp_path_factory, file):
+        text, sentences = file
+        path = tmp_path_factory.getbasetemp() / "drawn.conll"
+        path.write_text(text)
+        cats = tuple(sorted({t[2:] for *_, tags, _ in sentences for t in tags if t != "O"}))
+        invalid = [(d, s, tags, line) for d, s, tags, line in sentences
+                   if cats and not ref_valid_sequence(TagScheme(cats), tags)]
+        if not invalid:
+            assert load_conll(path) == [
+                TaggedSentence(tuple(f"w{k}" for k in range(len(tags))), tuple(tags), d, s)
+                for d, s, tags, _ in sentences]
+            return
+        d, s, tags, line = invalid[0]
+        bad = ref_bad_positions(tags)
+        with pytest.raises(CorpusFormatError) as info:
+            load_conll(path)
+        assert info.value.line == line + bad[0]
+        assert str(info.value) == (f"{path}:{line + bad[0]}: invalid BIOES sequence at "
+                                   f"positions {bad} of sentence {s} in document {d}")
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "d.conll"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import ref_spans, ref_valid_sequence
+from conftest import ref_spans, ref_valid_sequence, tag_runs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -40,12 +40,6 @@ class TestTagScheme:
         )
         assert SCHEME.n_tags == 9
 
-    def test_index_round_trip(self):
-        for i, tag in enumerate(SCHEME.tags):
-            assert SCHEME.index(tag) == i
-        with pytest.raises(ValueError):
-            SCHEME.index("B-PER")
-
     @pytest.mark.parametrize(
         "tags,valid",
         [
@@ -65,11 +59,14 @@ class TestTagScheme:
         assert ref_valid_sequence(SCHEME, tags) is valid
 
     def test_invalid_positions_pinpoints(self):
-        # Both endpoints of a dangling I are broken bigrams.
-        assert SCHEME.invalid_positions(["O", "I-LOC", "O"]) == [1, 2]
-        assert SCHEME.invalid_positions(["B-LOC", "E-LOC", "O"]) == []
-        assert SCHEME.invalid_positions(["O", "O", "B-LOC"]) == [2]
-        assert SCHEME.invalid_positions(["B-LOC", "O", "O"]) == [1]
+        # The four sentences as one concatenated sequence.  Both endpoints
+        # of a dangling I are broken bigrams.
+        sentences = [["O", "I-LOC", "O"], ["B-LOC", "E-LOC", "O"],
+                     ["O", "O", "B-LOC"], ["B-LOC", "O", "O"]]
+        first = np.tile([True, False, False], 4)
+        codes = SCHEME.encode([t for tags in sentences for t in tags])
+        bad = transition_masks(SCHEME).violations(codes, first).reshape(4, 3)
+        assert [np.flatnonzero(row).tolist() for row in bad] == [[1, 2], [], [2], [1]]
 
     def test_spans(self):
         tags = ["B-LOC", "I-LOC", "E-LOC", "O", "S-ORG", "B-ORG"]
@@ -229,6 +226,16 @@ class TestTransitions:
         assert np.array_equal(masks.valid_pair, pair)
         assert masks.valid_pair.dtype == bool
 
+    @settings(max_examples=300, deadline=None)
+    @given(tag_runs())
+    def test_violations_flag_exactly_the_invalid_sentences(self, run):
+        scheme, tags, starts = run
+        first = np.zeros(len(tags), dtype=bool)
+        first[starts] = True
+        bad = transition_masks(scheme).violations(scheme.encode(tags), first)
+        for a, b in zip(starts, starts[1:] + [len(tags)]):
+            assert bad[a:b].any() == (not ref_valid_sequence(scheme, tags[a:b])), tags[a:b]
+
     def test_rules_are_hard(self):
         rules = transition_rules(SCHEME)
         assert [r.name for r in rules] == [
@@ -252,7 +259,7 @@ class TestTransitions:
     def truths(rules, tags, scheme=SCHEME):
         """The truth of each grounding of the rules on one tag sequence:
         its first tag, each bigram and its last tag, per rule."""
-        idx = [scheme.index(t) for t in tags]
+        idx = [scheme.tags.index(t) for t in tags]
         return [truth for r in rules
                 for truth in [r.start[idx[0]], *r.pair[idx[:-1], idx[1:]], r.end[idx[-1]]]]
 
@@ -292,15 +299,15 @@ class TestListRule:
 
     def test_collapse_routing(self):
         dist = np.zeros(SCHEME.n_tags)
-        dist[SCHEME.index("B-LOC")] = 0.25
-        dist[SCHEME.index("S-LOC")] = 0.25
-        dist[SCHEME.index("E-ORG")] = 0.3
-        dist[SCHEME.index("O")] = 0.2
+        dist[SCHEME.tags.index("B-LOC")] = 0.25
+        dist[SCHEME.tags.index("S-LOC")] = 0.25
+        dist[SCHEME.tags.index("E-ORG")] = 0.3
+        dist[SCHEME.tags.index("O")] = 0.2
         np.testing.assert_allclose(self.COLLAPSE.collapse(dist), [0.5, 0.3, 0.2])
 
     def test_truth_same_vs_different_category(self):
         onehot = np.zeros(SCHEME.n_tags)
-        onehot[SCHEME.index("S-LOC")] = 1.0
+        onehot[SCHEME.tags.index("S-LOC")] = 1.0
         loc, org, o = list_rule_truth(self.COLLAPSE, onehot)
         # Same category at category granularity: zero distance, full truth.
         assert loc == 1.0
@@ -310,8 +317,8 @@ class TestListRule:
 
     def test_truth_soft_counterpart(self):
         sigma = np.zeros(SCHEME.n_tags)
-        sigma[SCHEME.index("S-LOC")] = 0.5
-        sigma[SCHEME.index("S-ORG")] = 0.5
+        sigma[SCHEME.tags.index("S-LOC")] = 0.5
+        sigma[SCHEME.tags.index("S-ORG")] = 0.5
         # Collapsed sigma = (0.5, 0.5, 0); label LOC collapses to (1, 0, 0).
         expect = 1.0 - math.sqrt(0.25 + 0.25)
         assert list_rule_truth(self.COLLAPSE, sigma)[0] == pytest.approx(expect)

@@ -183,9 +183,9 @@ class TestEvaluate:
                 # Predict S-LOC, S-LOC, O: one true span, one false
                 # positive, one miss.
                 out = np.full((3, scheme.n_tags), 1e-6)
-                out[0, scheme.index("S-LOC")] = 1.0
-                out[1, scheme.index("S-LOC")] = 1.0
-                out[2, scheme.index("O")] = 1.0
+                out[0, scheme.tags.index("S-LOC")] = 1.0
+                out[1, scheme.tags.index("S-LOC")] = 1.0
+                out[2, scheme.tags.index("O")] = 1.0
                 return np.tile(out / out.sum(axis=1, keepdims=True), (len(batch), 1))
 
         report = evaluate(FixedTagger(), gold, task="ner", vocab=vocab,
