@@ -72,7 +72,8 @@ def ref_bad_positions(tags) -> list:
     not continue it, and a B/I tag at the end."""
     bad = []
     for t, tag in enumerate(tags):
-        (p, c), (pp, pc) = (tag[0], tag[2:]), (tags[t - 1][0], tags[t - 1][2:]) if t else ("O", "")
+        prev = tags[t - 1] if t else "O"
+        p, c, pp, pc = tag[0], tag[2:], prev[0], prev[2:]
         if ((p in ("I", "E") and not (pp in ("B", "I") and pc == c))
                 or (pp in ("B", "I") and not (p in ("I", "E") and pc == c))
                 or (t == len(tags) - 1 and p in ("B", "I"))):
