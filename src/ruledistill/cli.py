@@ -15,8 +15,10 @@ configuration error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import fields, replace
@@ -102,13 +104,7 @@ def _cast_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in items)
 
 
-_CASTERS = {
-    str: lambda s: s,
-    int: int,
-    float: float,
-    bool: _cast_bool,
-    "int_list": _cast_int_list,
-}
+_CASTERS = {str: str, int: int, float: float, bool: _cast_bool, "int_list": _cast_int_list}
 
 
 def resolve_config(schema: dict, args: argparse.Namespace) -> tuple[dict, set]:
@@ -150,51 +146,39 @@ def _require_path(path, what: str) -> str:
 # --- rule specifications -----------------------------------------------------
 
 
-def _split_specs(text: str) -> list[str]:
-    """Split `a(...), b(...)` on top-level commas."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise CliError(f"unbalanced parentheses in rule spec {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise CliError(f"unbalanced parentheses in rule spec {text!r}")
-    if cur:
-        parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+# rule name -> (the task it needs, the arguments it takes, its rules given
+# the tag scheme and the arguments, ``lambda`` passed as ``confidence``;
+# an argument left out takes the rule constructor's default)
+_RULES = {
+    "but": ("classification", ("lambda", "variant"),
+            lambda scheme, **args: [but_rule(**args)]),
+    "transitions": ("tagging", (), transition_rules),
+    "list-counterpart": ("tagging", ("lambda",), lambda scheme, **args: [
+        list_counterpart_rule(CategoryCollapse(scheme), **args)]),
+}
+
+# One item of a rule list: a name, then optionally its arguments in
+# parentheses, which do not nest, then a comma or the end.
+_RULE_ITEM = re.compile(
+    r"\s*(?P<spec>(?P<name>[^(),]*?)(?:\s*\((?P<args>[^()]*)\))?)\s*(?:,|\Z)")
 
 
-def _parse_one_spec(spec: str) -> tuple[str, dict[str, str]]:
-    if "(" in spec:
-        if not spec.endswith(")"):
-            raise CliError(f"malformed rule spec {spec!r}")
-        name, arg_text = spec[:-1].split("(", 1)
-        args: dict[str, str] = {}
-        for part in arg_text.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "=" not in part:
-                raise CliError(f"rule argument must be key=value: {part!r}")
-            k, v = (x.strip() for x in part.split("=", 1))
-            if k in args:
-                raise CliError(f"rule argument {k!r} given twice in {spec!r}")
-            args[k] = v
-    else:
-        name, args = spec, {}
-    return name.strip(), args
+def _rule_args(spec: str, arg_text: str | None) -> dict[str, str]:
+    args: dict[str, str] = {}
+    for part in (arg_text or "").split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "=" not in part:
+            raise CliError(f"rule argument must be key=value: {part!r}")
+        k, v = (x.strip() for x in part.split("=", 1))
+        if k in args:
+            raise CliError(f"rule argument {k!r} given twice in {spec!r}")
+        args[k] = v
+    return args
 
 
-def _rule_lambda(args: dict[str, str], name: str) -> float:
-    text = args.pop("lambda", "1")
+def _rule_lambda(text: str, name: str) -> float:
     try:
         lam = float(text)
     except ValueError as exc:
@@ -205,41 +189,42 @@ def _rule_lambda(args: dict[str, str], name: str) -> float:
 
 
 def parse_rule_specs(text: str, scheme: TagScheme | None = None) -> tuple[Rule, ...]:
-    """Parse a rule list such as ``but(lambda=1), transitions()``.
+    """Parse a rule list such as ``but(lambda=1), transitions()``; empty
+    items between commas are skipped.
 
     Known rules: ``but(lambda=, variant=avg|strong)`` for classification;
     ``transitions()`` and ``list-counterpart(lambda=)`` for tagging (both
     need the tag scheme of the task at hand).
     """
+    depths = [0, *itertools.accumulate((ch == "(") - (ch == ")") for ch in text)]
+    if min(depths) < 0 or depths[-1]:
+        raise CliError(f"unbalanced parentheses in rule spec {text!r}")
     rules: list[Rule] = []
-    try:  # the rule constructors check their own arguments
-        for spec in _split_specs(text):
-            name, args = _parse_one_spec(spec)
-            if name == "but":
-                if scheme is not None:
-                    raise CliError("but() requires a classification task")
-                lam = _rule_lambda(args, name)
-                variant = args.pop("variant", "avg")
-                if args:
-                    raise CliError(f"but: unknown arguments {sorted(args)}")
-                rules.append(but_rule(confidence=lam, variant=variant))
-            elif name == "transitions":
-                if args:
-                    raise CliError(f"transitions: unknown arguments {sorted(args)}")
-                if scheme is None:
-                    raise CliError("transitions() requires a tagging task")
-                rules.extend(transition_rules(scheme))
-            elif name == "list-counterpart":
-                lam = _rule_lambda(args, name)
-                if args:
-                    raise CliError(f"list-counterpart: unknown arguments {sorted(args)}")
-                if scheme is None:
-                    raise CliError("list-counterpart() requires a tagging task")
-                rules.append(list_counterpart_rule(CategoryCollapse(scheme), confidence=lam))
-            else:
-                raise CliError(f"unknown rule {name!r}")
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    pos = 0
+    while pos < len(text):
+        item = _RULE_ITEM.match(text, pos)
+        if item is None:  # quote the item, up to the next top-level comma
+            end = next((i for i in range(pos, len(text)) if text[i] == "," and not depths[i]),
+                       len(text))
+            raise CliError(f"malformed rule spec {text[pos:end].strip()!r}")
+        pos = item.end()
+        if not item["spec"]:
+            continue
+        name, args = item["name"], _rule_args(item["spec"], item["args"])
+        if name not in _RULES:
+            raise CliError(f"unknown rule {name!r}")
+        task, takes, build = _RULES[name]
+        unknown = sorted(set(args) - set(takes))
+        if unknown:
+            raise CliError(f"{name}: unknown arguments {unknown}")
+        if (scheme is None) != (task == "classification"):
+            raise CliError(f"{name}() requires a {task} task")
+        if "lambda" in args:
+            args["confidence"] = _rule_lambda(args.pop("lambda"), name)
+        try:  # the rule constructors check their own arguments
+            rules.extend(build(scheme, **args))
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     return tuple(rules)
 
 
@@ -254,12 +239,16 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
+def _kv_text(pairs, sep: str = " ") -> str:
+    """``key=value`` for each pair, joined by ``sep``."""
+    return sep.join(f"{key}={_fmt_value(value)}" for key, value in pairs)
+
+
 def write_summary(path, pairs: list[tuple[str, object]]) -> None:
     """Line-oriented `key=value` summary; content carries no timestamps so
     reruns produce byte-identical files."""
     with open(path, "w", encoding="utf-8") as fh:
-        for key, value in pairs:
-            fh.write(f"{key}={_fmt_value(value)}\n")
+        fh.write(_kv_text(pairs, "\n") + "\n")
 
 
 def append_run_log(out_dir, message: str) -> None:
@@ -268,18 +257,21 @@ def append_run_log(out_dir, message: str) -> None:
         fh.write(f"[{stamp}] {message}\n")
 
 
-def _print_pairs(pairs: list[tuple[str, object]]) -> None:
-    for key, value in pairs:
-        print(f"{key}={_fmt_value(value)}")
+def _report_pairs(prefix: str, report, suffix: str = "") -> list[tuple[str, object]]:
+    """``{prefix}_{key}{suffix}`` for every key of an evaluation report but ``n``."""
+    return [(f"{prefix}_{key}{suffix}", value)
+            for key, value in sorted(report.as_dict().items()) if key != "n"]
 
 
 # --- train -------------------------------------------------------------------
 
 _DEFAULTS = TrainConfig()
+# The seed comes from ``seeds`` and the schedule from ``pi0`` and ``alpha``.
+_CONFIG_FIELDS = [f for f in fields(TrainConfig) if f.name not in ("seed", "schedule")]
 
+# The data, rules, output and seed keys, the schedule's parts, then one key
+# per field of ``_CONFIG_FIELDS``, with its default.
 TRAIN_SCHEMA = {
-    "task": (str, _DEFAULTS.task),
-    "mode": (str, _DEFAULTS.mode),
     "train": (str, None),
     "dev": (str, None),
     "test": (str, None),
@@ -287,20 +279,11 @@ TRAIN_SCHEMA = {
     "rules": (str, ""),
     "out": (str, "runs"),
     "seeds": ("int_list", (_DEFAULTS.seed,)),
-    "c": (float, _DEFAULTS.c),
     "pi0": (float, None),
     "alpha": (float, None),
-    "epochs": (int, _DEFAULTS.epochs),
-    "batch-size": (int, _DEFAULTS.batch_size),
-    "g-max": (int, _DEFAULTS.g_max),
-    "train-sweeps": (int, _DEFAULTS.train_sweeps),
-    "eval-sweeps": (int, _DEFAULTS.eval_sweeps),
-    "patience": (int, _DEFAULTS.patience),
-    "emb-dim": (int, _DEFAULTS.emb_dim),
-    "n-filters": (int, _DEFAULTS.n_filters),
-    "conv-windows": ("int_list", _DEFAULTS.conv_windows),
-    "hidden": (int, _DEFAULTS.hidden),
-    "radius": (int, _DEFAULTS.radius),
+    **{f.name.replace("_", "-"): ("int_list" if isinstance(f.default, tuple)
+                                  else type(f.default), f.default)
+       for f in _CONFIG_FIELDS},
 }
 
 
@@ -318,7 +301,7 @@ def _load_task_data(task: str, path, what: str):
     try:
         data = load(_require_path(path, what))
     except CorpusFormatError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+        raise CliError(str(exc)) from exc
     if not data:
         raise CliError(f"{what} file {path} has no sentences")
     return data
@@ -328,8 +311,7 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
     """One seed's configuration.  Every ``TrainConfig`` field but the seed
     and the schedule is a schema key; a set ``pi0`` or ``alpha`` replaces
     that part of the task's default schedule."""
-    values = {f.name: cfg[f.name.replace("_", "-")] for f in fields(TrainConfig)
-              if f.name not in ("seed", "schedule")}
+    values = {f.name: cfg[f.name.replace("_", "-")] for f in _CONFIG_FIELDS}
     set_schedule = {key: cfg[key] for key in ("pi0", "alpha") if cfg[key] is not None}
     try:
         schedule = (replace(TrainConfig(task=cfg["task"]).resolved_schedule(), **set_schedule)
@@ -375,8 +357,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise CliError(str(exc)) from exc
         if result.diagnostics:
-            append_run_log(cfg["out"], f"seed {seed} diagnostics: " + " ".join(
-                f"{k}={_fmt_value(v)}" for k, v in result.diagnostics.items()))
+            append_run_log(cfg["out"], f"seed {seed} diagnostics: "
+                           + _kv_text(result.diagnostics.items()))
 
         extra = {"task": cfg["task"]}
         if result.scheme is not None:
@@ -386,9 +368,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
         log_path = os.path.join(cfg["out"], f"train_log_seed{seed}.txt")
         with open(log_path, "w", encoding="utf-8") as fh:
-            for row in result.history:
-                line = " ".join(f"{k}={_fmt_value(v)}" for k, v in row.items())
-                fh.write(line + "\n")
+            fh.writelines(_kv_text(row.items()) + "\n" for row in result.history)
 
         if test_data is not None:
             test = prepare(test_data, result.vocab, result.scheme)
@@ -412,36 +392,38 @@ def cmd_train(args: argparse.Namespace) -> int:
                 pairs.append((f"{prefix}_{key}", mean))
                 pairs.append((f"{prefix}_{key}_std", std))
             for seed, report in zip(cfg["seeds"], reports):
-                for key, value in sorted(report.as_dict().items()):
-                    if key == "n":
-                        continue
-                    pairs.append((f"{prefix}_{key}_seed{seed}", value))
+                pairs += _report_pairs(prefix, report, f"_seed{seed}")
 
     summary_path = os.path.join(cfg["out"], "summary.txt")
     write_summary(summary_path, pairs)
-    _print_pairs(pairs)
+    print(_kv_text(pairs, "\n"))
     append_run_log(cfg["out"], f"train done in {time.time() - t_start:.1f}s")
     return 0
 
 
 # --- eval --------------------------------------------------------------------
 
-EVAL_SCHEMA = {
-    "checkpoint": (str, None),
-    "test": (str, None),
+# The keys that only the teacher reads.
+EVAL_TEACHER_SCHEMA = {
     "rules": (str, ""),
-    "use-teacher": (bool, False),
-    "out": (str, None),
     "c": (float, _DEFAULTS.c),
     "eval-sweeps": (int, _DEFAULTS.eval_sweeps),
     "g-max": (int, _DEFAULTS.g_max),
     "seed": (int, _DEFAULTS.seed),
 }
 
+EVAL_SCHEMA = {
+    "checkpoint": (str, None),
+    "test": (str, None),
+    "use-teacher": (bool, False),
+    "out": (str, None),
+    **EVAL_TEACHER_SCHEMA,
+}
+
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg, given = resolve_config(EVAL_SCHEMA, args)
-    unused = [f"--{key}" for key in ("rules", "c", "eval-sweeps", "g-max", "seed") if key in given]
+    unused = [f"--{key}" for key in EVAL_TEACHER_SCHEMA if key in given]
     if unused and not cfg["use-teacher"]:
         raise CliError(f"teacher settings {', '.join(unused)} need --use-teacher")
     ckpt_path = _require_path(cfg["checkpoint"], "checkpoint")
@@ -487,12 +469,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     else:
         report = evaluate(model, data, task=task, vocab=vocab, scheme=scheme)
         prefix = "p"
-    for key, value in sorted(report.as_dict().items()):
-        if key == "n":
-            continue
-        pairs.append((f"{prefix}_{key}", value))
+    pairs += _report_pairs(prefix, report)
 
-    _print_pairs(pairs)
+    print(_kv_text(pairs, "\n"))
     if cfg["out"]:
         write_summary(cfg["out"], pairs)
     return 0
@@ -500,15 +479,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # --- generators --------------------------------------------------------------
 
-GEN_SENTIMENT_SCHEMA = {
-    "seed": (int, 0),
-    "n": (int, 1000),
-    "out": (str, None),
-    "but-fraction": (float, None),
-    "mild-in-plain": (float, None),
-    "conflict-in-plain": (float, None),
-    "plain-label-noise": (float, None),
-}
+def _probability_keys(spec_cls) -> dict:
+    """One unset key per float field, a probability, of a generator spec."""
+    return {f.name.replace("_", "-"): (float, None) for f in fields(spec_cls)
+            if isinstance(f.default, float)}
+
+
+GEN_SENTIMENT_SCHEMA = {"seed": (int, 0), "n": (int, 1000), "out": (str, None),
+                        **_probability_keys(SentimentTaskSpec)}
 
 
 def _generator_spec(cfg: dict, spec_cls, count_key: str):
@@ -535,14 +513,8 @@ def cmd_gen_sentiment(args: argparse.Namespace) -> int:
     return 0
 
 
-GEN_NER_SCHEMA = {
-    "seed": (int, 0),
-    "n-docs": (int, 100),
-    "out": (str, None),
-    "list-fraction": (float, None),
-    "ambiguous-in-list": (float, None),
-    "entity-label-noise": (float, None),
-}
+GEN_NER_SCHEMA = {"seed": (int, 0), "n-docs": (int, 100), "out": (str, None),
+                  **_probability_keys(NerTaskSpec)}
 
 
 def cmd_gen_ner(args: argparse.Namespace) -> int:
@@ -634,20 +606,6 @@ def cmd_verify_projection(args: argparse.Namespace) -> int:
 # --- entry point -------------------------------------------------------------
 
 
-def _add_schema_flags(parser: argparse.ArgumentParser, schema: dict) -> None:
-    for key, (kind, _) in schema.items():
-        flag = f"--{key}"
-        if kind is bool:
-            parser.add_argument(flag, dest=key.replace("-", "_"),
-                                action="store_const", const=True, default=None)
-        elif kind == "int_list":
-            parser.add_argument(flag, dest=key.replace("-", "_"),
-                                type=_cast_int_list, default=None)
-        else:
-            parser.add_argument(flag, dest=key.replace("-", "_"),
-                                type=kind, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ruledistill",
@@ -663,8 +621,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("verify-projection", VERIFY_SCHEMA, cmd_verify_projection),
     ):
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        _add_schema_flags(p, schema)
+        p.add_argument("--config")
+        # An unset flag is None, so that it falls through to the file value.
+        for key, (kind, _) in schema.items():
+            if kind is bool:
+                p.add_argument(f"--{key}", action="store_const", const=True)
+            else:
+                p.add_argument(f"--{key}", type=_CASTERS[kind])
         p.set_defaults(func=func)
     return parser
 

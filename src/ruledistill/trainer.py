@@ -5,8 +5,8 @@ processed as: forward the student p on the batch, build the teacher q by
 projecting that p onto the rule set, and take one gradient step, through
 the same forward, on the cross-entropy against the blend
 (1 - pi) * hard + pi * q, so the SAME instances feed the hard-label and
-the imitation term.  The teachers are functions of p: they never forward
-the student on the batch themselves.
+the imitation term.  The tagging teacher is a function of p alone; the
+sentiment teacher also forwards the student on the batch's B clauses.
 
 Teacher construction is routed by rule kind: but rules become one
 closed-form projection over a batch's stacked A-but-B rows, transition

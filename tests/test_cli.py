@@ -2,21 +2,36 @@
 
 import os
 import re
+import shlex
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CHECKPOINT_CORRUPTIONS, corrupt_checkpoint
 
+from ruledistill import cli
 from ruledistill.cli import (
     CliError,
+    build_parser,
     main,
     parse_config_file,
     parse_rule_specs,
     resolve_config,
 )
-from ruledistill.corpus import load_classification
-from ruledistill.rulelib import TagScheme
+from ruledistill.corpus import NerTaskSpec, SentimentTaskSpec, load_classification
+from ruledistill.rulelib import (
+    CategoryCollapse,
+    TagScheme,
+    but_rule,
+    list_counterpart_rule,
+    transition_rules,
+)
 from ruledistill.trainer import TrainConfig, train_distill
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(argv):
@@ -119,6 +134,12 @@ class TestConfigFile:
             )
 
 
+# Tokens of the rule-spec grammar, for drawing near-valid strings.
+_SPEC_TOKENS = ["but", "transitions", "list-counterpart", "bogus", "lambda", "variant", "=",
+                "1", "0", "inf", "nan", "-1", "2.5", "avg", "strong", "(", ")", ",", " ",
+                "()", "(lambda=1)", "(variant=strong)", "confidence", "scheme", "\n"]
+
+
 class TestRuleSpecs:
     def test_but(self):
         (rule,) = parse_rule_specs("but(lambda=2, variant=strong)")
@@ -174,6 +195,130 @@ class TestRuleSpecs:
     def test_nan_lambda_of_a_tagging_rule(self):
         with pytest.raises(CliError, match="lambda must be positive"):
             parse_rule_specs("list-counterpart(lambda=nan)", TagScheme(("LOC",)))
+
+    @pytest.mark.parametrize("text, count", [
+        (",", 0), ("", 0), (" , ,", 0), ("transitions,,", 2), (",transitions(),", 2),
+    ])
+    def test_empty_items_are_skipped(self, text, count):
+        assert len(parse_rule_specs(text, TagScheme(("LOC",)))) == count
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.text(alphabet="but(),= lambdvrisf1.0-\t", max_size=40),
+        st.lists(st.sampled_from(_SPEC_TOKENS), max_size=12).map("".join),
+    ), st.booleans())
+    def test_any_string_parses_or_is_a_cli_error(self, text, tagging):
+        try:
+            rules = parse_rule_specs(text, TagScheme(("LOC",)) if tagging else None)
+        except CliError:
+            return
+        assert all(r.confidence > 0 for r in rules)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_valid_spec_lists_parse_to_their_rules(self, data):
+        """A valid rule list gives the rules its items name, in canonical
+        text and with any spacing, argument order, empty parentheses left
+        out and empty comma items."""
+        tagging = data.draw(st.booleans())
+        scheme = TagScheme(("LOC", "ORG")) if tagging else None
+        lam = st.floats(1e-3, 1e3).map(repr)
+        if tagging:
+            item = st.tuples(st.just("transitions"), st.just({})) | st.tuples(
+                st.just("list-counterpart"), st.fixed_dictionaries({}, optional={"lambda": lam}))
+        else:
+            item = st.tuples(st.just("but"), st.fixed_dictionaries({}, optional={
+                "lambda": lam | st.just("inf"), "variant": st.sampled_from(["avg", "strong"])}))
+        items = data.draw(st.lists(item, max_size=4))
+
+        expected = []
+        for name, args in items:
+            confidence = float(args.get("lambda", "1"))
+            if name == "but":
+                expected.append(but_rule(confidence, args.get("variant", "avg")))
+            elif name == "transitions":
+                expected.extend(transition_rules(scheme))
+            else:
+                expected.append(list_counterpart_rule(CategoryCollapse(scheme), confidence))
+
+        canonical = ", ".join(f"{name}({','.join(f'{k}={v}' for k, v in sorted(args.items()))})"
+                              for name, args in items)
+
+        space = st.sampled_from(["", " ", "  ", "\t"])
+
+        def pad(text):
+            return data.draw(space) + text + data.draw(space)
+
+        pieces = []
+        for name, args in items:
+            pieces += [""] * data.draw(st.integers(0, 2))
+            body = ",".join(pad(k) + "=" + pad(v)
+                            for k, v in data.draw(st.permutations(sorted(args.items()))))
+            parens = args or data.draw(st.booleans())
+            pieces.append(name + (pad("") + f"({body})" if parens else ""))
+        pieces += [""] * data.draw(st.integers(0, 2))
+        spaced = ",".join(pad(piece) for piece in pieces)
+
+        def key(rules):
+            return [(type(r), r.name, r.confidence, getattr(r, "variant", None))
+                    for r in rules]
+
+        assert key(parse_rule_specs(canonical, scheme)) == key(expected)
+        assert key(parse_rule_specs(spaced, scheme)) == key(expected)
+
+
+# The train keys that no TrainConfig field names.
+_CLI_ONLY_TRAIN_KEYS = {"train", "dev", "test", "unlabeled", "rules", "out", "seeds",
+                        "pi0", "alpha"}
+
+
+def _dashed(field) -> str:
+    return field.name.replace("_", "-")
+
+
+class TestKeysFollowSettings:
+    """The command keys are derived from the settings they fill, so a field
+    added to or deleted from ``TrainConfig`` or a generator spec changes
+    the keys with it."""
+
+    def test_train_keys_are_the_config_fields(self):
+        config_fields = [f for f in fields(TrainConfig) if f.name not in ("seed", "schedule")]
+        assert set(cli.TRAIN_SCHEMA) == _CLI_ONLY_TRAIN_KEYS | {_dashed(f) for f in config_fields}
+        for f in config_fields:
+            kind = "int_list" if isinstance(f.default, tuple) else type(f.default)
+            assert cli.TRAIN_SCHEMA[_dashed(f)] == (kind, f.default)
+
+    @pytest.mark.parametrize("schema, spec_cls, literal", [
+        ("GEN_SENTIMENT_SCHEMA", SentimentTaskSpec, {"seed", "n", "out"}),
+        ("GEN_NER_SCHEMA", NerTaskSpec, {"seed", "n-docs", "out"}),
+    ])
+    def test_generator_keys_are_the_spec_probabilities(self, schema, spec_cls, literal):
+        keys = getattr(cli, schema)
+        probabilities = {_dashed(f) for f in fields(spec_cls) if isinstance(f.default, float)}
+        assert set(keys) == literal | probabilities
+        assert all(keys[key] == (float, None) for key in probabilities)
+
+    def test_a_flag_and_the_config_file_give_the_same_config(self, tmp_path):
+        def other(value):  # a valid value other than the default
+            if isinstance(value, str):
+                return {"sentiment": "ner", "distill": "base"}[value]
+            if isinstance(value, tuple):
+                return ",".join(str(v + 1) for v in value)
+            return repr(value + 1)
+
+        texts = {_dashed(f): other(f.default) for f in fields(TrainConfig)
+                 if f.name not in ("seed", "schedule")}
+        texts.update(pi0="0.5", alpha="0.75")
+        for key, text in texts.items():
+            cfg_path = tmp_path / f"{key}.cfg"
+            cfg_path.write_text(f"{key} = {text}\n")
+            configs = []
+            for argv in ([f"--{key}", text], ["--config", str(cfg_path)]):
+                values, given = resolve_config(cli.TRAIN_SCHEMA,
+                                               build_parser().parse_args(["train", *argv]))
+                assert given == {key}
+                configs.append(cli._train_config(values, seed=3))
+            assert configs[0] == configs[1] != TrainConfig(seed=3), key
 
 
 class TestTrainCommand:
@@ -284,6 +429,16 @@ class TestTrainCommand:
             argv += [f"--{k}", str(path)]
         assert run(argv) == 2
         assert f"{key} file {paths[key]} has no sentences" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_data_file_named_once_exit_2_before_writing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("1\tgood words\nno tab here\n")
+        out = tmp_path / "run"
+        assert run(["train", "--task", "sentiment", "--mode", "base",
+                    "--train", str(bad), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}:2: expected <label><TAB><tokens>\n"
         assert not out.exists()
 
     def test_nan_c_exit_2(self, data_dir, tmp_path):
@@ -582,6 +737,18 @@ class TestOtherCommands:
         ]) == 0
         assert "total_groups=" in out_file.read_text()
 
+    def test_detect_lists_invalid_file_named_once_exit_2_before_writing(self, tmp_path,
+                                                                         capsys):
+        bad = tmp_path / "bad.conll"
+        bad.write_text("Paris S-LOC\nis O\nnice I-LOC\n")
+        out_file = tmp_path / "lists.txt"
+        assert run(["detect-lists", "--data", str(bad), "--out", str(out_file)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(f"error: {bad}:3: invalid BIOES sequence")
+        assert out.err.count(str(bad)) == 1
+        assert not out_file.exists()
+
     def test_generators_deterministic(self, tmp_path):
         a, b = tmp_path / "a.tsv", tmp_path / "b.tsv"
         run(["gen-sentiment", "--seed", "3", "--n", "30", "--out", str(a)])
@@ -640,3 +807,49 @@ class TestOtherCommands:
         assert run(argv + ["--out", str(out)]) == 2
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """Each ``ruledistill ...`` command line of the README, with its
+    continuation lines joined, split as a shell would."""
+    text = re.sub(r"\\\n\s*", " ", README.read_text(encoding="utf-8"))
+    return [shlex.split(line, comments=True)[1:] for line in text.splitlines()
+            if line.startswith("ruledistill ")]
+
+
+class TestReadme:
+    """What the README shows of the command line exists: its commands
+    parse, its config example holds train keys only, and its rule specs
+    parse under their tasks."""
+
+    @pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+    def test_command_parses(self, argv):
+        build_parser().parse_args(argv)
+
+    def test_every_named_flag_exists(self):
+        # Flags named in the prose too, outside the pip command line.
+        text = "\n".join(line for line in README.read_text(encoding="utf-8").splitlines()
+                         if not line.startswith("pip "))
+        schemas = (cli.TRAIN_SCHEMA, cli.EVAL_SCHEMA, cli.GEN_SENTIMENT_SCHEMA,
+                   cli.GEN_NER_SCHEMA, cli.DETECT_SCHEMA, cli.VERIFY_SCHEMA)
+        assert set(re.findall(r"(?<![\w-])--([a-z][\w-]*)", text)) <= {"config"}.union(*schemas)
+
+    def test_config_example_holds_train_keys(self, tmp_path):
+        block = re.search(r"```ini\n(# distill\.conf\n.*?)```", README.read_text(encoding="utf-8"),
+                          re.S).group(1)
+        (tmp_path / "distill.conf").write_text(block)
+        values = parse_config_file(tmp_path / "distill.conf")
+        assert values and set(values) <= set(cli.TRAIN_SCHEMA)
+        cfg, given = resolve_config(cli.TRAIN_SCHEMA, build_parser().parse_args(
+            ["train", "--config", str(tmp_path / "distill.conf")]))
+        assert given == set(values)
+        cli._train_config(cfg, seed=0)
+        parse_rule_specs(cfg["rules"])
+
+    def test_rule_table_specs_parse(self):
+        rows = re.findall(r"^\| `([^`]+)` \| (.*) \|$", README.read_text(encoding="utf-8"), re.M)
+        specs = [(spec, "tagging only" in meaning) for spec, meaning in rows
+                 if "(" in spec and "only" in meaning]
+        assert len(specs) == 3
+        for spec, tagging in specs:
+            assert parse_rule_specs(spec, TagScheme(("LOC",)) if tagging else None)

@@ -58,7 +58,7 @@ class TestTagScheme:
     def test_valid_sequence(self, tags, valid):
         assert ref_valid_sequence(SCHEME, tags) is valid
 
-    def test_invalid_positions_pinpoints(self):
+    def test_violations_pinpoints(self):
         # The four sentences as one concatenated sequence.  Both endpoints
         # of a dangling I are broken bigrams.
         sentences = [["O", "I-LOC", "O"], ["B-LOC", "E-LOC", "O"],
