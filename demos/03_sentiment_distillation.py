@@ -18,6 +18,7 @@ from ruledistill import (
     gen_synthetic_sentiment,
     train_distill,
 )
+from ruledistill.trainer import prepare
 
 
 def main():
@@ -53,7 +54,7 @@ def main():
         if detect_but(ex.tokens) is None:
             continue
         (p,) = rd.student.forward(rd.vocab.encode([ex.tokens]))
-        q = rd.teacher.predict_proba(ex.tokens)
+        (q,) = rd.teacher.soft_predict_set(prepare([ex], rd.vocab))
         if p.argmax() != q.argmax() and q.argmax() == ex.label:
             print("\n" + " ".join(ex.tokens))
             print(f"  gold={ex.label}  p={np.round(p, 3)} -> "

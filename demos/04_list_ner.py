@@ -21,7 +21,7 @@ from ruledistill import (
     train_distill,
     transition_rules,
 )
-from ruledistill.trainer import ImitationSchedule
+from ruledistill.trainer import ImitationSchedule, prepare
 
 
 def main():
@@ -71,17 +71,20 @@ def main():
           f"{q_rep.validity_rate:.3f}")
 
     # Show one sentence where the teacher's decode beats the raw argmax.
-    for doc, decoded in zip(docs, rd.teacher.predict_tags(docs)):
-        batch = rd.vocab.encode([s.tokens for s in doc])
-        p_index = rd.student.forward(batch).argmax(axis=1)
-        for sent, q_tags, start in zip(doc, decoded, batch.starts):
-            p_tags = [rd.scheme.tags[k] for k in p_index[start:start + len(sent.tokens)]]
-            if p_tags != list(sent.tags) and q_tags == list(sent.tags):
-                print("\n" + " ".join(sent.tokens))
-                print(f"  gold    {' '.join(sent.tags)}")
-                print(f"  student {' '.join(p_tags)}")
-                print(f"  teacher {' '.join(q_tags)}  (rules repair the decode)")
-                return
+    data = prepare(test, rd.vocab, rd.scheme)
+    q_index = rd.teacher.decode(data)
+    p_index = rd.student.forward(data.batch).argmax(axis=1)
+    sentences = [sent for doc in docs for sent in doc]
+    for sent, start in zip(sentences, data.batch.starts):
+        rows = slice(start, start + len(sent.tokens))
+        p_tags = [rd.scheme.tags[k] for k in p_index[rows]]
+        q_tags = [rd.scheme.tags[k] for k in q_index[rows]]
+        if p_tags != list(sent.tags) and q_tags == list(sent.tags):
+            print("\n" + " ".join(sent.tokens))
+            print(f"  gold    {' '.join(sent.tags)}")
+            print(f"  student {' '.join(p_tags)}")
+            print(f"  teacher {' '.join(q_tags)}  (rules repair the decode)")
+            return
 
 
 if __name__ == "__main__":

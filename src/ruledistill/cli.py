@@ -2,11 +2,12 @@
 training in every mode, evaluation, list detection, and projection
 self-verification.
 
-Configuration is a flat ``key = value`` file (one assignment per line, ``#``
-starts a comment).  Precedence is flags over file values over defaults.
-Every command is deterministic given its configuration and seeds; summary
-files are byte-identical across reruns, with wall-clock timestamps confined
-to a separate run log.
+Configuration is a flat ``key = value`` file (one assignment per line; ``#``
+starts a comment at the start of a line or after whitespace, so a value
+such as ``a#b.tsv`` keeps its ``#``).  Precedence is flags over file values
+over defaults.  Every command is deterministic given its configuration and
+seeds; summary files are byte-identical across reruns, with wall-clock
+timestamps confined to a separate run log.
 
 Exit codes: 0 success, 1 verification or assertion failure, 2 usage or
 configuration error.
@@ -69,22 +70,27 @@ class CliError(Exception):
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """`key = value` per line; `#` starts a comment anywhere."""
+    """`key = value` per line; `#` at the start of a line or after
+    whitespace starts a comment."""
     if not os.path.exists(path):
         raise CliError(f"config file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise CliError(f"config file {path} is not UTF-8 text: {exc}") from exc
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise CliError(f"{path}:{lineno}: expected `key = value`")
-            key, value = line.split("=", 1)
-            key = key.strip()
-            if not key:
-                raise CliError(f"{path}:{lineno}: empty key")
-            out[key] = value.strip()
+    for lineno, raw in enumerate(lines, start=1):
+        line = re.split(r"(?<!\S)#", raw, maxsplit=1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise CliError(f"{path}:{lineno}: expected `key = value`")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise CliError(f"{path}:{lineno}: empty key")
+        out[key] = value.strip()
     return out
 
 
@@ -295,13 +301,15 @@ def _ner_scheme(dataset) -> TagScheme:
 
 
 def _load_task_data(task: str, path, what: str):
-    """The records of a dataset file; a missing, malformed or empty file
-    is a usage error."""
+    """The records of a dataset file; a missing, malformed, empty or
+    non-UTF-8 file is a usage error."""
     load = load_classification if task == "sentiment" else load_conll
     try:
         data = load(_require_path(path, what))
     except CorpusFormatError as exc:
         raise CliError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{what} file {path} is not UTF-8 text: {exc}") from exc
     if not data:
         raise CliError(f"{what} file {path} has no sentences")
     return data

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -541,10 +542,12 @@ def save_checkpoint(path, model, vocab: Vocabulary, extra: Optional[dict] = None
 
 def load_checkpoint(path):
     """Inverse of save_checkpoint; returns (model, vocabulary, extra).  A
-    checkpoint without metadata or a block, of another version or model
-    kind, whose config builds no model, with a block of another shape than
-    that model's, or with more tokens than it embeds is rejected with a
-    ValueError naming what is wrong."""
+    file that is not an npz archive, and a checkpoint without metadata or a
+    block, of another version or model kind, whose config builds no model,
+    with a block of another shape than that model's, or with more tokens
+    than it embeds is rejected with a ValueError naming what is wrong."""
+    if not zipfile.is_zipfile(path):  # False too for a file it cannot read
+        raise ValueError(f"checkpoint {path} is not a readable npz archive")
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"])) if "meta" in data.files else None
         if not isinstance(meta, dict):

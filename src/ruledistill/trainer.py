@@ -17,16 +17,13 @@ category level: enumerated exactly, stacked by size, when their joint
 space has at most ``EXACT_MAX_STATES`` states, Gibbs-sampled above that.
 That composition keeps hard transition constraints out of the group
 regime (see the inference module note on ergodicity) while still letting
-list information flow into every decoded sequence.  In training the
-tagging teacher works on a whole minibatch of documents: one array of the
-linked sites, groups and seeds per document, stacked exact solves, one
-array expression for the list penalties, and one chain query over every
-sentence.  In evaluation it makes one pass over the prepared set: the
-student's p and the penalized log-unaries are built once for every
-document, and then each length-sorted chunk of ``_EVAL_CHUNK`` sentences
-is one chain query, since a chain's answer depends only on its own rows.
-Document d of a prepared set gets the stage-1 seed ``seed + 7919 * d``,
-in training and evaluation alike.
+list information flow into every decoded sequence.  The tagging teacher
+builds the log-unaries of a batch's documents at once: one array of the
+linked sites, groups and seeds per document, stacked exact solves and one
+array expression for the list penalties.  Then each length-sorted chunk
+of ``_EVAL_CHUNK`` sentences is one chain query, since a chain's answer
+depends only on its own rows.  Document d of a prepared set gets the
+stage-1 seed ``seed + 7919 * d``, in training and evaluation alike.
 
 ``train_distill`` runs every mode of ``TrainConfig.mode``: base (plain
 supervised), distill, semi (the imitation term also on unlabeled
@@ -45,22 +42,21 @@ re-detects a grounding, and a student detects none.  One forward and
 backward pass runs per minibatch, one forward per evaluation chunk.  A
 batch's student outputs, teacher targets and hard targets are each one
 (rows, K) array in the batch's order, a row per sentence for
-classification and per position for tagging.  Evaluation sorts sentences
-by token count before chunking, so that the tagging teacher's chain
-queries run few steps past a sentence's end, and scores tags as index
-arrays.
+classification and per position for tagging; evaluation scores tags as
+index arrays.
 
 Every mode runs through one epoch loop over one driver, which shuffles
 units of the prepared training set (a sentence for classification, a
 document for tagging) and asks the task's teacher for q on a batch's
-student outputs.  Each task has one teacher class, which builds the
-training targets and is deployed for evaluation as a student forward
-followed by the same call.
+student outputs.  Each task has one teacher class, whose
+``soft_predict`` maps a batch's student rows p to q.  It builds the
+training targets, and it is deployed as one chunked student forward over
+a whole prepared set followed by the same call (``soft_predict_set``);
+``decode`` labels each row by q's argmax or the chains' MAP path.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -68,7 +64,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .corpus import LabeledSentence, TaggedSentence, detect_lists, group_documents, infer_scheme
+from .corpus import LabeledSentence, detect_lists, group_documents, infer_scheme
 from .inference import (
     EXACT_MAX_STATES,
     ChainTeacherQuery,
@@ -298,13 +294,35 @@ def _clause_starts(sentences) -> np.ndarray:
                      for tokens in sentences], dtype=int)
 
 
-class SentimentTeacher:
+class _Teacher:
+    """The deployment both teachers share, over their ``soft_predict(p,
+    batch, data, units)``: q for the units (sentences or documents) of the
+    prepared set ``data`` in ``batch``, given the student's rows p on it."""
+
+    # The tagging teacher's tag scheme.
+    scheme: Optional[TagScheme] = None
+
+    def _set_args(self, data: PreparedSet):
+        """``soft_predict``'s arguments for every unit of a prepared set:
+        the student's rows on it, by the chunks of ``_forward_chunks``."""
+        p = np.empty((len(data.gold), self.scheme.n_tags if self.scheme else self.model.n_classes))
+        for idx, chunk_p in _forward_chunks(self.model, data.batch):
+            p[data.rows(idx)] = chunk_p
+        return p, data.batch, data, np.arange(len(data.docs))
+
+    def soft_predict_set(self, data: PreparedSet) -> np.ndarray:
+        """Teacher rows of every row of a prepared set: one
+        ``soft_predict`` over all of its units."""
+        return self.soft_predict(*self._set_args(data))
+
+
+class SentimentTeacher(_Teacher):
     """The classification teacher: projects the student's output p through
     the but rules, with one projection over a batch's A-but-B rows.
     Instances without an A-but-B structure, and those the hard rules leave
     no label, are left at p.  ``soft_predict`` maps a batch's (B, K) p rows
-    to q rows, in training and evaluation alike; deployment forwards the
-    student first, as ``predict_proba`` does for one sentence's tokens."""
+    to q rows, in training and over a whole prepared set alike, after one
+    student forward per chunk of the rows' B clauses."""
 
     def __init__(self, model, vocab: Vocabulary, rules: Sequence[Rule], c: float):
         self.model = model
@@ -324,13 +342,15 @@ class SentimentTeacher:
     def soft_predict(self, p, batch, data, sentences) -> np.ndarray:
         """Teacher rows for ``batch``, the sentences ``sentences`` of the
         prepared set ``data``, given the student's (B, K) rows ``p`` on
-        them, with one student forward over their B clauses, read from the
-        batch as the suffixes from the set's clause starts."""
+        them.  Their B clauses, read from the batch as the suffixes from
+        the set's clause starts, are forwarded by ``_forward_chunks``."""
         clause_starts = data.rule_inputs[sentences]
         has_b = np.flatnonzero(clause_starts)
         if not len(has_b) or not self.rules:
             return p
-        clause_sigmas = self.model.forward(batch.take(has_b, clause_starts[has_b]))
+        clause_sigmas = np.empty((len(has_b), p.shape[1]))
+        for idx, sigmas in _forward_chunks(self.model, batch.take(has_b, clause_starts[has_b])):
+            clause_sigmas[idx] = sigmas
         base = np.log(p[has_b])
         problem = ProjectionProblem(
             base, tuple((r.confidence, r.truths(clause_sigmas)) for r in self.rules), self.c)
@@ -345,18 +365,9 @@ class SentimentTeacher:
         q[has_b[feasible]] = project(problem).probs()
         return q
 
-    def soft_predict_set(self, data: PreparedSet) -> np.ndarray:
-        """Teacher rows of every sentence of a prepared set, (B, K) rows
-        by the chunks of ``_forward_chunks``."""
-        q = np.empty((len(data.batch), self.model.n_classes))
-        for idx, chunk, p in _forward_chunks(self.model, data):
-            q[idx] = self.soft_predict(p, chunk, data, idx)
-        return q
-
-    def predict_proba(self, tokens) -> np.ndarray:
-        # The label of the one-sentence set is never read.
-        data = prepare([LabeledSentence(tokens, 0)], self.vocab)
-        return self.soft_predict(self.model.forward(data.batch), data.batch, data, [0])[0]
+    def decode(self, data: PreparedSet) -> np.ndarray:
+        """The label of every sentence of a prepared set: its q's argmax."""
+        return self.soft_predict_set(data).argmax(axis=1)
 
 
 # --- NER teacher -------------------------------------------------------------
@@ -393,14 +404,14 @@ def _doc_links(doc_tokens: Sequence[Sequence[str]]):
             [(index[a], index[b]) for a, b in links])
 
 
-class NerTeacher:
+class NerTeacher(_Teacher):
     """The tagging teacher: the chain+group teacher built from the
     student's probabilities, for a batch of documents at a time.
 
-    Stage 1 reads the student's (P, K) position rows on the batch
-    (training hands over the step's forward; deployment forwards the
-    student first) and gathers the rows of every cross-linked site of the
-    batch into one array.  Within each document the linked sites form
+    Stage 1 reads the student's (P, K) position rows on the batch (the
+    step's forward in training, a chunked forward over the whole set when
+    deployed) and gathers the rows of every cross-linked site of the batch
+    into one array.  Within each document the linked sites form
     groups over tag categories, each site's unary being the student's mass
     per category, and every link carrying one table for the summed
     confidence of the list rules.  Groups never span documents; document d
@@ -411,18 +422,12 @@ class NerTeacher:
     over its tags in the student's proportions.  Stage 2: every linked
     site gets a unary penalty measuring the list rule against its
     counterparts' stage-1 marginals, one array expression for the batch;
-    then one chain query holds every position row of the batch, with the
-    transition rules' potentials, and is solved with one product per
-    position.  The counterpart links come from the prepared set's own
-    documents.
-
-    Deployed on a prepared set (``evaluate``, ``predict_tags``, pipeline
-    stage 2's frozen targets), the teacher runs the set pass instead: it
-    forwards the student over the set in length-sorted chunks, runs stage
-    1 and the list penalties once over every document, and then decodes or
-    marginalizes each sorted chunk of sentences as one chain query.  A
-    sentence that no tag path can satisfy is named by document and
-    sentence.
+    then each of ``_sorted_chunks`` of the batch's sentences is one chain
+    query, with the transition rules' potentials, solved with one product
+    per position: marginals for ``soft_predict``, the MAP path for
+    ``decode``.  The counterpart links come from the prepared set's own
+    documents.  A sentence that no tag path can satisfy is named by
+    document and sentence.
     """
 
     def __init__(self, model, vocab: Vocabulary, scheme: TagScheme,
@@ -461,11 +466,12 @@ class NerTeacher:
         self.chain_terms = _chain_terms(self.transitions, scheme.n_tags, self.c)
 
     def _stage1(self, p, batch, doc_sizes, docs_links, seeds):
-        """Stage 1 for a batch, given ``_log_unary``'s arguments: the row of
-        every linked site in ``p`` (documents in order, each one's sites
-        sorted), every link as an (L, 2) array of indices into those sites,
-        and the sites' (S, K) teacher tag marginals.  None without a list
-        rule, link or c > 0."""
+        """Stage 1 for a batch of documents, given the student's rows ``p``
+        on it and the documents' sentence counts, ``_doc_links`` and seeds:
+        the row of every linked site in ``p`` (documents in order, each
+        one's sites sorted), every link as an (L, 2) array of indices into
+        those sites, and the sites' (S, K) teacher tag marginals.  None
+        without a list rule, link or c > 0."""
         if not self.lists or self.c == 0.0:
             return None
         firsts = np.cumsum([0, *doc_sizes])
@@ -515,12 +521,14 @@ class NerTeacher:
         )
         return np.concatenate(gibbs_soft_predict(query))
 
-    def _log_unary(self, p, batch, doc_sizes, docs_links, seeds) -> np.ndarray:
-        """The chains' (P, K) log-unaries over every sentence of a batch of
-        documents, log p less the list penalties, given ``soft_predict``'s
-        ``p`` and ``batch`` and the documents' ``_doc_inputs``."""
+    def _log_unary(self, p, batch, data, docs) -> np.ndarray:
+        """The chains' (P, K) log-unaries over ``batch``, the documents
+        ``docs`` of the prepared set ``data``, log p less the list
+        penalties; document d's stage 1 has the seed ``seed + 7919 * d``."""
         log_unary = np.log(p)
-        stage1 = self._stage1(p, batch, doc_sizes, docs_links, seeds)
+        stage1 = self._stage1(p, batch, data.docs.lengths[docs],
+                              [data.rule_inputs[d] for d in docs],
+                              [self.seed + 7919 * d for d in docs])
         if stage1 is not None:
             # Stage 2 penalises each end of every link with the list truth
             # against the other end's stage-1 marginal.
@@ -533,60 +541,37 @@ class NerTeacher:
             log_unary -= penalty
         return log_unary
 
-    def _doc_inputs(self, data: PreparedSet, docs):
-        """``_log_unary``'s arguments for documents ``docs`` of a prepared
-        set: sentence counts, ``_doc_links``' links, and seed
-        ``seed + 7919 * d``."""
-        return (data.docs.lengths[docs], [data.rule_inputs[d] for d in docs],
-                [self.seed + 7919 * d for d in docs])
-
-    def soft_predict(self, p, batch, data, docs) -> np.ndarray:
-        """Teacher marginals of ``batch``, the documents ``docs`` of the
-        prepared set ``data`` in order, given the student's (P, K) position
-        rows ``p`` on it.  Returns (P, K) rows."""
-        log_unary = self._log_unary(p, batch, *self._doc_inputs(data, docs))
-        return chain_marginals(ChainTeacherQuery(log_unary, batch.lengths, *self.chain_terms))
-
-    def _over_set(self, data: PreparedSet, solve, out: np.ndarray) -> np.ndarray:
-        """The set pass: ``out`` with ``solve``'s rows of every position of
-        a prepared set written in.  The student's p and the log-unaries are
-        built once for the whole set, one ``_stage1`` over every document;
-        then each of ``_sorted_chunks`` is one chain query for ``solve``."""
-        batch = data.batch
-        p = np.empty((len(data.gold), self.scheme.n_tags))
-        for idx, _, chunk_p in _forward_chunks(self.model, data):
-            p[batch.positions(idx)] = chunk_p
-        log_unary = self._log_unary(p, batch, *self._doc_inputs(data, np.arange(len(data.docs))))
+    def _chains(self, p, batch, data, docs, solve, out) -> np.ndarray:
+        """``out`` with ``solve``'s rows of every position of ``batch``, the
+        documents ``docs`` of the prepared set ``data`` in order, written
+        in: the log-unaries are built once, from the student's (P, K)
+        position rows ``p``, and each of ``_sorted_chunks`` is one chain
+        query."""
+        log_unary = self._log_unary(p, batch, data, docs)
         for idx in _sorted_chunks(batch.lengths):
             rows = batch.positions(idx)
             try:
                 query = ChainTeacherQuery(log_unary[rows], batch.lengths[idx], *self.chain_terms)
             except InfeasibleChainError as err:
                 s = int(idx[err.chain])
-                d = int(np.searchsorted(data.docs.starts, s, side="right")) - 1
+                firsts = data.docs.take(docs).starts
+                d = int(np.searchsorted(firsts, s, side="right")) - 1
                 raise InfeasibleChainError(
                     f"hard constraints exclude every label path of sentence "
-                    f"{s - data.docs.starts[d]} of document {d}", s) from err
+                    f"{s - firsts[d]} of document {docs[d]}", s) from err
             out[rows] = solve(query)
         return out
 
-    def soft_predict_set(self, data: PreparedSet) -> np.ndarray:
-        """Teacher marginals of every position of a prepared set, (P, K)
-        rows by the set pass."""
-        return self._over_set(data, chain_marginals,
-                              np.empty((len(data.gold), self.scheme.n_tags)))
+    def soft_predict(self, p, batch, data, docs) -> np.ndarray:
+        """Teacher marginals of ``batch``, the documents ``docs`` of the
+        prepared set ``data`` in order, given the student's (P, K) position
+        rows ``p`` on it.  Returns (P, K) rows."""
+        return self._chains(p, batch, data, docs, chain_marginals, np.empty_like(p))
 
-    def _paths(self, data: PreparedSet) -> np.ndarray:
-        """Decoded tag indices of every position of a prepared set, by the
-        set pass."""
-        return self._over_set(data, lambda query: chain_map_decode(query)[0],
-                              np.empty(len(data.gold), dtype=int))
-
-    def predict_tags(self, docs: Sequence[Sequence[TaggedSentence]]):
-        """Decoded tags of every sentence of every document, by document."""
-        tags = iter([self.scheme.tags[k]
-                     for k in self._paths(PreparedSet(docs, self.vocab, self.scheme))])
-        return [[list(itertools.islice(tags, len(s.tokens))) for s in doc] for doc in docs]
+    def decode(self, data: PreparedSet) -> np.ndarray:
+        """The MAP tag index of every position of a prepared set."""
+        return self._chains(*self._set_args(data), lambda query: chain_map_decode(query)[0],
+                            np.empty(len(data.gold), dtype=int))
 
 
 # --- prepared datasets -------------------------------------------------------
@@ -635,11 +620,11 @@ def prepare(records, vocab: Vocabulary, scheme: Optional[TagScheme] = None) -> P
 # --- generic evaluation ------------------------------------------------------
 
 
-# Sentences per student forward and chain query outside training, sorted
-# by token count: only a chain query pads, to its chunk's longest chain.
-# The tagging teacher's set pass also holds the set's (P, K) p and
-# log-unaries, 8 * K bytes per position each (104 bytes at K = 13), so
-# its peak memory grows with the set.
+# Sentences per chunk, sorted by token count, of every evaluation forward
+# and of the teachers' clause forwards and chain queries, in training too:
+# only a chain query pads, to its chunk's longest chain.  A deployed
+# teacher holds the student's rows on the whole set, and the tagging
+# teacher its log-unaries too, 8 * K bytes a position each (104 at K = 13).
 _EVAL_CHUNK = 64
 
 
@@ -660,21 +645,16 @@ def _pack(sizes: Sequence[int], limit: int) -> list[list[int]]:
 
 def _sorted_chunks(lengths: np.ndarray) -> list[np.ndarray]:
     """Sentence indices stably sorted by token count ``lengths``, in
-    consecutive chunks of ``_EVAL_CHUNK``: every evaluation pass's plan."""
+    consecutive chunks of ``_EVAL_CHUNK``: every chunked pass's plan."""
     order = np.argsort(lengths, kind="stable")
     return [order[start:start + _EVAL_CHUNK] for start in range(0, len(order), _EVAL_CHUNK)]
 
 
-def _forward_chunks(model, data: PreparedSet):
-    """Yield each chunk of ``_sorted_chunks`` of a prepared set: its
-    sentence indices, its batch, and ``model``'s output rows on it."""
-    for idx in _sorted_chunks(data.batch.lengths):
-        chunk = data.batch.take(idx)
-        p = model.forward(chunk)
-        if data.scheme is not None and p.shape[1] != data.scheme.n_tags:
-            raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
-                             f"has {data.scheme.n_tags}")
-        yield idx, chunk, p
+def _forward_chunks(model, batch: TokenBatch):
+    """Yield each chunk of ``_sorted_chunks`` of ``batch``: its sentence
+    indices and ``model``'s output rows on them."""
+    for idx in _sorted_chunks(batch.lengths):
+        yield idx, model.forward(batch.take(idx))
 
 
 def evaluate(predictor, dataset, task: Optional[str] = None,
@@ -684,13 +664,14 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
     with ``vocab`` (and ``scheme`` for tagging) for a student, or on a
     ``PreparedSet``, which must match the teacher's or the arguments'.
     Teachers carry their own; the task is inferred from the record type
-    when omitted.  Every predictor forwards chunks of ``_EVAL_CHUNK``
-    sentences stably sorted by token count; the tagging teacher then
-    decodes the same chunks, after one list-penalty pass over the whole
-    set.  A sentence's rows do not depend on its chunk.
+    when omitted.  A student forwards chunks of ``_EVAL_CHUNK`` sentences
+    stably sorted by token count and takes each row's argmax, one chunk at
+    a time; a teacher's labels are its ``decode``.  A sentence's rows do
+    not depend on its chunk.
     """
-    if isinstance(predictor, (SentimentTeacher, NerTeacher)):
-        vocab, scheme = predictor.vocab, getattr(predictor, "scheme", None)
+    teacher = isinstance(predictor, _Teacher)
+    if teacher:
+        vocab, scheme = predictor.vocab, predictor.scheme
     if isinstance(dataset, PreparedSet):
         data = dataset
         if (task not in (None, data.task) or vocab not in (None, data.vocab)
@@ -705,13 +686,14 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
         if vocab is None or (task == "ner" and scheme is None):
             raise ValueError("student evaluation needs a vocabulary, and tagging a scheme")
         data = prepare(records, vocab, scheme if task == "ner" else None)
-    if isinstance(predictor, NerTeacher):
-        return _tagging_report(data, predictor._paths(data))
-    if isinstance(predictor, SentimentTeacher):
-        labels = predictor.soft_predict_set(data).argmax(axis=1)
+    if teacher:
+        labels = predictor.decode(data)
     else:
         labels = np.empty(len(data.gold), dtype=int)
-        for idx, _, p in _forward_chunks(predictor, data):
+        for idx, p in _forward_chunks(predictor, data.batch):
+            if data.scheme is not None and p.shape[1] != data.scheme.n_tags:
+                raise ValueError(f"the student outputs {p.shape[1]} tags, but the scheme "
+                                 f"has {data.scheme.n_tags}")
             labels[data.rows(idx)] = p.argmax(axis=1)
     if data.scheme is None:
         return EvalReport(task="sentiment", n=len(labels),
@@ -724,6 +706,10 @@ def evaluate(predictor, dataset, task: Optional[str] = None,
 
 @dataclass(frozen=True, eq=False)
 class TrainResult:
+    """What ``train_distill`` returns, one history row per epoch.  The
+    deployed ``teacher`` is None in mode base, and in distill or semi
+    without rules; project-after and pipeline always deploy one."""
+
     student: object
     teacher: Optional[object]
     vocab: Vocabulary

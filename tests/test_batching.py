@@ -508,7 +508,8 @@ class TestChunkedEvaluate:
         vocab = Vocabulary.build([s.tokens for s in data])
         model = TextClassifier(len(vocab), 2, emb_dim=4, n_filters=3, seed=4)
         teacher = SentimentTeacher(model, vocab, (but_rule(confidence=1.0),), 6.0)
-        labels = [int(np.argmax(teacher.predict_proba(s.tokens))) for s in data]
+        labels = [int(np.argmax(teacher.soft_predict_set(trainer.prepare([s], vocab))[0]))
+                  for s in data]
         relabeled = [LabeledSentence(s.tokens, k) for s, k in zip(data, labels)]
         assert evaluate(teacher, relabeled, task="sentiment").accuracy == 1.0
 
@@ -565,7 +566,7 @@ class TestChunkedEvaluate:
         teacher = SentimentTeacher(Recorder(classifier), vocab, (but_rule(confidence=1.0),), 6.0)
         one = {
             "p": [ref_forward(classifier, ref_encode(vocab, s.tokens))[0] for s in sent],
-            "q": [teacher.predict_proba(s.tokens) for s in sent],
+            "q": [teacher.soft_predict_set(trainer.prepare([s], vocab))[0] for s in sent],
         }
         teacher.model.sizes.clear()
         expect = {key: trainer.EvalReport(task="sentiment", n=len(sent), accuracy=float(
@@ -633,7 +634,8 @@ class TestNerTeacherBatching:
         for chunk in (1, 5, 64, 10_000):
             monkeypatch.setattr(trainer, "_EVAL_CHUNK", chunk)
             reports.append(evaluate(teacher, self.DATA, task="ner"))
-            tags.append(teacher.predict_tags(group_documents(self.DATA)))
+            tags.append(teacher.decode(trainer.prepare(self.DATA, teacher.vocab,
+                                                       self.SCHEME)).tolist())
         assert all(r == reports[0] for r in reports)
         assert all(t == tags[0] for t in tags)
 
@@ -648,8 +650,7 @@ class TestNerTeacherBatching:
         alone = []
         for d in range(len(data.docs)):
             batch = data.batch.take(data.docs.positions([d]))
-            log_unary = teacher._log_unary(teacher.model.forward(batch), batch,
-                                           *teacher._doc_inputs(data, [d]))
+            log_unary = teacher._log_unary(teacher.model.forward(batch), batch, data, [d])
             alone.append(chain_map_decode(
                 ChainTeacherQuery(log_unary, batch.lengths, *teacher.chain_terms))[0])
         alone = np.concatenate(alone)
@@ -666,9 +667,9 @@ class TestNerTeacherBatching:
             assert max(teacher.model.sizes) <= chunk and max(chains) <= chunk
             assert sum(teacher.model.sizes) == sum(chains) == len(data.batch)
             assert report == trainer._tagging_report(data, alone)
-            assert teacher._paths(data).tolist() == alone.tolist()
-            tags = teacher.predict_tags(group_documents(self.DATA))
-        assert [t for doc in tags for s in doc for t in s] == [self.SCHEME.tags[k] for k in alone]
+            assert teacher.decode(data).tolist() == alone.tolist()
+            tags = teacher.decode(trainer.prepare(self.DATA, teacher.vocab, self.SCHEME))
+        assert [self.SCHEME.tags[k] for k in tags] == [self.SCHEME.tags[k] for k in alone]
 
     def test_pipeline_targets_are_each_documents_soft_predict_alone(self, monkeypatch):
         monkeypatch.setattr(trainer, "_EVAL_CHUNK", 5)
@@ -689,7 +690,7 @@ class TestNerTeacherBatching:
 
     def test_infeasible_sentence_named_by_document_and_sentence(self, monkeypatch):
         # p is one-hot on B-LOC for a one-token sentence, which no valid
-        # tag path ends with.  The set pass names it by document and
+        # tag path ends with.  Evaluation names it by document and
         # sentence, not by its place in a sorted chunk.
         scheme = self.SCHEME
 
@@ -713,6 +714,14 @@ class TestNerTeacherBatching:
             evaluate(teacher, records, task="ner")
         # Set sentence 3 is chain 0 of the first sorted chunk.
         assert err.value.chain == 3 and err.value.__cause__.chain == 0
+        # A training batch of document 1 alone names it the same way; the
+        # error's chain is the sentence's place in the batch.
+        data = trainer.prepare(records, vocab, scheme)
+        batch = data.batch.take(data.docs.positions([1]))
+        with np.errstate(divide="ignore"), pytest.raises(
+                InfeasibleChainError, match="every label path of sentence 1 of document 1$") as err:
+            teacher.soft_predict(teacher.model.forward(batch), batch, data, [1])
+        assert err.value.chain == 1
 
     def test_one_student_forward_per_distill_batch(self, monkeypatch):
         # Epoch 0 trains at pi = 0, epoch 1 at pi > 0; in both, each batch

@@ -63,6 +63,28 @@ class TestConfigFile:
             "rules": "but(lambda=1)",
         }
 
+    def test_hash_starts_a_comment_only_after_whitespace(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("train = a#b.tsv\n  # indented\nout = runs\t# tab\nrules=x#y # z\n")
+        assert parse_config_file(path) == {"train": "a#b.tsv", "out": "runs", "rules": "x#y"}
+
+    def test_path_with_hash_drives_training(self, data_dir, tmp_path):
+        train = tmp_path / "a#b.tsv"
+        train.write_bytes((data_dir / "train.tsv").read_bytes())
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"task = sentiment\nmode = base\ntrain = {train}\n"
+                       f"out = {tmp_path / 'run'}\nepochs = 1\n")
+        assert run(["train", "--config", str(cfg)]) == 0
+        assert (tmp_path / "run" / "model_seed0.npz").exists()
+
+    def test_non_utf8_file_exit_2_before_writing(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_bytes(b"task = sentiment\xff\n")
+        out = tmp_path / "run"
+        assert run(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"config file {cfg} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(CliError):
             parse_config_file(tmp_path / "absent.cfg")
@@ -441,6 +463,15 @@ class TestTrainCommand:
         assert err == f"error: {bad}:2: expected <label><TAB><tokens>\n"
         assert not out.exists()
 
+    def test_non_utf8_data_file_exit_2_before_writing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\xff\xfe\n")
+        out = tmp_path / "run"
+        assert run(["train", "--task", "sentiment", "--mode", "base",
+                    "--train", str(bad), "--out", str(out)]) == 2
+        assert f"train file {bad} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nan_c_exit_2(self, data_dir, tmp_path):
         assert run([
             "train", "--task", "sentiment", "--mode", "distill",
@@ -711,6 +742,27 @@ class TestEvalCommand:
         ]) == 2
         assert re.search(CHECKPOINT_CORRUPTIONS[case][1], capsys.readouterr().err)
 
+    @pytest.mark.parametrize("case", ["truncated", "not an archive"])
+    def test_unreadable_checkpoint_named_exit_2_before_writing(self, data_dir, sent_ckpt,
+                                                              tmp_path, capsys, case):
+        broken = tmp_path / "broken.npz"
+        data = sent_ckpt.read_bytes()
+        broken.write_bytes(data[: len(data) // 2] if case == "truncated" else b"not a zip\n")
+        out_file = tmp_path / "eval.txt"
+        assert run(["eval", "--checkpoint", str(broken), "--test", str(data_dir / "test.tsv"),
+                    "--out", str(out_file)]) == 2
+        assert f"checkpoint {broken} is not a readable npz archive" in capsys.readouterr().err
+        assert not out_file.exists()
+
+    def test_non_utf8_test_file_exit_2_before_writing(self, sent_ckpt, tmp_path, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"\xff\xfe\n")
+        out_file = tmp_path / "eval.txt"
+        assert run(["eval", "--checkpoint", str(sent_ckpt), "--test", str(bad),
+                    "--out", str(out_file)]) == 2
+        assert f"test file {bad} is not UTF-8 text" in capsys.readouterr().err
+        assert not out_file.exists()
+
     def test_summary_written(self, data_dir, sent_ckpt, tmp_path):
         out_file = tmp_path / "eval.txt"
         assert run([
@@ -747,6 +799,14 @@ class TestOtherCommands:
         assert out.out == ""
         assert out.err.startswith(f"error: {bad}:3: invalid BIOES sequence")
         assert out.err.count(str(bad)) == 1
+        assert not out_file.exists()
+
+    def test_detect_lists_non_utf8_file_exit_2_before_writing(self, tmp_path, capsys):
+        bad = tmp_path / "bad.conll"
+        bad.write_bytes(b"Paris\xff S-LOC\n")
+        out_file = tmp_path / "lists.txt"
+        assert run(["detect-lists", "--data", str(bad), "--out", str(out_file)]) == 2
+        assert f"data file {bad} is not UTF-8 text" in capsys.readouterr().err
         assert not out_file.exists()
 
     def test_generators_deterministic(self, tmp_path):

@@ -1,6 +1,7 @@
 """The demos still run against the package's public API."""
 
 import os
+import re
 import runpy
 import shlex
 import subprocess
@@ -19,8 +20,8 @@ def test_quick_demo_runs(name, capsys):
     assert capsys.readouterr().out
 
 
-# What each training demo prints last, from its deployed teacher
-# (predict_proba, predict_tags).
+# What each training demo prints last, from its deployed teacher on a
+# prepared set (soft_predict_set for one sentence, decode for the tags).
 TRAINING_DEMOS = {
     "03_sentiment_distillation.py": "(teacher corrects the student)",
     "04_list_ner.py": "(rules repair the decode)",
@@ -32,6 +33,18 @@ def test_training_demo_runs(name, capsys):
     # Each trains a base and a distilled student in a few seconds.
     runpy.run_path(str(DEMOS / name), run_name="__main__")
     assert TRAINING_DEMOS[name] in capsys.readouterr().out
+
+
+def test_readme_python_blocks_run(capsys):
+    # The README's Python blocks build on each other: run them in order,
+    # in one namespace.
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 4
+    namespace = {"__name__": "__readme__"}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    assert capsys.readouterr().out
 
 
 def test_cli_demo_runs(tmp_path):

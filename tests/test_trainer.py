@@ -57,6 +57,7 @@ from ruledistill.trainer import (
     TrainConfig,
     aggregate_reports,
     evaluate,
+    prepare,
     project_after,
     train_distill,
 )
@@ -356,7 +357,8 @@ class TestSentimentTeacher:
         vocab = Vocabulary.build([tokens])
         # Clause B leans to class 0, and the sentence must follow it.
         teacher = SentimentTeacher(self.ClauseModel(), vocab, (but_rule(confidence=1.0),), 6.0)
-        assert teacher.predict_proba(tokens)[0] > 0.9
+        q = teacher.soft_predict_set(prepare([LabeledSentence(tokens, 0)], vocab))
+        assert q[0][0] > 0.9
 
     def test_rejects_rule_whose_table_misses_a_class(self, monkeypatch):
         # The but rule is two-class: on a three-class corpus, training
